@@ -10,7 +10,7 @@ Everything is exact: scalars are ``fractions.Fraction``, the LP solver is an
 integer-pivoting simplex, and every certificate is checked by arithmetic.
 """
 
-from .vectors import Rational, Vector, bit_size, format_rational, norm, parse_rational, round_nearest
+from .vectors import Vector, bit_size, format_rational, parse_rational
 from .simplex import (
     FarkasCertificate,
     InequalitySystem,
@@ -38,9 +38,7 @@ from .geometry import (
 )
 from .prooftree import (
     BranchNode,
-    BranchingProof,
     EnumNode,
-    EnumerativeProof,
     Report,
     ProofStats,
     certify,
@@ -54,6 +52,7 @@ from .prooftree import (
     verify_branching_proof,
     verify_certified_proof,
     verify_enumerative_proof,
+    walk,
 )
 from .diophantine import (
     DioApprox,
@@ -71,9 +70,8 @@ from .recompile import (
     recompile,
     select_violated_row,
     verify_substitution_sequence,
-    with_monotone_gammas,
 )
-from .enumcp import LiftedCut, enum_to_cp, lift_cg_cut, lift_cg_sequence
+from .enumcp import LiftedCut, enum_to_cp, lift_cg_sequence
 from .families import (
     SplitCutReport,
     TseitinInstance,

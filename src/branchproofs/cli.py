@@ -39,6 +39,7 @@ from .prooftree import (
     verify_branching_proof,
     verify_certified_proof,
     verify_enumerative_proof,
+    walk,
 )
 from .recompile import recompile
 from .simplex import InequalitySystem, is_empty
@@ -170,15 +171,7 @@ def _cmd_certify(args) -> int:
         return 1
     _write(args.out, format_branching(certified) + "\n")
     _print_stats(certified)
-
-    def leaves(node):
-        if node.is_leaf:
-            yield node
-        else:
-            yield from leaves(node.left)
-            yield from leaves(node.right)
-
-    sizes = [bit_size(node.cert) for node in leaves(certified)]
+    sizes = [bit_size(node.cert) for node, _, _ in walk(certified) if node.is_leaf]
     print(f"certificates: {len(sizes)}, bit sizes {sizes} (total {sum(sizes)})")
     print("RESULT valid certified proof written")
     return 0

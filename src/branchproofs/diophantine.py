@@ -43,14 +43,12 @@ class RhsClassification:
 
     ``dominating`` means ``a' x <= b'  =>_R  a x <= b`` and
     ``a' x >= b'+1  =>_R  a x >= b+1`` both hold; non-dominating means b' is
-    the unique integer whose error interval meets (b, b+1).  ``on_boundary``
-    flags an exact endpoint coincidence in the interval tests.
+    the unique integer whose error interval meets (b, b+1).
     """
 
     dominating: bool
     b_prime: int
     alpha: Fraction
-    on_boundary: bool = False
 
 
 def dirichlet_approx(a: Vector, N: int) -> DioApprox:
@@ -137,26 +135,19 @@ def classify_rhs(
     lo_window = floor(b_hat / alpha) - 2
     hi_window = floor((b_hat + 1) / alpha) + 2
     limit = int(R * norm_prime)
-    boundary = False
-
-    def touches(endpoint: Fraction) -> bool:
-        return endpoint == b_hat or endpoint == b_hat + 1
-
     meets = []
     for b_prime in range(max(lo_window, -limit), min(hi_window, limit) + 1):
         left = alpha * b_prime - shift
         right = alpha * b_prime + shift
-        boundary = boundary or touches(left) or touches(right)
         if left < b_hat + 1 and right > b_hat:
             meets.append(b_prime)
     if meets:
         if len(meets) > 1:
             raise RuntimeError("error intervals are not pairwise disjoint")
-        return RhsClassification(False, meets[0], alpha, boundary)
+        return RhsClassification(False, meets[0], alpha)
     for b_prime in range(max(lo_window, -limit), min(hi_window, limit - 1) + 1):
         left = alpha * b_prime + shift
         right = alpha * (b_prime + 1) - shift
-        boundary = boundary or touches(left) or touches(right)
         if left <= b_hat and b_hat + 1 <= right:
-            return RhsClassification(True, b_prime, alpha, boundary)
+            return RhsClassification(True, b_prime, alpha)
     raise RuntimeError("case split failed: no interval matched")

@@ -21,7 +21,7 @@ turns a violated precondition into a diagnosable error).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .geometry import (
@@ -40,30 +40,52 @@ _MULTIPLIER_CAP = 2**64
 
 @dataclass(frozen=True)
 class LiftedCut:
-    """A face cut ``base`` lifted to ``base + multiplier * face_normal``."""
+    """A face cut ``base`` lifted to ``base + multiplier * face_normal``.
+
+    ``cut_set`` is K after the lifted cuts up to and including this one.
+    """
 
     base: Vector
     face_normal: Vector
     multiplier: int
     lifted: Vector
+    cut_set: InequalitySystem = field(compare=False, repr=False)
 
 
-def lift_cg_cut(K: InequalitySystem, c: Vector, a: Vector) -> LiftedCut:
-    """Lift the CG cut of ``face(K, c)`` induced by ``a`` to a cut of K.
+def lift_cg_sequence(
+    K: InequalitySystem, c: Vector, cuts: list[Vector]
+) -> list[LiftedCut]:
+    """Lift an ordered list of CG cuts of ``face(K, c)`` to cuts of K.
 
-    Requires K nonempty and bounded in the relevant directions with
-    ``h_K(c)`` integral.  Returns the smallest multiplier in the doubling
-    schedule passing the floor test.
+    The set equality holds prefix-wise: cut i is lifted against the set
+    obtained from K by the previously lifted cuts, while the original cuts
+    accumulate on the face.  Requires K nonempty and bounded in the relevant
+    directions with ``h_K(c)`` integral; each multiplier is the smallest in
+    the doubling schedule passing the floor test.  Once the face has been
+    emptied the remaining multipliers are 0 (any lift works vacuously), and
+    a zero ``c`` (the face is K itself) lifts every cut by 0.
     """
+    lifted: list[LiftedCut] = []
+    current = K
     if c.is_zero():
-        return LiftedCut(a, c, 0, a)  # the face is K itself
+        for a in cuts:
+            current, _ = apply_cg(current, a)
+            lifted.append(LiftedCut(a, c, 0, a, current))
+        return lifted
     h_c = _finite_support(K, c, "face normal")
     if h_c.denominator != 1:
         raise ValueError("face support value must be integral for lifting")
-    F = face(K, c)
-    target = math.floor(_finite_support(F, a, "cut normal on the face"))
-    multiplier = _search_multiplier(K, c, a, h_c, target)
-    return LiftedCut(a, c, multiplier, a + multiplier * c)
+    face_set = face(K, c)
+    for a in cuts:
+        multiplier = 0
+        if is_empty(face_set) is None:
+            target = math.floor(_finite_support(face_set, a, "face cut"))
+            multiplier = _search_multiplier(current, c, a, h_c, target)
+        normal = a + multiplier * c
+        current, _ = apply_cg(current, normal)
+        lifted.append(LiftedCut(a, c, multiplier, normal, current))
+        face_set, _ = apply_cg(face_set, a)
+    return lifted
 
 
 def _search_multiplier(K, c, a, h_c, target: int) -> int:
@@ -86,45 +108,6 @@ def _finite_support(K, direction, what: str) -> Fraction:
     if value == UNBOUNDED:
         raise ValueError(f"set unbounded along the {what}")
     return value
-
-
-def lift_cg_sequence(
-    K: InequalitySystem, c: Vector, cuts: list[Vector]
-) -> list[LiftedCut]:
-    """Lift an ordered list of face cuts so the set equality holds prefix-wise.
-
-    Multipliers are chosen inductively: cut i is lifted against the set
-    obtained from K by the previously lifted cuts, while the original cuts
-    accumulate on the face.  Once the face has been emptied the remaining
-    multipliers are 0 (any lift works vacuously).
-    """
-    lifted, _ = _lift_sequence_tracking(K, c, cuts)
-    return lifted
-
-
-def _lift_sequence_tracking(K, c, cuts):
-    lifted: list[LiftedCut] = []
-    current = K
-    if c.is_zero():
-        for a in cuts:
-            lifted.append(LiftedCut(a, c, 0, a))
-            current, _ = apply_cg(current, a)
-        return lifted, current
-    h_c = _finite_support(K, c, "face normal")
-    if h_c.denominator != 1:
-        raise ValueError("face support value must be integral for lifting")
-    face_set = face(K, c)
-    for a in cuts:
-        if is_empty(face_set) is not None:
-            cut = LiftedCut(a, c, 0, a)
-        else:
-            target = math.floor(_finite_support(face_set, a, "face cut"))
-            multiplier = _search_multiplier(current, c, a, h_c, target)
-            cut = LiftedCut(a, c, multiplier, a + multiplier * c)
-        lifted.append(cut)
-        current, _ = apply_cg(current, cut.lifted)
-        face_set, _ = apply_cg(face_set, a)
-    return lifted, current
 
 
 def enum_to_cp(K: InequalitySystem, proof: EnumNode) -> list[Vector]:
@@ -167,7 +150,9 @@ def _serialize(K: InequalitySystem, node: EnumNode):
             raise ValueError(f"no child for branched value {b}")
         child = children[b]
         face_cuts, _ = _serialize(face(current, a_r), child)
-        lifted, current = _lift_sequence_tracking(current, a_r, face_cuts)
+        lifted = lift_cg_sequence(current, a_r, face_cuts)
+        if lifted:
+            current = lifted[-1].cut_set
         current, _ = apply_cg(current, a_r)
         cuts.extend(cut.lifted for cut in lifted)
         cuts.append(a_r)

@@ -75,6 +75,8 @@ class TseitinInstance:
         rows = [ln.split() for ln in text.splitlines() if ln.strip()]
         if not rows:
             raise ValueError("empty graph description")
+        if len(rows[0]) < 2:
+            raise ValueError("first line must be 'V E'")
         nv, ne = int(rows[0][0]), int(rows[0][1])
         if len(rows) != ne + 2:
             raise ValueError(f"expected {ne} edge lines plus a parity line")

@@ -16,7 +16,10 @@ Two tree shapes are modeled:
 
 Verification runs one exact LP per claim.  Leaf checks are independent of
 each other; reports list failures in depth-first (path-sorted) order, so the
-result is deterministic regardless of evaluation order.
+result is deterministic regardless of evaluation order.  Every pass over a
+tree runs on an explicit stack -- :func:`walk` for verifying, certifying,
+counting and writing, the parsers' own for reading -- so a proof may nest
+deeper than Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -63,18 +66,24 @@ class BranchNode:
     def is_leaf(self) -> bool:
         return self.a is None
 
+    def edges(self) -> tuple:
+        """(went_left, child) pairs, left first; empty for a leaf."""
+        if self.a is None:
+            return ()
+        return ((True, self.left), (False, self.right))
+
+    def edge_row(self, went_left: bool) -> tuple[Vector, Fraction]:
+        """The inequality asserted by the left (``a x <= b``) or the right
+        (``-a x <= -b - 1``) edge below this node."""
+        if went_left:
+            return self.a, Fraction(self.b)
+        return -self.a, Fraction(-self.b - 1)
+
     def node_count(self) -> int:
-        if self.is_leaf:
-            return 1
-        return 1 + self.left.node_count() + self.right.node_count()
+        return sum(1 for _, _, leaving in walk(self) if not leaving)
 
     def leaf_count(self) -> int:
-        if self.is_leaf:
-            return 1
-        return self.left.leaf_count() + self.right.leaf_count()
-
-
-BranchingProof = BranchNode
+        return sum(1 for node, _, _ in walk(self) if node.is_leaf)
 
 
 @dataclass(frozen=True)
@@ -119,11 +128,12 @@ class EnumNode:
     def is_leaf(self) -> bool:
         return not self.children
 
+    def edges(self) -> tuple[tuple[int, "EnumNode"], ...]:
+        """(b, child) pairs by increasing b; empty for a leaf."""
+        return self.children
+
     def node_count(self) -> int:
-        return 1 + sum(child.node_count() for _, child in self.children)
-
-
-EnumerativeProof = EnumNode
+        return sum(1 for _, _, leaving in walk(self) if not leaving)
 
 
 @dataclass(frozen=True)
@@ -145,34 +155,57 @@ class ProofStats:
     max_coeff: int
 
 
-def path_rows(path: list[tuple[Vector, int, bool]]):
-    """Inequality rows for a root-to-node path of (a, b, went_left) edges."""
-    rows = []
-    for a, b, went_left in path:
-        if went_left:
-            rows.append((a, Fraction(b)))
+_LEAVING = object()  # stack marker: the node's subtrees are done
+
+
+def walk(proof):
+    """Every node of a proof tree, by one explicit stack (no recursion).
+
+    Yields ``(node, path, leaving)``.  A node with children is reported on
+    entry (``leaving`` False, before its subtrees) and again on exit
+    (``leaving`` True, after them); a leaf only on entry.  Children come in
+    order -- left before right, enumerative children by increasing value --
+    so leaves arrive in depth-first (path-sorted) order.  ``path`` holds the
+    ``(parent, edge)`` pairs from the root down to ``node``, where ``edge``
+    is ``went_left`` for a branching node and the child value b for an
+    enumerative one.  The walk reuses ``path``: read it before resuming the
+    walk, and copy it to keep it.
+    """
+    path: list = []
+    stack: list = [(proof, None)]
+    while stack:
+        node, step = stack.pop()
+        if step is _LEAVING:
+            yield node, path, True
         else:
-            rows.append((-a, Fraction(-b - 1)))
-    return rows
+            if step is not None:
+                path.append(step)
+            yield node, path, False
+            edges = node.edges()
+            if edges:
+                stack.append((node, _LEAVING))
+                for edge, child in reversed(edges):
+                    stack.append((child, (node, edge)))
+                continue
+        if path:
+            path.pop()
 
 
-def _branch_system(K: InequalitySystem, path) -> InequalitySystem:
-    return K.with_rows(path_rows(path))
+def _branch_label(path) -> str:
+    return "".join("L" if went_left else "R" for _, went_left in path) or "(root)"
+
+
+def _leaf_system(K: InequalitySystem, path) -> InequalitySystem:
+    """The leaf relaxation K_v: K plus the inequalities along ``path``."""
+    return K.with_rows(node.edge_row(went_left) for node, went_left in path)
 
 
 def verify_branching_proof(K: InequalitySystem, proof: BranchNode) -> Report:
     """Valid iff every leaf relaxation is empty (one exact LP per leaf)."""
     failures: list[str] = []
-
-    def walk(node: BranchNode, path, label: str) -> None:
-        if node.is_leaf:
-            if is_empty(_branch_system(K, path)) is None:
-                failures.append(f"{label or '(root)'}: leaf relaxation is nonempty")
-            return
-        walk(node.left, path + [(node.a, node.b, True)], label + "L")
-        walk(node.right, path + [(node.a, node.b, False)], label + "R")
-
-    walk(proof, [], "")
+    for node, path, _ in walk(proof):
+        if node.is_leaf and is_empty(_leaf_system(K, path)) is None:
+            failures.append(f"{_branch_label(path)}: leaf relaxation is nonempty")
     return Report(valid=not failures, failures=tuple(failures))
 
 
@@ -180,20 +213,16 @@ def verify_certified_proof(K: InequalitySystem, proof: BranchNode) -> bool:
     """Check every leaf's Farkas certificate by pure arithmetic (no LPs).
 
     Certificates list multipliers for K's rows first, then the path rows in
-    root-to-leaf order.  Raises if a leaf has no certificate.
+    root-to-leaf order.  Raises if a leaf has no certificate.  Stops at the
+    first leaf whose certificate fails.
     """
-
-    def walk(node: BranchNode, path) -> bool:
+    for node, path, _ in walk(proof):
         if node.is_leaf:
             if node.cert is None:
                 raise ValueError("leaf without certificate")
-            system = _branch_system(K, path)
-            return FarkasCertificate(node.cert).verify(system)
-        return walk(node.left, path + [(node.a, node.b, True)]) and walk(
-            node.right, path + [(node.a, node.b, False)]
-        )
-
-    return walk(proof, [])
+            if not FarkasCertificate(node.cert).verify(_leaf_system(K, path)):
+                return False
+    return True
 
 
 def certify(K: InequalitySystem, proof: BranchNode) -> BranchNode:
@@ -202,25 +231,20 @@ def certify(K: InequalitySystem, proof: BranchNode) -> BranchNode:
     Raises ``ValueError`` naming the first nonempty leaf if the proof is
     invalid.
     """
-
-    def walk(node: BranchNode, path, label: str) -> BranchNode:
-        if node.is_leaf:
-            system = _branch_system(K, path)
+    built: list[BranchNode] = []  # finished subtrees, left to right
+    for node, path, leaving in walk(proof):
+        if leaving:
+            right = built.pop()
+            built[-1] = BranchNode(node.a, node.b, built[-1], right)
+        elif node.is_leaf:
+            system = _leaf_system(K, path)
             cert = is_empty(system)
             if cert is None:
                 raise ValueError(
-                    f"cannot certify: leaf {label or '(root)'} has a nonempty relaxation"
+                    f"cannot certify: leaf {_branch_label(path)} has a nonempty relaxation"
                 )
-            reduced = reduce_certificate(system, cert)
-            return BranchNode(cert=reduced.multipliers)
-        return BranchNode(
-            a=node.a,
-            b=node.b,
-            left=walk(node.left, path + [(node.a, node.b, True)], label + "L"),
-            right=walk(node.right, path + [(node.a, node.b, False)], label + "R"),
-        )
-
-    return walk(proof, [], "")
+            built.append(BranchNode(cert=reduce_certificate(system, cert).multipliers))
+    return built[0]
 
 
 def verify_enumerative_proof(K: InequalitySystem, proof: EnumNode) -> Report:
@@ -230,11 +254,23 @@ def verify_enumerative_proof(K: InequalitySystem, proof: EnumNode) -> Report:
     ``a x`` must lie within ``[lo, hi]`` and a child must exist for every
     integer in that interval; childless labeled nodes must satisfy
     ``floor(hi) < lo``.  Unlabeled "empty" leaves must have empty relaxations.
+    The subtree of a node unbounded in its direction is not checked.
     """
     failures: list[str] = []
-
-    def walk(node: EnumNode, system: InequalitySystem, label: str) -> None:
-        where = label or "(root)"
+    systems = [K]  # systems[d]: the relaxation at depth d of the current path
+    pruned = math.inf  # the walk skips nodes deeper than this
+    for node, path, leaving in walk(proof):
+        if len(path) > pruned:
+            continue
+        pruned = math.inf
+        if leaving:
+            continue
+        if path:
+            parent, b = path[-1]
+            del systems[len(path):]
+            systems.append(systems[-1].with_equality(parent.a, b))
+        system = systems[-1]
+        where = "/".join(str(b) for _, b in path) or "(root)"
         if node.a is None:
             if node.leaf_kind == "empty":
                 if is_empty(system) is None:
@@ -244,14 +280,15 @@ def verify_enumerative_proof(K: InequalitySystem, proof: EnumNode) -> Report:
                     f"{where}: gap leaf carries no direction/bounds"
                     " (write it as a childless labeled node)"
                 )
-            return
+            continue
         empty = is_empty(system) is not None
         if not empty:
             hi_val = support_value(system, node.a)
             lo_neg = support_value(system, -node.a)
             if hi_val == UNBOUNDED or lo_neg == UNBOUNDED:
                 failures.append(f"{where}: relaxation unbounded in the direction")
-                return
+                pruned = len(path)
+                continue
             lo_val = -lo_neg
             if lo_val < node.lo or hi_val > node.hi:
                 failures.append(
@@ -262,22 +299,13 @@ def verify_enumerative_proof(K: InequalitySystem, proof: EnumNode) -> Report:
                 failures.append(
                     f"{where}: nonempty leaf whose bounds contain an integer"
                 )
-        if node.children:
-            present = {b for b, _ in node.children}
-            if not empty:
+            if node.children:
+                present = {b for b, _ in node.children}
                 b = math.ceil(node.lo)
                 while b <= math.floor(node.hi):
                     if b not in present:
                         failures.append(f"{where}: missing child for b={b}")
                     b += 1
-            for b, child in node.children:
-                walk(
-                    child,
-                    system.with_equality(node.a, b),
-                    f"{label}/{b}" if label else str(b),
-                )
-
-    walk(proof, K, "")
     return Report(valid=not failures, failures=tuple(failures))
 
 
@@ -289,24 +317,24 @@ def enumerative_to_branching(proof: EnumNode) -> BranchNode:
     nodes become a single disjunction at ``floor(hi)``.  The result verifies
     valid iff the original does.
     """
-    if proof.a is None:
-        if proof.leaf_kind == "empty":
-            return BranchNode()
-        raise ValueError("cannot convert an unlabeled gap leaf")
-    values = [b for b, _ in proof.children]
-    if not values:
-        pivot = math.floor(proof.hi)
-        return BranchNode(proof.a, pivot, BranchNode(), BranchNode())
-
-    def chain(index: int) -> BranchNode:
-        if index == len(values):
-            return BranchNode()  # claims a x >= last value + 1 is empty
-        b = values[index]
-        sub = enumerative_to_branching(proof.children[index][1])
-        inner = BranchNode(proof.a, b - 1, BranchNode(), sub)
-        return BranchNode(proof.a, b, inner, chain(index + 1))
-
-    return chain(0)
+    built: list[BranchNode] = []  # converted subtrees, left to right
+    for node, _, leaving in walk(proof):
+        if node.a is None:
+            if node.leaf_kind != "empty":
+                raise ValueError("cannot convert an unlabeled gap leaf")
+            built.append(BranchNode())
+        elif not node.children:
+            built.append(BranchNode(node.a, math.floor(node.hi), BranchNode(), BranchNode()))
+        elif leaving:
+            first = len(built) - len(node.children)
+            subs = built[first:]
+            del built[first:]
+            chain = BranchNode()  # claims a x >= last value + 1 is empty
+            for (b, _), sub in zip(reversed(node.children), reversed(subs)):
+                inner = BranchNode(node.a, b - 1, BranchNode(), sub)
+                chain = BranchNode(node.a, b, inner, chain)
+            built.append(chain)
+    return built[0]
 
 
 def proof_stats(proof) -> ProofStats:
@@ -325,49 +353,35 @@ def proof_stats(proof) -> ProofStats:
 
 
 def _branching_stats(proof: BranchNode) -> ProofStats:
-    nodes = proof.node_count()
-    edges = nodes - 1
-    bits = nodes + edges
-    coeff = 0
-
-    def walk(node: BranchNode) -> None:
-        nonlocal bits, coeff
+    nodes = bits = coeff = 0
+    for node, _, leaving in walk(proof):
+        if leaving:
+            continue
+        nodes += 1
         if node.is_leaf:
             if node.cert is not None:
                 bits += bit_size(node.cert)
-            return
+            continue
         bits += bit_size(node.a) + bit_size(node.b)
-        coeff_here = max(
-            int(node.a.norm_linf()), abs(node.b), abs(node.b + 1)
-        )
-        if coeff_here > coeff:
-            coeff = coeff_here
-        walk(node.left)
-        walk(node.right)
-
-    walk(proof)
+        coeff = max(coeff, int(node.a.norm_linf()), abs(node.b), abs(node.b + 1))
+    bits += 2 * nodes - 1  # one bit per node and per edge
     return ProofStats(length=nodes, bit_size=bits, max_coeff=coeff)
 
 
 def _enumerative_stats(proof: EnumNode) -> ProofStats:
-    nodes = proof.node_count()
-    edges = nodes - 1
-    bits = nodes + edges
-    coeff = 0
-
-    def walk(node: EnumNode) -> None:
-        nonlocal bits, coeff
+    nodes = bits = coeff = 0
+    for node, _, leaving in walk(proof):
+        if leaving:
+            continue
+        nodes += 1
         if node.a is None:
-            return
+            continue
         bits += bit_size(node.a) + bit_size(node.lo) + bit_size(node.hi)
-        local = int(node.a.norm_linf())
-        for b, child in node.children:
+        coeff = max(coeff, int(node.a.norm_linf()))
+        for b, _ in node.children:
             bits += bit_size(b)
-            local = max(local, abs(b))
-            walk(child)
-        coeff = max(coeff, local)
-
-    walk(proof)
+            coeff = max(coeff, abs(b))
+    bits += 2 * nodes - 1  # one bit per node and per edge
     return ProofStats(length=nodes, bit_size=bits, max_coeff=coeff)
 
 
@@ -385,24 +399,30 @@ def _tokenize(text: str):
     return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
-def _read_sexp(tokens: list[str], pos: int):
-    if tokens[pos] != "(":
-        return tokens[pos], pos + 1
-    items = []
-    pos += 1
-    while pos < len(tokens) and tokens[pos] != ")":
-        item, pos = _read_sexp(tokens, pos)
-        items.append(item)
-    if pos >= len(tokens):
-        raise ValueError("unbalanced parentheses")
-    return items, pos + 1
+def _read_sexp(tokens: list[str]):
+    """The first datum of ``tokens`` (an atom or nested lists) and the
+    position after it."""
+    if tokens[0] != "(":
+        return tokens[0], 1
+    open_lists: list[list] = []
+    for pos, tok in enumerate(tokens):
+        if tok == "(":
+            open_lists.append([])
+        elif tok == ")":
+            done = open_lists.pop()
+            if not open_lists:
+                return done, pos + 1
+            open_lists[-1].append(done)
+        else:
+            open_lists[-1].append(tok)
+    raise ValueError("unbalanced parentheses")
 
 
 def _parse_tree_text(text: str):
     tokens = _tokenize(text)
     if not tokens:
         raise ValueError("empty proof text")
-    sexp, pos = _read_sexp(tokens, 0)
+    sexp, pos = _read_sexp(tokens)
     if pos != len(tokens):
         raise ValueError("trailing tokens after proof")
     return sexp
@@ -415,19 +435,24 @@ def _int_atom(atom) -> int:
     return value.numerator
 
 
-def format_branching(proof: BranchNode, indent: int = 0) -> str:
-    pad = "  " * indent
-    if proof.is_leaf:
-        if proof.cert is None:
-            return f"{pad}(leaf)"
-        lams = " ".join(format_rational(v) for v in proof.cert)
-        return f"{pad}(leaf (cert {lams}))"
-    header = " ".join(str(v) for v in proof.a.as_ints()) + f" {proof.b}"
-    return (
-        f"{pad}(node ({header})\n"
-        f"{format_branching(proof.left, indent + 1)}\n"
-        f"{format_branching(proof.right, indent + 1)})"
-    )
+def format_branching(proof: BranchNode) -> str:
+    parts = []
+    for node, path, leaving in walk(proof):
+        if leaving:
+            parts.append(")")
+            continue
+        if path and not path[-1][1]:
+            parts.append("\n")  # a right child follows its left sibling
+        pad = "  " * len(path)
+        if not node.is_leaf:
+            header = " ".join(str(v) for v in node.a.as_ints()) + f" {node.b}"
+            parts.append(f"{pad}(node ({header})\n")
+        elif node.cert is None:
+            parts.append(f"{pad}(leaf)")
+        else:
+            lams = " ".join(format_rational(v) for v in node.cert)
+            parts.append(f"{pad}(leaf (cert {lams}))")
+    return "".join(parts)
 
 
 def parse_branching(text: str) -> BranchNode:
@@ -435,45 +460,61 @@ def parse_branching(text: str) -> BranchNode:
 
 
 def _branching_from_sexp(sexp) -> BranchNode:
-    if not isinstance(sexp, list) or not sexp:
-        raise ValueError("malformed proof node")
-    tag = sexp[0]
-    if tag == "leaf":
-        if len(sexp) == 1:
-            return BranchNode()
-        if len(sexp) == 2 and isinstance(sexp[1], list) and sexp[1][:1] == ["cert"]:
-            lams = Vector([parse_rational(t) for t in sexp[1][1:]])
-            return BranchNode(cert=lams)
-        raise ValueError("malformed leaf")
-    if tag == "node":
-        if len(sexp) != 4 or not isinstance(sexp[1], list):
-            raise ValueError("malformed internal node")
-        numbers = [_int_atom(t) for t in sexp[1]]
-        if len(numbers) < 2:
-            raise ValueError("disjunction needs at least one coefficient and a rhs")
-        return BranchNode(
-            a=Vector(numbers[:-1]),
-            b=numbers[-1],
-            left=_branching_from_sexp(sexp[2]),
-            right=_branching_from_sexp(sexp[3]),
-        )
-    raise ValueError(f"unknown node tag {tag!r}")
+    """Check nodes top-down, build them bottom-up, by an explicit stack."""
+    built: list[BranchNode] = []  # finished subtrees, left to right
+    todo: list = [sexp]  # s-expressions, and (a, b) once a node's children are queued
+    while todo:
+        item = todo.pop()
+        if isinstance(item, tuple):
+            right = built.pop()
+            built[-1] = BranchNode(a=item[0], b=item[1], left=built[-1], right=right)
+            continue
+        if not isinstance(item, list) or not item:
+            raise ValueError("malformed proof node")
+        tag = item[0]
+        if tag == "leaf":
+            if len(item) == 1:
+                built.append(BranchNode())
+            elif len(item) == 2 and isinstance(item[1], list) and item[1][:1] == ["cert"]:
+                lams = Vector([parse_rational(t) for t in item[1][1:]])
+                built.append(BranchNode(cert=lams))
+            else:
+                raise ValueError("malformed leaf")
+        elif tag == "node":
+            if len(item) != 4 or not isinstance(item[1], list):
+                raise ValueError("malformed internal node")
+            numbers = [_int_atom(t) for t in item[1]]
+            if len(numbers) < 2:
+                raise ValueError("disjunction needs at least one coefficient and a rhs")
+            todo += [(Vector(numbers[:-1]), numbers[-1]), item[3], item[2]]
+        else:
+            raise ValueError(f"unknown node tag {tag!r}")
+    return built[0]
 
 
-def format_enumerative(proof: EnumNode, indent: int = 0) -> str:
-    pad = "  " * indent
-    if proof.a is None:
-        return f"{pad}(eleaf {proof.leaf_kind})"
-    coeffs = " ".join(str(v) for v in proof.a.as_ints())
-    head = f"{pad}(enode ({coeffs}) {format_rational(proof.lo)} {format_rational(proof.hi)}"
-    if not proof.children:
-        return head + ")"
-    parts = [head]
-    for b, child in proof.children:
-        parts.append(
-            f"{'  ' * (indent + 1)}(child {b}\n{format_enumerative(child, indent + 2)})"
-        )
-    return "\n".join(parts) + ")"
+def format_enumerative(proof: EnumNode) -> str:
+    parts = []
+    for node, path, leaving in walk(proof):
+        depth = 2 * len(path)
+        if leaving:
+            parts.append(")")
+        else:
+            if path:
+                parts.append(f"\n{'  ' * (depth - 1)}(child {path[-1][1]}\n")
+            pad = "  " * depth
+            if node.a is None:
+                parts.append(f"{pad}(eleaf {node.leaf_kind})")
+            else:
+                coeffs = " ".join(str(v) for v in node.a.as_ints())
+                parts.append(
+                    f"{pad}(enode ({coeffs}) {format_rational(node.lo)}"
+                    f" {format_rational(node.hi)}" + ("" if node.children else ")")
+                )
+            if node.children:
+                continue
+        if path:
+            parts.append(")")  # closes the (child b ...) group
+    return "".join(parts)
 
 
 def parse_enumerative(text: str) -> EnumNode:
@@ -481,26 +522,43 @@ def parse_enumerative(text: str) -> EnumNode:
 
 
 def _enumerative_from_sexp(sexp) -> EnumNode:
-    if not isinstance(sexp, list) or not sexp:
-        raise ValueError("malformed proof node")
-    tag = sexp[0]
-    if tag == "eleaf":
-        if len(sexp) != 2 or sexp[1] not in ("empty", "gap"):
-            raise ValueError("malformed enumerative leaf")
-        return EnumNode(leaf_kind=sexp[1])
-    if tag == "enode":
-        if len(sexp) < 4 or not isinstance(sexp[1], list):
-            raise ValueError("malformed enumerative node")
-        a = Vector([_int_atom(t) for t in sexp[1]])
-        lo = parse_rational(sexp[2])
-        hi = parse_rational(sexp[3])
-        children = []
-        for group in sexp[4:]:
+    """Check nodes top-down, build them bottom-up, by an explicit stack.
+
+    A child group is checked when the walk reaches it, after the subtrees of
+    its earlier siblings, as a recursive descent would.
+    """
+    built: list[EnumNode] = []  # finished subtrees, left to right
+    todo: list = [("node", sexp)]
+    while todo:
+        kind, item = todo.pop()
+        if kind == "build":  # (a, lo, hi, child values) once the children are built
+            a, lo, hi, values = item
+            first = len(built) - len(values)
+            children = tuple(zip(values, built[first:]))
+            del built[first:]
+            built.append(EnumNode(a=a, lo=lo, hi=hi, children=children))
+        elif kind == "child":
+            group, values = item
             if not isinstance(group, list) or len(group) != 3 or group[0] != "child":
                 raise ValueError("malformed child group")
-            children.append((_int_atom(group[1]), _enumerative_from_sexp(group[2])))
-        return EnumNode(a=a, lo=lo, hi=hi, children=tuple(children))
-    raise ValueError(f"unknown node tag {tag!r}")
+            values.append(_int_atom(group[1]))
+            todo.append(("node", group[2]))
+        elif not isinstance(item, list) or not item:
+            raise ValueError("malformed proof node")
+        elif item[0] == "eleaf":
+            if len(item) != 2 or item[1] not in ("empty", "gap"):
+                raise ValueError("malformed enumerative leaf")
+            built.append(EnumNode(leaf_kind=item[1]))
+        elif item[0] == "enode":
+            if len(item) < 4 or not isinstance(item[1], list):
+                raise ValueError("malformed enumerative node")
+            a = Vector([_int_atom(t) for t in item[1]])
+            values: list[int] = []
+            todo.append(("build", (a, parse_rational(item[2]), parse_rational(item[3]), values)))
+            todo.extend(("child", (group, values)) for group in reversed(item[4:]))
+        else:
+            raise ValueError(f"unknown node tag {item[0]!r}")
+    return built[0]
 
 
 def detect_proof_kind(text: str) -> str:

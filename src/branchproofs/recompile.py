@@ -34,7 +34,7 @@ from .geometry import (
     l1_radius_bound,
     support_value,
 )
-from .prooftree import BranchNode, Report, verify_branching_proof
+from .prooftree import BranchNode, Report, verify_branching_proof, walk
 from .simplex import (
     FarkasCertificate,
     InequalitySystem,
@@ -68,9 +68,6 @@ class SubstitutionSequence:
     @property
     def k(self) -> int:
         return len(self.levels)
-
-    def flipped(self) -> "SubstitutionSequence":
-        return flip_sequence(self)
 
 
 def long_to_short(
@@ -250,18 +247,6 @@ def verify_substitution_sequence(
     return Report(valid=not failures, failures=tuple(failures))
 
 
-def with_monotone_gammas(seq: SubstitutionSequence) -> SubstitutionSequence:
-    """Replace each gamma by the prefix minimum; validity is preserved."""
-    levels = []
-    best = None
-    for a_i, b_i, g in seq.levels:
-        best = g if best is None else min(best, g)
-        levels.append((a_i, b_i, best))
-    return SubstitutionSequence(
-        seq.a_prime, seq.b_prime, tuple(levels), seq.R, seq.N, seq.M
-    )
-
-
 # ---------------------------------------------------------------------------
 # generalized Farkas machinery and leaf repair
 # ---------------------------------------------------------------------------
@@ -288,17 +273,12 @@ def generalized_certificate(
 
 def _check_generalized(K, P, lam: Vector, shift=None) -> Fraction:
     """Exact value of min over K of lam (A x - b - shift); must be positive."""
-    objective = Vector.zero(K.n)
-    offset = Fraction(0)
-    for coeff, (row, rhs) in zip(lam, P.rows()):
-        if coeff:
-            objective = objective + coeff * row
-            offset += coeff * rhs
+    combo, offset = P.combination(lam)
     if shift is not None:
         offset += sum(
             (l * s for l, s in zip(lam, shift)), Fraction(0)
         )
-    outcome = lp_optimize(K, objective, sense="min")
+    outcome = lp_optimize(K, Vector(combo), sense="min")
     if isinstance(outcome, Unbounded):
         raise ValueError("K is unbounded; generalized certificates need compactness")
     if not isinstance(outcome, Optimal):
@@ -418,11 +398,14 @@ def gen_cg_cuts(
     if is_empty(K.with_rows(P_prime.rows())) is not None:
         return []  # nothing to repair
     pairs = _cut_pairs(K, P, P_prime, seqs, debug=debug)
-    cuts: list[Vector] = []
-    for a_jp, _ in pairs:
-        cuts.append(a_jp)
-        cuts.append(-a_jp)
-    return cuts
+    return [a for a, _ in _plus_minus(pairs)]
+
+
+def _plus_minus(pairs):
+    """Each (a, b) followed by (-a, -b): the +/- pairs of a leaf repair."""
+    for a, b in pairs:
+        yield a, b
+        yield -a, -b
 
 
 def _affine_system(v_eqs, n: int) -> InequalitySystem:
@@ -449,10 +432,7 @@ def _affine_implies_equality(v_eqs, a: Vector, b: int, n: int) -> bool:
 
 
 def _check_repair_invariants(K, P, P_prime, pairs, v_eqs, eps) -> None:
-    cuts = []
-    for a_jp, _ in pairs:
-        cuts.append(a_jp)
-        cuts.append(-a_jp)
+    cuts = [a for a, _ in _plus_minus(pairs)]
     current = apply_cg_list(K.with_rows(P_prime.rows()), cuts)
     if is_empty(current) is not None:
         return
@@ -521,41 +501,37 @@ def recompile(
     N = 10 * n * R
     M = (10 * n * R) ** (n + 2)
 
-    def build(node: BranchNode, orig_rows, prime_rows, seqs) -> BranchNode:
-        if node.is_leaf:
-            return _repair_leaf(orig_rows, prime_rows, seqs)
-        seq = long_to_short(node.a, node.b, R, N, M)
-        flip = flip_sequence(seq)
-        left = build(
-            node.left,
-            orig_rows + [(node.a, Fraction(node.b))],
-            prime_rows + [(seq.a_prime, Fraction(seq.b_prime))],
-            seqs + [seq],
-        )
-        right = build(
-            node.right,
-            orig_rows + [(-node.a, Fraction(-node.b - 1))],
-            prime_rows + [(flip.a_prime, Fraction(flip.b_prime))],
-            seqs + [flip],
-        )
-        return BranchNode(seq.a_prime, seq.b_prime, left, right)
+    built: list[BranchNode] = []  # rebuilt subtrees, left to right
+    seq_pairs: list[tuple] = []  # (seq, flipped seq) of each internal node on the path
+    for node, path, leaving in walk(proof):
+        if leaving:
+            seq = seq_pairs[len(path)][0]
+            right = built.pop()
+            built[-1] = BranchNode(seq.a_prime, seq.b_prime, built[-1], right)
+        elif not node.is_leaf:
+            seq = long_to_short(node.a, node.b, R, N, M)
+            del seq_pairs[len(path):]
+            seq_pairs.append((seq, flip_sequence(seq)))
+        else:
+            seqs = [seq_pairs[d][0 if went_left else 1] for d, (_, went_left) in enumerate(path)]
+            orig_rows = [parent.edge_row(went_left) for parent, went_left in path]
+            built.append(_repair_leaf(K, orig_rows, seqs, debug))
+    return built[0]
 
-    def _repair_leaf(orig_rows, prime_rows, seqs) -> BranchNode:
-        relaxed = K.with_rows(prime_rows)
-        if is_empty(relaxed) is not None:
-            return BranchNode()
-        P = InequalitySystem([a for a, _ in orig_rows], [b for _, b in orig_rows], n=n)
-        P_prime = InequalitySystem(
-            [a for a, _ in prime_rows], [b for _, b in prime_rows], n=n
-        )
-        pairs = _cut_pairs(K, P, P_prime, seqs, debug=debug)
-        chain: list[tuple[Vector, int]] = []
-        for a_jp, b_jp in pairs:
-            chain.append((a_jp, b_jp))
-            chain.append((-a_jp, -b_jp))
-        tree = BranchNode()
-        for a_c, b_c in reversed(chain):
-            tree = BranchNode(a_c, b_c, tree, BranchNode())
-        return tree
 
-    return build(proof, [], [], [])
+def _repair_leaf(K: InequalitySystem, orig_rows, seqs, debug: bool) -> BranchNode:
+    """The leaf itself, or a chain of the repair's +/- pairs whose right
+    children are empty leaves, when the replaced path leaves K nonempty."""
+    n = K.n
+    prime_rows = [(seq.a_prime, Fraction(seq.b_prime)) for seq in seqs]
+    if is_empty(K.with_rows(prime_rows)) is not None:
+        return BranchNode()
+    P = InequalitySystem([a for a, _ in orig_rows], [b for _, b in orig_rows], n=n)
+    P_prime = InequalitySystem(
+        [a for a, _ in prime_rows], [b for _, b in prime_rows], n=n
+    )
+    pairs = _cut_pairs(K, P, P_prime, seqs, debug=debug)
+    tree = BranchNode()
+    for a_c, b_c in reversed(list(_plus_minus(pairs))):
+        tree = BranchNode(a_c, b_c, tree, BranchNode())
+    return tree

@@ -71,11 +71,24 @@ class InequalitySystem:
     def m(self) -> int:
         return len(self.matrix)
 
-    def row(self, i: int) -> tuple[Vector, Fraction]:
-        return self.matrix[i], self.rhs[i]
-
     def rows(self) -> Iterable[tuple[Vector, Fraction]]:
         return zip(self.matrix, self.rhs)
+
+    def combination(self, lam: Iterable[Scalar]) -> tuple[list[Fraction], Fraction]:
+        """The exact row combination ``(sum lam_i a_i, sum lam_i b_i)``.
+
+        The first part is a plain list of n Fractions (no Vector, which would
+        copy every entry).  Rows with a zero multiplier are skipped; extra
+        multipliers or rows beyond the shorter of the two are ignored.
+        """
+        combo = [Fraction(0)] * self.n
+        total = Fraction(0)
+        for coeff, a, b in zip(lam, self.matrix, self.rhs):
+            if coeff:
+                for j, e in enumerate(a):
+                    combo[j] += coeff * e
+                total += coeff * b
+        return combo, total
 
     def with_rows(self, extra: Iterable[tuple]) -> "InequalitySystem":
         extra = list(extra)
@@ -170,13 +183,7 @@ class FarkasCertificate:
         lam = self.multipliers
         if len(lam) != system.m or any(v < 0 for v in lam):
             return False
-        combo = [Fraction(0)] * system.n
-        total = Fraction(0)
-        for coeff, (a, b) in zip(lam, system.rows()):
-            if coeff:
-                for j, e in enumerate(a):
-                    combo[j] += coeff * e
-                total += coeff * b
+        combo, total = system.combination(lam)
         return all(v == 0 for v in combo) and total < 0
 
 
@@ -241,9 +248,7 @@ def reduce_certificate(
     """
     if not cert.verify(system):
         raise ValueError("input is not a valid Farkas certificate for the system")
-    slack = -sum(
-        (v * b for v, b in zip(cert.multipliers, system.rhs)), Fraction(0)
-    )
+    slack = -system.combination(cert.multipliers)[1]
     lam = [v / slack for v in cert.multipliers]  # normalize to lam b = -1
     while True:
         support = [i for i, v in enumerate(lam) if v != 0]
@@ -520,14 +525,8 @@ def _check_optimal(system, c, value, point, dual) -> None:
             raise SolverError("optimal point is infeasible")
     if any(v < 0 for v in dual):
         raise SolverError("negative dual multiplier")
-    combo = [Fraction(0)] * system.n
-    total = Fraction(0)
-    for coeff, (a, b) in zip(dual, system.rows()):
-        if coeff:
-            for j, e in enumerate(a):
-                combo[j] += coeff * e
-            total += coeff * b
-    if any(v != e for v, e in zip(combo, c)):
+    combo, total = system.combination(dual)
+    if combo != list(c):
         raise SolverError("duals do not reproduce the objective")
     if total != value:
         raise SolverError("strong duality violated")

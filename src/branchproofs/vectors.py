@@ -19,8 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
 
 
@@ -31,7 +29,10 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError("empty rational literal")
     if "/" in cleaned:
         num, _, den = cleaned.partition("/")
-        return Fraction(int(num), int(den))
+        numerator, denominator = int(num), int(den)
+        if denominator == 0:
+            raise ValueError(f"zero denominator in rational literal {text!r}")
+        return Fraction(numerator, denominator)
     return Fraction(int(cleaned))
 
 
@@ -74,10 +75,6 @@ class Vector:
         entries = [Fraction(0)] * dim
         entries[index] = Fraction(1)
         return Vector(entries)
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -149,19 +146,6 @@ class Vector:
 
     def text(self) -> str:
         return " ".join(format_rational(a) for a in self.entries)
-
-
-def norm(v: Vector, kind: str) -> Fraction:
-    """Exact l1 or l-infinity norm ("l1" / "linf")."""
-    if kind == "l1":
-        return v.norm_l1()
-    if kind == "linf":
-        return v.norm_linf()
-    raise ValueError(f"unknown norm kind {kind!r}")
-
-
-def round_nearest(v: Vector) -> Vector:
-    return v.round_nearest()
 
 
 def _ceil_log2_successor(value: int) -> int:

@@ -1,11 +1,24 @@
 """Command-line interface: exit codes, file formats, piping, golden stats."""
 
+import hashlib
 import re
+import sys
+from contextlib import contextmanager
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from branchproofs.cli import main
-from branchproofs.prooftree import parse_branching, proof_stats
+from branchproofs.prooftree import (
+    EnumNode,
+    enumerative_to_branching,
+    format_branching,
+    format_enumerative,
+    parse_branching,
+    proof_stats,
+)
+from branchproofs.vectors import Vector
 
 
 TRIANGLE = "3 3\n0 1\n1 2\n0 2\n1 0 0\n"
@@ -96,10 +109,59 @@ def test_cp_verify_detects_short_list(tmp_path, capsys):
     assert code == 1 and "RESULT invalid" in out
 
 
-def test_pipe_on_all_bundled_instances(tmp_path, capsys):
-    """gen-tseitin -> enum-to-cp -> verify cp exits 0 for every shipped graph."""
-    from pathlib import Path
+# sha256 of the gen-tseitin .ineq / .proof and the enum-to-cp .cuts, and the
+# RESULT lines of gen-tseitin, enum-to-cp and verify cp, for each bundled graph
+PINNED = {
+    "cycle5": (
+        "d75355076340637d174afdbd668b9d1c1700d9420f617e7135060eb1e9e478c5",
+        "17733605015c8836cfdf4ae95c66f269683a5c15e8a77b79c7ea8dd5e9c570b6",
+        "364612ab6465008d61a6e58b47903b808ad45a3b7e9bef48f15bee6b59b6982e",
+        ("RESULT ok tseitin n=5 m=20 nodes=2",
+         "RESULT valid cp-length=3 bound=3 nodes=2",
+         "RESULT valid cp proof of 3 cuts empties the system"),
+    ),
+    "grid3x3": (
+        "1285a71cd11899ac7f1c530d0163ce1d9a6b39ede487801ab6a333f64eec4cfb",
+        "4478ffbb25d34f6dc596b4a1db8f91d77b2ba8dc67376b89e9fc62104251f110",
+        "3388495d8289c40bd52d172f1ce14ab9d4afd371586d6c6be73af9d697d94a7f",
+        ("RESULT ok tseitin n=12 m=56 nodes=47",
+         "RESULT valid cp-length=61 bound=93 nodes=47",
+         "RESULT valid cp proof of 61 cuts empties the system"),
+    ),
+    "k4": (
+        "a7d89a8870e2f06de2ea78e1ffb9e0bd30e5d68ed054dfedb48e18b5bc749a64",
+        "9db7ab187cfaf7c08c03f3cdf4610d1ef6da874b30c299c272ae98e885aab5ba",
+        "d6d29f9e9b61d107354ddf9fe8dc682f0640a3a336e6504f91cbacd86fdb2fe7",
+        ("RESULT ok tseitin n=6 m=28 nodes=16",
+         "RESULT valid cp-length=25 bound=31 nodes=16",
+         "RESULT valid cp proof of 25 cuts empties the system"),
+    ),
+    "single_edge": (
+        "2b2e76efdbd7540f85d50b9b1f0a9582d34c4918cf215743db1298150480aafe",
+        "d71d408c20cc797017b9d74f01fd70a83b8a914d1975a0d521379d5ef06b9979",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ("RESULT ok tseitin n=1 m=4 nodes=1",
+         "RESULT valid cp-length=0 bound=1 nodes=1",
+         "RESULT valid cp proof of 0 cuts empties the system"),
+    ),
+    "triangle": (
+        "e244607e84f54200e0f0234507f4ae2cf1032bc1a49bc49c7b7b90083d00ad30",
+        "b1c51a6b2275b494c91a08e6f0c4a60c47289173274151494b65a59bd9004db3",
+        "9548e6bca9e62208c3567749671f896bf7a66b7f6d6d2c78fd30660aa4010e8b",
+        ("RESULT ok tseitin n=3 m=12 nodes=2",
+         "RESULT valid cp-length=3 bound=3 nodes=2",
+         "RESULT valid cp proof of 3 cuts empties the system"),
+    ),
+}
 
+
+def result_line(out):
+    return [line for line in out.splitlines() if line.startswith("RESULT")][-1]
+
+
+def test_pipe_on_all_bundled_instances(tmp_path, capsys):
+    """gen-tseitin -> enum-to-cp -> verify cp exits 0 for every shipped graph,
+    and writes byte-for-byte the pinned files and RESULT lines."""
     bundled = sorted(Path(__file__).resolve().parent.parent.glob("instances/*.graph"))
     assert bundled, "no bundled instance files found"
     assert {g.stem for g in bundled} >= {"triangle", "single_edge", "k4", "grid3x3"}
@@ -107,12 +169,18 @@ def test_pipe_on_all_bundled_instances(tmp_path, capsys):
         system = tmp_path / f"{graph.stem}.ineq"
         proof = tmp_path / f"{graph.stem}.proof"
         cuts = tmp_path / f"{graph.stem}.cuts"
-        assert run(capsys, "gen-tseitin", str(graph), "--system", str(system),
-                   "--proof", str(proof))[0] == 0
-        assert run(capsys, "enum-to-cp", str(system), str(proof),
-                   "--out", str(cuts))[0] == 0
+        code, gen_out = run(capsys, "gen-tseitin", str(graph), "--system", str(system),
+                            "--proof", str(proof))
+        assert code == 0
+        code, cp_out = run(capsys, "enum-to-cp", str(system), str(proof),
+                           "--out", str(cuts))
+        assert code == 0
         code, out = run(capsys, "verify", "cp", str(system), str(cuts))
         assert code == 0, f"{graph.stem}: {out}"
+        *digests, results = PINNED[graph.stem]
+        written = [hashlib.sha256(f.read_bytes()).hexdigest() for f in (system, proof, cuts)]
+        assert written == digests, graph.stem
+        assert tuple(result_line(o) for o in (gen_out, cp_out, out)) == results
 
 
 def test_gen_pn_and_qn(tmp_path, capsys):
@@ -142,3 +210,99 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract: whatever the input, main returns 0, 1 or 2 and prints
+# exactly one RESULT line, last
+# ---------------------------------------------------------------------------
+
+# The deep cases run with the recursion limit lowered to this value, so that
+# proofs twice as deep as the limit stay cheap to solve (LP work grows with
+# depth squared); the code under test recurses nowhere, at any limit.
+LOW_RECURSION_LIMIT = 150
+
+SEGMENT = "1 2\n1 3/4\n-1 -1/4\n"  # 1/4 <= x <= 3/4, no integer point
+
+
+@contextmanager
+def recursion_limit(limit):
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+def deep_chain(depth, certified=False):
+    """A valid proof for SEGMENT: ``depth`` nodes x <= 0 | x >= 1 nested
+    down the right edges, every left child and the last right child a leaf.
+
+    Certified, the left leaf at depth k adds -x <= -1/4 to its edge x <= 0,
+    and the bottom right leaf adds x <= 3/4 to its last edge -x <= -1.
+    """
+    def leaf(lam):
+        return "(leaf (cert " + " ".join(map(str, lam)) + "))" if certified else "(leaf)"
+
+    parts = []
+    for k in range(1, depth + 1):
+        parts.append(f"(node (1 0) {leaf([0, 1] + [0] * (k - 1) + [1])} ")
+    parts.append(leaf([1, 0] + [0] * (depth - 1) + [1]))
+    return "".join(parts) + ")" * depth
+
+
+def wide_enode(width):
+    """A valid enumerative proof for {0 <= x1 <= width - 1, x2 = 1/2}: one
+    node on x1 with ``width`` children, each a childless node on x2."""
+    gap = EnumNode(a=Vector([0, 1]), lo=Fraction(1, 2), hi=Fraction(1, 2))
+    return EnumNode(a=Vector([1, 0]), lo=0, hi=width - 1,
+                    children=tuple((b, gap) for b in range(width)))
+
+
+def contract_cases(depth):
+    """(name, files, argv, exit code) rows; file names in argv are relative."""
+    chain = deep_chain(depth)
+    wide = wide_enode(depth)
+    converted = enumerative_to_branching(wide)
+    return [
+        ("zero denominator in system", {"k.ineq": "1 2\n1 1/0\n-1 0\n", "p.proof": "(leaf)"},
+         ["verify", "branching", "k.ineq", "p.proof"], 2),
+        ("zero denominator in certificate",
+         {"k.ineq": SEGMENT, "p.proof": "(node (1 0) (leaf (cert 1/0 1 1)) (leaf (cert 1 0 1)))"},
+         ["verify", "certified", "k.ineq", "p.proof"], 2),
+        ("one-token graph header", {"g.graph": "3\n"}, ["gen-tseitin", "g.graph"], 2),
+        ("deep verify branching", {"k.ineq": SEGMENT, "p.proof": chain},
+         ["verify", "branching", "k.ineq", "p.proof"], 0),
+        ("deep certify", {"k.ineq": SEGMENT, "p.proof": chain},
+         ["certify", "k.ineq", "p.proof", "--out", "c.proof"], 0),
+        ("deep verify certified", {"k.ineq": SEGMENT, "p.proof": deep_chain(depth, True)},
+         ["verify", "certified", "k.ineq", "p.proof"], 0),
+        ("deeper stats", {"p.proof": deep_chain(10 * depth)}, ["stats", "p.proof"], 0),
+        ("wide enode stats", {"e.proof": format_enumerative(wide)}, ["stats", "e.proof"], 0),
+        ("wide enode as branching stats", {"b.proof": format_branching(converted)},
+         ["stats", "b.proof"], 0),
+    ]
+
+
+def test_exit_code_contract(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    problems = []
+    with recursion_limit(LOW_RECURSION_LIMIT):
+        depth = 2 * sys.getrecursionlimit()
+        assert enumerative_to_branching(wide_enode(depth)).node_count() == 6 * depth + 1
+        for name, files, argv, expected in contract_cases(depth):
+            for path, text in files.items():
+                Path(path).write_text(text)
+            try:
+                code = main(argv)
+            except Exception as exc:
+                problems.append(f"{name}: {type(exc).__name__} escaped main")
+                continue
+            lines = capsys.readouterr().out.splitlines()
+            results = [line for line in lines if line.startswith("RESULT")]
+            if code != expected:  # every expected code is 0, 1 or 2
+                problems.append(f"{name}: exit {code}, expected {expected}")
+            if len(results) != 1 or lines[-1] != results[0]:
+                problems.append(f"{name}: RESULT lines {results}")
+    assert not problems, problems

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from branchproofs.enumcp import enum_to_cp, lift_cg_cut, lift_cg_sequence
+from branchproofs.enumcp import enum_to_cp, lift_cg_sequence
 from branchproofs.geometry import apply_cg_list, support_value
 from branchproofs.prooftree import EnumNode, verify_enumerative_proof
 from branchproofs.simplex import InequalitySystem, is_empty
@@ -32,26 +32,26 @@ def diagonal_segment():
 
 
 def test_lift_cg_cut_zero_multiplier():
-    cut = lift_cg_cut(horizontal_segment(), Vector([1, 0]), Vector([0, 1]))
+    cut = lift_cg_sequence(horizontal_segment(), Vector([1, 0]), [Vector([0, 1])])[0]
     assert cut.multiplier == 0
     assert cut.lifted == Vector([0, 1])
 
 
 def test_lift_cg_cut_needs_one_step():
-    cut = lift_cg_cut(diagonal_segment(), Vector([1, 0]), Vector([0, -1]))
+    cut = lift_cg_sequence(diagonal_segment(), Vector([1, 0]), [Vector([0, -1])])[0]
     assert cut.multiplier == 1
     assert cut.lifted == Vector([1, -1])
 
 
 def test_lift_cg_cut_zero_face_normal():
     K = InequalitySystem.box(2, 0, 1)
-    cut = lift_cg_cut(K, Vector([0, 0]), Vector([1, 1]))
+    cut = lift_cg_sequence(K, Vector([0, 0]), [Vector([1, 1])])[0]
     assert cut.multiplier == 0 and cut.lifted == Vector([1, 1])
 
 
 def test_lift_cg_cut_requires_integral_face_value():
     with pytest.raises(ValueError, match="integral"):
-        lift_cg_cut(horizontal_segment(), Vector([0, 1]), Vector([1, 0]))
+        lift_cg_sequence(horizontal_segment(), Vector([0, 1]), [Vector([1, 0])])[0]
 
 
 def test_lift_preserves_face_trace():
@@ -66,7 +66,7 @@ def test_lift_preserves_face_trace():
         if value.denominator != 1:
             continue  # lifting requires an integral support value
         a = Vector([rng.randint(-2, 2), rng.randint(-2, 2)])
-        cut = lift_cg_cut(K, c, a)
+        cut = lift_cg_sequence(K, c, [a])[0]
         from branchproofs.geometry import face
 
         F = face(K, c)
@@ -83,7 +83,7 @@ def test_lift_sequence_trivial_cases():
     assert lift_cg_sequence(K, Vector([1, 0]), []) == []
     single = lift_cg_sequence(K, Vector([1, 0]), [Vector([0, 1])])
     assert len(single) == 1
-    assert single[0].lifted == lift_cg_cut(K, Vector([1, 0]), Vector([0, 1])).lifted
+    assert single[0].lifted == lift_cg_sequence(K, Vector([1, 0]), [Vector([0, 1])])[0].lifted
 
 
 def test_enum_to_cp_empty_set():

@@ -17,7 +17,6 @@ from branchproofs.recompile import (
     recompile,
     select_violated_row,
     verify_substitution_sequence,
-    with_monotone_gammas,
 )
 from branchproofs.simplex import FarkasCertificate, InequalitySystem, is_empty
 from branchproofs.vectors import Vector
@@ -96,16 +95,6 @@ def test_verify_k1_vacuous_properties():
 def test_flip_is_involution():
     seq = long_to_short(Vector([10**6, 1]), 0, R=3, N=60, M=60**4)
     assert flip_sequence(flip_sequence(seq)) == seq
-
-
-def test_monotone_gammas_preserve_validity():
-    a, b = Vector([987654, 323]), 17
-    seq = long_to_short(a, b, R=2, N=40, M=40**4)
-    mono = with_monotone_gammas(seq)
-    gammas = [g for _, _, g in mono.levels]
-    assert all(x >= y for x, y in zip(gammas, gammas[1:]))
-    assert gammas[-1] == 0
-    assert verify_substitution_sequence(mono, a, b).valid
 
 
 def test_generalized_certificate_examples():

@@ -9,25 +9,23 @@ from branchproofs.vectors import (
     Vector,
     bit_size,
     format_rational,
-    norm,
     parse_rational,
     round_half_away,
-    round_nearest,
 )
 
 
 def test_norm_examples():
     v = Vector([1, -2, 3])
-    assert norm(v, "l1") == 6
-    assert norm(v, "linf") == 3
-    assert norm(Vector([0, 0, 0]), "l1") == 0
+    assert v.norm_l1() == 6
+    assert v.norm_linf() == 3
+    assert Vector([0, 0, 0]).norm_l1() == 0
 
 
 def test_round_nearest_examples():
-    assert round_nearest(Vector([Fraction(7, 3), Fraction(-1, 4)])) == Vector([2, 0])
+    assert Vector([Fraction(7, 3), Fraction(-1, 4)]).round_nearest() == Vector([2, 0])
     # exact halves go away from zero
-    assert round_nearest(Vector([Fraction(1, 2), Fraction(-1, 2)])) == Vector([1, -1])
-    assert round_nearest(Vector([5, -2])) == Vector([5, -2])
+    assert Vector([Fraction(1, 2), Fraction(-1, 2)]).round_nearest() == Vector([1, -1])
+    assert Vector([5, -2]).round_nearest() == Vector([5, -2])
 
 
 def test_round_nearest_minimizes_distance():
