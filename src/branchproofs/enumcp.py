@@ -5,7 +5,8 @@ an ordered list of CG cut normals whose sequential application empties the
 polytope, of length at most 2|T| - 1.  The recursion pushes the hyperplane
 ``a_r x = b`` backwards through the set: the cut induced by the branching
 direction ``a_r`` drops its support value to the next integer, the child
-subtree at that value is serialized recursively on the face of maximizers,
+subtree at that value is serialized on the face of maximizers (by an
+explicit stack of per-node frames, so any proof depth is fine),
 and the face cuts are lifted back with :func:`lift_cg_sequence` so that they
 have the same effect applied to the full set.
 
@@ -123,7 +124,29 @@ def enum_to_cp(K: InequalitySystem, proof: EnumNode) -> list[Vector]:
     return cuts
 
 
-def _serialize(K: InequalitySystem, node: EnumNode):
+def _serialize(K: InequalitySystem, root: EnumNode):
+    """``(cuts, final set)`` for the proof ``root`` of K, by an explicit stack.
+
+    Each frame is one node's :func:`_serialize_node` generator, which yields
+    ``(face, child)`` where a recursive serializer would call itself and is
+    sent the child's cuts back; the LP calls and cuts come in the same order.
+    """
+    frames = [_serialize_node(K, root)]
+    reply = None
+    while True:
+        try:
+            face_set, child = frames[-1].send(reply)
+        except StopIteration as done:
+            frames.pop()
+            if not frames:
+                return done.value
+            reply = done.value[0]
+        else:
+            frames.append(_serialize_node(face_set, child))
+            reply = None
+
+
+def _serialize_node(K: InequalitySystem, node: EnumNode):
     if is_empty(K) is not None:
         return [], K
     if node.a is None:
@@ -148,8 +171,7 @@ def _serialize(K: InequalitySystem, node: EnumNode):
         previous_b = b
         if b not in children:
             raise ValueError(f"no child for branched value {b}")
-        child = children[b]
-        face_cuts, _ = _serialize(face(current, a_r), child)
+        face_cuts = yield face(current, a_r), children[b]
         lifted = lift_cg_sequence(current, a_r, face_cuts)
         if lifted:
             current = lifted[-1].cut_set

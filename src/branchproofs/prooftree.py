@@ -428,8 +428,24 @@ def _parse_tree_text(text: str):
     return sexp
 
 
+def _shown(item) -> str:
+    """An s-expression for an error message, its nested lists as ``(...)``:
+    a list may be nested too deeply for ``repr``."""
+    if isinstance(item, str):
+        return repr(item)
+    return "(" + " ".join(t if isinstance(t, str) else "(...)" for t in item) + ")"
+
+
+def _rational_atom(atom) -> Fraction:
+    """The number an atom spells; a list where a number belongs is an input
+    error."""
+    if isinstance(atom, list):
+        raise ValueError(f"expected a number, found {_shown(atom)}")
+    return parse_rational(atom)
+
+
 def _int_atom(atom) -> int:
-    value = parse_rational(atom)
+    value = _rational_atom(atom)
     if value.denominator != 1:
         raise ValueError(f"expected an integer, found {atom}")
     return value.numerator
@@ -476,7 +492,7 @@ def _branching_from_sexp(sexp) -> BranchNode:
             if len(item) == 1:
                 built.append(BranchNode())
             elif len(item) == 2 and isinstance(item[1], list) and item[1][:1] == ["cert"]:
-                lams = Vector([parse_rational(t) for t in item[1][1:]])
+                lams = Vector([_rational_atom(t) for t in item[1][1:]])
                 built.append(BranchNode(cert=lams))
             else:
                 raise ValueError("malformed leaf")
@@ -488,7 +504,7 @@ def _branching_from_sexp(sexp) -> BranchNode:
                 raise ValueError("disjunction needs at least one coefficient and a rhs")
             todo += [(Vector(numbers[:-1]), numbers[-1]), item[3], item[2]]
         else:
-            raise ValueError(f"unknown node tag {tag!r}")
+            raise ValueError(f"unknown node tag {_shown(tag)}")
     return built[0]
 
 
@@ -554,10 +570,10 @@ def _enumerative_from_sexp(sexp) -> EnumNode:
                 raise ValueError("malformed enumerative node")
             a = Vector([_int_atom(t) for t in item[1]])
             values: list[int] = []
-            todo.append(("build", (a, parse_rational(item[2]), parse_rational(item[3]), values)))
+            todo.append(("build", (a, _rational_atom(item[2]), _rational_atom(item[3]), values)))
             todo.extend(("child", (group, values)) for group in reversed(item[4:]))
         else:
-            raise ValueError(f"unknown node tag {item[0]!r}")
+            raise ValueError(f"unknown node tag {_shown(item[0])}")
     return built[0]
 
 

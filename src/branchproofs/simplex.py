@@ -17,7 +17,15 @@ branching paths and accumulated cutting planes.  The tableau is kept integral
 the rational tableau entry), so the inner loop is bignum-integer arithmetic
 with no gcd normalization.  Every extracted outcome is re-verified against
 the original data by exact arithmetic before it is returned; a failure raises
-``SolverError`` instead of returning silently wrong answers.
+``SolverError`` instead of returning silently wrong answers.  Optima and rays
+are re-verified in integers: each row is scaled to integers once per system
+(a system made by ``with_rows`` extends its parent's scaled rows), and the
+point, ray and duals are put over a common denominator.
+
+Outcomes are memoized per system: each ``InequalitySystem`` keeps the
+verified outcome of every objective solved on it, so asking the same system
+the same question again costs a dictionary lookup.  The memo belongs to the
+instance alone; a derived system starts with an empty one.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 from .vectors import Scalar, Vector, format_rational, parse_rational
@@ -45,7 +54,7 @@ class InequalitySystem:
     whole space), ``n >= 1`` is required.
     """
 
-    __slots__ = ("matrix", "rhs", "n", "_scaled", "_empty")
+    __slots__ = ("matrix", "rhs", "n", "_scaled", "_empty", "_outcomes")
 
     def __init__(self, matrix: Iterable, rhs: Iterable[Scalar], n: int | None = None):
         rows = tuple(a if isinstance(a, Vector) else Vector(a) for a in matrix)
@@ -66,6 +75,7 @@ class InequalitySystem:
         self.n = n
         self._scaled = None
         self._empty: bool | None = None
+        self._outcomes: dict[tuple[Fraction, ...], LpOutcome] = {}
 
     @property
     def m(self) -> int:
@@ -92,12 +102,16 @@ class InequalitySystem:
 
     def with_rows(self, extra: Iterable[tuple]) -> "InequalitySystem":
         extra = list(extra)
-        return InequalitySystem(
+        child = InequalitySystem(
             self.matrix
             + tuple(a if isinstance(a, Vector) else Vector(a) for a, _ in extra),
             self.rhs + tuple(Fraction(b) for _, b in extra),
             n=self.n,
         )
+        if self._scaled is not None:
+            added = _scale_rows(zip(child.matrix[self.m:], child.rhs[self.m:]))
+            child._scaled = tuple(old + new for old, new in zip(self._scaled, added))
+        return child
 
     def with_equality(self, a: Vector, b: Scalar) -> "InequalitySystem":
         """Append ``a x = b`` as the two opposing inequality rows."""
@@ -160,14 +174,27 @@ class InequalitySystem:
     def _scaled_rows(self):
         """Per-row integer scaling of (A, b); cached, rows being immutable."""
         if self._scaled is None:
-            mat, rhs, sigmas = [], [], []
-            for a, b in self.rows():
-                scale = lcm(b.denominator, *(e.denominator for e in a))
-                mat.append([int(e * scale) for e in a])
-                rhs.append(int(b * scale))
-                sigmas.append(scale)
-            self._scaled = (mat, rhs, sigmas)
+            self._scaled = _scale_rows(self.rows())
         return self._scaled
+
+
+def _scale_rows(rows) -> tuple[list[list[int]], list[int], list[int]]:
+    """Each row ``a x <= b`` times sigma, the least positive integer making it
+    integral: the scaled rows, the scaled right-hand sides and the sigmas."""
+    mat, rhs, sigmas = [], [], []
+    for a, b in rows:
+        scale = lcm(b.denominator, *(e.denominator for e in a))
+        mat.append([e.numerator * (scale // e.denominator) for e in a])
+        rhs.append(b.numerator * (scale // b.denominator))
+        sigmas.append(scale)
+    return mat, rhs, sigmas
+
+
+def _over_common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Integers ``v * D`` for the least common denominator ``D`` of the values."""
+    values = list(values)
+    denom = lcm(*(v.denominator for v in values))
+    return [v.numerator * (denom // v.denominator) for v in values], denom
 
 
 @dataclass(frozen=True)
@@ -445,9 +472,16 @@ class _DualTableau:
 
 
 def _solve_max(system: InequalitySystem, c: Vector) -> LpOutcome:
+    """The verified outcome of max ``c x`` over the system, memoized on it."""
+    outcome = system._outcomes.get(c.entries)
+    if outcome is None:
+        outcome = system._outcomes[c.entries] = _solve_verified(system, c)
+    return outcome
+
+
+def _solve_verified(system: InequalitySystem, c: Vector) -> LpOutcome:
     mat, rhs_b, sigmas = system._scaled_rows()
-    mu = lcm(*(e.denominator for e in c))
-    c_int = [int(e * mu) for e in c]
+    c_int, mu = _over_common_denominator(c)
     m, n = system.m, system.n
 
     tab = _DualTableau(mat, c_int)
@@ -510,23 +544,50 @@ def _ray_direction(tab: _DualTableau, col: int) -> dict[int, Fraction]:
 
 
 def _check_ray(system: InequalitySystem, c: Vector, ray: Vector) -> None:
-    if c.dot(ray) <= 0:
+    """Require ``c r > 0`` and ``A r <= 0``, in integers on the scaled rows."""
+    mat = system._scaled_rows()[0]
+    c_int, _ = _over_common_denominator(c)
+    r_int, _ = _over_common_denominator(ray)
+    if sum(map(mul, c_int, r_int)) <= 0:
         raise SolverError("extracted ray does not improve the objective")
-    for a, _ in system.rows():
-        if a.dot(ray) > 0:
+    for row in mat:
+        if sum(map(mul, row, r_int)) > 0:
             raise SolverError("extracted ray leaves the recession cone")
 
 
 def _check_optimal(system, c, value, point, dual) -> None:
-    if c.dot(point) != value:
+    """Require a feasible point attaining ``value`` and nonnegative duals with
+    ``dual A = c`` and ``dual b = value``, in integers on the scaled rows.
+
+    The point is ``p / D`` and ``dual_i / sigma_i`` is ``W_i / E`` for
+    integers p, W and common denominators D, E; row i scaled by sigma_i then
+    reads ``A_i p <= b_i D``, and the dual identities read ``sum W_i A_i = E c``
+    and ``sum W_i b_i = E value``.
+    """
+    mat, rhs, sigmas = system._scaled_rows()
+    c_int, mu = _over_common_denominator(c)
+    p_int, p_den = _over_common_denominator(point)
+    if sum(map(mul, c_int, p_int)) * value.denominator != value.numerator * mu * p_den:
         raise SolverError("optimal point does not attain the reported value")
-    for a, b in system.rows():
-        if a.dot(point) > b:
+    for row, b in zip(mat, rhs):
+        if sum(map(mul, row, p_int)) > b * p_den:
             raise SolverError("optimal point is infeasible")
     if any(v < 0 for v in dual):
         raise SolverError("negative dual multiplier")
-    combo, total = system.combination(dual)
-    if combo != list(c):
+    support = [
+        (y, row, b, y.denominator * sigma)
+        for y, row, b, sigma in zip(dual, mat, rhs, sigmas)
+        if y
+    ]
+    w_den = lcm(*(den for *_, den in support))
+    combo = [0] * system.n
+    total = 0
+    for y, row, b, den in support:
+        w = y.numerator * (w_den // den)
+        for j, e in enumerate(row):
+            combo[j] += w * e
+        total += w * b
+    if [v * mu for v in combo] != [w_den * v for v in c_int]:
         raise SolverError("duals do not reproduce the objective")
-    if total != value:
+    if total * value.denominator != w_den * value.numerator:
         raise SolverError("strong duality violated")

@@ -1,15 +1,18 @@
 """Command-line interface: exit codes, file formats, piping, golden stats."""
 
 import hashlib
+import io
 import re
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from branchproofs.cli import main
+from branchproofs.families import TseitinInstance, tseitin_polytope, tseitin_sp_refutation
 from branchproofs.prooftree import (
     EnumNode,
     enumerative_to_branching,
@@ -223,6 +226,7 @@ def test_unknown_subcommand_exits_2():
 LOW_RECURSION_LIMIT = 150
 
 SEGMENT = "1 2\n1 3/4\n-1 -1/4\n"  # 1/4 <= x <= 3/4, no integer point
+POINT = "2 4\n1 0 0\n-1 0 0\n0 1 1/2\n0 -1 -1/2\n"  # x1 = 0, x2 = 1/2
 
 
 @contextmanager
@@ -260,10 +264,22 @@ def wide_enode(width):
                     children=tuple((b, gap) for b in range(width)))
 
 
+def deep_enum_chain(depth):
+    """A valid enumerative proof for POINT: ``depth`` nodes on x1 with the one
+    value 0 nested through their child, the last child a childless node on x2
+    claiming no integer in [1/2, 1/2].  No face along the chain is smaller
+    than POINT, so serializing it descends all ``depth`` levels."""
+    node = EnumNode(a=Vector([0, 1]), lo=Fraction(1, 2), hi=Fraction(1, 2))
+    for _ in range(depth):
+        node = EnumNode(a=Vector([1, 0]), lo=0, hi=0, children=((0, node),))
+    return node
+
+
 def contract_cases(depth):
     """(name, files, argv, exit code) rows; file names in argv are relative."""
     chain = deep_chain(depth)
     wide = wide_enode(depth)
+    nested = "(" * (10 * depth) + ")" * (10 * depth)
     converted = enumerative_to_branching(wide)
     return [
         ("zero denominator in system", {"k.ineq": "1 2\n1 1/0\n-1 0\n", "p.proof": "(leaf)"},
@@ -282,6 +298,16 @@ def contract_cases(depth):
         ("wide enode stats", {"e.proof": format_enumerative(wide)}, ["stats", "e.proof"], 0),
         ("wide enode as branching stats", {"b.proof": format_branching(converted)},
          ["stats", "b.proof"], 0),
+        ("deep enum-to-cp", {"k.ineq": POINT, "e.proof": format_enumerative(deep_enum_chain(depth))},
+         ["enum-to-cp", "k.ineq", "e.proof", "--out", "e.cuts"], 0),
+        ("list for a number in a node", {"k.ineq": SEGMENT, "p.proof": "(node ((1) 0) (leaf) (leaf))"},
+         ["verify", "branching", "k.ineq", "p.proof"], 2),
+        ("list for a number in a certificate", {"k.ineq": SEGMENT, "p.proof": "(leaf (cert (1)))"},
+         ["verify", "certified", "k.ineq", "p.proof"], 2),
+        ("deeper list for a branching tag", {"k.ineq": SEGMENT, "p.proof": nested},
+         ["verify", "branching", "k.ineq", "p.proof"], 2),
+        ("deeper list for an enumerative tag",
+         {"e.proof": f"(enode (1) 0 0 (child 0 {nested}))"}, ["stats", "e.proof"], 2),
     ]
 
 
@@ -306,3 +332,67 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
             if len(results) != 1 or lines[-1] != results[0]:
                 problems.append(f"{name}: RESULT lines {results}")
     assert not problems, problems
+
+
+# The same contract on generated and mutated text in the four input formats.
+# Each format is a base input, the files it is used with and the commands
+# run on it; the base is valid, so edits reach past the parsers.
+
+TRIANGLE_INSTANCE = TseitinInstance.from_text(TRIANGLE)
+FORMATS = {
+    "ineq": ("k.ineq", SEGMENT, {"p.proof": deep_chain(2)},
+             [["verify", "branching", "k.ineq", "p.proof"]]),
+    "branching": ("p.proof", deep_chain(3), {"k.ineq": SEGMENT},
+                  [["verify", "branching", "k.ineq", "p.proof"], ["stats", "p.proof"]]),
+    "certified": ("p.proof", deep_chain(3, certified=True), {"k.ineq": SEGMENT},
+                  [["verify", "certified", "k.ineq", "p.proof"]]),
+    "enumerative": ("e.proof", format_enumerative(tseitin_sp_refutation(TRIANGLE_INSTANCE)),
+                    {"k.ineq": tseitin_polytope(TRIANGLE_INSTANCE).to_text()},
+                    [["verify", "enumerative", "k.ineq", "e.proof"],
+                     ["enum-to-cp", "k.ineq", "e.proof", "--out", "e.cuts"],
+                     ["stats", "e.proof"]]),
+}
+PIECES = ["(", ")", " ", "\n", "node", "leaf", "cert", "enode", "eleaf", "child",
+          "empty", "gap", "0", "1", "-1", "2", "-3/4", "1/2", "1/0", "x", "(1)"]
+
+
+@st.composite
+def edited(draw, text):
+    """``text`` after a few deletions, insertions and repeated spans."""
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 8)))
+        kind = draw(st.sampled_from(["delete", "insert", "repeat"]))
+        if kind == "delete":
+            text = text[:i] + text[j:]
+        elif kind == "insert":
+            text = text[:i] + draw(st.sampled_from(PIECES)) + text[i:]
+        else:
+            text = text[:j] + text[i:j] + text[j:]
+    return text
+
+
+@st.composite
+def contract_input(draw):
+    kind = draw(st.sampled_from(sorted(FORMATS)))
+    name, base, others, commands = FORMATS[kind]
+    generated = st.lists(st.sampled_from(PIECES), max_size=40).map(" ".join)
+    text = draw(st.one_of(edited(base), generated))
+    return {name: text, **others}, commands
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(case=contract_input())
+def test_exit_code_contract_on_mutated_input(tmp_path_factory, case):
+    files, commands = case
+    where = tmp_path_factory.mktemp("contract")
+    for name, text in files.items():
+        (where / name).write_text(text)
+    for argv in commands:
+        out = io.StringIO()
+        with redirect_stdout(out):  # the arguments with a dot are file names
+            code = main([str(where / arg) if "." in arg else arg for arg in argv])
+        lines = out.getvalue().splitlines()
+        results = [line for line in lines if line.startswith("RESULT")]
+        assert code in (0, 1, 2), (argv, files)
+        assert len(results) == 1 and lines[-1] == results[0], (argv, files, lines)

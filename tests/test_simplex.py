@@ -5,12 +5,14 @@ from random import Random
 
 import pytest
 
+from branchproofs import simplex
 from branchproofs.simplex import (
     DimensionMismatch,
     FarkasCertificate,
     InequalitySystem,
     Infeasible,
     Optimal,
+    SolverError,
     Unbounded,
     is_empty,
     lp_optimize,
@@ -192,3 +194,135 @@ def test_degenerate_rows_fuzz():
         )
         c = Vector([Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(n)])
         lp_optimize(system, c)  # outcomes self-verify exactly; would raise
+
+
+def count_tableaus(monkeypatch) -> list:
+    """Record every ``_DualTableau`` built, i.e. every LP actually solved."""
+    built = []
+
+    class Counted(simplex._DualTableau):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(simplex, "_DualTableau", Counted)
+    return built
+
+
+def test_outcomes_memoized_per_system(monkeypatch):
+    built = count_tableaus(monkeypatch)
+    K = InequalitySystem.box(2, 0, 1).with_rows([(Vector([1, 1]), Fraction(3, 2))])
+    c = Vector([1, 2])
+    first = lp_optimize(K, c)
+    assert len(built) == 1 and first.value == Fraction(5, 2)
+    assert lp_optimize(K, Vector([1, 2])) is first
+    assert len(built) == 1
+    # another objective, the other sense and a derived system each solve
+    assert lp_optimize(K, Vector([2, 1])).value == Fraction(5, 2)
+    assert lp_optimize(K, c, sense="min").value == 0
+    child = K.with_rows([(Vector([0, 1]), Fraction(1, 2))])
+    assert lp_optimize(child, c).value == 2
+    assert len(built) == 4
+    # the memo is the instance's: an equal system solves afresh
+    twin = InequalitySystem(K.matrix, K.rhs, n=K.n)
+    assert lp_optimize(twin, c) == first
+    assert len(built) == 5
+
+
+def test_derived_systems_inherit_row_scaling():
+    K = InequalitySystem([[Fraction(1, 2), Fraction(1, 3)], [-1, 0]], [Fraction(5, 6), 0])
+    K._scaled_rows()
+    child = K.with_equality(Vector([Fraction(2, 3), 1]), Fraction(1, 4))
+    inherited = child._scaled
+    assert inherited is not None
+    assert inherited == InequalitySystem(child.matrix, child.rhs)._scaled_rows()
+    assert inherited[2] == [6, 1, 12, 12]
+
+
+# 1/2 x1 + 1/3 x2 <= 5/6, x1 >= 0, x2 >= 0, 2/3 x1 <= 1/2: every row but the
+# sign rows has a scale sigma > 1
+FRACTIONAL = InequalitySystem(
+    [[Fraction(1, 2), Fraction(1, 3)], [-1, 0], [0, -1], [Fraction(2, 3), 0]],
+    [Fraction(5, 6), 0, 0, Fraction(1, 2)],
+)
+
+
+def test_check_optimal_catches_tampered_outcomes():
+    c = Vector([1, 1])
+    res = lp_optimize(FRACTIONAL, c)
+    assert isinstance(res, Optimal)
+    value, point, dual = res.value, res.point, res.dual
+    check = simplex._check_optimal
+    check(FRACTIONAL, c, value, point, dual)  # the true outcome passes
+    # -x1 <= 0 and 2/3 x1 <= 1/2, taken 1 : 3/2, cancel in A but add 3/4 to b
+    cancelling = Vector([0, 1, 0, Fraction(3, 2)])
+    tampered = {
+        "infeasible": (value, point + Vector([10, -10]), dual),
+        "does not attain": (value + 1, point, dual),
+        "negative dual": (value, point, dual - Vector([0, 1, 0, 0])),
+        "do not reproduce": (value, point, dual * 2),
+        "strong duality": (value, point, dual + cancelling),
+    }
+    for message, (v, p, y) in tampered.items():
+        with pytest.raises(SolverError, match=message):
+            check(FRACTIONAL, c, v, p, y)
+
+
+def test_check_ray_catches_bad_rays():
+    # x1 >= 0, 1/2 x2 <= 1/3: unbounded along +x1 only
+    S = InequalitySystem([[-1, 0], [0, Fraction(1, 2)]], [0, Fraction(1, 3)])
+    c = Vector([1, 0])
+    res = lp_optimize(S, c)
+    assert isinstance(res, Unbounded)
+    simplex._check_ray(S, c, res.ray)
+    with pytest.raises(SolverError, match="does not improve"):
+        simplex._check_ray(S, c, Vector([-1, 0]))
+    with pytest.raises(SolverError, match="recession cone"):
+        simplex._check_ray(S, c, Vector([1, Fraction(1, 3)]))
+
+
+def fraction_check_optimal(system, c, value, point, dual) -> bool:
+    """Reference: the optimality conditions in Fraction arithmetic."""
+    combo, total = system.combination(dual)
+    return (
+        c.dot(point) == value
+        and system.contains(point)
+        and all(v >= 0 for v in dual)
+        and combo == list(c)
+        and total == value
+    )
+
+
+def test_integer_checks_agree_with_fraction_reference():
+    rng = Random(2024)
+    checked = 0
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n)]
+                for _ in range(rng.randint(1, 5))]
+        rhs = [Fraction(rng.randint(-2, 6), rng.randint(1, 4)) for _ in rows]
+        system = InequalitySystem(rows, rhs, n=n)
+        c = Vector([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)])
+        res = lp_optimize(system, c)
+        if not isinstance(res, Optimal):
+            continue
+        checked += 1
+        for _ in range(4):  # nudge one part of the outcome, or none
+            value, point, dual = res.value, list(res.point), list(res.dual)
+            part = rng.randrange(4)
+            nudge = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+            if part == 1:
+                value += nudge
+            elif part == 2:
+                point[rng.randrange(n)] += nudge
+            elif part == 3:
+                dual[rng.randrange(len(dual))] += nudge
+            point, dual = Vector(point), Vector(dual)
+            expected = fraction_check_optimal(system, c, value, point, dual)
+            try:
+                simplex._check_optimal(system, c, value, point, dual)
+                passed = True
+            except SolverError:
+                passed = False
+            assert passed == expected
+    assert checked > 50
