@@ -71,7 +71,7 @@ from .recompile import (
     select_violated_row,
     verify_substitution_sequence,
 )
-from .enumcp import LiftedCut, enum_to_cp, lift_cg_sequence
+from .enumcp import enum_to_cp, lift_cg_sequence
 from .families import (
     SplitCutReport,
     TseitinInstance,

@@ -8,26 +8,29 @@ direction ``a_r`` drops its support value to the next integer, the child
 subtree at that value is serialized on the face of maximizers (by an
 explicit stack of per-node frames, so any proof depth is fine),
 and the face cuts are lifted back with :func:`lift_cg_sequence` so that they
-have the same effect applied to the full set.
+have the same effect applied to the full set.  Serialization levels pass
+each other the :class:`CgCut` records that :func:`apply_cg` returns, so each
+face is built and cut once.
 
 Lifting replaces a face cut ``a`` by ``a + i c`` (c the face normal).  A
 multiplier ``i`` is accepted exactly when
-``floor(h_K(a + i c) - i h_K(c)) == floor(h_F(a))``, which makes the cut's
-trace on the face coincide with the face's own CG cut; existence of such an
-``i`` is guaranteed for rational polytopes, and small multipliers are
-preferred (the search runs i = 0, 1, 2, 4, 8, ... with a generous cap that
-turns a violated precondition into a diagnosable error).
+``floor(h_K(a + i c) - i h_K(c)) == floor(h_F(a))``, the rhs of the face
+cut's record, which makes the cut's trace on the face coincide with the
+face's own CG cut; existence of such an ``i`` is guaranteed for rational
+polytopes, and small multipliers are preferred (the search runs
+i = 0, 1, 2, 4, 8, ... with a generous cap that turns a violated
+precondition into a diagnosable error).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .geometry import (
     NEG_INFINITY,
     UNBOUNDED,
+    CgCut,
     apply_cg,
     face,
     support_value,
@@ -39,54 +42,31 @@ from .vectors import Vector
 _MULTIPLIER_CAP = 2**64
 
 
-@dataclass(frozen=True)
-class LiftedCut:
-    """A face cut ``base`` lifted to ``base + multiplier * face_normal``.
-
-    ``cut_set`` is K after the lifted cuts up to and including this one.
-    """
-
-    base: Vector
-    face_normal: Vector
-    multiplier: int
-    lifted: Vector
-    cut_set: InequalitySystem = field(compare=False, repr=False)
-
-
 def lift_cg_sequence(
-    K: InequalitySystem, c: Vector, cuts: list[Vector]
-) -> list[LiftedCut]:
-    """Lift an ordered list of CG cuts of ``face(K, c)`` to cuts of K.
+    K: InequalitySystem, c: Vector, face_cuts: list[CgCut]
+) -> tuple[InequalitySystem, list[CgCut]]:
+    """Lift the CG cuts of ``face(K, c)``, given as their records, to cuts of K.
 
-    The set equality holds prefix-wise: cut i is lifted against the set
-    obtained from K by the previously lifted cuts, while the original cuts
-    accumulate on the face.  Requires K nonempty and bounded in the relevant
-    directions with ``h_K(c)`` integral; each multiplier is the smallest in
-    the doubling schedule passing the floor test.  Once the face has been
-    emptied the remaining multipliers are 0 (any lift works vacuously), and
-    a zero ``c`` (the face is K itself) lifts every cut by 0.
+    ``face_cuts`` are the records of cuts applied one after another to the
+    face, as :func:`apply_cg` returned them.  Cut i is lifted against K after
+    the previously lifted cuts, so the set equality holds prefix-wise.
+    Requires ``h_K(c)`` finite and integral; each multiplier is the smallest
+    in the doubling schedule passing the floor test, and 0 for a no-op cut
+    (the face was already empty).  Returns K after the lifted cuts and their
+    records on K, like :func:`apply_cg`.
     """
-    lifted: list[LiftedCut] = []
-    current = K
-    if c.is_zero():
-        for a in cuts:
-            current, _ = apply_cg(current, a)
-            lifted.append(LiftedCut(a, c, 0, a, current))
-        return lifted
     h_c = _finite_support(K, c, "face normal")
     if h_c.denominator != 1:
         raise ValueError("face support value must be integral for lifting")
-    face_set = face(K, c)
-    for a in cuts:
+    current = K
+    lifted: list[CgCut] = []
+    for cut in face_cuts:
         multiplier = 0
-        if is_empty(face_set) is None:
-            target = math.floor(_finite_support(face_set, a, "face cut"))
-            multiplier = _search_multiplier(current, c, a, h_c, target)
-        normal = a + multiplier * c
-        current, _ = apply_cg(current, normal)
-        lifted.append(LiftedCut(a, c, multiplier, normal, current))
-        face_set, _ = apply_cg(face_set, a)
-    return lifted
+        if not cut.is_noop():
+            multiplier = _search_multiplier(current, c, cut.normal, h_c, cut.rhs)
+        current, record = apply_cg(current, cut.normal + multiplier * c)
+        lifted.append(record)
+    return current, lifted
 
 
 def _search_multiplier(K, c, a, h_c, target: int) -> int:
@@ -118,18 +98,18 @@ def enum_to_cp(K: InequalitySystem, proof: EnumNode) -> list[Vector]:
     ``apply_cg_list(K, cuts)`` empty; an input proof that fails to refute the
     set raises ``ValueError``.
     """
-    cuts, final = _serialize(K, proof)
+    records, final = _serialize(K, proof)
     if is_empty(final) is None:
         raise ValueError("enumerative proof does not refute the set")
-    return cuts
+    return [cut.normal for cut in records]
 
 
 def _serialize(K: InequalitySystem, root: EnumNode):
-    """``(cuts, final set)`` for the proof ``root`` of K, by an explicit stack.
+    """``(cut records, final set)`` for the proof ``root`` of K, by a stack.
 
     Each frame is one node's :func:`_serialize_node` generator, which yields
     ``(face, child)`` where a recursive serializer would call itself and is
-    sent the child's cuts back; the LP calls and cuts come in the same order.
+    sent the child's cut records on that face back.
     """
     frames = [_serialize_node(K, root)]
     reply = None
@@ -156,8 +136,8 @@ def _serialize_node(K: InequalitySystem, node: EnumNode):
         )
     a_r = node.a
     children = dict(node.children)
-    current, _ = apply_cg(K, a_r)
-    cuts: list[Vector] = [a_r]
+    current, record = apply_cg(K, a_r)
+    records = [record]
     previous_b = None
     while True:
         value = support_value(current, a_r)
@@ -172,13 +152,11 @@ def _serialize_node(K: InequalitySystem, node: EnumNode):
         if b not in children:
             raise ValueError(f"no child for branched value {b}")
         face_cuts = yield face(current, a_r), children[b]
-        lifted = lift_cg_sequence(current, a_r, face_cuts)
-        if lifted:
-            current = lifted[-1].cut_set
-        current, _ = apply_cg(current, a_r)
-        cuts.extend(cut.lifted for cut in lifted)
-        cuts.append(a_r)
+        current, lifted = lift_cg_sequence(current, a_r, face_cuts)
+        records.extend(lifted)
+        current, record = apply_cg(current, a_r)
+        records.append(record)
     if is_empty(current) is None:
         # support dropped below lo on a nonempty set: bounds were wrong
         raise ValueError("enumerative proof does not refute the set")
-    return cuts, current
+    return records, current

@@ -252,8 +252,8 @@ def verify_enumerative_proof(K: InequalitySystem, proof: EnumNode) -> Report:
 
     At every labeled node with nonempty relaxation, the exact min/max of
     ``a x`` must lie within ``[lo, hi]`` and a child must exist for every
-    integer in that interval; childless labeled nodes must satisfy
-    ``floor(hi) < lo``.  Unlabeled "empty" leaves must have empty relaxations.
+    integer in that interval (one failure per run of missing values);
+    childless labeled nodes must satisfy ``floor(hi) < lo``.  Unlabeled "empty" leaves must have empty relaxations.
     The subtree of a node unbounded in its direction is not checked.
     """
     failures: list[str] = []
@@ -300,12 +300,14 @@ def verify_enumerative_proof(K: InequalitySystem, proof: EnumNode) -> Report:
                     f"{where}: nonempty leaf whose bounds contain an integer"
                 )
             if node.children:
-                present = {b for b, _ in node.children}
-                b = math.ceil(node.lo)
-                while b <= math.floor(node.hi):
-                    if b not in present:
+                b, top = math.ceil(node.lo), math.floor(node.hi)
+                present = sorted({v for v, _ in node.children if b <= v <= top})
+                for v in present + [top + 1]:
+                    if v == b + 1:
                         failures.append(f"{where}: missing child for b={b}")
-                    b += 1
+                    elif v > b:
+                        failures.append(f"{where}: missing children for b={b}..{v - 1}")
+                    b = v + 1
     return Report(valid=not failures, failures=tuple(failures))
 
 

@@ -26,8 +26,6 @@ from typing import Optional
 
 from .diophantine import classify_rhs, dirichlet_approx
 from .geometry import (
-    NEG_INFINITY,
-    UNBOUNDED,
     Halfspace,
     apply_cg_list,
     implies_R,
@@ -449,27 +447,28 @@ def _check_repair_invariants(K, P, P_prime, pairs, v_eqs, eps) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _check_l1_radius(K: InequalitySystem, R: int) -> None:
-    """Reject an explicit radius below the set's exact l1 circumradius.
+def _check_l1_radius(K: InequalitySystem, R: int) -> bool:
+    """Whether an explicit radius R is proven to contain K in its l1 ball.
 
-    K lies in the l1 ball of radius R iff every sign pattern s in {-1, 1}^n
-    has support value at most R; checked exactly for n <= 10 (2^n small LPs),
-    trusted beyond that.
+    True when ``R >= l1_radius_bound(K)`` (2n LPs; raises if K is unbounded)
+    or, for n <= 10, when every sign pattern s in {-1, 1}^n has support value
+    at most R (2^n small LPs; a pattern above R raises).  False for n > 10
+    below the bound: the caller must verify what it builds from R.
     """
     if R < 1:
         raise ValueError("radius must be a positive integer")
+    if R >= l1_radius_bound(K):
+        return True
     if K.n > 10:
-        return
+        return False
     from itertools import product
 
     for signs in product((1, -1), repeat=K.n):
-        value = support_value(K, Vector(signs))
-        if value == NEG_INFINITY:
-            return  # empty set fits in any ball
-        if value == UNBOUNDED or value > R:
+        if support_value(K, Vector(signs)) > R:
             raise ValueError(
                 f"the set is not contained in the l1 ball of radius {R}"
             )
+    return True
 
 
 def recompile(
@@ -489,14 +488,18 @@ def recompile(
     count at most |T| + 4(n+1) * (number of leaves).
 
     ``R`` defaults to ``l1_radius_bound(K)``; the input proof must be valid.
+    An explicit R that cannot be proven to bound K (n > 10, below
+    ``l1_radius_bound``) gets the rebuilt proof verified, and a ``ValueError``
+    if it fails.
     """
     report = verify_branching_proof(K, proof)
     if not report.valid:
         raise ValueError(f"input proof is invalid: {report.failures[0]}")
     if R is None:
         R = l1_radius_bound(K)
+        radius_proven = True
     else:
-        _check_l1_radius(K, R)
+        radius_proven = _check_l1_radius(K, R)
     n = K.n
     N = 10 * n * R
     M = (10 * n * R) ** (n + 2)
@@ -516,6 +519,12 @@ def recompile(
             seqs = [seq_pairs[d][0 if went_left else 1] for d, (_, went_left) in enumerate(path)]
             orig_rows = [parent.edge_row(went_left) for parent, went_left in path]
             built.append(_repair_leaf(K, orig_rows, seqs, debug))
+    if not radius_proven:
+        report = verify_branching_proof(K, built[0])
+        if not report.valid:
+            raise ValueError(
+                f"proof rebuilt at radius {R} is invalid: {report.failures[0]}"
+            )
     return built[0]
 
 

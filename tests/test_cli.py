@@ -308,6 +308,9 @@ def contract_cases(depth):
          ["verify", "branching", "k.ineq", "p.proof"], 2),
         ("deeper list for an enumerative tag",
          {"e.proof": f"(enode (1) 0 0 (child 0 {nested}))"}, ["stats", "e.proof"], 2),
+        ("10^12 missing children",
+         {"k.ineq": SEGMENT, "e.proof": "(enode (1) 0 1000000000000 (child 0 (eleaf empty)))"},
+         ["verify", "enumerative", "k.ineq", "e.proof"], 1),
     ]
 
 
@@ -331,6 +334,8 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
                 problems.append(f"{name}: exit {code}, expected {expected}")
             if len(results) != 1 or lines[-1] != results[0]:
                 problems.append(f"{name}: RESULT lines {results}")
+            if len(lines) > 5:  # each row's report fits in a few lines
+                problems.append(f"{name}: {len(lines)} output lines")
     assert not problems, problems
 
 

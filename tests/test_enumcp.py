@@ -1,12 +1,15 @@
 """CG-cut lifting and the enumerative-to-cutting-plane serialization."""
 
+import hashlib
 from fractions import Fraction
 from random import Random
 
 import pytest
 
+from branchproofs import enumcp
 from branchproofs.enumcp import enum_to_cp, lift_cg_sequence
-from branchproofs.geometry import apply_cg_list, support_value
+from branchproofs.families import TseitinInstance, tseitin_polytope, tseitin_sp_refutation
+from branchproofs.geometry import apply_cg, apply_cg_list, cuts_to_text, face, support_value
 from branchproofs.prooftree import EnumNode, verify_enumerative_proof
 from branchproofs.simplex import InequalitySystem, is_empty
 from branchproofs.vectors import Vector
@@ -31,27 +34,34 @@ def diagonal_segment():
     )
 
 
+def lift(K, c, normals):
+    """The lifted records of ``normals`` applied in turn to ``face(K, c)``."""
+    face_set, records = face(K, c), []
+    for a in normals:
+        face_set, record = apply_cg(face_set, a)
+        records.append(record)
+    return lift_cg_sequence(K, c, records)[1]
+
+
 def test_lift_cg_cut_zero_multiplier():
-    cut = lift_cg_sequence(horizontal_segment(), Vector([1, 0]), [Vector([0, 1])])[0]
-    assert cut.multiplier == 0
-    assert cut.lifted == Vector([0, 1])
+    cut = lift(horizontal_segment(), Vector([1, 0]), [Vector([0, 1])])[0]
+    assert cut.normal == Vector([0, 1])
 
 
 def test_lift_cg_cut_needs_one_step():
-    cut = lift_cg_sequence(diagonal_segment(), Vector([1, 0]), [Vector([0, -1])])[0]
-    assert cut.multiplier == 1
-    assert cut.lifted == Vector([1, -1])
+    cut = lift(diagonal_segment(), Vector([1, 0]), [Vector([0, -1])])[0]
+    assert cut.normal == Vector([1, -1])
 
 
 def test_lift_cg_cut_zero_face_normal():
     K = InequalitySystem.box(2, 0, 1)
-    cut = lift_cg_sequence(K, Vector([0, 0]), [Vector([1, 1])])[0]
-    assert cut.multiplier == 0 and cut.lifted == Vector([1, 1])
+    cut = lift(K, Vector([0, 0]), [Vector([1, 1])])[0]
+    assert cut.normal == Vector([1, 1])
 
 
 def test_lift_cg_cut_requires_integral_face_value():
     with pytest.raises(ValueError, match="integral"):
-        lift_cg_sequence(horizontal_segment(), Vector([0, 1]), [Vector([1, 0])])[0]
+        lift(horizontal_segment(), Vector([0, 1]), [Vector([1, 0])])
 
 
 def test_lift_preserves_face_trace():
@@ -66,11 +76,9 @@ def test_lift_preserves_face_trace():
         if value.denominator != 1:
             continue  # lifting requires an integral support value
         a = Vector([rng.randint(-2, 2), rng.randint(-2, 2)])
-        cut = lift_cg_sequence(K, c, [a])[0]
-        from branchproofs.geometry import face
-
+        cut = lift(K, c, [a])[0]
         F = face(K, c)
-        lhs = apply_cg_list(K, [cut.lifted]).with_equality(c, value)
+        lhs = apply_cg_list(K, [cut.normal]).with_equality(c, value)
         rhs = apply_cg_list(F, [a])
         for point in integer_points_in_box(
             InequalitySystem.box(2, -4, 4), -4, 4
@@ -80,10 +88,11 @@ def test_lift_preserves_face_trace():
 
 def test_lift_sequence_trivial_cases():
     K = horizontal_segment()
-    assert lift_cg_sequence(K, Vector([1, 0]), []) == []
-    single = lift_cg_sequence(K, Vector([1, 0]), [Vector([0, 1])])
+    current, lifted = lift_cg_sequence(K, Vector([1, 0]), [])
+    assert current is K and lifted == []
+    single = lift(K, Vector([1, 0]), [Vector([0, 1])])
     assert len(single) == 1
-    assert single[0].lifted == lift_cg_sequence(K, Vector([1, 0]), [Vector([0, 1])])[0].lifted
+    assert single[0].normal == lift(K, Vector([1, 0]), [Vector([0, 1])])[0].normal
 
 
 def test_enum_to_cp_empty_set():
@@ -145,3 +154,66 @@ def test_enum_to_cp_prefix_soundness():
             current = apply_cg_list(K, cuts[:i])
             for p in points:
                 assert current.contains(p)
+
+
+# sha256 of cuts_to_text(enum_to_cp(K, proof)) for the proofs drawn from
+# Random(4040) below, recorded before serialization levels passed CgCut records
+RANDOM_PROOF_CUT_DIGESTS = (
+    "98a7338ce3397765d52807b4e0e023bf4360fd0dc523462e2107161802464620",
+    "ee3aa64bb94a50845d5024cd4bd20202a4567aed5cd5328c0d97e9920775fc28",
+    "98a7338ce3397765d52807b4e0e023bf4360fd0dc523462e2107161802464620",
+    "a8d84da4d4fa59787044fb523e8aa913a3302f964d361ac32817c3a344d1bb24",
+    "6eb2a383c24aa96560aedef051cb40e30f846f0eef331f19164059da5f6d06d0",
+    "0a6ce55a41c213cf0da662552cb02f2b9b49255a807fc96f2aee4ba27893ce78",
+    "ce736faa4fc516dc59778f86342fc9566909118f00a00222929c810d435c5dbe",
+    "0ec1df984cc69362cd457c1c9c39f4884430ead9828983e8f542d70ee89619a9",
+    "3a71b789e184ca3a0700a2f70b1f02dce5cef15c9b64d21b7f755cef2df01bcf",
+    "cc78a867472a2232b7f1e5bd8bc0b448e1ecefc1262e6b89388bbe400dd2f527",
+    "21f5c91d62a2530c36119922bda6f02b8084df6f87e1fa0f8f9a839cd828cbd9",
+    "a79122992d53d358e6bbbbb98883d64fa0c15df3bcb08ff7b65a0580870af424",
+    "052d7b89637345503bc1983feec6e40e7c3e572093795e61a591d4ac3ff18e81",
+    "855c44b4a923f91c2be9a5ae168a4b06299c12d85575edbb145d16c0f57a558d",
+    "7e0699ca1fae75f6a513c751d704f9d3ccaebd672f71e7672f5f51c3fa08aa5c",
+    "98a7338ce3397765d52807b4e0e023bf4360fd0dc523462e2107161802464620",
+    "00ec4e2cc602f7808429da8850d5e369396ec18b6f583a7c3b1f88d9c8c01698",
+    "fae24d9669cbb826d1eb06eebd3e05a9e865cce17f9c936ad9ef330e3e78b4bf",
+    "d562dc7bf7d1a59f8d45ed095b7ae512dc22f12e01481d7e23c4e649cb7a29d8",
+    "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "e9f71ae91475a8fbcabe54e1236af38e6f156c1998804fd594bd21f9ee4b4665",
+    "51dfb9a6d812100d2f1469c2f2f6008759dd60bf1197f9e1404312a982ca5d01",
+    "b9217e6f3556e8673027d114c6d7c1dd32cad6ccffdf0d68e6f6a29d8e070fa7",
+    "8515902f9c7436cfab9a2186f232eed04a4eaca0bd27fa0930edb2f191f0b866",
+    "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "092a7c47111dfc2e5b52f5281f77d10587b2fee2623bef52386f367392143722",
+    "32f84fa8edc8853c4c330222bec2017632295bad29b50f65a779b2ac73c4a8db",
+    "32f84fa8edc8853c4c330222bec2017632295bad29b50f65a779b2ac73c4a8db",
+    "6d7e57500ed2a02a3ddb964918cf61a1826ab46ed45160377f7554acfbfe1b7c",
+    "2380fe4bc790e895d4ef82b586cca6e6e49b4a5664c6a8b5d47fe4aa98cab713",
+)
+
+
+def test_enum_to_cp_builds_each_face_once(monkeypatch):
+    """One face per serialized (node, value) pair; random cut lists pinned."""
+    k4 = TseitinInstance(
+        4, tuple((i, j) for i in range(4) for j in range(i + 1, 4)), (1, 0, 0, 0)
+    )
+    K, proof = tseitin_polytope(k4), tseitin_sp_refutation(k4)
+    faces, frames = [], []
+    real_face, real_node = enumcp.face, enumcp._serialize_node
+    monkeypatch.setattr(enumcp, "face", lambda S, a: faces.append(a) or real_face(S, a))
+    monkeypatch.setattr(
+        enumcp, "_serialize_node", lambda S, node: frames.append(node) or real_node(S, node)
+    )
+    cuts = enum_to_cp(K, proof)
+    assert is_empty(apply_cg_list(K, cuts)) is not None
+    assert len(frames) > 1
+    assert len(faces) == len(frames) - 1  # every frame but the root's is a face
+
+    rng = Random(4040)
+    digests = []
+    for _ in range(len(RANDOM_PROOF_CUT_DIGESTS)):
+        K = random_integer_free_polytope(rng, rng.randint(1, 3))
+        proof = random_enumerative_proof(rng, K)
+        text = cuts_to_text(enum_to_cp(K, proof))
+        digests.append(hashlib.sha256(text.encode()).hexdigest())
+    assert tuple(digests) == RANDOM_PROOF_CUT_DIGESTS

@@ -143,6 +143,24 @@ def test_verify_enumerative_missing_child():
     assert any("missing child for b=0" in f for f in report.failures)
 
 
+def test_verify_enumerative_missing_runs():
+    """One failure per maximal run of missing values; children outside the
+    bounds fill none."""
+    K = InequalitySystem.box(1, 0, 6)
+    empty = EnumNode(leaf_kind="empty")
+    node = EnumNode(
+        a=Vector([1]), lo=0, hi=6,
+        children=((-1, empty), (1, empty), (4, empty), (9, empty)),
+    )
+    report = verify_enumerative_proof(K, node)
+    missing = [f for f in report.failures if "missing" in f]
+    assert missing == [
+        "(root): missing child for b=0",
+        "(root): missing children for b=2..3",
+        "(root): missing children for b=5..6",
+    ]
+
+
 def test_verify_enumerative_bad_empty_leaf():
     K = InequalitySystem.box(1, 0, 1)
     report = verify_enumerative_proof(K, EnumNode(leaf_kind="empty"))

@@ -207,6 +207,37 @@ def test_recompile_rejects_undersized_radius():
         recompile(K, proof, R=1)
 
 
+def test_recompile_verifies_output_of_unproven_radius(monkeypatch):
+    """n = 11 and R below l1_radius_bound: the rebuilt proof is verified."""
+    import importlib
+
+    from branchproofs.prooftree import BranchNode
+
+    module = importlib.import_module("branchproofs.recompile")  # not the function
+    n = 11
+    e1 = Vector.unit(n, 0)
+    # 1/4 <= x1 <= 3/4, 0 <= xi <= 1 otherwise; x1 <= 0 or x1 >= 1 refutes it
+    K = InequalitySystem.box(n, 0, 1).with_rows(
+        [(e1, Fraction(3, 4)), (-e1, Fraction(-1, 4))]
+    )
+    proof = BranchNode(e1, 0, BranchNode(), BranchNode())
+    assert l1_radius_bound(K) > 1
+    checked = []
+    real_verify = module.verify_branching_proof
+    monkeypatch.setattr(
+        module, "verify_branching_proof",
+        lambda S, p: checked.append(p) or real_verify(S, p),
+    )
+    try:
+        rebuilt = recompile(K, proof, R=1)
+    except ValueError as exc:
+        assert "rebuilt" in str(exc)
+    else:
+        assert verify_branching_proof(K, rebuilt).valid
+        assert checked[-1] is rebuilt
+    assert len(checked) == 2  # the input, then the rebuilt proof
+
+
 def test_recompile_rotated_slabs():
     """Big-coefficient slabs in random orientation, n in {2, 3}."""
     from branchproofs.prooftree import BranchNode, certify, verify_certified_proof
