@@ -92,10 +92,7 @@ def _append_dominant(K: InequalitySystem, a: Vector, b: Fraction) -> InequalityS
         if row == a:
             if rhs <= b:
                 return K
-            matrix = list(K.matrix)
-            rhs_list = list(K.rhs)
-            rhs_list[i] = b
-            return InequalitySystem(matrix, rhs_list, n=K.n)
+            return K.with_rhs(i, b)
     return K.with_rows([(a, b)])
 
 

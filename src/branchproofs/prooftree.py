@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .simplex import (
     FarkasCertificate,
@@ -38,8 +39,35 @@ from .geometry import UNBOUNDED, support_value
 from .vectors import Vector, bit_size, format_rational, parse_rational
 
 
-@dataclass(frozen=True)
-class BranchNode:
+class _TreeNode:
+    """Equality, hashing and repr for proof nodes that never recurse.
+
+    Two trees are equal when one parallel :func:`walk` finds the same own
+    fields (``_fields``: everything but the child nodes) at every node; the
+    hash and the repr cover the node's own fields and its child count only,
+    so any depth is fine.
+    """
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        for mine, theirs in zip_longest(walk(self), walk(other)):
+            if mine is None or theirs is None:
+                return False
+            if mine[2] != theirs[2] or mine[0]._fields() != theirs[0]._fields():
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        return hash((self._fields(), len(self.edges())))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._fields())
+        return f"{type(self).__name__}({fields}, children={len(self.edges())})"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class BranchNode(_TreeNode):
     """A node of a branching proof; a leaf when ``a`` is None."""
 
     a: Vector | None = None
@@ -79,6 +107,9 @@ class BranchNode:
             return self.a, Fraction(self.b)
         return -self.a, Fraction(-self.b - 1)
 
+    def _fields(self) -> tuple:
+        return (("a", self.a), ("b", self.b), ("cert", self.cert))
+
     def node_count(self) -> int:
         return sum(1 for _, _, leaving in walk(self) if not leaving)
 
@@ -86,8 +117,8 @@ class BranchNode:
         return sum(1 for node, _, _ in walk(self) if node.is_leaf)
 
 
-@dataclass(frozen=True)
-class EnumNode:
+@dataclass(frozen=True, eq=False, repr=False)
+class EnumNode(_TreeNode):
     """A node of an enumerative proof.
 
     ``a is None`` marks an unlabeled leaf (``leaf_kind`` "empty" or "gap");
@@ -131,6 +162,11 @@ class EnumNode:
     def edges(self) -> tuple[tuple[int, "EnumNode"], ...]:
         """(b, child) pairs by increasing b; empty for a leaf."""
         return self.children
+
+    def _fields(self) -> tuple:
+        values = tuple(b for b, _ in self.children)
+        return (("a", self.a), ("lo", self.lo), ("hi", self.hi),
+                ("values", values), ("leaf_kind", self.leaf_kind))
 
     def node_count(self) -> int:
         return sum(1 for _, _, leaving in walk(self) if not leaving)

@@ -26,6 +26,18 @@ Outcomes are memoized per system: each ``InequalitySystem`` keeps the
 verified outcome of every objective solved on it, so asking the same system
 the same question again costs a dictionary lookup.  The memo belongs to the
 instance alone; a derived system starts with an empty one.
+
+Solves warm-start along derivations.  A solve that ends at an optimum keeps
+its final tableau on its system, keyed by the objective.  A system made by
+``with_rows`` / ``with_equality`` (rows appended) or ``with_rhs`` (one
+right-hand side changed, as a tightening CG cut does) solves an objective by
+extending the nearest ancestor's kept tableau for it, once its scaled rows
+are checked to be a prefix of the system's: adding primal rows only adds
+dual columns and changing b only changes costs, so the old basis stays
+feasible for the dual and phase 1 is skipped.  A tableau whose phase 1
+dropped a redundant equality is never kept, because that equality can stop
+being redundant once rows are added.  Warm-started outcomes go through the
+same exact re-verification as all others.
 """
 
 from __future__ import annotations
@@ -34,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .vectors import Scalar, Vector, format_rational, parse_rational
 
@@ -54,7 +66,9 @@ class InequalitySystem:
     whole space), ``n >= 1`` is required.
     """
 
-    __slots__ = ("matrix", "rhs", "n", "_scaled", "_empty", "_outcomes")
+    __slots__ = (
+        "matrix", "rhs", "n", "_scaled", "_empty", "_outcomes", "_tableaux", "_ancestry"
+    )
 
     def __init__(self, matrix: Iterable, rhs: Iterable[Scalar], n: int | None = None):
         rows = tuple(a if isinstance(a, Vector) else Vector(a) for a in matrix)
@@ -76,6 +90,11 @@ class InequalitySystem:
         self._scaled = None
         self._empty: bool | None = None
         self._outcomes: dict[tuple[Fraction, ...], LpOutcome] = {}
+        # final tableaux of optimal solves, by objective, for derived systems
+        # to warm-start from; a derived system links to its parent's as
+        # ``(parent._tableaux, parent._ancestry)``
+        self._tableaux: dict[tuple[Fraction, ...], _DualTableau] = {}
+        self._ancestry = None
 
     @property
     def m(self) -> int:
@@ -111,6 +130,20 @@ class InequalitySystem:
         if self._scaled is not None:
             added = _scale_rows(zip(child.matrix[self.m:], child.rhs[self.m:]))
             child._scaled = tuple(old + new for old, new in zip(self._scaled, added))
+        child._ancestry = (self._tableaux, self._ancestry)
+        return child
+
+    def with_rhs(self, index: int, b: Scalar) -> "InequalitySystem":
+        """The system with the right-hand side of row ``index`` replaced by b."""
+        rhs = list(self.rhs)
+        rhs[index] = Fraction(b)
+        child = InequalitySystem(self.matrix, rhs, n=self.n)
+        if self._scaled is not None:
+            (row,), (scaled_b,), (sigma,) = _scale_rows([(self.matrix[index], rhs[index])])
+            child._scaled = tuple(list(part) for part in self._scaled)
+            for part, value in zip(child._scaled, (row, scaled_b, sigma)):
+                part[index] = value
+        child._ancestry = (self._tableaux, self._ancestry)
         return child
 
     def with_equality(self, a: Vector, b: Scalar) -> "InequalitySystem":
@@ -231,7 +264,9 @@ class Unbounded:
     ray: Vector
 
 
-LpOutcome = Union[Optimal, Infeasible, Unbounded]
+# a | union, not typing.Union, whose cache would keep every imported copy
+# of this module alive
+LpOutcome = Optimal | Infeasible | Unbounded
 
 
 def lp_optimize(system: InequalitySystem, c: Vector, sense: str = "max") -> LpOutcome:
@@ -351,6 +386,7 @@ class _DualTableau:
     """
 
     def __init__(self, mat: list[list[int]], rhs_c: list[int]):
+        self.mat = mat  # the scaled rows the y columns were priced from
         self.m = len(mat)  # number of y variables
         n = len(rhs_c)
         self.ncols = self.m + n + 1
@@ -366,6 +402,34 @@ class _DualTableau:
         self.basis = [self.m + j for j in range(n)]
         self.dropped: list[int] = []  # equality rows removed as redundant
         self.d = 1
+
+    def extended(self, mat: list[list[int]]) -> "_DualTableau":
+        """A copy with one y column per row of ``mat`` beyond ``self.mat``.
+
+        Needs ``self.mat`` to be a prefix of ``mat`` and no dropped rows: the
+        artificial block then holds ``d`` times the basis inverse, so the
+        column of a new row ``a`` is that block times ``tau * a``, exactly.
+        The basis stays feasible (the right-hand side c is unchanged); the
+        caller installs the costs.
+        """
+        m, n = self.m, len(self.tau)
+        priced = [[t * e for t, e in zip(self.tau, a)] for a in mat[m:]]
+        twin = object.__new__(type(self))
+        twin.mat = mat
+        twin.m = len(mat)
+        twin.ncols = twin.m + n + 1
+        twin.rhs_col = twin.ncols - 1
+        twin.tau = self.tau
+        twin.rows = []
+        for row in self.rows:
+            block = row[m:m + n]
+            columns = [sum(map(mul, block, col)) for col in priced]
+            twin.rows.append(row[:m] + columns + row[m:])
+        twin.obj = None
+        twin.basis = list(self.basis)
+        twin.dropped = []
+        twin.d = self.d
+        return twin
 
     def set_objective(self, raw: list[int]) -> None:
         """Install the reduced-cost row for a raw per-column objective."""
@@ -417,18 +481,21 @@ class _DualTableau:
         sd = 1 if self.d > 0 else -1
         rhs_col = self.rhs_col
         best_pos = None
-        best_ratio = None
+        best_num = best_coeff = 0
         for pos, row in enumerate(self.rows):
             coeff = row[col]
             if coeff * sd <= 0:
                 continue
-            ratio = Fraction(row[rhs_col], coeff)
-            if (
-                best_ratio is None
-                or ratio < best_ratio
-                or (ratio == best_ratio and self.basis[pos] < self.basis[best_pos])
-            ):
-                best_pos, best_ratio = pos, ratio
+            num = row[rhs_col]
+            if best_pos is not None:
+                # num / coeff against best_num / best_coeff, cross-multiplied:
+                # both coefficients have the sign of sd, so their product is > 0
+                left, right = num * best_coeff, best_num * coeff
+                if left > right or (
+                    left == right and self.basis[pos] > self.basis[best_pos]
+                ):
+                    continue
+            best_pos, best_num, best_coeff = pos, num, coeff
         return best_pos
 
     def run(self, banned: frozenset[int]) -> int | None:
@@ -479,59 +546,78 @@ def _solve_max(system: InequalitySystem, c: Vector) -> LpOutcome:
     return outcome
 
 
+def _warm_tableau(system: InequalitySystem, key) -> Optional[_DualTableau]:
+    """The nearest ancestor's kept optimal tableau for the objective, extended
+    to the system's rows, or None.  Its rows must be a prefix of the system's
+    scaled rows; the rows are compared, not assumed."""
+    link = system._ancestry
+    while link is not None:
+        kept, link = link
+        tab = kept.get(key)
+        if tab is not None:
+            mat = system._scaled_rows()[0]
+            if tab.mat == mat[:tab.m]:
+                return tab.extended(mat)
+            return None
+    return None
+
+
 def _solve_verified(system: InequalitySystem, c: Vector) -> LpOutcome:
     mat, rhs_b, sigmas = system._scaled_rows()
     c_int, mu = _over_common_denominator(c)
     m, n = system.m, system.n
+    zero = Fraction(0)
 
-    tab = _DualTableau(mat, c_int)
-    art0 = tab.m
-
-    # phase 1: maximize minus the sum of artificials
-    tab.set_objective([0] * tab.m + [-1] * n)
-    if tab.run(banned=frozenset()) is not None:
-        raise SolverError("phase 1 objective cannot be unbounded")
-    if tab.objective_value() != 0:
-        # dual infeasible: the primal is unbounded or empty
-        ray = Vector(
-            tab.tau[j] * (Fraction(1) + tab.reduced_cost(art0 + j))
-            for j in range(n)
-        )
-        _check_ray(system, c, ray)
-        witness = is_empty(system)  # c = 0 never reaches this branch
-        if witness is not None:
-            return Infeasible(witness)
-        return Unbounded(ray)
-
-    tab.drive_out_artificials()
+    tab = _warm_tableau(system, c.entries)
+    if tab is None:
+        tab = _DualTableau(mat, c_int)
+        # phase 1: maximize minus the sum of artificials
+        tab.set_objective([0] * m + [-1] * n)
+        if tab.run(banned=frozenset()) is not None:
+            raise SolverError("phase 1 objective cannot be unbounded")
+        if tab.objective_value() != 0:
+            # dual infeasible: the primal is unbounded or empty
+            ray = Vector(
+                tab.tau[j] * (1 + tab.reduced_cost(m + j)) for j in range(n)
+            )
+            _check_ray(system, c, ray)
+            witness = is_empty(system)  # c = 0 never reaches this branch
+            if witness is not None:
+                return Infeasible(witness)
+            return Unbounded(ray)
+        tab.drive_out_artificials()
 
     # phase 2: maximize -(scaled b) y over the feasible dual basis
     tab.set_objective([-v for v in rhs_b] + [0] * n)
-    banned = frozenset(range(art0, art0 + n))
-    unb_col = tab.run(banned=banned)
+    unb_col = tab.run(banned=frozenset(range(m, m + n)))
 
     if unb_col is not None:
         # unbounded dual ray == Farkas certificate of primal emptiness
-        direction = _ray_direction(tab, unb_col)
-        lam = Vector(sigmas[i] * direction.get(i, Fraction(0)) for i in range(m))
-        cert = FarkasCertificate(lam)
+        lam = [zero] * m
+        for i, v in _ray_direction(tab, unb_col).items():
+            lam[i] = sigmas[i] * v
+        cert = FarkasCertificate(Vector(lam))
         if not cert.verify(system):
             raise SolverError("extracted Farkas certificate failed verification")
         system._empty = True
         return Infeasible(cert)
 
-    values = tab.basic_values()
     dropped = set(tab.dropped)
     point = Vector(
-        Fraction(0) if j in dropped else tab.tau[j] * tab.reduced_cost(art0 + j)
+        zero if j in dropped else tab.tau[j] * tab.reduced_cost(m + j)
         for j in range(n)
     )
-    dual = Vector(
-        Fraction(sigmas[i], mu) * values.get(i, Fraction(0)) for i in range(m)
-    )
+    dual = [zero] * m
+    for i, v in tab.basic_values().items():
+        if v:
+            dual[i] = Fraction(sigmas[i], mu) * v
+    dual = Vector(dual)
     value = -tab.objective_value() / mu
     _check_optimal(system, c, value, point, dual)
     system._empty = False
+    if not tab.dropped:
+        # a dropped equality may stop being redundant once rows are added
+        system._tableaux[c.entries] = tab
     return Optimal(value, point, dual)
 
 

@@ -63,8 +63,11 @@ class Vector:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable[Scalar]):
-        # dimension 0 is allowed: multiplier vectors of row-less systems
-        self.entries: tuple[Fraction, ...] = tuple(Fraction(e) for e in entries)
+        # dimension 0 is allowed: multiplier vectors of row-less systems;
+        # an entry that is already a Fraction is kept, not copied
+        self.entries: tuple[Fraction, ...] = tuple(
+            e if type(e) is Fraction else Fraction(e) for e in entries
+        )
 
     @staticmethod
     def zero(dim: int) -> "Vector":

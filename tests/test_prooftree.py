@@ -1,5 +1,6 @@
 """Proof objects: verification, certification, stats, serialization."""
 
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -224,6 +225,38 @@ def test_enumerative_round_trip():
     proof = random_enumerative_proof(rng, K)
     assert parse_enumerative(format_enumerative(proof)) == proof
     assert parse_enumerative("(eleaf gap)") == EnumNode(leaf_kind="gap")
+
+
+def enum_chain(depth: int, leaf_kind: str = "empty") -> EnumNode:
+    node = EnumNode(leaf_kind=leaf_kind)
+    for _ in range(depth):
+        node = EnumNode(a=Vector([1, 0]), lo=0, hi=0, children=((0, node),))
+    return node
+
+
+def branch_chain(depth: int, b: int = 0) -> BranchNode:
+    node = BranchNode()
+    for _ in range(depth):
+        node = BranchNode(a=Vector([1, 0]), b=b, left=node, right=BranchNode())
+    return node
+
+
+def test_deep_trees_compare_hash_and_print():
+    depth = 3000
+    assert depth > sys.getrecursionlimit()
+    for chain, other in ((enum_chain, "gap"), (branch_chain, 1)):
+        tree, twin, differs = chain(depth), chain(depth), chain(depth, other)
+        assert tree == twin and not tree != twin
+        assert tree != differs and not tree == differs
+        assert tree != chain(depth - 1) and chain(depth + 1) != tree
+        assert hash(tree) == hash(twin)
+        assert repr(tree) == repr(twin) and len(repr(tree)) < 200
+    assert enum_chain(1) != branch_chain(1)
+    assert repr(enum_chain(1)) == (
+        "EnumNode(a=Vector((1, 0)), lo=Fraction(0, 1), hi=Fraction(0, 1),"
+        " values=(0,), leaf_kind=None, children=1)"
+    )
+    assert repr(BranchNode()) == "BranchNode(a=None, b=None, cert=None, children=0)"
 
 
 def test_parse_rejects_malformed():

@@ -197,13 +197,19 @@ def test_degenerate_rows_fuzz():
 
 
 def count_tableaus(monkeypatch) -> list:
-    """Record every ``_DualTableau`` built, i.e. every LP actually solved."""
+    """Record every ``_DualTableau`` built or warm-started, i.e. every LP
+    actually solved."""
     built = []
 
     class Counted(simplex._DualTableau):
         def __init__(self, *args):
             built.append(self)
             super().__init__(*args)
+
+        def extended(self, *args):
+            twin = super().extended(*args)
+            built.append(twin)
+            return twin
 
     monkeypatch.setattr(simplex, "_DualTableau", Counted)
     return built
@@ -326,3 +332,115 @@ def test_integer_checks_agree_with_fraction_reference():
                 passed = False
             assert passed == expected
     assert checked > 50
+
+
+def count_warm_starts(monkeypatch) -> list:
+    """Record every tableau warm-started from a kept ancestor tableau."""
+    warm = []
+    extended = simplex._DualTableau.extended
+
+    def counted(self, *args):
+        twin = extended(self, *args)
+        warm.append(twin)
+        return twin
+
+    monkeypatch.setattr(simplex._DualTableau, "extended", counted)
+    return warm
+
+
+def cold_twin(system: InequalitySystem) -> InequalitySystem:
+    """An equal system with no ancestry, so it solves from scratch."""
+    return InequalitySystem(system.matrix, system.rhs, n=system.n)
+
+
+def same_outcome(warm, cold) -> bool:
+    if type(warm) is not type(cold):
+        return False
+    return not isinstance(warm, Optimal) or warm.value == cold.value
+
+
+def test_warm_start_agrees_with_cold_solves(monkeypatch):
+    from branchproofs.geometry import apply_cg
+
+    warm = count_warm_starts(monkeypatch)
+    rng = Random(5150)
+
+    def fraction():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+
+    def random_row(n):
+        return Vector([rng.randint(-3, 3) for _ in range(n)]), fraction()
+
+    compared = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        rows = [random_row(n) for _ in range(rng.randint(0, 4))]
+        parent = InequalitySystem.box(n, -3, Fraction(7, 2)).with_rows(rows)
+        c = Vector([rng.randint(-3, 3) for _ in range(n)])
+        lp_optimize(parent, c)
+        # new rows, an equality, and a CG cut that tightens an existing row
+        child = parent.with_rows(random_row(n) for _ in range(rng.randint(1, 3)))
+        children = [child, child.with_equality(*random_row(n))]
+        normal = children[-1].matrix[rng.randrange(children[-1].m)]
+        children.append(apply_cg(children[-1], normal)[0])
+        for system in children:
+            outcome = lp_optimize(system, c)
+            assert same_outcome(outcome, lp_optimize(cold_twin(system), c))
+            if isinstance(outcome, Infeasible):
+                assert outcome.certificate.verify(system)
+            compared += 1
+    assert compared == 900
+    assert len(warm) > 400
+
+
+def test_warm_start_after_rank_deficient_parent(monkeypatch):
+    # x2 appears in no row: phase 1 drops its equality, so no tableau is kept
+    parent = InequalitySystem([[1, 0], [-1, 0]], [1, 0])
+    c = Vector([1, 0])
+    assert lp_optimize(parent, c).value == 1
+    child = parent.with_rows([(Vector([1, 1]), Fraction(1, 2)), (Vector([0, -1]), 0)])
+    outcome = lp_optimize(child, c)
+    assert outcome.value == lp_optimize(cold_twin(child), c).value == Fraction(1, 2)
+    # the child spans both coordinates, so its own tableau warm-starts a grandchild
+    warm = count_warm_starts(monkeypatch)
+    grandchild = child.with_rows([(Vector([2, 1]), Fraction(1, 3))])
+    outcome = lp_optimize(grandchild, c)
+    assert len(warm) == 1
+    assert outcome.value == lp_optimize(cold_twin(grandchild), c).value == Fraction(1, 6)
+
+
+def test_warm_start_into_empty_child_gives_farkas_certificate(monkeypatch):
+    warm = count_warm_starts(monkeypatch)
+    parent = InequalitySystem.box(2, 0, 1)
+    c = Vector([1, -1])
+    assert lp_optimize(parent, c).value == 1
+    child = parent.with_rows([(Vector([1, 1]), Fraction(-1, 2))])
+    outcome = lp_optimize(child, c)
+    assert len(warm) == 1
+    assert isinstance(outcome, Infeasible)
+    assert outcome.certificate.verify(child)
+    assert isinstance(lp_optimize(cold_twin(child), c), Infeasible)
+
+
+def test_fresh_import_frees_the_old_modules():
+    """A freshly imported package leaves nothing holding the previous one."""
+    import gc
+    import importlib
+    import sys
+    import weakref
+
+    def ours():
+        return [name for name in sys.modules if name.split(".")[0] == "branchproofs"]
+
+    saved = {name: sys.modules[name] for name in ours()}
+    try:
+        for name in ours():
+            del sys.modules[name]
+        # a class: its methods hold the module's globals, not the module
+        ref = weakref.ref(importlib.import_module("branchproofs.simplex").Optimal)
+        for name in ours():
+            del sys.modules[name]
+        gc.collect()
+        assert ref() is None
+    finally:
+        sys.modules.update(saved)
