@@ -14,12 +14,13 @@ Two tree shapes are modeled:
   with no children claims the bounds contain no integer (``floor(hi) < lo``);
   an unlabeled ``empty`` leaf claims its relaxation is empty.
 
-Verification runs one exact LP per claim.  Leaf checks are independent of
-each other; reports list failures in depth-first (path-sorted) order, so the
-result is deterministic regardless of evaluation order.  Every pass over a
-tree runs on an explicit stack -- :func:`walk` for verifying, certifying,
-counting and writing, the parsers' own for reading -- so a proof may nest
-deeper than Python's recursion limit.
+Verification runs one exact LP per node: a child's relaxation is its
+parent's plus the edge's rows (:func:`_relaxations`), so each solve
+warm-starts from the parent's optimal tableau.  Reports list failures in
+depth-first (path-sorted) order, so the result is deterministic.  Every pass
+over a tree runs on an explicit stack -- :func:`walk` for verifying,
+certifying, counting and writing, the parsers' own for reading -- so a proof
+may nest deeper than Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -65,6 +66,9 @@ class _TreeNode:
         fields = ", ".join(f"{name}={value!r}" for name, value in self._fields())
         return f"{type(self).__name__}({fields}, children={len(self.edges())})"
 
+    def node_count(self) -> int:
+        return sum(1 for _, _, leaving in walk(self) if not leaving)
+
 
 @dataclass(frozen=True, eq=False, repr=False)
 class BranchNode(_TreeNode):
@@ -81,8 +85,8 @@ class BranchNode(_TreeNode):
             if self.left is not None or self.right is not None or self.b is not None:
                 raise ValueError("leaves carry no disjunction and no children")
         else:
-            if not self.a.is_integral():
-                raise ValueError("disjunction normals must be integral")
+            if not self.a.is_integral() or self.a.is_zero():
+                raise ValueError("disjunction normals must be nonzero integral")
             if not isinstance(self.b, int):
                 raise ValueError("disjunction right-hand sides must be integers")
             if self.left is None or self.right is None:
@@ -100,18 +104,15 @@ class BranchNode(_TreeNode):
             return ()
         return ((True, self.left), (False, self.right))
 
-    def edge_row(self, went_left: bool) -> tuple[Vector, Fraction]:
-        """The inequality asserted by the left (``a x <= b``) or the right
+    def edge_rows(self, went_left: bool) -> tuple[tuple[Vector, Fraction]]:
+        """The one inequality asserted by the left (``a x <= b``) or the right
         (``-a x <= -b - 1``) edge below this node."""
         if went_left:
-            return self.a, Fraction(self.b)
-        return -self.a, Fraction(-self.b - 1)
+            return ((self.a, Fraction(self.b)),)
+        return ((-self.a, Fraction(-self.b - 1)),)
 
     def _fields(self) -> tuple:
         return (("a", self.a), ("b", self.b), ("cert", self.cert))
-
-    def node_count(self) -> int:
-        return sum(1 for _, _, leaving in walk(self) if not leaving)
 
     def leaf_count(self) -> int:
         return sum(1 for node, _, _ in walk(self) if node.is_leaf)
@@ -163,13 +164,15 @@ class EnumNode(_TreeNode):
         """(b, child) pairs by increasing b; empty for a leaf."""
         return self.children
 
+    def edge_rows(self, b: int) -> tuple[tuple[Vector, Fraction], ...]:
+        """The two inequalities of the equality ``a x = b`` asserted by the
+        edge to child b."""
+        return ((self.a, Fraction(b)), (-self.a, Fraction(-b)))
+
     def _fields(self) -> tuple:
         values = tuple(b for b, _ in self.children)
         return (("a", self.a), ("lo", self.lo), ("hi", self.hi),
                 ("values", values), ("leaf_kind", self.leaf_kind))
-
-    def node_count(self) -> int:
-        return sum(1 for _, _, leaving in walk(self) if not leaving)
 
 
 @dataclass(frozen=True)
@@ -231,16 +234,32 @@ def _branch_label(path) -> str:
     return "".join("L" if went_left else "R" for _, went_left in path) or "(root)"
 
 
-def _leaf_system(K: InequalitySystem, path) -> InequalitySystem:
-    """The leaf relaxation K_v: K plus the inequalities along ``path``."""
-    return K.with_rows(node.edge_row(went_left) for node, went_left in path)
+def _relaxations(K: InequalitySystem, proof):
+    """:func:`walk` with each node's relaxation K_v: K plus the inequalities
+    along its path.
+
+    Yields ``(node, path, system, leaving)``.  A child's system is its
+    parent's with the edge's rows appended, so it is built once per node and
+    an LP on it can warm-start from the parent's.
+    """
+    systems = [K]  # systems[d]: the relaxation at depth d of the current path
+    for node, path, leaving in walk(proof):
+        if path and not leaving:
+            parent, edge = path[-1]
+            del systems[len(path):]
+            systems.append(systems[-1].with_rows(parent.edge_rows(edge)))
+        yield node, path, systems[len(path)], leaving
 
 
 def verify_branching_proof(K: InequalitySystem, proof: BranchNode) -> Report:
-    """Valid iff every leaf relaxation is empty (one exact LP per leaf)."""
+    """Valid iff every leaf relaxation is empty.
+
+    One exact LP per node: solving each internal node's relaxation first
+    lets every leaf warm-start from its parent's optimal tableau.
+    """
     failures: list[str] = []
-    for node, path, _ in walk(proof):
-        if node.is_leaf and is_empty(_leaf_system(K, path)) is None:
+    for node, path, system, leaving in _relaxations(K, proof):
+        if not leaving and is_empty(system) is None and node.is_leaf:
             failures.append(f"{_branch_label(path)}: leaf relaxation is nonempty")
     return Report(valid=not failures, failures=tuple(failures))
 
@@ -252,11 +271,11 @@ def verify_certified_proof(K: InequalitySystem, proof: BranchNode) -> bool:
     root-to-leaf order.  Raises if a leaf has no certificate.  Stops at the
     first leaf whose certificate fails.
     """
-    for node, path, _ in walk(proof):
+    for node, _, system, _ in _relaxations(K, proof):
         if node.is_leaf:
             if node.cert is None:
                 raise ValueError("leaf without certificate")
-            if not FarkasCertificate(node.cert).verify(_leaf_system(K, path)):
+            if not FarkasCertificate(node.cert).verify(system):
                 return False
     return True
 
@@ -264,17 +283,18 @@ def verify_certified_proof(K: InequalitySystem, proof: BranchNode) -> bool:
 def certify(K: InequalitySystem, proof: BranchNode) -> BranchNode:
     """Label every leaf with a reduced Farkas certificate (<= n+1 nonzeros).
 
-    Raises ``ValueError`` naming the first nonempty leaf if the proof is
-    invalid.
+    Every node's relaxation is solved, so each leaf warm-starts from its
+    parent's.  Raises ``ValueError`` naming the first nonempty leaf if the
+    proof is invalid.
     """
     built: list[BranchNode] = []  # finished subtrees, left to right
-    for node, path, leaving in walk(proof):
+    for node, path, system, leaving in _relaxations(K, proof):
         if leaving:
             right = built.pop()
             built[-1] = BranchNode(node.a, node.b, built[-1], right)
-        elif node.is_leaf:
-            system = _leaf_system(K, path)
-            cert = is_empty(system)
+            continue
+        cert = is_empty(system)
+        if node.is_leaf:
             if cert is None:
                 raise ValueError(
                     f"cannot certify: leaf {_branch_label(path)} has a nonempty relaxation"
@@ -293,19 +313,13 @@ def verify_enumerative_proof(K: InequalitySystem, proof: EnumNode) -> Report:
     The subtree of a node unbounded in its direction is not checked.
     """
     failures: list[str] = []
-    systems = [K]  # systems[d]: the relaxation at depth d of the current path
     pruned = math.inf  # the walk skips nodes deeper than this
-    for node, path, leaving in walk(proof):
+    for node, path, system, leaving in _relaxations(K, proof):
         if len(path) > pruned:
             continue
         pruned = math.inf
         if leaving:
             continue
-        if path:
-            parent, b = path[-1]
-            del systems[len(path):]
-            systems.append(systems[-1].with_equality(parent.a, b))
-        system = systems[-1]
         where = "/".join(str(b) for _, b in path) or "(root)"
         if node.a is None:
             if node.leaf_kind == "empty":

@@ -344,11 +344,11 @@ def _cut_pairs(
     lam = generalized_certificate(K, P)
     level = [1] * m  # current level per row (1-based)
     eps = [seqs[j].levels[0][2] for j in range(m)]
-    v_eqs: list[tuple[Vector, int]] = []
     pairs: list[tuple[Vector, int]] = []
+    V = InequalitySystem([], [], n=n)  # the affine subspace {a x = b for each pair}
 
     while True:
-        if v_eqs and _affine_empty(v_eqs, n):
+        if pairs and is_empty(V) is not None:
             return pairs
         relaxed = K.with_rows(
             (row, rhs + eps[j]) for j, (row, rhs) in enumerate(P.rows())
@@ -362,15 +362,15 @@ def _cut_pairs(
             raise RuntimeError("certificate disagrees with the emptiness test")
         a_jp, b_jp, _ = seqs[j_star].levels[level[j_star] - 1]
         pairs.append((a_jp, b_jp))
-        v_eqs.append((a_jp, b_jp))
+        V = V.with_equality(a_jp, b_jp)
         for j in range(m):
             while level[j] < seqs[j].k and _affine_implies_equality(
-                v_eqs, *seqs[j].levels[level[j] - 1][:2], n
+                V, *seqs[j].levels[level[j] - 1][:2]
             ):
                 level[j] += 1
             eps[j] = seqs[j].levels[level[j] - 1][2]
         if debug:
-            _check_repair_invariants(K, P, P_prime, pairs, v_eqs, eps)
+            _check_repair_invariants(K, P, P_prime, pairs, eps)
 
 
 def gen_cg_cuts(
@@ -406,22 +406,10 @@ def _plus_minus(pairs):
         yield -a, -b
 
 
-def _affine_system(v_eqs, n: int) -> InequalitySystem:
-    system = InequalitySystem([], [], n=n)
-    for a_i, b_i in v_eqs:
-        system = system.with_equality(a_i, b_i)
-    return system
-
-
-def _affine_empty(v_eqs, n: int) -> bool:
-    return is_empty(_affine_system(v_eqs, n)) is not None
-
-
-def _affine_implies_equality(v_eqs, a: Vector, b: int, n: int) -> bool:
-    """Whether the affine subspace of v_eqs lies inside {a x = b}."""
-    system = _affine_system(v_eqs, n)
+def _affine_implies_equality(V: InequalitySystem, a: Vector, b: int) -> bool:
+    """Whether the affine subspace V lies inside {a x = b}."""
     for objective, bound in ((a, b), (-a, -b)):
-        outcome = lp_optimize(system, objective, sense="max")
+        outcome = lp_optimize(V, objective, sense="max")
         if isinstance(outcome, Unbounded):
             return False
         if isinstance(outcome, Optimal) and outcome.value != bound:
@@ -429,12 +417,12 @@ def _affine_implies_equality(v_eqs, a: Vector, b: int, n: int) -> bool:
     return True  # empty V satisfies everything vacuously
 
 
-def _check_repair_invariants(K, P, P_prime, pairs, v_eqs, eps) -> None:
+def _check_repair_invariants(K, P, P_prime, pairs, eps) -> None:
     cuts = [a for a, _ in _plus_minus(pairs)]
     current = apply_cg_list(K.with_rows(P_prime.rows()), cuts)
     if is_empty(current) is not None:
         return
-    for a_i, b_i in v_eqs:
+    for a_i, b_i in pairs:
         if support_value(current, a_i) > b_i or -support_value(current, -a_i) < b_i:
             raise AssertionError("cut set escaped the learned equalities")
     for j, (row, rhs) in enumerate(P.rows()):
@@ -517,7 +505,7 @@ def recompile(
             seq_pairs.append((seq, flip_sequence(seq)))
         else:
             seqs = [seq_pairs[d][0 if went_left else 1] for d, (_, went_left) in enumerate(path)]
-            orig_rows = [parent.edge_row(went_left) for parent, went_left in path]
+            orig_rows = [row for parent, went_left in path for row in parent.edge_rows(went_left)]
             built.append(_repair_leaf(K, orig_rows, seqs, debug))
     if not radius_proven:
         report = verify_branching_proof(K, built[0])

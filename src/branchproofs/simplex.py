@@ -359,14 +359,6 @@ def _kernel_vector(columns: Sequence[tuple]) -> list[Fraction] | None:
                 rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
         pivot_of_col[col] = rank
         rank += 1
-        if rank == height and width > height:
-            # remaining columns are all free; take the next one
-            col_next = next(c for c in range(width) if c not in pivot_of_col)
-            coeffs = [Fraction(0)] * width
-            coeffs[col_next] = Fraction(-1)
-            for c_prev, r_prev in pivot_of_col.items():
-                coeffs[c_prev] = rows[r_prev][col_next] / rows[r_prev][c_prev]
-            return coeffs
     return None
 
 

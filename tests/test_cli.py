@@ -300,6 +300,9 @@ def contract_cases(depth):
          ["stats", "b.proof"], 0),
         ("deep enum-to-cp", {"k.ineq": POINT, "e.proof": format_enumerative(deep_enum_chain(depth))},
          ["enum-to-cp", "k.ineq", "e.proof", "--out", "e.cuts"], 0),
+        ("zero disjunction normal",
+         {"k.ineq": SEGMENT, "p.proof": "(node (0 0) (node (1 0) (leaf) (leaf)) (leaf))"},
+         ["verify", "branching", "k.ineq", "p.proof"], 2),
         ("list for a number in a node", {"k.ineq": SEGMENT, "p.proof": "(node ((1) 0) (leaf) (leaf))"},
          ["verify", "branching", "k.ineq", "p.proof"], 2),
         ("list for a number in a certificate", {"k.ineq": SEGMENT, "p.proof": "(leaf (cert (1)))"},

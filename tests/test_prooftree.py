@@ -1,13 +1,16 @@
 """Proof objects: verification, certification, stats, serialization."""
 
+import hashlib
 import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
 from branchproofs.families import thin_segment, tseitin_polytope, tseitin_sp_refutation
 from branchproofs.families import TseitinInstance
+from branchproofs import simplex
 from branchproofs.prooftree import (
     BranchNode,
     EnumNode,
@@ -23,10 +26,13 @@ from branchproofs.prooftree import (
     verify_certified_proof,
     verify_enumerative_proof,
 )
+from branchproofs.recompile import recompile
 from branchproofs.simplex import InequalitySystem
 from branchproofs.vectors import Vector
 
 from randgen import random_enumerative_proof, random_integer_free_polytope
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 def leaf():
@@ -44,6 +50,17 @@ def test_verify_names_nonempty_leaf():
     report = verify_branching_proof(K, bad)
     assert not report.valid
     assert report.failing_leaves == ("L",)  # witness x = (0, 1/2)
+
+
+def test_verify_reports_every_nonempty_leaf_in_path_order():
+    K = InequalitySystem([[1], [-1]], [Fraction(3, 4), Fraction(-1, 4)])  # 1/4 <= x <= 3/4
+    # L: x <= 1/2 and RL: x = 3/4 are nonempty, RR: x >= 1 is empty
+    proof = parse_branching("(node (4 2) (leaf) (node (4 3) (leaf) (leaf)))")
+    report = verify_branching_proof(K, proof)
+    assert report.failures == (
+        "L: leaf relaxation is nonempty",
+        "RL: leaf relaxation is nonempty",
+    )
 
 
 def test_verify_is_path_local():
@@ -84,6 +101,57 @@ def test_certified_tampering_detected():
 
     assert verify_certified_proof(K, tamper(certified, "scale"))  # cone is scale-free
     assert not verify_certified_proof(K, tamper(certified, "zero"))
+
+
+# sha256 of format_branching(certify(K, proof)): each bundled graph's Tseitin
+# refutation as a branching proof, and the recompiled thin segment at M
+CERTIFIED_PINS = {
+    "cycle5": "aec74fc2d51ce92fff34c261547c66e242de5b5ef620febb78d3ed2621a2b44e",
+    "grid3x3": "2c0d020c26b3960626ba0e29f7344a86aa541fc7805786822bbc5b8acbb77608",
+    "k4": "3dcca6c580de294cc07cc7891c55da022a49a33e12a4851b7629367d5887a82e",
+    "single_edge": "598581082ae2db1f3377c0b3e453794d5c7b03cc8bad82269ede54b2ffb5f0ff",
+    "triangle": "08d6a586a6a4bda2af7317bfcc24e1590c81baa8ad4151532b7aa478b07fdd2d",
+    10**3: "442018e0f1c9d20ea7ceb61ecafd1b6e65cd73e6ffdbba6f85035a91fb627f69",
+    10**6: "d8171abe82d6959c9fbec966ddf82906903edf5b86053aa09a93125a7c063eb0",
+    10**9: "1fac1bd269e1337ab9582b903f0795b4abbbcdc4c4dd781abf4ebf34f8359c7b",
+}
+
+
+def test_certified_outputs_pinned():
+    digests = {}
+    for graph in sorted(INSTANCES.glob("*.graph")):
+        inst = TseitinInstance.from_text(graph.read_text())
+        proof = enumerative_to_branching(tseitin_sp_refutation(inst))
+        certified = certify(tseitin_polytope(inst), proof)
+        digests[graph.stem] = hashlib.sha256(format_branching(certified).encode()).hexdigest()
+    for M in (10**3, 10**6, 10**9):
+        K, proof = thin_segment(M)
+        certified = certify(K, recompile(K, proof))
+        digests[M] = hashlib.sha256(format_branching(certified).encode()).hexdigest()
+    assert digests == CERTIFIED_PINS
+
+
+def test_leaf_solves_warm_start_from_the_root(monkeypatch):
+    """Each relaxation is its parent's plus one edge, so after the root's
+    cold solve every solve extends an ancestor's tableau."""
+    cold, warm = [], []
+
+    class Counted(simplex._DualTableau):
+        def __init__(self, *args):
+            cold.append(self)
+            super().__init__(*args)
+
+        def extended(self, *args):
+            warm.append(self)
+            return super().extended(*args)
+
+    monkeypatch.setattr(simplex, "_DualTableau", Counted)
+    inst = TseitinInstance.from_text((INSTANCES / "k4.graph").read_text())
+    proof = enumerative_to_branching(tseitin_sp_refutation(inst))
+    for check in (certify, verify_branching_proof):
+        del cold[:], warm[:]
+        check(tseitin_polytope(inst), proof)
+        assert len(cold) == 1 and len(warm) >= proof.leaf_count()
 
 
 def test_certify_rejects_invalid_proof():
@@ -268,6 +336,8 @@ def test_parse_rejects_malformed():
         parse_enumerative("(enode (1))")
     with pytest.raises(ValueError):
         parse_branching("(leaf) extra")
+    with pytest.raises(ValueError, match="nonzero"):
+        parse_branching("(node (0 0) (leaf) (leaf))")  # zero normal
 
 
 def test_detect_proof_kind():

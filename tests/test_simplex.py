@@ -131,6 +131,15 @@ def test_reduce_certificate_rejects_invalid():
         reduce_certificate(S, FarkasCertificate(Vector([1, 0])))
 
 
+def test_kernel_vector_with_more_columns_than_rows():
+    # full rank is reached before the last column, which is then free
+    assert simplex._kernel_vector([(1, 0), (0, 1), (1, 1)]) == [1, 1, -1]
+    assert simplex._kernel_vector([(2, 0), (0, 3), (5, 7), (1, 1)]) == [
+        Fraction(5, 2), Fraction(7, 3), -1, 0
+    ]
+    assert simplex._kernel_vector([(1, 2), (3, 4)]) is None
+
+
 def test_reduce_certificate_random_sparsity():
     rng = Random(5)
     found = 0
