@@ -114,6 +114,15 @@ class BranchNode(_TreeNode):
     def _fields(self) -> tuple:
         return (("a", self.a), ("b", self.b), ("cert", self.cert))
 
+    def _label_size(self) -> tuple[int, int]:
+        """The bits of the disjunction or certificate, and the largest
+        coefficient of the two edge rows."""
+        if self.a is None:
+            return (0 if self.cert is None else bit_size(self.cert)), 0
+        b = self.b
+        coeff = max(int(self.a.norm_linf()), abs(b), abs(b + 1))
+        return bit_size(self.a) + bit_size(b), coeff
+
     def leaf_count(self) -> int:
         return sum(1 for node, _, _ in walk(self) if node.is_leaf)
 
@@ -173,6 +182,16 @@ class EnumNode(_TreeNode):
         values = tuple(b for b, _ in self.children)
         return (("a", self.a), ("lo", self.lo), ("hi", self.hi),
                 ("values", values), ("leaf_kind", self.leaf_kind))
+
+    def _label_size(self) -> tuple[int, int]:
+        """The bits of ``(a, lo, hi)`` and of the edge integers, and the
+        largest of their coefficients."""
+        if self.a is None:
+            return 0, 0
+        values = [b for b, _ in self.children]
+        bits = bit_size(self.a) + bit_size(self.lo) + bit_size(self.hi)
+        bits += sum(map(bit_size, values))
+        return bits, max([int(self.a.norm_linf()), *map(abs, values)])
 
 
 @dataclass(frozen=True)
@@ -397,42 +416,15 @@ def proof_stats(proof) -> ProofStats:
     certificates; for enumerative nodes ``(a, lo, hi)`` plus the integer on
     each edge.  Absent labels cost 0 bits.
     """
-    if isinstance(proof, BranchNode):
-        return _branching_stats(proof)
-    if isinstance(proof, EnumNode):
-        return _enumerative_stats(proof)
-    raise TypeError(f"not a proof object: {type(proof).__name__}")
-
-
-def _branching_stats(proof: BranchNode) -> ProofStats:
+    if not isinstance(proof, (BranchNode, EnumNode)):
+        raise TypeError(f"not a proof object: {type(proof).__name__}")
     nodes = bits = coeff = 0
     for node, _, leaving in walk(proof):
-        if leaving:
-            continue
-        nodes += 1
-        if node.is_leaf:
-            if node.cert is not None:
-                bits += bit_size(node.cert)
-            continue
-        bits += bit_size(node.a) + bit_size(node.b)
-        coeff = max(coeff, int(node.a.norm_linf()), abs(node.b), abs(node.b + 1))
-    bits += 2 * nodes - 1  # one bit per node and per edge
-    return ProofStats(length=nodes, bit_size=bits, max_coeff=coeff)
-
-
-def _enumerative_stats(proof: EnumNode) -> ProofStats:
-    nodes = bits = coeff = 0
-    for node, _, leaving in walk(proof):
-        if leaving:
-            continue
-        nodes += 1
-        if node.a is None:
-            continue
-        bits += bit_size(node.a) + bit_size(node.lo) + bit_size(node.hi)
-        coeff = max(coeff, int(node.a.norm_linf()))
-        for b, _ in node.children:
-            bits += bit_size(b)
-            coeff = max(coeff, abs(b))
+        if not leaving:
+            nodes += 1
+            label_bits, label_coeff = node._label_size()
+            bits += label_bits
+            coeff = max(coeff, label_coeff)
     bits += 2 * nodes - 1  # one bit per node and per edge
     return ProofStats(length=nodes, bit_size=bits, max_coeff=coeff)
 

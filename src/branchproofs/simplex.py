@@ -10,17 +10,19 @@ arithmetic and returns one of three fully certified outcomes:
 * ``Unbounded``  -- a ray ``r`` with ``A r <= 0`` and ``c r > 0``.
 
 Internally the solver runs Bland-rule primal simplex on the LP dual
-``min y b  s.t.  y A = c, y >= 0`` whose tableau has only n rows (n = number
+``min y b  s.t.  y A = c, y >= 0``, whose bases have only n rows (n = number
 of variables), which keeps pivots cheap for the many-row systems produced by
-branching paths and accumulated cutting planes.  The tableau is kept integral
-("integer pivoting": every entry equals the current basis determinant times
-the rational tableau entry), so the inner loop is bignum-integer arithmetic
-with no gcd normalization.  Every extracted outcome is re-verified against
-the original data by exact arithmetic before it is returned; a failure raises
-``SolverError`` instead of returning silently wrong answers.  Optima and rays
-are re-verified in integers: each row is scaled to integers once per system
-(a system made by ``with_rows`` extends its parent's scaled rows), and the
-point, ray and duals are put over a common denominator.
+branching paths and accumulated cutting planes.  The simplex is revised and
+integral ("integer pivoting"): it stores only ``d`` times the basis inverse
+and ``d`` times the basic values, for the basis scale ``d``, and computes a
+column or a reduced cost from them when Bland's rule asks for one, so the
+inner loop is bignum-integer arithmetic with no gcd normalization.  Every
+extracted outcome is re-verified against the original data by exact
+arithmetic before it is returned; a failure raises ``SolverError`` instead of
+returning silently wrong answers.  Optima and rays are re-verified in
+integers: each row is scaled to integers once per system (a system made by
+``with_rows`` extends its parent's scaled rows), and the point, ray and duals
+are put over a common denominator.
 
 Outcomes are memoized per system: each ``InequalitySystem`` keeps the
 verified outcome of every objective solved on it, so asking the same system
@@ -28,22 +30,25 @@ the same question again costs a dictionary lookup.  The memo belongs to the
 instance alone; a derived system starts with an empty one.
 
 Solves warm-start along derivations.  A solve that ends at an optimum keeps
-its final tableau on its system, keyed by the objective.  A system made by
+its final basis on its system, keyed by the objective.  A system made by
 ``with_rows`` / ``with_equality`` (rows appended) or ``with_rhs`` (one
 right-hand side changed, as a tightening CG cut does) solves an objective by
-extending the nearest ancestor's kept tableau for it, once its scaled rows
-are checked to be a prefix of the system's: adding primal rows only adds
-dual columns and changing b only changes costs, so the old basis stays
-feasible for the dual and phase 1 is skipped.  A tableau whose phase 1
-dropped a redundant equality is never kept, because that equality can stop
-being redundant once rows are added.  Warm-started outcomes go through the
-same exact re-verification as all others.
+copying the nearest ancestor's kept basis for it, once its scaled rows are
+checked to be a prefix of the system's: adding primal rows only adds dual
+columns, which are computed from the basis inverse like any other, and
+changing b only changes costs, so the old basis stays feasible for the dual
+and phase 1 is skipped.  A pivot replaces the inverse's rows and never writes
+into them, so any number of derived systems can start from one kept basis.
+A basis whose phase 1 dropped a redundant equality is never kept, because
+that equality can stop being redundant once rows are added.  Warm-started
+outcomes go through the same exact re-verification as all others.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -72,7 +77,10 @@ class InequalitySystem:
 
     def __init__(self, matrix: Iterable, rhs: Iterable[Scalar], n: int | None = None):
         rows = tuple(a if isinstance(a, Vector) else Vector(a) for a in matrix)
-        self.rhs: tuple[Fraction, ...] = tuple(Fraction(b) for b in rhs)
+        # an entry that is already a Fraction is kept, as in Vector
+        self.rhs: tuple[Fraction, ...] = tuple(
+            b if type(b) is Fraction else Fraction(b) for b in rhs
+        )
         if len(rows) != len(self.rhs):
             raise DimensionMismatch("matrix and rhs row counts differ")
         if rows:
@@ -363,34 +371,29 @@ def _kernel_vector(columns: Sequence[tuple]) -> list[Fraction] | None:
 
 
 # ---------------------------------------------------------------------------
-# core solver: integer-pivot primal simplex on the dual tableau
+# core solver: revised integer-pivot primal simplex on the LP dual
 # ---------------------------------------------------------------------------
 
 
 class _DualTableau:
-    """Integer simplex tableau for  max (-b) y  s.t.  A^T y = c, y >= 0.
+    """Revised integer simplex for  max (-b) y  s.t.  A^T y = c, y >= 0.
 
-    Column layout: the m original y columns, then one artificial column per
-    equality row, then the right-hand side.  Entries equal ``d`` times the
-    rational tableau entry for the (signed) scale factor ``d``; ``d`` starts
-    at 1 and becomes the pivot element after each pivot, so every division in
-    the update rule is exact.
+    Columns are the m y variables, then one artificial per equality row.
+    Only ``inv`` (``d`` times the basis inverse, one list per basis position)
+    and ``beta`` (``d`` times the basic values) are stored; a column, or the
+    reduced cost Bland's rule asks for, is computed from them when needed.
+    ``d`` starts at 1 and becomes the pivot element after each pivot, so every
+    division in the update rule is exact, and every integer equals the one a
+    dense tableau ``d B^-1 [tau A^T | I | tau c]`` would hold.
     """
 
     def __init__(self, mat: list[list[int]], rhs_c: list[int]):
-        self.mat = mat  # the scaled rows the y columns were priced from
+        self.mat = mat  # the scaled rows, one per y column
         self.m = len(mat)  # number of y variables
         n = len(rhs_c)
-        self.ncols = self.m + n + 1
-        self.rhs_col = self.ncols - 1
         self.tau = [1 if cj >= 0 else -1 for cj in rhs_c]
-        self.rows: list[list[int]] = []
-        for j in range(n):
-            row = [self.tau[j] * mat[i][j] for i in range(self.m)]
-            row.extend(1 if k == j else 0 for k in range(n))
-            row.append(self.tau[j] * rhs_c[j])
-            self.rows.append(row)
-        self.obj = [0] * self.ncols
+        self.inv = [[1 if k == j else 0 for k in range(n)] for j in range(n)]
+        self.beta = [abs(cj) for cj in rhs_c]
         self.basis = [self.m + j for j in range(n)]
         self.dropped: list[int] = []  # equality rows removed as redundant
         self.d = 1
@@ -398,87 +401,67 @@ class _DualTableau:
     def extended(self, mat: list[list[int]]) -> "_DualTableau":
         """A copy with one y column per row of ``mat`` beyond ``self.mat``.
 
-        Needs ``self.mat`` to be a prefix of ``mat`` and no dropped rows: the
-        artificial block then holds ``d`` times the basis inverse, so the
-        column of a new row ``a`` is that block times ``tau * a``, exactly.
-        The basis stays feasible (the right-hand side c is unchanged); the
-        caller installs the costs.
+        Needs ``self.mat`` to be a prefix of ``mat`` and no dropped rows.
+        Columns are computed from the rows, so nothing is priced here, and
+        the basis stays feasible (the right-hand side c is unchanged).
         """
-        m, n = self.m, len(self.tau)
-        priced = [[t * e for t, e in zip(self.tau, a)] for a in mat[m:]]
         twin = object.__new__(type(self))
         twin.mat = mat
         twin.m = len(mat)
-        twin.ncols = twin.m + n + 1
-        twin.rhs_col = twin.ncols - 1
         twin.tau = self.tau
-        twin.rows = []
-        for row in self.rows:
-            block = row[m:m + n]
-            columns = [sum(map(mul, block, col)) for col in priced]
-            twin.rows.append(row[:m] + columns + row[m:])
-        twin.obj = None
+        twin.inv = list(self.inv)
+        twin.beta = list(self.beta)
         twin.basis = list(self.basis)
         twin.dropped = []
         twin.d = self.d
         return twin
 
-    def set_objective(self, raw: list[int]) -> None:
-        """Install the reduced-cost row for a raw per-column objective."""
-        obj = [self.d * raw[col] for col in range(self.ncols - 1)] + [0]
-        for row, var in zip(self.rows, self.basis):
+    def column(self, col: int) -> list[int]:
+        """``d B^-1`` times column ``col`` of ``[tau A^T | I]``."""
+        if col < self.m:
+            a = [t * e for t, e in zip(self.tau, self.mat[col])]
+            return [sum(map(mul, row, a)) for row in self.inv]
+        return [row[col - self.m] for row in self.inv]
+
+    def prices(self, raw: list[int]) -> list[int]:
+        """``d`` times the simplex multipliers of the per-column costs ``raw``."""
+        out = [0] * len(self.tau)
+        for row, var in zip(self.inv, self.basis):
             coeff = raw[var]
             if coeff:
-                for col in range(self.ncols):
-                    obj[col] -= coeff * row[col]
-        self.obj = obj
+                out = [o + coeff * v for o, v in zip(out, row)]
+        return out
 
-    def objective_value(self) -> Fraction:
-        return Fraction(-self.obj[self.rhs_col], self.d)
+    def objective_value(self, raw: list[int]) -> Fraction:
+        total = sum(raw[var] * v for var, v in zip(self.basis, self.beta))
+        return Fraction(total, self.d)
 
-    def reduced_cost(self, col: int) -> Fraction:
-        return Fraction(self.obj[col], self.d)
-
-    def pivot(self, pos: int, col: int) -> None:
-        row_r = self.rows[pos]
-        p = row_r[col]
-        d = self.d
-        for idx in range(len(self.rows)):
-            if idx == pos:
-                continue
-            self.rows[idx] = self._update(self.rows[idx], row_r, col, p, d)
-        self.obj = self._update(self.obj, row_r, col, p, d)
+    def pivot(self, pos: int, col: int, column: list[int]) -> None:
+        p, d = column[pos], self.d
+        row_r, beta_r = self.inv[pos], self.beta[pos]
+        inv, beta = [], []
+        for idx, (row, v, f) in enumerate(zip(self.inv, self.beta, column)):
+            if idx != pos:
+                if f:
+                    row = [(p * x - f * w) // d for x, w in zip(row, row_r)]
+                    v = (p * v - f * beta_r) // d
+                elif p != d:
+                    row = [(p * x) // d for x in row]
+                    v = (p * v) // d
+            inv.append(row)
+            beta.append(v)
+        self.inv, self.beta = inv, beta
         self.d = p
         self.basis[pos] = col
 
-    @staticmethod
-    def _update(row, row_r, col, p, d):
-        factor = row[col]
-        if factor:
-            return [(p * v - factor * w) // d for v, w in zip(row, row_r)]
-        if p != d:
-            return [(p * v) // d for v in row]
-        return row
-
-    def _entering(self, banned: frozenset[int]) -> int | None:
-        sd = 1 if self.d > 0 else -1
-        obj = self.obj
-        for col in range(self.ncols - 1):
-            if obj[col] * sd > 0 and col not in banned:
-                return col
-        return None
-
-    def _leaving(self, col: int) -> int | None:
+    def _leaving(self, column: list[int]) -> int | None:
         """Bland ratio test; returns a basis position or None (unbounded)."""
         sd = 1 if self.d > 0 else -1
-        rhs_col = self.rhs_col
         best_pos = None
         best_num = best_coeff = 0
-        for pos, row in enumerate(self.rows):
-            coeff = row[col]
+        for pos, (coeff, num) in enumerate(zip(column, self.beta)):
             if coeff * sd <= 0:
                 continue
-            num = row[rhs_col]
             if best_pos is not None:
                 # num / coeff against best_num / best_coeff, cross-multiplied:
                 # both coefficients have the sign of sd, so their product is > 0
@@ -490,16 +473,27 @@ class _DualTableau:
             best_pos, best_num, best_coeff = pos, num, coeff
         return best_pos
 
-    def run(self, banned: frozenset[int]) -> int | None:
-        """Bland-rule simplex; None at optimum, else the unbounded column."""
+    def run(self, raw: list[int], artificials: bool) -> int | None:
+        """Bland-rule simplex for the per-column costs ``raw``, entering
+        artificial columns only if asked; None at optimum, else the unbounded
+        column."""
         while True:
-            col = self._entering(banned)
+            d, prices = self.d, self.prices(raw)
+            sd = 1 if d > 0 else -1
+            scaled = [t * v for t, v in zip(self.tau, prices)]
+            # d times the reduced costs, column by column, as Bland's rule
+            # asks for them: it enters the first whose sign is d's
+            costs = (d * r - sum(map(mul, scaled, a)) for r, a in zip(raw, self.mat))
+            if artificials:
+                costs = chain(costs, (d * r - v for r, v in zip(raw[self.m:], prices)))
+            col = next((k for k, cost in enumerate(costs) if cost * sd > 0), None)
             if col is None:
                 return None
-            pos = self._leaving(col)
+            column = self.column(col)
+            pos = self._leaving(column)
             if pos is None:
                 return col
-            self.pivot(pos, col)
+            self.pivot(pos, col, column)
 
     def drive_out_artificials(self) -> None:
         """Pivot every basic artificial out; drop rows of redundant equalities.
@@ -508,26 +502,20 @@ class _DualTableau:
         sits at value 0 and these pivots are degenerate (feasibility kept).
         """
         pos = 0
-        while pos < len(self.rows):
+        while pos < len(self.basis):
             if self.basis[pos] < self.m:
                 pos += 1
                 continue
-            row = self.rows[pos]
-            col = next((c for c in range(self.m) if row[c] != 0), None)
+            scaled = [t * v for t, v in zip(self.tau, self.inv[pos])]
+            col = next(
+                (c for c, a in enumerate(self.mat) if sum(map(mul, scaled, a))), None
+            )
             if col is None:
                 self.dropped.append(self.basis[pos] - self.m)
-                del self.rows[pos]
-                del self.basis[pos]
+                del self.inv[pos], self.beta[pos], self.basis[pos]
                 continue
-            self.pivot(pos, col)
+            self.pivot(pos, col, self.column(col))
             pos += 1
-
-    def basic_values(self) -> dict[int, Fraction]:
-        rhs_col = self.rhs_col
-        return {
-            var: Fraction(row[rhs_col], self.d)
-            for row, var in zip(self.rows, self.basis)
-        }
 
 
 def _solve_max(system: InequalitySystem, c: Vector) -> LpOutcome:
@@ -564,14 +552,12 @@ def _solve_verified(system: InequalitySystem, c: Vector) -> LpOutcome:
     if tab is None:
         tab = _DualTableau(mat, c_int)
         # phase 1: maximize minus the sum of artificials
-        tab.set_objective([0] * m + [-1] * n)
-        if tab.run(banned=frozenset()) is not None:
+        raw = [0] * m + [-1] * n
+        if tab.run(raw, artificials=True) is not None:
             raise SolverError("phase 1 objective cannot be unbounded")
-        if tab.objective_value() != 0:
+        if tab.objective_value(raw) != 0:
             # dual infeasible: the primal is unbounded or empty
-            ray = Vector(
-                tab.tau[j] * (1 + tab.reduced_cost(m + j)) for j in range(n)
-            )
+            ray = _primal_vector(tab, raw)
             _check_ray(system, c, ray)
             witness = is_empty(system)  # c = 0 never reaches this branch
             if witness is not None:
@@ -580,8 +566,8 @@ def _solve_verified(system: InequalitySystem, c: Vector) -> LpOutcome:
         tab.drive_out_artificials()
 
     # phase 2: maximize -(scaled b) y over the feasible dual basis
-    tab.set_objective([-v for v in rhs_b] + [0] * n)
-    unb_col = tab.run(banned=frozenset(range(m, m + n)))
+    raw = [-v for v in rhs_b] + [0] * n
+    unb_col = tab.run(raw, artificials=False)
 
     if unb_col is not None:
         # unbounded dual ray == Farkas certificate of primal emptiness
@@ -594,17 +580,13 @@ def _solve_verified(system: InequalitySystem, c: Vector) -> LpOutcome:
         system._empty = True
         return Infeasible(cert)
 
-    dropped = set(tab.dropped)
-    point = Vector(
-        zero if j in dropped else tab.tau[j] * tab.reduced_cost(m + j)
-        for j in range(n)
-    )
+    point = _primal_vector(tab, raw)
     dual = [zero] * m
-    for i, v in tab.basic_values().items():
+    for var, v in zip(tab.basis, tab.beta):
         if v:
-            dual[i] = Fraction(sigmas[i], mu) * v
+            dual[var] = Fraction(sigmas[var], mu) * Fraction(v, tab.d)
     dual = Vector(dual)
-    value = -tab.objective_value() / mu
+    value = -tab.objective_value(raw) / mu
     _check_optimal(system, c, value, point, dual)
     system._empty = False
     if not tab.dropped:
@@ -613,11 +595,21 @@ def _solve_verified(system: InequalitySystem, c: Vector) -> LpOutcome:
     return Optimal(value, point, dual)
 
 
+def _primal_vector(tab: _DualTableau, raw: list[int]) -> Vector:
+    """``-tau_j prices_j / d`` per coordinate, 0 for a dropped equality: the
+    phase-1 ray, or the phase-2 optimal point."""
+    dropped = set(tab.dropped)
+    return Vector(
+        0 if j in dropped else Fraction(-t * v, tab.d)
+        for j, (t, v) in enumerate(zip(tab.tau, tab.prices(raw)))
+    )
+
+
 def _ray_direction(tab: _DualTableau, col: int) -> dict[int, Fraction]:
     direction = {col: Fraction(1)}
-    for row, var in zip(tab.rows, tab.basis):
-        if row[col]:
-            direction[var] = Fraction(-row[col], tab.d)
+    for coeff, var in zip(tab.column(col), tab.basis):
+        if coeff:
+            direction[var] = Fraction(-coeff, tab.d)
     return direction
 
 

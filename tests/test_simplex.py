@@ -1,5 +1,6 @@
 """Exact LP: outcomes, certificates, reduction, oracle agreement."""
 
+import hashlib
 from fractions import Fraction
 from random import Random
 
@@ -244,6 +245,18 @@ def test_outcomes_memoized_per_system(monkeypatch):
     assert len(built) == 5
 
 
+def test_derived_systems_share_parent_rhs_entries():
+    parent = InequalitySystem.box(2, Fraction(-1, 3), Fraction(5, 2))
+    for child in (
+        parent.with_rows([(Vector([1, 1]), 1)]),
+        parent.with_equality(Vector([1, -1]), Fraction(1, 2)),
+    ):
+        assert all(child.rhs[i] is parent.rhs[i] for i in range(parent.m))
+    child = parent.with_rhs(1, 7)
+    assert child.rhs[1] == 7
+    assert all(child.rhs[i] is parent.rhs[i] for i in range(parent.m) if i != 1)
+
+
 def test_derived_systems_inherit_row_scaling():
     K = InequalitySystem([[Fraction(1, 2), Fraction(1, 3)], [-1, 0]], [Fraction(5, 6), 0])
     K._scaled_rows()
@@ -453,3 +466,64 @@ def test_fresh_import_frees_the_old_modules():
         assert ref() is None
     finally:
         sys.modules.update(saved)
+
+
+def test_sibling_children_warm_start_from_one_kept_tableau(monkeypatch):
+    """Both children of a solved parent, one per edge row, extend the
+    parent's kept tableau; solving one leaves that tableau, and so the
+    other's outcome, unchanged."""
+    warm = count_warm_starts(monkeypatch)
+    parent = InequalitySystem.box(2, 0, 3).with_rows([(Vector([1, 1]), 4)])
+    c = Vector([2, 1])
+    assert lp_optimize(parent, c).value == 7
+    left = parent.with_rows([(Vector([3, 1]), 7)])  # 3 x1 + x2 <= 7
+    right = parent.with_rows([(Vector([-3, -1]), -8)])  # 3 x1 + x2 >= 8
+    kept = parent._tableaux[c.entries]
+    before = (list(kept.inv), list(kept.beta), list(kept.basis), kept.d)
+    first = lp_optimize(left, c)
+    assert left._tableaux[c.entries].inv != before[0]  # the solve pivoted
+    assert (list(kept.inv), list(kept.beta), list(kept.basis), kept.d) == before
+    second = lp_optimize(right, c)
+    assert len(warm) == 2
+    assert (first.value, second.value) == (Fraction(11, 2), 7)
+    assert first == lp_optimize(cold_twin(left), c)
+    assert second == lp_optimize(cold_twin(right), c)
+
+
+# sha256 of the (pos, col, d) of every pivot made by the pipelines below; the
+# entering and leaving rules and the exact pivot arithmetic are pinned by it
+PIVOT_TRACE_PIN = "d71ae30876fbbabc64c1c4c49cba64b7ae641777acdc67816aebdee0d93f50c2"
+
+
+def test_pivot_trace_pinned(monkeypatch):
+    from pathlib import Path
+
+    from branchproofs.enumcp import enum_to_cp
+    from branchproofs.families import (
+        TseitinInstance, thin_segment, tseitin_polytope, tseitin_sp_refutation,
+    )
+    from branchproofs.prooftree import (
+        certify, enumerative_to_branching, verify_enumerative_proof,
+    )
+    from branchproofs.recompile import recompile
+
+    trace = []
+    pivot = simplex._DualTableau.pivot
+
+    def traced(self, pos, col, *rest):
+        pivot(self, pos, col, *rest)
+        trace.append((pos, col, self.d))
+
+    monkeypatch.setattr(simplex._DualTableau, "pivot", traced)
+    instances = Path(__file__).resolve().parent.parent / "instances"
+    for name in ("k4", "cycle5"):
+        inst = TseitinInstance.from_text((instances / f"{name}.graph").read_text())
+        proof = tseitin_sp_refutation(inst)
+        assert verify_enumerative_proof(tseitin_polytope(inst), proof).valid
+        enum_to_cp(tseitin_polytope(inst), proof)
+        certify(tseitin_polytope(inst), enumerative_to_branching(proof))
+    for M in (10**3, 10**6, 10**9):
+        K, proof = thin_segment(M)
+        certify(K, recompile(K, proof))
+    assert len(trace) > 1000
+    assert hashlib.sha256(repr(trace).encode()).hexdigest() == PIVOT_TRACE_PIN
