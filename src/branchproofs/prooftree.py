@@ -34,6 +34,7 @@ from .simplex import (
     FarkasCertificate,
     InequalitySystem,
     is_empty,
+    lp_optimize,
     reduce_certificate,
 )
 from .geometry import UNBOUNDED, support_value
@@ -253,6 +254,13 @@ def _branch_label(path) -> str:
     return "".join("L" if went_left else "R" for _, went_left in path) or "(root)"
 
 
+def _witness(system: InequalitySystem) -> str:
+    """"; witness x = (...)": x = 0 or the memoized point of ``is_empty``'s c = 0 solve."""
+    zero = Vector.zero(system.n)
+    point = lp_optimize(system, zero).point if any(b < 0 for b in system.rhs) else zero
+    return f"; witness x = ({', '.join(map(format_rational, point))})"
+
+
 def _relaxations(K: InequalitySystem, proof):
     """:func:`walk` with each node's relaxation K_v: K plus the inequalities
     along its path.
@@ -279,7 +287,8 @@ def verify_branching_proof(K: InequalitySystem, proof: BranchNode) -> Report:
     failures: list[str] = []
     for node, path, system, leaving in _relaxations(K, proof):
         if not leaving and is_empty(system) is None and node.is_leaf:
-            failures.append(f"{_branch_label(path)}: leaf relaxation is nonempty")
+            label = _branch_label(path)
+            failures.append(f"{label}: leaf relaxation is nonempty{_witness(system)}")
     return Report(valid=not failures, failures=tuple(failures))
 
 
@@ -343,7 +352,8 @@ def verify_enumerative_proof(K: InequalitySystem, proof: EnumNode) -> Report:
         if node.a is None:
             if node.leaf_kind == "empty":
                 if is_empty(system) is None:
-                    failures.append(f"{where}: leaf relaxation is nonempty")
+                    witness = _witness(system)
+                    failures.append(f"{where}: leaf relaxation is nonempty{witness}")
             else:
                 failures.append(
                     f"{where}: gap leaf carries no direction/bounds"
@@ -367,6 +377,7 @@ def verify_enumerative_proof(K: InequalitySystem, proof: EnumNode) -> Report:
             if not node.children and math.floor(node.hi) >= node.lo:
                 failures.append(
                     f"{where}: nonempty leaf whose bounds contain an integer"
+                    + _witness(system)
                 )
             if node.children:
                 b, top = math.ceil(node.lo), math.floor(node.hi)

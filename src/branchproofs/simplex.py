@@ -14,41 +14,33 @@ Internally the solver runs Bland-rule primal simplex on the LP dual
 of variables), which keeps pivots cheap for the many-row systems produced by
 branching paths and accumulated cutting planes.  The simplex is revised and
 integral ("integer pivoting"): it stores only ``d`` times the basis inverse
-and ``d`` times the basic values, for the basis scale ``d``, and computes a
-column or a reduced cost from them when Bland's rule asks for one, so the
-inner loop is bignum-integer arithmetic with no gcd normalization.  Every
-extracted outcome is re-verified against the original data by exact
-arithmetic before it is returned; a failure raises ``SolverError`` instead of
-returning silently wrong answers.  Optima and rays are re-verified in
-integers: each row is scaled to integers once per system (a system made by
-``with_rows`` extends its parent's scaled rows), and the point, ray and duals
-are put over a common denominator.
+and the basic values, for the basis scale ``d``.  Each system scales its rows
+to integers once and keeps their nonzeros (a derived system extends its
+parent's), so a column or a reduced cost costs one product per nonzero; the
+simplex multipliers are updated by rank one per pivot.  Every outcome is
+re-verified in integers on the scaled rows before it is returned, with the
+point, ray, duals or Farkas multipliers over a common denominator, the last
+two read over their nonzeros only; a failure raises ``SolverError``.
 
-Outcomes are memoized per system: each ``InequalitySystem`` keeps the
-verified outcome of every objective solved on it, so asking the same system
-the same question again costs a dictionary lookup.  The memo belongs to the
-instance alone; a derived system starts with an empty one.
-
-Solves warm-start along derivations.  A solve that ends at an optimum keeps
-its final basis on its system, keyed by the objective.  A system made by
-``with_rows`` / ``with_equality`` (rows appended) or ``with_rhs`` (one
-right-hand side changed, as a tightening CG cut does) solves an objective by
-copying the nearest ancestor's kept basis for it, once its scaled rows are
-checked to be a prefix of the system's: adding primal rows only adds dual
-columns, which are computed from the basis inverse like any other, and
-changing b only changes costs, so the old basis stays feasible for the dual
-and phase 1 is skipped.  A pivot replaces the inverse's rows and never writes
-into them, so any number of derived systems can start from one kept basis.
-A basis whose phase 1 dropped a redundant equality is never kept, because
-that equality can stop being redundant once rows are added.  Warm-started
-outcomes go through the same exact re-verification as all others.
+Outcomes are memoized per system, keyed by the objective, whose hash is
+computed once per solve: asking the same system the same question again costs
+a dictionary lookup.  A derived system starts with an empty memo, but a solve
+on it warm-starts: a solve that ends at an optimum keeps its final basis, and
+a system made by ``with_rows`` / ``with_equality`` (rows appended) or
+``with_rhs`` (one right-hand side changed, as a tightening CG cut does)
+copies the nearest ancestor's kept basis for the objective, once that
+ancestor's scaled rows are checked to be a prefix of its own.  Added primal
+rows only add dual columns, and a changed b only changes costs, so the basis
+stays dual feasible and phase 1 is skipped.  A pivot replaces the inverse's
+rows and never writes into them, so any number of derived systems can start
+from one kept basis.  A basis whose phase 1 dropped a redundant equality is
+never kept, because added rows can make that equality matter again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -219,16 +211,29 @@ class InequalitySystem:
         return self._scaled
 
 
-def _scale_rows(rows) -> tuple[list[list[int]], list[int], list[int]]:
+def _scale_rows(rows) -> tuple[list[tuple[tuple[int, int], ...]], list[int], list[int]]:
     """Each row ``a x <= b`` times sigma, the least positive integer making it
-    integral: the scaled rows, the scaled right-hand sides and the sigmas."""
+    integral: the scaled rows as their ``(index, value)`` nonzeros, the scaled
+    right-hand sides and the sigmas."""
     mat, rhs, sigmas = [], [], []
     for a, b in rows:
         scale = lcm(b.denominator, *(e.denominator for e in a))
-        mat.append([e.numerator * (scale // e.denominator) for e in a])
+        mat.append(tuple((j, e.numerator * (scale // e.denominator))
+                         for j, e in enumerate(a) if e.numerator))
         rhs.append(b.numerator * (scale // b.denominator))
         sigmas.append(scale)
     return mat, rhs, sigmas
+
+
+def _combine(system: InequalitySystem, weights) -> tuple[list[int], int]:
+    """``(sum w_i A_i, sum w_i b_i)`` on the scaled rows, for ``(i, w_i)`` pairs."""
+    mat, rhs, _ = system._scaled_rows()
+    combo, total = [0] * system.n, 0
+    for i, w in weights:
+        for j, e in mat[i]:
+            combo[j] += w * e
+        total += w * rhs[i]
+    return combo, total
 
 
 def _over_common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
@@ -380,15 +385,16 @@ class _DualTableau:
 
     Columns are the m y variables, then one artificial per equality row.
     Only ``inv`` (``d`` times the basis inverse, one list per basis position)
-    and ``beta`` (``d`` times the basic values) are stored; a column, or the
-    reduced cost Bland's rule asks for, is computed from them when needed.
-    ``d`` starts at 1 and becomes the pivot element after each pivot, so every
-    division in the update rule is exact, and every integer equals the one a
-    dense tableau ``d B^-1 [tau A^T | I | tau c]`` would hold.
+    and ``beta`` (``d`` times the basic values) are stored; columns and reduced
+    costs come from them and the sparse rows ``mat``, and ``run`` updates the
+    multipliers by rank one per pivot.  ``d`` starts at 1 and becomes the
+    pivot element after each pivot, so every division is exact, and every
+    integer equals the one a dense tableau ``d B^-1 [tau A^T | I | tau c]``
+    would hold.
     """
 
-    def __init__(self, mat: list[list[int]], rhs_c: list[int]):
-        self.mat = mat  # the scaled rows, one per y column
+    def __init__(self, mat: list[tuple[tuple[int, int], ...]], rhs_c: list[int]):
+        self.mat = mat  # the sparse scaled rows, one per y column
         self.m = len(mat)  # number of y variables
         n = len(rhs_c)
         self.tau = [1 if cj >= 0 else -1 for cj in rhs_c]
@@ -398,7 +404,7 @@ class _DualTableau:
         self.dropped: list[int] = []  # equality rows removed as redundant
         self.d = 1
 
-    def extended(self, mat: list[list[int]]) -> "_DualTableau":
+    def extended(self, mat: list[tuple[tuple[int, int], ...]]) -> "_DualTableau":
         """A copy with one y column per row of ``mat`` beyond ``self.mat``.
 
         Needs ``self.mat`` to be a prefix of ``mat`` and no dropped rows.
@@ -406,21 +412,15 @@ class _DualTableau:
         the basis stays feasible (the right-hand side c is unchanged).
         """
         twin = object.__new__(type(self))
-        twin.mat = mat
-        twin.m = len(mat)
-        twin.tau = self.tau
-        twin.inv = list(self.inv)
-        twin.beta = list(self.beta)
-        twin.basis = list(self.basis)
-        twin.dropped = []
-        twin.d = self.d
+        twin.__dict__.update(self.__dict__, mat=mat, m=len(mat), dropped=[])
+        twin.inv, twin.beta, twin.basis = list(self.inv), list(self.beta), list(self.basis)
         return twin
 
     def column(self, col: int) -> list[int]:
         """``d B^-1`` times column ``col`` of ``[tau A^T | I]``."""
         if col < self.m:
-            a = [t * e for t, e in zip(self.tau, self.mat[col])]
-            return [sum(map(mul, row, a)) for row in self.inv]
+            a = [(j, self.tau[j] * v) for j, v in self.mat[col]]
+            return [sum([row[j] * v for j, v in a]) for row in self.inv]
         return [row[col - self.m] for row in self.inv]
 
     def prices(self, raw: list[int]) -> list[int]:
@@ -454,6 +454,21 @@ class _DualTableau:
         self.d = p
         self.basis[pos] = col
 
+    def _entering(self, raw, prices, artificials) -> tuple[int | None, int]:
+        """Bland's rule: the first column, with its cost, whose d-scaled reduced
+        cost ``d raw[k] - (prices o tau) A_k`` (artificial j: ``A_k = tau_j e_j``)
+        has d's sign; ``(None, 0)`` at optimum."""
+        d, sd = self.d, (1 if self.d > 0 else -1)
+        scaled = [t * v for t, v in zip(self.tau, prices)]
+        units = [((j, t),) for j, t in enumerate(self.tau)] if artificials else []
+        for col, (r, a) in enumerate(zip(raw, self.mat + units)):
+            cost = d * r
+            for j, v in a:
+                cost -= scaled[j] * v
+            if cost * sd > 0:
+                return col, cost
+        return None, 0
+
     def _leaving(self, column: list[int]) -> int | None:
         """Bland ratio test; returns a basis position or None (unbounded)."""
         sd = 1 if self.d > 0 else -1
@@ -477,23 +492,19 @@ class _DualTableau:
         """Bland-rule simplex for the per-column costs ``raw``, entering
         artificial columns only if asked; None at optimum, else the unbounded
         column."""
+        prices = self.prices(raw)
         while True:
-            d, prices = self.d, self.prices(raw)
-            sd = 1 if d > 0 else -1
-            scaled = [t * v for t, v in zip(self.tau, prices)]
-            # d times the reduced costs, column by column, as Bland's rule
-            # asks for them: it enters the first whose sign is d's
-            costs = (d * r - sum(map(mul, scaled, a)) for r, a in zip(raw, self.mat))
-            if artificials:
-                costs = chain(costs, (d * r - v for r, v in zip(raw[self.m:], prices)))
-            col = next((k for k, cost in enumerate(costs) if cost * sd > 0), None)
+            col, cost = self._entering(raw, prices, artificials)
             if col is None:
                 return None
             column = self.column(col)
             pos = self._leaving(column)
             if pos is None:
                 return col
+            row, d = self.inv[pos], self.d
             self.pivot(pos, col, column)
+            # rank one: (p prices + cost row) / d, p the pivot (the new d)
+            prices = [(self.d * x + cost * w) // d for x, w in zip(prices, row)]
 
     def drive_out_artificials(self) -> None:
         """Pivot every basic artificial out; drop rows of redundant equalities.
@@ -506,10 +517,7 @@ class _DualTableau:
             if self.basis[pos] < self.m:
                 pos += 1
                 continue
-            scaled = [t * v for t, v in zip(self.tau, self.inv[pos])]
-            col = next(
-                (c for c, a in enumerate(self.mat) if sum(map(mul, scaled, a))), None
-            )
+            col = next((c for c in range(self.m) if self.column(c)[pos]), None)
             if col is None:
                 self.dropped.append(self.basis[pos] - self.m)
                 del self.inv[pos], self.beta[pos], self.basis[pos]
@@ -518,15 +526,24 @@ class _DualTableau:
             pos += 1
 
 
+class _Key(tuple):
+    """An objective's entries, equal to and hashed as the tuple, by ``hash`` set once."""
+
+    def __hash__(self):
+        return self.hash
+
+
 def _solve_max(system: InequalitySystem, c: Vector) -> LpOutcome:
     """The verified outcome of max ``c x`` over the system, memoized on it."""
-    outcome = system._outcomes.get(c.entries)
+    key = _Key(c.entries)
+    key.hash = hash(c.entries)
+    outcome = system._outcomes.get(key)
     if outcome is None:
-        outcome = system._outcomes[c.entries] = _solve_verified(system, c)
+        outcome = system._outcomes[key] = _solve_verified(system, c, key)
     return outcome
 
 
-def _warm_tableau(system: InequalitySystem, key) -> Optional[_DualTableau]:
+def _warm_tableau(system: InequalitySystem, key: _Key) -> Optional[_DualTableau]:
     """The nearest ancestor's kept optimal tableau for the objective, extended
     to the system's rows, or None.  Its rows must be a prefix of the system's
     scaled rows; the rows are compared, not assumed."""
@@ -542,13 +559,13 @@ def _warm_tableau(system: InequalitySystem, key) -> Optional[_DualTableau]:
     return None
 
 
-def _solve_verified(system: InequalitySystem, c: Vector) -> LpOutcome:
+def _solve_verified(system: InequalitySystem, c: Vector, key: _Key) -> LpOutcome:
     mat, rhs_b, sigmas = system._scaled_rows()
     c_int, mu = _over_common_denominator(c)
     m, n = system.m, system.n
     zero = Fraction(0)
 
-    tab = _warm_tableau(system, c.entries)
+    tab = _warm_tableau(system, key)
     if tab is None:
         tab = _DualTableau(mat, c_int)
         # phase 1: maximize minus the sum of artificials
@@ -571,27 +588,23 @@ def _solve_verified(system: InequalitySystem, c: Vector) -> LpOutcome:
 
     if unb_col is not None:
         # unbounded dual ray == Farkas certificate of primal emptiness
-        lam = [zero] * m
-        for i, v in _ray_direction(tab, unb_col).items():
-            lam[i] = sigmas[i] * v
-        cert = FarkasCertificate(Vector(lam))
-        if not cert.verify(system):
-            raise SolverError("extracted Farkas certificate failed verification")
+        ray = _ray_direction(tab, unb_col)
+        _check_farkas(system, ray)
         system._empty = True
-        return Infeasible(cert)
+        d = abs(tab.d)
+        lam = (Fraction(sigmas[i] * ray[i], d) if i in ray else zero for i in range(m))
+        return Infeasible(FarkasCertificate(Vector(lam)))
 
     point = _primal_vector(tab, raw)
-    dual = [zero] * m
-    for var, v in zip(tab.basis, tab.beta):
-        if v:
-            dual[var] = Fraction(sigmas[var], mu) * Fraction(v, tab.d)
-    dual = Vector(dual)
+    basic = {var: v for var, v in zip(tab.basis, tab.beta) if v}
+    dual = Vector(Fraction(sigmas[i] * basic[i], mu * tab.d) if i in basic else zero
+                  for i in range(m))
     value = -tab.objective_value(raw) / mu
     _check_optimal(system, c, value, point, dual)
     system._empty = False
     if not tab.dropped:
         # a dropped equality may stop being redundant once rows are added
-        system._tableaux[c.entries] = tab
+        system._tableaux[key] = tab
     return Optimal(value, point, dual)
 
 
@@ -605,24 +618,34 @@ def _primal_vector(tab: _DualTableau, raw: list[int]) -> Vector:
     )
 
 
-def _ray_direction(tab: _DualTableau, col: int) -> dict[int, Fraction]:
-    direction = {col: Fraction(1)}
-    for coeff, var in zip(tab.column(col), tab.basis):
-        if coeff:
-            direction[var] = Fraction(-coeff, tab.d)
+def _ray_direction(tab: _DualTableau, col: int) -> dict[int, int]:
+    """``|d|`` times the dual ray along the unbounded column, by y variable."""
+    sd = 1 if tab.d > 0 else -1
+    direction = {var: -sd * f for f, var in zip(tab.column(col), tab.basis) if f}
+    direction[col] = abs(tab.d)
     return direction
+
+
+def _check_farkas(system: InequalitySystem, ray: dict[int, int]) -> None:
+    """Require ``ray >= 0``, ``ray A = 0`` and ``ray b < 0`` in integers on the
+    scaled rows, over the ray's support only."""
+    if any(v < 0 for v in ray.values()):
+        raise SolverError("negative Farkas multiplier")
+    combo, total = _combine(system, ray.items())
+    if any(combo):
+        raise SolverError("Farkas multipliers do not cancel the rows")
+    if total >= 0:
+        raise SolverError("Farkas multipliers give no contradiction")
 
 
 def _check_ray(system: InequalitySystem, c: Vector, ray: Vector) -> None:
     """Require ``c r > 0`` and ``A r <= 0``, in integers on the scaled rows."""
-    mat = system._scaled_rows()[0]
     c_int, _ = _over_common_denominator(c)
     r_int, _ = _over_common_denominator(ray)
     if sum(map(mul, c_int, r_int)) <= 0:
         raise SolverError("extracted ray does not improve the objective")
-    for row in mat:
-        if sum(map(mul, row, r_int)) > 0:
-            raise SolverError("extracted ray leaves the recession cone")
+    if any(sum([r_int[j] * v for j, v in row]) > 0 for row in system._scaled_rows()[0]):
+        raise SolverError("extracted ray leaves the recession cone")
 
 
 def _check_optimal(system, c, value, point, dual) -> None:
@@ -632,31 +655,21 @@ def _check_optimal(system, c, value, point, dual) -> None:
     The point is ``p / D`` and ``dual_i / sigma_i`` is ``W_i / E`` for
     integers p, W and common denominators D, E; row i scaled by sigma_i then
     reads ``A_i p <= b_i D``, and the dual identities read ``sum W_i A_i = E c``
-    and ``sum W_i b_i = E value``.
+    and ``sum W_i b_i = E value``; both, and the signs, read only the nonzeros.
     """
     mat, rhs, sigmas = system._scaled_rows()
     c_int, mu = _over_common_denominator(c)
     p_int, p_den = _over_common_denominator(point)
     if sum(map(mul, c_int, p_int)) * value.denominator != value.numerator * mu * p_den:
         raise SolverError("optimal point does not attain the reported value")
-    for row, b in zip(mat, rhs):
-        if sum(map(mul, row, p_int)) > b * p_den:
-            raise SolverError("optimal point is infeasible")
-    if any(v < 0 for v in dual):
+    if any(sum([p_int[j] * v for j, v in row]) > b * p_den for row, b in zip(mat, rhs)):
+        raise SolverError("optimal point is infeasible")
+    support = [(i, y) for i, y in enumerate(dual) if y]
+    if any(y < 0 for _, y in support):
         raise SolverError("negative dual multiplier")
-    support = [
-        (y, row, b, y.denominator * sigma)
-        for y, row, b, sigma in zip(dual, mat, rhs, sigmas)
-        if y
-    ]
-    w_den = lcm(*(den for *_, den in support))
-    combo = [0] * system.n
-    total = 0
-    for y, row, b, den in support:
-        w = y.numerator * (w_den // den)
-        for j, e in enumerate(row):
-            combo[j] += w * e
-        total += w * b
+    w_den = lcm(*(y.denominator * sigmas[i] for i, y in support))
+    combo, total = _combine(system, (
+        (i, y.numerator * (w_den // (y.denominator * sigmas[i]))) for i, y in support))
     if [v * mu for v in combo] != [w_den * v for v in c_int]:
         raise SolverError("duals do not reproduce the objective")
     if total * value.denominator != w_den * value.numerator:

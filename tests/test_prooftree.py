@@ -1,6 +1,7 @@
 """Proof objects: verification, certification, stats, serialization."""
 
 import hashlib
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -28,7 +29,7 @@ from branchproofs.prooftree import (
 )
 from branchproofs.recompile import recompile
 from branchproofs.simplex import InequalitySystem
-from branchproofs.vectors import Vector
+from branchproofs.vectors import Vector, parse_rational
 
 from randgen import random_enumerative_proof, random_integer_free_polytope
 
@@ -58,9 +59,68 @@ def test_verify_reports_every_nonempty_leaf_in_path_order():
     proof = parse_branching("(node (4 2) (leaf) (node (4 3) (leaf) (leaf)))")
     report = verify_branching_proof(K, proof)
     assert report.failures == (
-        "L: leaf relaxation is nonempty",
-        "RL: leaf relaxation is nonempty",
+        "L: leaf relaxation is nonempty; witness x = (1/2)",
+        "RL: leaf relaxation is nonempty; witness x = (3/4)",
     )
+
+
+def reported_witness(failure: str) -> Vector:
+    entries = failure.split("; witness x = (", 1)[1].rstrip(")").split(", ")
+    return Vector([parse_rational(e) for e in entries])
+
+
+def test_witnesses_lie_in_their_leaf_relaxations(monkeypatch):
+    """Every nonempty leaf a verifier reports carries a point of its leaf
+    relaxation, read from the leaf check without solving another LP."""
+    from branchproofs import prooftree
+
+    solves = []
+    solve, witness = simplex._solve_verified, prooftree._witness
+
+    def counted_solve(*args):
+        solves.append(args)
+        return solve(*args)
+
+    def witness_without_solving(system):
+        before = len(solves)
+        text = witness(system)
+        assert len(solves) == before
+        return text
+
+    monkeypatch.setattr(simplex, "_solve_verified", counted_solve)
+    monkeypatch.setattr(prooftree, "_witness", witness_without_solving)
+    rng = Random(6060)
+    witnesses = 0
+    for _ in range(12):
+        n = rng.randint(1, 3)
+        K = random_integer_free_polytope(rng, n)
+        enum_proof = random_enumerative_proof(rng, K)
+        # cut the proof short: every child of the root becomes an "empty"
+        # leaf or a childless node whose bounds hold an integer
+        children = tuple(
+            (b, EnumNode(leaf_kind="empty") if rng.random() < 0.5 or child.a is None
+             else EnumNode(a=child.a, lo=math.floor(child.lo), hi=math.ceil(child.hi)))
+            for b, child in enum_proof.children
+        )
+        truncated = EnumNode(a=enum_proof.a, lo=enum_proof.lo, hi=enum_proof.hi,
+                             children=children)
+        for proof, verify in ((truncated, verify_enumerative_proof),
+                              (enumerative_to_branching(truncated), verify_branching_proof)):
+            for failure in verify(K, proof).failures:
+                if "witness" not in failure:
+                    continue
+                label = failure.split(":", 1)[0]
+                system, node = K, proof
+                if label != "(root)":
+                    steps = label.split("/") if proof is truncated else label
+                    for step in steps:
+                        edge = int(step) if proof is truncated else step == "L"
+                        system = system.with_rows(node.edge_rows(edge))
+                        node = dict(node.edges())[edge]
+                point = reported_witness(failure)
+                assert K.contains(point) and system.contains(point)
+                witnesses += 1
+    assert witnesses > 20
 
 
 def test_verify_is_path_local():

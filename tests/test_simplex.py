@@ -267,6 +267,38 @@ def test_derived_systems_inherit_row_scaling():
     assert inherited[2] == [6, 1, 12, 12]
 
 
+def test_inherited_sparse_rows_equal_rows_scaled_from_scratch():
+    """Chains of with_rows, with_equality and with_rhs, each system's rows
+    scaled (so the next inherits them), agree with scaling the same rows
+    from scratch, as ``(index, value)`` nonzeros with no zero entry."""
+    rng = Random(3141)
+
+    def fraction():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        system = InequalitySystem.box(n, fraction(), 3)
+        system._scaled_rows()
+        for _ in range(rng.randint(1, 6)):
+            step = rng.randrange(3)
+            if step == 0:
+                rows = [(Vector([fraction() for _ in range(n)]), fraction())
+                        for _ in range(rng.randint(1, 3))]
+                system = system.with_rows(rows)
+            elif step == 1:
+                system = system.with_equality(Vector([fraction() for _ in range(n)]),
+                                              fraction())
+            else:
+                system = system.with_rhs(rng.randrange(system.m), fraction())
+            inherited = system._scaled
+            assert inherited is not None
+            assert inherited == simplex._scale_rows(system.rows())
+            for row, a in zip(inherited[0], system.matrix):
+                assert all(v != 0 for _, v in row)
+                assert [j for j, _ in row] == [j for j, e in enumerate(a) if e]
+
+
 # 1/2 x1 + 1/3 x2 <= 5/6, x1 >= 0, x2 >= 0, 2/3 x1 <= 1/2: every row but the
 # sign rows has a scale sigma > 1
 FRACTIONAL = InequalitySystem(
@@ -307,6 +339,81 @@ def test_check_ray_catches_bad_rays():
         simplex._check_ray(S, c, Vector([-1, 0]))
     with pytest.raises(SolverError, match="recession cone"):
         simplex._check_ray(S, c, Vector([1, Fraction(1, 3)]))
+
+
+# x <= 0 and -x <= -1 (so empty), then x <= 5 and -x <= 5
+EMPTY_LINE = InequalitySystem([[1], [-1], [1], [-1]], [0, -1, 5, 5])
+
+
+def test_farkas_check_catches_tampered_rays(monkeypatch):
+    """Each entry of the phase-2 dual ray, perturbed or negated, fails the
+    integer Farkas check; so does a ray that cancels A without contradiction."""
+    rays = []
+    direction = simplex._ray_direction
+
+    def recorded(tab, col):
+        ray = direction(tab, col)
+        rays.append(dict(ray))
+        return ray
+
+    monkeypatch.setattr(simplex, "_ray_direction", recorded)
+    res = lp_optimize(cold_twin(EMPTY_LINE), Vector([1]))
+    assert isinstance(res, Infeasible) and res.certificate.verify(EMPTY_LINE)
+    (ray,) = rays
+    assert len(ray) == 2
+    tampers = []
+    for i in ray:
+        tampers.append(("do not cancel", lambda tab, i=i: {**ray, i: ray[i] + 1}))
+        tampers.append(("negative Farkas", lambda tab, i=i: {**ray, i: -ray[i]}))
+    # rows 2 and 3 cancel in A, but 5 + 5 is no contradiction
+    tampers.append(("no contradiction", lambda tab: {2: 1, 3: 1}))
+    for message, tampered in tampers:
+        monkeypatch.setattr(simplex, "_ray_direction", lambda tab, col: tampered(tab))
+        with pytest.raises(SolverError, match=message):
+            lp_optimize(cold_twin(EMPTY_LINE), Vector([1]))
+
+
+def test_phase_one_and_reduction_checks_raise(monkeypatch):
+    """The two remaining SolverError paths: an unbounded phase 1 and a
+    certificate reduction that breaks the certificate."""
+    S = InequalitySystem([[1], [-1]], [0, -1])
+    cert = FarkasCertificate(Vector([1, 1]))
+    bogus = iter([[1, -1]])  # one step along a vector outside the kernel
+    monkeypatch.setattr(simplex, "_kernel_vector", lambda columns: next(bogus, None))
+    with pytest.raises(SolverError, match="reduction produced"):
+        reduce_certificate(S, cert)
+    monkeypatch.setattr(simplex._DualTableau, "_leaving", lambda self, column: None)
+    with pytest.raises(SolverError, match="phase 1"):
+        lp_optimize(cold_twin(S), Vector([1]))
+
+
+def test_carried_multipliers_equal_fresh_prices(monkeypatch):
+    """After every pivot of ``run``, in phase 1 with artificials and in phase
+    2, the rank-one update gives exactly ``prices(raw)`` of the new basis:
+    Bland's rule receives the carried multipliers at every step."""
+    checked = {True: 0, False: 0}  # entering steps that follow a pivot
+    pivoted = []
+    entering, pivot = simplex._DualTableau._entering, simplex._DualTableau.pivot
+
+    def checked_entering(self, raw, prices, artificials):
+        assert prices == self.prices(raw)
+        checked[artificials] += bool(pivoted)
+        pivoted.clear()
+        return entering(self, raw, prices, artificials)
+
+    def noted_pivot(self, *args):
+        pivoted.append(True)
+        pivot(self, *args)
+
+    monkeypatch.setattr(simplex._DualTableau, "_entering", checked_entering)
+    monkeypatch.setattr(simplex._DualTableau, "pivot", noted_pivot)
+    rng = Random(8080)
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        system = random_system(rng, n, rng.randint(1, 8))
+        lp_optimize(system, Vector([rng.randint(-3, 3) for _ in range(n)]))
+        is_empty(system)
+    assert checked[True] > 300 and checked[False] > 100
 
 
 def fraction_check_optimal(system, c, value, point, dual) -> bool:
