@@ -87,10 +87,18 @@ def _append_dominant(K: InequalitySystem, a: Vector, b: Fraction) -> InequalityS
 
     Set-equivalent to appending the row; keeps systems small when the same
     normal is cut repeatedly (as the serialization of enumerative proofs does).
+    The normal a is integral, so row i has normal a exactly when its scaled
+    nonzeros are those of sigma_i a, a comparison of integer tuples.
     """
-    for i, (row, rhs) in enumerate(K.rows()):
-        if row == a:
-            if rhs <= b:
+    mat, _, sigmas = K._scaled_rows()
+    target = tuple((j, e.numerator) for j, e in enumerate(a) if e)
+    scaled = {1: target}  # sigma -> the nonzeros of sigma a
+    for i, (row, sigma) in enumerate(zip(mat, sigmas)):
+        want = scaled.get(sigma)
+        if want is None:
+            want = scaled[sigma] = tuple((j, sigma * v) for j, v in target)
+        if row == want:
+            if K.rhs[i] <= b:
                 return K
             return K.with_rhs(i, b)
     return K.with_rows([(a, b)])

@@ -20,7 +20,11 @@ parent's), so a column or a reduced cost costs one product per nonzero; the
 simplex multipliers are updated by rank one per pivot.  Every outcome is
 re-verified in integers on the scaled rows before it is returned, with the
 point, ray, duals or Farkas multipliers over a common denominator, the last
-two read over their nonzeros only; a failure raises ``SolverError``.
+two read over their nonzeros only; a failure raises ``SolverError``.  Every
+row combination ``lam (A, b)`` -- a dual's, a given Farkas certificate's
+(``FarkasCertificate.verify``, which solves nothing), ``combination``'s --
+is this one integer path: ``_weights`` turns the nonzero rational multipliers
+into integer weights on the scaled rows and ``_combine`` sums those rows.
 
 Outcomes are memoized per system, keyed by the objective, whose hash is
 computed once per solve: asking the same system the same question again costs
@@ -103,46 +107,42 @@ class InequalitySystem:
     def rows(self) -> Iterable[tuple[Vector, Fraction]]:
         return zip(self.matrix, self.rhs)
 
-    def combination(self, lam: Iterable[Scalar]) -> tuple[list[Fraction], Fraction]:
-        """The exact row combination ``(sum lam_i a_i, sum lam_i b_i)``.
-
-        The first part is a plain list of n Fractions (no Vector, which would
-        copy every entry).  Rows with a zero multiplier are skipped; extra
-        multipliers or rows beyond the shorter of the two are ignored.
-        """
-        combo = [Fraction(0)] * self.n
-        total = Fraction(0)
-        for coeff, a, b in zip(lam, self.matrix, self.rhs):
-            if coeff:
-                for j, e in enumerate(a):
-                    combo[j] += coeff * e
-                total += coeff * b
-        return combo, total
+    def combination(self, lam: Sequence[Fraction]) -> tuple[list[Fraction], Fraction]:
+        """The exact row combination ``(sum lam_i a_i, sum lam_i b_i)`` of up
+        to m multipliers, as a list of n Fractions and a Fraction, computed in
+        integers on the scaled rows over lam's nonzeros (``_weights``)."""
+        weights, w_den = _weights(self, lam)
+        combo, total = _combine(self, weights)
+        return [Fraction(v, w_den) for v in combo], Fraction(total, w_den)
 
     def with_rows(self, extra: Iterable[tuple]) -> "InequalitySystem":
+        """The system with the rows ``(a, b)`` appended; only they are checked."""
         extra = list(extra)
-        child = InequalitySystem(
-            self.matrix
-            + tuple(a if isinstance(a, Vector) else Vector(a) for a, _ in extra),
-            self.rhs + tuple(Fraction(b) for _, b in extra),
-            n=self.n,
-        )
-        if self._scaled is not None:
-            added = _scale_rows(zip(child.matrix[self.m:], child.rhs[self.m:]))
-            child._scaled = tuple(old + new for old, new in zip(self._scaled, added))
-        child._ancestry = (self._tableaux, self._ancestry)
-        return child
+        matrix = tuple(a if isinstance(a, Vector) else Vector(a) for a, _ in extra)
+        rhs = tuple(b if type(b) is Fraction else Fraction(b) for _, b in extra)
+        if any(len(a) != self.n for a in matrix):
+            raise DimensionMismatch("appended row disagrees with the system's dimension")
+        parent, added = self._scaled_rows(), _scale_rows(zip(matrix, rhs))
+        scaled = tuple(old + new for old, new in zip(parent, added))
+        return self._derived(self.matrix + matrix, self.rhs + rhs, scaled)
 
     def with_rhs(self, index: int, b: Scalar) -> "InequalitySystem":
         """The system with the right-hand side of row ``index`` replaced by b."""
         rhs = list(self.rhs)
         rhs[index] = Fraction(b)
-        child = InequalitySystem(self.matrix, rhs, n=self.n)
-        if self._scaled is not None:
-            (row,), (scaled_b,), (sigma,) = _scale_rows([(self.matrix[index], rhs[index])])
-            child._scaled = tuple(list(part) for part in self._scaled)
-            for part, value in zip(child._scaled, (row, scaled_b, sigma)):
-                part[index] = value
+        (row,), (scaled_b,), (sigma,) = _scale_rows([(self.matrix[index], rhs[index])])
+        scaled = tuple(list(part) for part in self._scaled_rows())
+        for part, value in zip(scaled, (row, scaled_b, sigma)):
+            part[index] = value
+        return self._derived(self.matrix, tuple(rhs), scaled)
+
+    def _derived(self, matrix, rhs, scaled) -> "InequalitySystem":
+        """A system on checked rows and their scaled form, sharing this one's
+        dimension and linked to its kept tableaux for warm starts."""
+        child = object.__new__(InequalitySystem)
+        child.matrix, child.rhs, child.n, child._scaled = matrix, rhs, self.n, scaled
+        child._empty = None
+        child._outcomes, child._tableaux = {}, {}
         child._ancestry = (self._tableaux, self._ancestry)
         return child
 
@@ -236,6 +236,21 @@ def _combine(system: InequalitySystem, weights) -> tuple[list[int], int]:
     return combo, total
 
 
+def _weights(system: InequalitySystem, multipliers) -> tuple[list[tuple[int, int]], int]:
+    """Rational multipliers on the rows as integer weights on the scaled rows.
+
+    Each nonzero ``lam_i`` becomes ``(i, lam_i W / sigma_i)``, for sigma_i the
+    row's scale and W the least common multiple of the ``den(lam_i) sigma_i``,
+    so that ``_combine`` of the weights is W times ``(lam A, lam b)``; a weight
+    has the sign of its multiplier.  Returns the weights and W.
+    """
+    sigmas = system._scaled_rows()[2]
+    support = [(i, y) for i, y in enumerate(multipliers) if y]
+    w_den = lcm(*(y.denominator * sigmas[i] for i, y in support))
+    return [(i, y.numerator * (w_den // (y.denominator * sigmas[i])))
+            for i, y in support], w_den
+
+
 def _over_common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
     """Integers ``v * D`` for the least common denominator ``D`` of the values."""
     values = list(values)
@@ -253,11 +268,14 @@ class FarkasCertificate:
         return tuple(i for i, v in enumerate(self.multipliers) if v != 0)
 
     def verify(self, system: InequalitySystem) -> bool:
-        lam = self.multipliers
-        if len(lam) != system.m or any(v < 0 for v in lam):
+        """Exactly, in integers on the scaled rows over the nonzeros only."""
+        if len(self.multipliers) != system.m:
             return False
-        combo, total = system.combination(lam)
-        return all(v == 0 for v in combo) and total < 0
+        weights, _ = _weights(system, self.multipliers)
+        if any(w < 0 for _, w in weights):
+            return False
+        combo, total = _combine(system, weights)
+        return not any(combo) and total < 0
 
 
 @dataclass(frozen=True)
@@ -657,19 +675,17 @@ def _check_optimal(system, c, value, point, dual) -> None:
     reads ``A_i p <= b_i D``, and the dual identities read ``sum W_i A_i = E c``
     and ``sum W_i b_i = E value``; both, and the signs, read only the nonzeros.
     """
-    mat, rhs, sigmas = system._scaled_rows()
+    mat, rhs, _ = system._scaled_rows()
     c_int, mu = _over_common_denominator(c)
     p_int, p_den = _over_common_denominator(point)
     if sum(map(mul, c_int, p_int)) * value.denominator != value.numerator * mu * p_den:
         raise SolverError("optimal point does not attain the reported value")
     if any(sum([p_int[j] * v for j, v in row]) > b * p_den for row, b in zip(mat, rhs)):
         raise SolverError("optimal point is infeasible")
-    support = [(i, y) for i, y in enumerate(dual) if y]
-    if any(y < 0 for _, y in support):
+    weights, w_den = _weights(system, dual)
+    if any(w < 0 for _, w in weights):
         raise SolverError("negative dual multiplier")
-    w_den = lcm(*(y.denominator * sigmas[i] for i, y in support))
-    combo, total = _combine(system, (
-        (i, y.numerator * (w_den // (y.denominator * sigmas[i]))) for i, y in support))
+    combo, total = _combine(system, weights)
     if [v * mu for v in combo] != [w_den * v for v in c_int]:
         raise SolverError("duals do not reproduce the objective")
     if total * value.denominator != w_den * value.numerator:

@@ -151,13 +151,6 @@ class Vector:
         return " ".join(format_rational(a) for a in self.entries)
 
 
-def _ceil_log2_successor(value: int) -> int:
-    """ceil(log2(value + 1)) for value >= 0, computed from the bit length."""
-    if value < 0:
-        raise ValueError("negative argument")
-    return value.bit_length()
-
-
 def bit_size(obj) -> int:
     """Number of bits to express a rational, a vector, or a matrix.
 
@@ -168,24 +161,14 @@ def bit_size(obj) -> int:
     Labeled trees are handled by the proof objects themselves (node count plus
     edge count plus label sizes); absent labels cost 0 bits.
     """
-    if isinstance(obj, (int, Fraction)):
-        frac = Fraction(obj)
-        return (
-            1
-            + _ceil_log2_successor(abs(frac.numerator))
-            + _ceil_log2_successor(frac.denominator)
-        )
+    # v.bit_length() is ceil(log2(|v| + 1)); an int is its own numerator over 1
     if isinstance(obj, Vector):
-        return len(obj) + sum(bit_size(entry) for entry in obj)
+        return len(obj.entries) + sum(
+            [1 + e.numerator.bit_length() + e.denominator.bit_length() for e in obj.entries]
+        )
+    if isinstance(obj, (int, Fraction)):
+        return 1 + obj.numerator.bit_length() + obj.denominator.bit_length()
     if isinstance(obj, Sequence):
-        rows = list(obj)
-        if not rows:
-            return 0
-        total = 0
-        cells = 0
-        for row in rows:
-            entries = list(row)
-            cells += len(entries)
-            total += sum(bit_size(entry) for entry in entries)
-        return cells + total
+        rows = [list(row) for row in obj]
+        return sum(len(row) + sum(map(bit_size, row)) for row in rows)
     raise TypeError(f"bit_size not defined for {type(obj).__name__}")

@@ -13,6 +13,18 @@ from fractions import Fraction
 from branchproofs.vectors import Vector
 
 
+def fraction_combination(system, lam) -> tuple[list[Fraction], Fraction]:
+    """``(sum lam_i a_i, sum lam_i b_i)`` in Fractions over every row, the
+    reference for the library's integer combination on scaled rows."""
+    combo = [Fraction(0)] * system.n
+    total = Fraction(0)
+    for coeff, a, b in zip(lam, system.matrix, system.rhs):
+        for j, e in enumerate(a):
+            combo[j] += coeff * e
+        total += coeff * b
+    return combo, total
+
+
 def fourier_motzkin_empty(matrix, rhs) -> bool:
     """True iff {x : A x <= b} is empty, by eliminating variables in order."""
     rows = [list(a) + [Fraction(b)] for a, b in zip(matrix, rhs)]

@@ -10,6 +10,7 @@ from branchproofs.geometry import (
     NEG_INFINITY,
     UNBOUNDED,
     Halfspace,
+    _append_dominant,
     apply_cg,
     apply_cg_list,
     cuts_from_text,
@@ -78,6 +79,30 @@ def test_apply_cg_list_examples():
     once = apply_cg_list(K2, [Vector([1, 1])])
     twice = apply_cg_list(K2, [Vector([1, 1]), Vector([1, 1])])
     assert support_value(once, Vector([1, 1])) == support_value(twice, Vector([1, 1])) == 1
+
+
+def test_append_dominant_replaces_the_first_row_with_the_normal():
+    """The scaled-row lookup finds the first row equal to a, whatever its
+    scale, and no row that is only a multiple of a."""
+    rng = Random(808)
+    normals = [Vector(v) for v in ([1, 1], [2, 2], [Fraction(1, 2), Fraction(1, 2)],
+                                   [1, 0], [0, -1], [1, -1])]
+    for _ in range(200):
+        rows = [(rng.choice(normals), Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
+                for _ in range(rng.randint(0, 6))]
+        K = InequalitySystem([a for a, _ in rows], [b for _, b in rows], n=2)
+        a = rng.choice([v for v in normals if v.is_integral()])
+        b = Fraction(rng.randint(-3, 3))
+        first = next((i for i, row in enumerate(K.matrix) if row == a), None)
+        if first is None:
+            expected = list(rows) + [(a, b)]
+        elif K.rhs[first] <= b:
+            expected = list(rows)
+        else:
+            expected = list(rows)
+            expected[first] = (a, b)
+        result = _append_dominant(K, a, b)
+        assert list(result.rows()) == expected
 
 
 def test_apply_cg_result_is_subset():

@@ -191,6 +191,29 @@ def test_certified_outputs_pinned():
     assert digests == CERTIFIED_PINS
 
 
+def test_verify_certified_is_lp_free_and_scales_k_once(monkeypatch):
+    """On grid3x3's certified proof: no LP, K's rows scaled once, and then
+    one row per edge, each relaxation extending its parent's scaled rows."""
+    inst = TseitinInstance.from_text((INSTANCES / "grid3x3.graph").read_text())
+    proof = enumerative_to_branching(tseitin_sp_refutation(inst))
+    certified = certify(tseitin_polytope(inst), proof)
+    K = tseitin_polytope(inst)
+    solves, scaled = [], []
+    scale_rows = simplex._scale_rows
+
+    def counted_scale(rows):
+        rows = list(rows)
+        scaled.append(len(rows))
+        return scale_rows(rows)
+
+    monkeypatch.setattr(simplex, "_solve_max", lambda *args: solves.append(args))
+    monkeypatch.setattr(simplex, "_scale_rows", counted_scale)
+    assert verify_certified_proof(K, certified)
+    assert solves == []
+    assert scaled[0] == K.m and sum(scaled[1:]) == certified.node_count() - 1
+    assert all(count == 1 for count in scaled[1:])
+
+
 def test_leaf_solves_warm_start_from_the_root(monkeypatch):
     """Each relaxation is its parent's plus one edge, so after the root's
     cold solve every solve extends an ancestor's tableau."""

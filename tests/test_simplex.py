@@ -5,6 +5,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from branchproofs import simplex
 from branchproofs.simplex import (
@@ -21,7 +22,7 @@ from branchproofs.simplex import (
 )
 from branchproofs.vectors import Vector
 
-from oracles import dual_cone_vertices, fourier_motzkin_empty
+from oracles import dual_cone_vertices, fourier_motzkin_empty, fraction_combination
 from randgen import random_system
 
 
@@ -257,6 +258,18 @@ def test_derived_systems_share_parent_rhs_entries():
     assert all(child.rhs[i] is parent.rhs[i] for i in range(parent.m) if i != 1)
 
 
+def test_with_rows_checks_only_the_appended_rows():
+    parent = InequalitySystem([[1, 0], [0, 1]], [1, 1])
+    child = parent.with_rows([(Vector([1, 1]), 1)])
+    assert all(child.matrix[i] is parent.matrix[i] for i in range(parent.m))
+    assert child == InequalitySystem(list(parent.matrix) + [Vector([1, 1])], [1, 1, 1])
+    for bad in ([(Vector([1, 1, 1]), 1)], [(Vector([1, 1]), 0), (Vector([1]), 0)]):
+        with pytest.raises(DimensionMismatch):
+            parent.with_rows(bad)
+    with pytest.raises(DimensionMismatch):
+        parent.with_equality(Vector([1]), 0)
+
+
 def test_derived_systems_inherit_row_scaling():
     K = InequalitySystem([[Fraction(1, 2), Fraction(1, 3)], [-1, 0]], [Fraction(5, 6), 0])
     K._scaled_rows()
@@ -418,7 +431,7 @@ def test_carried_multipliers_equal_fresh_prices(monkeypatch):
 
 def fraction_check_optimal(system, c, value, point, dual) -> bool:
     """Reference: the optimality conditions in Fraction arithmetic."""
-    combo, total = system.combination(dual)
+    combo, total = fraction_combination(system, dual)
     return (
         c.dot(point) == value
         and system.contains(point)
@@ -461,6 +474,75 @@ def test_integer_checks_agree_with_fraction_reference():
                 passed = False
             assert passed == expected
     assert checked > 50
+
+
+def fraction_farkas_check(system: InequalitySystem, lam) -> bool:
+    """The reference check: lam >= 0, lam A = 0, lam b < 0 in Fractions over every row."""
+    if len(lam) != system.m or any(v < 0 for v in lam):
+        return False
+    combo, total = fraction_combination(system, lam)
+    return all(v == 0 for v in combo) and total < 0
+
+
+def small_fractions(low=-4, high=4):
+    return st.builds(Fraction, st.integers(low, high), st.integers(1, 4))
+
+
+@st.composite
+def certificate_cases(draw):
+    """A small system, often empty (one row and its opposite past a gap), as
+    built or derived by with_rows / with_equality / with_rhs, and candidate
+    multipliers: its reduced Farkas certificate if it is empty, tampered
+    copies of it, the all-zero vector, wrong lengths, a signed vector that
+    would refute the system but for its negative entry, and random vectors."""
+    n = draw(st.integers(1, 3))
+    row = st.lists(small_fractions(), min_size=n, max_size=n).map(Vector)
+    rows = draw(st.lists(st.tuples(row, small_fractions(-2, 6)), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        a, b = draw(row), draw(small_fractions())
+        rows += [(a, b), (-a, -b - draw(small_fractions(1, 3)))]
+    # a looser positive multiple t (a_i, b_i) + (0, gap) of row i, so that the
+    # signed lam = t e_i - e_j cancels A with lam b < 0
+    i, t = draw(st.integers(0, len(rows) - 1)), draw(small_fractions(1, 4))
+    rows.append((t * rows[i][0], t * rows[i][1] + draw(small_fractions(1, 3))))
+    signed = {i: t, len(rows) - 1: Fraction(-1)}
+    system = InequalitySystem([a for a, _ in rows], [b for _, b in rows], n=n)
+    for step in draw(st.lists(st.sampled_from(["rows", "equality", "rhs"]), max_size=3)):
+        if step == "rows":
+            system = system.with_rows(draw(st.lists(st.tuples(row, small_fractions()),
+                                                    min_size=1, max_size=2)))
+        elif step == "equality":
+            system = system.with_equality(draw(row), draw(small_fractions()))
+        else:
+            system = system.with_rhs(draw(st.integers(0, system.m - 1)), draw(small_fractions()))
+    m = system.m
+    candidates = [Vector.zero(m), Vector.zero(m + 1)]
+    candidates.append(Vector(signed.get(k, 0) for k in range(m)))
+    candidates.append(Vector(draw(st.lists(small_fractions(-1, 3), min_size=m, max_size=m))))
+    cert = is_empty(system)
+    if cert is not None:
+        lam = list(cert.multipliers)
+        support = [i for i, v in enumerate(lam) if v]
+        pick = draw(st.sampled_from(support))
+        for changed in (2 * lam[pick], -lam[pick]):
+            candidates.append(Vector(lam[:pick] + [changed] + lam[pick + 1:]))
+        candidates += [cert.multipliers, reduce_certificate(system, cert).multipliers,
+                       Vector(lam + [0]), Vector(lam[:-1])]
+    return system, cert, candidates
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(case=certificate_cases())
+def test_integer_farkas_check_agrees_with_fraction_reference(case):
+    """FarkasCertificate.verify and combination, in integers on the scaled
+    rows, against the Fraction reference on every candidate."""
+    system, cert, candidates = case
+    if cert is not None:
+        assert FarkasCertificate(cert.multipliers).verify(system)
+    for lam in candidates:
+        assert FarkasCertificate(lam).verify(system) == fraction_farkas_check(system, lam)
+        if len(lam) == system.m:
+            assert system.combination(lam) == fraction_combination(system, lam)
 
 
 def count_warm_starts(monkeypatch) -> list:

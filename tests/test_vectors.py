@@ -4,6 +4,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from branchproofs.vectors import (
     Vector,
@@ -45,6 +46,40 @@ def test_bit_size_examples():
 def test_bit_size_matrix_counts_cells():
     matrix = [Vector([1, 1]), Vector([1, 1])]
     assert bit_size(matrix) == 4 + 4 * bit_size(1)
+
+
+def ceil_log2(value: int) -> int:
+    """The least k with 2^k >= value, for value >= 1, by doubling."""
+    k = 0
+    while 2**k < value:
+        k += 1
+    return k
+
+
+def bits_by_definition(obj) -> int:
+    """bit_size as its docstring defines it, with no bit_length."""
+    if isinstance(obj, (int, Fraction)):
+        frac = Fraction(obj)
+        return 1 + ceil_log2(abs(frac.numerator) + 1) + ceil_log2(frac.denominator + 1)
+    if isinstance(obj, Vector):
+        return len(obj) + sum(map(bits_by_definition, obj))
+    return sum(len(row) + sum(map(bits_by_definition, row)) for row in obj)
+
+
+INTEGERS = st.integers(-(2**70), 2**70)
+FRACTIONS = st.builds(Fraction, INTEGERS, st.integers(1, 2**40))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(obj=st.one_of(
+    INTEGERS,
+    FRACTIONS,
+    st.lists(FRACTIONS, max_size=6).map(Vector),
+    st.lists(st.lists(st.one_of(INTEGERS, FRACTIONS), min_size=3, max_size=3), max_size=4),
+    st.lists(st.lists(FRACTIONS, min_size=2, max_size=2).map(Vector), max_size=4),
+))
+def test_bit_size_equals_its_definition(obj):
+    assert bit_size(obj) == bits_by_definition(obj)
 
 
 def test_bit_size_monotone_under_append():
