@@ -43,6 +43,7 @@ from .prooftree import (
 )
 from .recompile import recompile
 from .simplex import InequalitySystem, is_empty
+from .vectors import bit_size
 
 
 def _read(path: str) -> str:
@@ -106,7 +107,7 @@ def _cmd_recompile(args) -> int:
     system = InequalitySystem.from_text(_read(args.system))
     proof = parse_branching(_read(args.proof))
     rebuilt = recompile(system, proof, R=args.radius)
-    _write(args.out, format_branching(rebuilt) + "\n")
+    _write(_out(args, ".recompiled.proof"), format_branching(rebuilt) + "\n")
     _print_stats(rebuilt)
     report = verify_branching_proof(system, rebuilt)
     if not report.valid:
@@ -120,7 +121,7 @@ def _cmd_enum_to_cp(args) -> int:
     system = InequalitySystem.from_text(_read(args.system))
     proof = parse_enumerative(_read(args.proof))
     cuts = enum_to_cp(system, proof)
-    _write(args.out, cuts_to_text(cuts))
+    _write(_out(args, ".cuts"), cuts_to_text(cuts))
     nodes = proof.node_count()
     print(f"RESULT valid cp-length={len(cuts)} bound={2 * nodes - 1} nodes={nodes}")
     return 0
@@ -160,8 +161,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    from .vectors import bit_size
-
     system = InequalitySystem.from_text(_read(args.system))
     proof = parse_branching(_read(args.proof))
     try:
@@ -169,7 +168,7 @@ def _cmd_certify(args) -> int:
     except ValueError as exc:
         print(f"RESULT invalid {exc}")
         return 1
-    _write(args.out, format_branching(certified) + "\n")
+    _write(_out(args, ".certified.proof"), format_branching(certified) + "\n")
     _print_stats(certified)
     sizes = [bit_size(node.cert) for node, _, _ in walk(certified) if node.is_leaf]
     print(f"certificates: {len(sizes)}, bit sizes {sizes} (total {sum(sizes)})")
@@ -186,8 +185,9 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _derived(path: str, suffix: str) -> str:
-    return str(Path(path).with_suffix(suffix))
+def _out(args, suffix: str) -> str:
+    """The ``--out`` path if given, else the proof's path with the suffix."""
+    return args.out if args.out is not None else str(Path(args.proof).with_suffix(suffix))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -258,14 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "out", "unset") is None:
-        defaults = {
-            _cmd_recompile: (".recompiled.proof", "proof"),
-            _cmd_enum_to_cp: (".cuts", "proof"),
-            _cmd_certify: (".certified.proof", "proof"),
-        }
-        suffix, source = defaults[args.func]
-        args.out = _derived(getattr(args, source), suffix)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

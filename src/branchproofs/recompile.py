@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Optional
 
 from .diophantine import classify_rhs, dirichlet_approx
@@ -449,8 +450,6 @@ def _check_l1_radius(K: InequalitySystem, R: int) -> bool:
         return True
     if K.n > 10:
         return False
-    from itertools import product
-
     for signs in product((1, -1), repeat=K.n):
         if support_value(K, Vector(signs)) > R:
             raise ValueError(

@@ -25,6 +25,10 @@ row combination ``lam (A, b)`` -- a dual's, a given Farkas certificate's
 (``FarkasCertificate.verify``, which solves nothing), ``combination``'s --
 is this one integer path: ``_weights`` turns the nonzero rational multipliers
 into integer weights on the scaled rows and ``_combine`` sums those rows.
+Certificate reduction runs on this solver too: every Farkas certificate the
+solver returns is a basic dual ray (the basis plus the entering column, so at
+most n+1 nonzeros), and ``reduce_certificate`` reduces a certificate to the
+solver's certificate for the rows of its support.
 
 Outcomes are memoized per system, keyed by the objective, whose hash is
 computed once per solve: asking the same system the same question again costs
@@ -336,61 +340,28 @@ def reduce_certificate(
 ) -> FarkasCertificate:
     """Reduce a Farkas certificate to a vertex of the normalized dual cone.
 
-    The result has at most n+1 nonzero multipliers (its support rows carry
-    linearly independent ``(a_i, b_i)`` vectors) and still verifies exactly.
+    The result is the solver's certificate for the rows of the input's
+    support, a basic dual ray, embedded in the m rows and scaled to
+    ``lam b = -1``.  Its support rows carry linearly independent
+    ``(a_i, b_i)`` vectors, so it has at most n+1 nonzero multipliers; both
+    that and the certificate are checked again on the whole system.
     """
     if not cert.verify(system):
         raise ValueError("input is not a valid Farkas certificate for the system")
-    slack = -system.combination(cert.multipliers)[1]
-    lam = [v / slack for v in cert.multipliers]  # normalize to lam b = -1
-    while True:
-        support = [i for i, v in enumerate(lam) if v != 0]
-        columns = [tuple(system.matrix[i]) + (system.rhs[i],) for i in support]
-        mu = _kernel_vector(columns)
-        if mu is None:
-            break
-        if all(v <= 0 for v in mu):
-            mu = [-v for v in mu]
-        step = min(lam[i] / m for i, m in zip(support, mu) if m > 0)
-        for i, m in zip(support, mu):
-            lam[i] -= step * m
+    support = cert.support()
+    rows = InequalitySystem([system.matrix[i] for i in support],
+                            [system.rhs[i] for i in support], n=system.n)
+    basic = is_empty(rows)
+    if basic is None:
+        raise SolverError("support rows not empty, yet the certificate verified")
+    slack = -rows.combination(basic.multipliers)[1]
+    lam = [Fraction(0)] * system.m
+    for i, v in zip(support, basic.multipliers):
+        lam[i] = v / slack
     reduced = FarkasCertificate(Vector(lam))
-    if not reduced.verify(system):
+    if len(reduced.support()) > system.n + 1 or not reduced.verify(system):
         raise SolverError("certificate reduction produced an invalid certificate")
     return reduced
-
-
-def _kernel_vector(columns: Sequence[tuple]) -> list[Fraction] | None:
-    """A nontrivial rational dependency among the given column vectors.
-
-    Returns coefficients x (not all zero) with ``sum x_i col_i = 0``, or None
-    if the columns are linearly independent.
-    """
-    if not columns:
-        return None
-    height = len(columns[0])
-    width = len(columns)
-    rows = [[Fraction(columns[j][i]) for j in range(width)] for i in range(height)]
-    pivot_of_col: dict[int, int] = {}
-    rank = 0
-    for col in range(width):
-        pivot_row = next((r for r in range(rank, height) if rows[r][col] != 0), None)
-        if pivot_row is None:
-            # free column: express it through the pivot columns found so far
-            coeffs = [Fraction(0)] * width
-            coeffs[col] = Fraction(-1)
-            for c_prev, r_prev in pivot_of_col.items():
-                coeffs[c_prev] = rows[r_prev][col] / rows[r_prev][c_prev]
-            return coeffs
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        piv = rows[rank][col]
-        for r in range(height):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col] / piv
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
-        pivot_of_col[col] = rank
-        rank += 1
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,28 @@ def test_recompile_and_certify_flow(tmp_path, capsys):
     assert code == 0
 
 
+def test_out_defaults_to_the_proof_path(tmp_path, capsys, monkeypatch):
+    """recompile, certify and enum-to-cp write beside the proof, with the
+    proof's suffix replaced, unless --out names a path, used as given."""
+    monkeypatch.chdir(tmp_path)
+    system, proof = tmp_path / "thin.ineq", tmp_path / "thin.proof"
+    run(capsys, "thin-segment", "1000", "--system", str(system), "--proof", str(proof))
+    code, out = run(capsys, "recompile", str(system), str(proof), "--radius", "3")
+    recompiled = tmp_path / "thin.recompiled.proof"
+    assert code == 0 and f"wrote {recompiled}\n" in out
+    code, out = run(capsys, "certify", str(system), str(recompiled))
+    assert code == 0 and f"wrote {tmp_path / 'thin.recompiled.certified.proof'}\n" in out
+    code, out = run(capsys, "certify", str(system), str(recompiled), "--out", "plain")
+    assert code == 0 and "wrote plain\n" in out and (tmp_path / "plain").is_file()
+    graph = tmp_path / "tri.graph"
+    graph.write_text(TRIANGLE)
+    system, proof = tmp_path / "tri.ineq", tmp_path / "tri.proof"
+    run(capsys, "gen-tseitin", str(graph), "--system", str(system), "--proof", str(proof))
+    code, out = run(capsys, "enum-to-cp", str(system), str(proof))
+    assert code == 0 and f"wrote {tmp_path / 'tri.cuts'}\n" in out
+    assert (tmp_path / "tri.cuts").read_text()
+
+
 def test_tseitin_pipe_to_cp(tmp_path, capsys):
     graph = tmp_path / "tri.graph"
     graph.write_text(TRIANGLE)

@@ -216,7 +216,8 @@ def test_verify_certified_is_lp_free_and_scales_k_once(monkeypatch):
 
 def test_leaf_solves_warm_start_from_the_root(monkeypatch):
     """Each relaxation is its parent's plus one edge, so after the root's
-    cold solve every solve extends an ancestor's tableau."""
+    cold solve every relaxation's solve extends an ancestor's tableau;
+    certify also solves each leaf certificate's support rows, cold."""
     cold, warm = [], []
 
     class Counted(simplex._DualTableau):
@@ -231,10 +232,11 @@ def test_leaf_solves_warm_start_from_the_root(monkeypatch):
     monkeypatch.setattr(simplex, "_DualTableau", Counted)
     inst = TseitinInstance.from_text((INSTANCES / "k4.graph").read_text())
     proof = enumerative_to_branching(tseitin_sp_refutation(inst))
-    for check in (certify, verify_branching_proof):
+    for check, cold_solves in ((verify_branching_proof, 1),
+                               (certify, 1 + proof.leaf_count())):
         del cold[:], warm[:]
         check(tseitin_polytope(inst), proof)
-        assert len(cold) == 1 and len(warm) >= proof.leaf_count()
+        assert len(cold) == cold_solves and len(warm) >= proof.leaf_count()
 
 
 def test_certify_rejects_invalid_proof():

@@ -133,18 +133,9 @@ def test_reduce_certificate_rejects_invalid():
         reduce_certificate(S, FarkasCertificate(Vector([1, 0])))
 
 
-def test_kernel_vector_with_more_columns_than_rows():
-    # full rank is reached before the last column, which is then free
-    assert simplex._kernel_vector([(1, 0), (0, 1), (1, 1)]) == [1, 1, -1]
-    assert simplex._kernel_vector([(2, 0), (0, 3), (5, 7), (1, 1)]) == [
-        Fraction(5, 2), Fraction(7, 3), -1, 0
-    ]
-    assert simplex._kernel_vector([(1, 2), (3, 4)]) is None
-
-
 def test_reduce_certificate_random_sparsity():
     rng = Random(5)
-    found = 0
+    found = thickened = 0
     for _ in range(200):
         n = rng.randint(1, 3)
         system = random_system(rng, n, rng.randint(2, 6))
@@ -152,11 +143,56 @@ def test_reduce_certificate_random_sparsity():
         if cert is None:
             continue
         found += 1
-        # thicken the certificate by mixing in a second one when possible
+        # thicken the certificate by adding one that avoids a row of its
+        # support, when the other rows are empty too
+        rest = [i for i in range(system.m) if i != cert.support()[0]]
+        other = is_empty(InequalitySystem([system.matrix[i] for i in rest],
+                                          [system.rhs[i] for i in rest], n=n))
+        if other is not None:
+            lam = list(cert.multipliers)
+            for i, v in zip(rest, other.multipliers):
+                lam[i] += v
+            cert = FarkasCertificate(Vector(lam))
+            thickened += 1
         reduced = reduce_certificate(system, cert)
         assert len(reduced.support()) <= n + 1
         assert reduced.verify(system)
-    assert found > 20
+        assert tuple(reduced.multipliers) in dual_cone_vertices(system)
+    assert found > 20 and thickened > 5
+
+
+def normalized(system, lam) -> tuple:
+    """The multipliers scaled to ``lam b = -1``, in Fractions over every row."""
+    slack = -fraction_combination(system, lam)[1]
+    return tuple(v / slack for v in lam)
+
+
+def test_solver_certificates_are_dual_cone_vertices():
+    """Every certificate is_empty returns, cold or warm-started on a system
+    made by with_rows / with_rhs, is a basic dual ray: scaled to lam b = -1
+    it is a vertex of the normalized dual cone, and reduce_certificate
+    returns exactly that scaling of it."""
+    rng = Random(2024)
+    seen = {"cold": 0, "rows": 0, "rhs": 0}
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        parent = random_system(rng, n, rng.randint(2, 5))
+        is_empty(parent)  # a nonempty parent keeps its tableau for the children
+        extra = [(Vector([rng.randint(-3, 3) for _ in range(n)]), rng.randint(-3, 3))]
+        derived = {
+            "cold": parent,
+            "rows": parent.with_rows(extra),
+            "rhs": parent.with_rhs(rng.randrange(parent.m), rng.randint(-4, 1)),
+        }
+        for kind, system in derived.items():
+            cert = is_empty(system)
+            if cert is None:
+                continue
+            seen[kind] += 1
+            vertex = normalized(system, cert.multipliers)
+            assert vertex in dual_cone_vertices(system)
+            assert tuple(reduce_certificate(system, cert).multipliers) == vertex
+    assert min(seen.values()) > 10, seen
 
 
 def test_system_text_round_trip():
@@ -387,14 +423,25 @@ def test_farkas_check_catches_tampered_rays(monkeypatch):
 
 
 def test_phase_one_and_reduction_checks_raise(monkeypatch):
-    """The two remaining SolverError paths: an unbounded phase 1 and a
-    certificate reduction that breaks the certificate."""
+    """The remaining SolverError paths: an unbounded phase 1, support rows
+    the solver finds nonempty, and a reduction that breaks the certificate
+    or keeps more than n+1 nonzeros."""
     S = InequalitySystem([[1], [-1]], [0, -1])
     cert = FarkasCertificate(Vector([1, 1]))
-    bogus = iter([[1, -1]])  # one step along a vector outside the kernel
-    monkeypatch.setattr(simplex, "_kernel_vector", lambda columns: next(bogus, None))
+    monkeypatch.setattr(simplex, "is_empty", lambda system: None)
+    with pytest.raises(SolverError, match="support rows not empty"):
+        reduce_certificate(S, cert)
+    # lam b = -1, but lam A = -1: not a certificate
+    monkeypatch.setattr(simplex, "is_empty",
+                        lambda system: FarkasCertificate(Vector([0, 1])))
     with pytest.raises(SolverError, match="reduction produced"):
         reduce_certificate(S, cert)
+    # a valid certificate with 4 > n+1 nonzeros
+    doubled = InequalitySystem([[1], [1], [-1], [-1]], [0, 0, -1, -1])
+    dense = FarkasCertificate(Vector([1, 1, 1, 1]))
+    monkeypatch.setattr(simplex, "is_empty", lambda system: dense)
+    with pytest.raises(SolverError, match="reduction produced"):
+        reduce_certificate(doubled, dense)
     monkeypatch.setattr(simplex._DualTableau, "_leaving", lambda self, column: None)
     with pytest.raises(SolverError, match="phase 1"):
         lp_optimize(cold_twin(S), Vector([1]))
@@ -679,14 +726,18 @@ def test_sibling_children_warm_start_from_one_kept_tableau(monkeypatch):
     assert second == lp_optimize(cold_twin(right), c)
 
 
-# sha256 of the (pos, col, d) of every pivot made by the pipelines below; the
-# entering and leaving rules and the exact pivot arithmetic are pinned by it
+# sha256 of the (pos, col, d) of every pivot made by the pipelines below,
+# outside reduce_certificate and inside it; the entering and leaving rules and
+# the exact pivot arithmetic are pinned by them
 PIVOT_TRACE_PIN = "d71ae30876fbbabc64c1c4c49cba64b7ae641777acdc67816aebdee0d93f50c2"
+REDUCTION_TRACE_PIN = "180f68862dbf5e1d3f79f77c00386af89b41747077e9634a27371aae1dca7ec0"
 
 
 def test_pivot_trace_pinned(monkeypatch):
+    import importlib
     from pathlib import Path
 
+    from branchproofs import prooftree
     from branchproofs.enumcp import enum_to_cp
     from branchproofs.families import (
         TseitinInstance, thin_segment, tseitin_polytope, tseitin_sp_refutation,
@@ -696,14 +747,24 @@ def test_pivot_trace_pinned(monkeypatch):
     )
     from branchproofs.recompile import recompile
 
-    trace = []
+    trace, reduction = [], []
+    traces = [trace]  # the innermost is written to
     pivot = simplex._DualTableau.pivot
 
     def traced(self, pos, col, *rest):
         pivot(self, pos, col, *rest)
-        trace.append((pos, col, self.d))
+        traces[-1].append((pos, col, self.d))
+
+    def reducing(*args):
+        traces.append(reduction)
+        try:
+            return reduce_certificate(*args)
+        finally:
+            traces.pop()
 
     monkeypatch.setattr(simplex._DualTableau, "pivot", traced)
+    for module in (prooftree, importlib.import_module("branchproofs.recompile")):
+        monkeypatch.setattr(module, "reduce_certificate", reducing)
     instances = Path(__file__).resolve().parent.parent / "instances"
     for name in ("k4", "cycle5"):
         inst = TseitinInstance.from_text((instances / f"{name}.graph").read_text())
@@ -714,5 +775,6 @@ def test_pivot_trace_pinned(monkeypatch):
     for M in (10**3, 10**6, 10**9):
         K, proof = thin_segment(M)
         certify(K, recompile(K, proof))
-    assert len(trace) > 1000
+    assert (len(trace), len(reduction)) == (1573, 143)
     assert hashlib.sha256(repr(trace).encode()).hexdigest() == PIVOT_TRACE_PIN
+    assert hashlib.sha256(repr(reduction).encode()).hexdigest() == REDUCTION_TRACE_PIN
