@@ -190,74 +190,66 @@ def _out(args, suffix: str) -> str:
     return args.out if args.out is not None else str(Path(args.proof).with_suffix(suffix))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*names, **options):
+    return names, options
+
+
+_SYSTEM_PROOF = [_arg("system"), _arg("proof")]
+
+# name -> (handler, help, arguments)
+_SUBCOMMANDS = {
+    "gen-tseitin": (_cmd_gen_tseitin, "Tseitin system + enumerative refutation", [
+        _arg("graph", help=".graph file: 'V E', E edge lines, parity line"),
+        _arg("--system", default="tseitin.ineq"),
+        _arg("--proof", default="tseitin.proof")]),
+    "gen-pn": (_cmd_gen_pn, "the 2^n-clause SAT polytope P_n", [
+        _arg("n", type=int), _arg("--out", default="pn.ineq")]),
+    "gen-qn": (_cmd_gen_qn, "the compact extension Q_n of P_n", [
+        _arg("n", type=int), _arg("--out", default="qn.ineq"),
+        _arg("--split-check", action="store_true",
+             help="also verify the n-split-cut refutation")]),
+    "thin-segment": (_cmd_thin_segment, "the slanted segment fixture", [
+        _arg("M", type=int), _arg("--system", default="thin.ineq"),
+        _arg("--proof", default="thin.proof")]),
+    "recompile": (_cmd_recompile, "rebuild a proof with small coefficients", _SYSTEM_PROOF + [
+        _arg("--radius", type=int, default=None,
+             help="l1 radius R (default: computed from the system)"),
+        _arg("--out", default=None)]),
+    "enum-to-cp": (_cmd_enum_to_cp, "serialize an enumerative proof to CG cuts",
+                   _SYSTEM_PROOF + [_arg("--out", default=None)]),
+    "verify": (_cmd_verify, "verify a proof against a system", [
+        _arg("kind", choices=["branching", "certified", "enumerative", "cp"])] + _SYSTEM_PROOF),
+    "certify": (_cmd_certify, "attach reduced Farkas certificates",
+                _SYSTEM_PROOF + [_arg("--out", default=None)]),
+    "stats": (_cmd_stats, "length / bit-size / max coefficient", [_arg("proof")]),
+}
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with only the one named ``only``."""
     parser = argparse.ArgumentParser(
         prog="branchproofs",
         description="exact branching-proof toolkit: generate, recompile, "
         "serialize to cutting planes, verify",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-tseitin", help="Tseitin system + enumerative refutation")
-    p.add_argument("graph", help=".graph file: 'V E', E edge lines, parity line")
-    p.add_argument("--system", default="tseitin.ineq")
-    p.add_argument("--proof", default="tseitin.proof")
-    p.set_defaults(func=_cmd_gen_tseitin)
-
-    p = sub.add_parser("gen-pn", help="the 2^n-clause SAT polytope P_n")
-    p.add_argument("n", type=int)
-    p.add_argument("--out", default="pn.ineq")
-    p.set_defaults(func=_cmd_gen_pn)
-
-    p = sub.add_parser("gen-qn", help="the compact extension Q_n of P_n")
-    p.add_argument("n", type=int)
-    p.add_argument("--out", default="qn.ineq")
-    p.add_argument("--split-check", action="store_true",
-                   help="also verify the n-split-cut refutation")
-    p.set_defaults(func=_cmd_gen_qn)
-
-    p = sub.add_parser("thin-segment", help="the slanted segment fixture")
-    p.add_argument("M", type=int)
-    p.add_argument("--system", default="thin.ineq")
-    p.add_argument("--proof", default="thin.proof")
-    p.set_defaults(func=_cmd_thin_segment)
-
-    p = sub.add_parser("recompile", help="rebuild a proof with small coefficients")
-    p.add_argument("system")
-    p.add_argument("proof")
-    p.add_argument("--radius", type=int, default=None,
-                   help="l1 radius R (default: computed from the system)")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_recompile)
-
-    p = sub.add_parser("enum-to-cp", help="serialize an enumerative proof to CG cuts")
-    p.add_argument("system")
-    p.add_argument("proof")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_enum_to_cp)
-
-    p = sub.add_parser("verify", help="verify a proof against a system")
-    p.add_argument("kind", choices=["branching", "certified", "enumerative", "cp"])
-    p.add_argument("system")
-    p.add_argument("proof")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("certify", help="attach reduced Farkas certificates")
-    p.add_argument("system")
-    p.add_argument("proof")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("stats", help="length / bit-size / max coefficient")
-    p.add_argument("proof")
-    p.set_defaults(func=_cmd_stats)
-
+    # with one subcommand, usage still names them all, as the whole parser's does
+    choices = None if only is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=choices)
+    for name, (func, help_text, arguments) in _SUBCOMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            for names, options in arguments:
+                p.add_argument(*names, **options)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the chosen subcommand's parser parses it alike; help, no arguments and
+    # unknown commands need the whole parser
+    only = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = build_parser(only).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

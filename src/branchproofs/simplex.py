@@ -39,8 +39,15 @@ a system made by ``with_rows`` / ``with_equality`` (rows appended) or
 copies the nearest ancestor's kept basis for the objective, once that
 ancestor's scaled rows are checked to be a prefix of its own.  Added primal
 rows only add dual columns, and a changed b only changes costs, so the basis
-stays dual feasible and phase 1 is skipped.  A pivot replaces the inverse's
-rows and never writes into them, so any number of derived systems can start
+stays dual feasible and phase 1 is skipped.  A new objective restarts from
+a kept basis for another one (Lemke's dual simplex, with Bland's rule): the
+system's own last kept basis, which phase 2 must then find optimal, or else
+the nearest ancestor's, if a changed b has not made it suboptimal, extended
+after the restart.  A kept basis is optimal for the costs -b whatever c is,
+and c only changes the basic values, so a dual simplex makes them feasible
+again; if it cannot, the primal is unbounded along c and the solve goes cold,
+which builds and checks the ray.  A pivot replaces the inverse's rows and never
+writes into them, so any number of derived systems and objectives can start
 from one kept basis.  A basis whose phase 1 dropped a redundant equality is
 never kept, because added rows can make that equality matter again.
 """
@@ -405,6 +412,58 @@ class _DualTableau:
         twin.inv, twin.beta, twin.basis = list(self.inv), list(self.beta), list(self.basis)
         return twin
 
+    def restarted(self, c_int: list[int], raw: list[int]) -> Optional["_DualTableau"]:
+        """A copy for the right-hand side ``c_int``, made feasible by dual
+        simplex, or None if the LP dual is infeasible for it.
+
+        The basis is optimal for the costs ``raw``, which c does not change, so
+        the copy keeps ``tau`` and resets ``beta = inv (tau o c)``.  While a
+        ``beta`` lacks d's sign, the least basic variable among them leaves
+        (Bland) and ``_dual_entering`` picks the entering column; the
+        multipliers are updated by rank one, as in ``run``.
+        """
+        twin = self.extended(self.mat)
+        tau_c = [t * v for t, v in zip(self.tau, c_int)]
+        twin.beta = [sum(map(mul, row, tau_c)) for row in twin.inv]
+        prices = twin.prices(raw)
+        while True:
+            sd = 1 if twin.d > 0 else -1
+            wrong = [(var, pos) for pos, (var, v) in enumerate(zip(twin.basis, twin.beta))
+                     if v * sd < 0]
+            if not wrong:
+                return twin
+            pos = min(wrong)[1]
+            col, cost = twin._dual_entering(pos, raw, prices)
+            if col is None:
+                return None
+            row, d = twin.inv[pos], twin.d
+            twin.pivot(pos, col, twin.column(col))
+            prices = [(twin.d * x + cost * w) // d for x, w in zip(prices, row)]
+
+    def _dual_entering(self, pos, raw, prices) -> tuple[int | None, int]:
+        """Dual ratio test on the pivot row ``alpha = inv_pos (tau o A)``: the
+        least column, with its cost, whose alpha lacks d's sign and whose ratio
+        of d-scaled reduced cost to alpha is least; ``(None, 0)`` if no alpha
+        qualifies (the primal is unbounded along c)."""
+        d, sd = self.d, (1 if self.d > 0 else -1)
+        row_tau = [w * t for w, t in zip(self.inv[pos], self.tau)]
+        scaled = [t * v for t, v in zip(self.tau, prices)]
+        best_col, best_cost, best_alpha = None, 0, 0
+        for col, (r, a) in enumerate(zip(raw, self.mat)):
+            alpha = 0
+            for j, v in a:
+                alpha += row_tau[j] * v
+            if alpha * sd >= 0:
+                continue
+            cost = d * r
+            for j, v in a:
+                cost -= scaled[j] * v
+            # cost / alpha against best_cost / best_alpha, cross-multiplied:
+            # both alphas lack d's sign, so their product is > 0
+            if best_col is None or cost * best_alpha < best_cost * alpha:
+                best_col, best_cost, best_alpha = col, cost, alpha
+        return best_col, best_cost
+
     def column(self, col: int) -> list[int]:
         """``d B^-1`` times column ``col`` of ``[tau A^T | I]``."""
         if col < self.m:
@@ -548,22 +607,55 @@ def _warm_tableau(system: InequalitySystem, key: _Key) -> Optional[_DualTableau]
     return None
 
 
+def _ancestor_restart(system: InequalitySystem, c_int: list[int], raw: list[int]
+                      ) -> Optional[_DualTableau]:
+    """The last basis kept by the nearest ancestor that keeps one, restarted
+    for c on the ancestor's rows and extended to the system's, or None.
+
+    The ancestor's rows must be a prefix of the system's, and its basis dual
+    feasible for their costs in ``raw``, which ``with_rhs`` may have changed.
+    """
+    link = system._ancestry
+    while link is not None:
+        kept, link = link
+        if kept:
+            tab = next(reversed(kept.values()))
+            mat = system._scaled_rows()[0]
+            costs = raw[:tab.m] + raw[system.m:]
+            if tab.mat != mat[:tab.m]:
+                return None
+            if tab._entering(costs, tab.prices(costs), False)[0] is not None:
+                return None
+            tab = tab.restarted(c_int, costs)
+            return tab and tab.extended(mat)
+    return None
+
+
 def _solve_verified(system: InequalitySystem, c: Vector, key: _Key) -> LpOutcome:
     mat, rhs_b, sigmas = system._scaled_rows()
     c_int, mu = _over_common_denominator(c)
     m, n = system.m, system.n
     zero = Fraction(0)
 
+    # phase 2 maximizes -(scaled b) y over a feasible dual basis
+    raw = [-v for v in rhs_b] + [0] * n
     tab = _warm_tableau(system, key)
+    restart = None
+    if tab is None and system._tableaux:
+        # the last basis kept for another objective, made feasible for c
+        tab = next(reversed(system._tableaux.values())).restarted(c_int, raw)
+        restart = tab and list(tab.basis)
+    elif tab is None:
+        tab = _ancestor_restart(system, c_int, raw)
     if tab is None:
         tab = _DualTableau(mat, c_int)
         # phase 1: maximize minus the sum of artificials
-        raw = [0] * m + [-1] * n
-        if tab.run(raw, artificials=True) is not None:
+        phase1 = [0] * m + [-1] * n
+        if tab.run(phase1, artificials=True) is not None:
             raise SolverError("phase 1 objective cannot be unbounded")
-        if tab.objective_value(raw) != 0:
+        if tab.objective_value(phase1) != 0:
             # dual infeasible: the primal is unbounded or empty
-            ray = _primal_vector(tab, raw)
+            ray = _primal_vector(tab, phase1)
             _check_ray(system, c, ray)
             witness = is_empty(system)  # c = 0 never reaches this branch
             if witness is not None:
@@ -571,9 +663,10 @@ def _solve_verified(system: InequalitySystem, c: Vector, key: _Key) -> LpOutcome
             return Unbounded(ray)
         tab.drive_out_artificials()
 
-    # phase 2: maximize -(scaled b) y over the feasible dual basis
-    raw = [-v for v in rhs_b] + [0] * n
     unb_col = tab.run(raw, artificials=False)
+    if restart is not None and tab.basis != restart:
+        # dual simplex keeps the costs optimal, so phase 2 has nothing to do
+        raise SolverError("restarted basis was not optimal")
 
     if unb_col is not None:
         # unbounded dual ray == Farkas certificate of primal emptiness

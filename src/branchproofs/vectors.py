@@ -22,18 +22,24 @@ from typing import Iterable, Sequence, Union
 Scalar = Union[int, Fraction]
 
 
+_ZERO = Fraction(0)  # shared by every parsed zero; a Fraction is immutable
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse the text form "p/q" or "p" (optional leading minus sign)."""
+    if text == "0":  # the commonest token by far
+        return _ZERO
     cleaned = text.strip().replace("−", "-")  # accept the unicode minus
     if not cleaned:
         raise ValueError("empty rational literal")
-    if "/" in cleaned:
-        num, _, den = cleaned.partition("/")
-        numerator, denominator = int(num), int(den)
-        if denominator == 0:
-            raise ValueError(f"zero denominator in rational literal {text!r}")
-        return Fraction(numerator, denominator)
-    return Fraction(int(cleaned))
+    if "/" not in cleaned:
+        value = int(cleaned)
+        return Fraction(value) if value else _ZERO
+    num, _, den = cleaned.partition("/")
+    numerator, denominator = int(num), int(den)
+    if denominator == 0:
+        raise ValueError(f"zero denominator in rational literal {text!r}")
+    return Fraction(numerator, denominator)
 
 
 def format_rational(value: Scalar) -> str:

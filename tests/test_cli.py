@@ -4,14 +4,14 @@ import hashlib
 import io
 import re
 import sys
-from contextlib import contextmanager, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from branchproofs.cli import main
+from branchproofs.cli import build_parser, main
 from branchproofs.families import TseitinInstance, tseitin_polytope, tseitin_sp_refutation
 from branchproofs.prooftree import (
     EnumNode,
@@ -235,6 +235,31 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+def parsed(argv, only=None):
+    """What the parser with every subcommand, or with only ``only``, makes
+    of argv: the namespace, or the exit code and the usage text."""
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        try:
+            return vars(build_parser(only).parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-tseitin", "g.graph"], ["gen-tseitin", "g.graph", "--system", "s", "--proof", "p"],
+    ["gen-pn", "3"], ["gen-pn", "x"], ["gen-qn", "3", "--split-check"],
+    ["thin-segment", "10", "--system", "t"], ["recompile", "s", "p", "--radius", "4"],
+    ["enum-to-cp", "s", "p", "--out", "c"], ["verify", "cp", "s", "c"],
+    ["verify", "bogus", "s", "p"], ["verify", "cp", "s", "c", "extra"], ["certify", "s"],
+    ["stats", "p"], ["stats", "--bad", "p"], ["verify", "-h"],
+])
+def test_one_subcommand_parser_parses_alike(argv):
+    """main builds only the named subcommand's parser; it gives the same
+    namespace, or the same exit code and usage text, as the whole parser."""
+    assert parsed(argv, argv[0]) == parsed(argv)
 
 
 # ---------------------------------------------------------------------------

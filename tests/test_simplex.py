@@ -23,7 +23,7 @@ from branchproofs.simplex import (
 from branchproofs.vectors import Vector
 
 from oracles import dual_cone_vertices, fourier_motzkin_empty, fraction_combination
-from randgen import random_system
+from randgen import random_boxed_polytope, random_system
 
 
 def test_optimize_box():
@@ -726,10 +726,134 @@ def test_sibling_children_warm_start_from_one_kept_tableau(monkeypatch):
     assert second == lp_optimize(cold_twin(right), c)
 
 
+def count_solves(monkeypatch) -> dict:
+    """Count real solves, and how they start: cold from the artificial
+    basis, warm from an ancestor's basis for the objective, or restarted from
+    a basis for another objective (``from_ancestor`` of them an ancestor's);
+    a restart that finds the objective unbounded falls back to the cold path."""
+    counts = dict.fromkeys(["solves", "cold", "warm", "restarted", "from_ancestor",
+                            "fallback"], 0)
+    init, warm_tableau = simplex._DualTableau.__init__, simplex._warm_tableau
+    restarted, ancestor = simplex._DualTableau.restarted, simplex._ancestor_restart
+    solve = simplex._solve_verified
+
+    def counted_solve(*args):
+        counts["solves"] += 1
+        return solve(*args)
+
+    def counted_init(self, *args):
+        counts["cold"] += 1
+        init(self, *args)
+
+    def counted_warm(*args):
+        tab = warm_tableau(*args)
+        counts["warm"] += tab is not None
+        return tab
+
+    def counted_restart(self, *args):
+        tab = restarted(self, *args)
+        counts["restarted" if tab is not None else "fallback"] += 1
+        return tab
+
+    def counted_ancestor(*args):
+        tab = ancestor(*args)
+        counts["from_ancestor"] += tab is not None
+        return tab
+
+    monkeypatch.setattr(simplex, "_solve_verified", counted_solve)
+    monkeypatch.setattr(simplex, "_ancestor_restart", counted_ancestor)
+    monkeypatch.setattr(simplex._DualTableau, "__init__", counted_init)
+    monkeypatch.setattr(simplex, "_warm_tableau", counted_warm)
+    monkeypatch.setattr(simplex._DualTableau, "restarted", counted_restart)
+    return counts
+
+
+def test_restart_agrees_with_cold_solves(monkeypatch):
+    """A sequence of objectives on one random system: after the first
+    optimum, each solve restarts from the system's kept basis, and gives the
+    cold solve's outcome type and value; an objective the system does not
+    bound falls back to the cold path, which returns its ray."""
+    counts = count_solves(monkeypatch)
+    rng = Random(6060)
+    outcomes = {Optimal: 0, Unbounded: 0, Infeasible: 0}
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        if rng.randrange(2):
+            system = random_system(rng, n, rng.randint(1, 9))
+        else:  # bounded, so nearly every objective restarts
+            system = cold_twin(random_boxed_polytope(rng, n, rng.randint(1, 4)))
+        for _ in range(rng.randint(2, 6)):
+            c = Vector([rng.randint(-3, 3) for _ in range(n)])
+            outcome = lp_optimize(system, c)
+            assert same_outcome(outcome, lp_optimize(cold_twin(system), c))
+            if isinstance(outcome, Optimal):
+                simplex._check_optimal(system, c, outcome.value, outcome.point, outcome.dual)
+            elif isinstance(outcome, Unbounded):
+                simplex._check_ray(system, c, outcome.ray)
+            outcomes[type(outcome)] += 1
+    assert min(outcomes.values()) > 100
+    assert counts["restarted"] > 200 and counts["fallback"] > 40
+
+
+def test_wrong_restart_raises(monkeypatch):
+    """A restart that skips the dual simplex, keeps the old basic values, or
+    takes a column other than the least ratio's ends in a basis that is not
+    optimal for the objective: each is caught and raises SolverError."""
+    system = InequalitySystem.box(2, -2, 2).with_rows(
+        [(Vector([0, -3]), 4), (Vector([0, 0]), 2), (Vector([3, 3]), -2)])
+    first, second = Vector([2, 0]), Vector([-1, 2])
+    assert lp_optimize(system, first).value == Fraction(4, 3)
+    assert lp_optimize(cold_twin(system), second).value == Fraction(14, 3)
+
+    def unpivoted(self, c_int, raw):  # beta reset, but not made feasible
+        twin = self.extended(self.mat)
+        tau_c = [t * v for t, v in zip(self.tau, c_int)]
+        twin.beta = [sum(w * v for w, v in zip(row, tau_c)) for row in twin.inv]
+        return twin
+
+    def largest_ratio(self, pos, raw, prices):  # the ratio test reversed
+        sd = 1 if self.d > 0 else -1
+        best = (None, 0, 0)
+        for col, a in enumerate(self.mat):
+            alpha = self.column(col)[pos]
+            cost = self.d * raw[col] - sum(self.tau[j] * prices[j] * v for j, v in a)
+            if alpha * sd < 0 and (best[0] is None or cost * best[2] > best[1] * alpha):
+                best = (col, cost, alpha)
+        return best[:2]
+
+    for attr, wrong in (("restarted", unpivoted),
+                        ("restarted", lambda self, c_int, raw: self.extended(self.mat)),
+                        ("_dual_entering", largest_ratio)):
+        fresh = cold_twin(system)
+        lp_optimize(fresh, first)
+        with monkeypatch.context() as patched:
+            patched.setattr(simplex._DualTableau, attr, wrong)
+            with pytest.raises(SolverError):
+                lp_optimize(fresh, second)
+
+
+def test_grid3x3_solve_starts_pinned(monkeypatch):
+    """How grid3x3's enum_to_cp starts its real solves: after the root's
+    cold solve, every solve warm-starts or restarts, 17 of the restarts from
+    an ancestor's basis, and no objective is unbounded."""
+    from pathlib import Path
+
+    from branchproofs.enumcp import enum_to_cp
+    from branchproofs.families import TseitinInstance, tseitin_polytope, tseitin_sp_refutation
+
+    graph = Path(__file__).resolve().parent.parent / "instances" / "grid3x3.graph"
+    inst = TseitinInstance.from_text(graph.read_text())
+    proof = tseitin_sp_refutation(inst)
+    counts = count_solves(monkeypatch)
+    enum_to_cp(tseitin_polytope(inst), proof)
+    assert counts == {"solves": 361, "cold": 1, "warm": 266, "restarted": 94,
+                      "from_ancestor": 17, "fallback": 0}
+
+
 # sha256 of the (pos, col, d) of every pivot made by the pipelines below,
 # outside reduce_certificate and inside it; the entering and leaving rules and
 # the exact pivot arithmetic are pinned by them
-PIVOT_TRACE_PIN = "d71ae30876fbbabc64c1c4c49cba64b7ae641777acdc67816aebdee0d93f50c2"
+PIVOT_TRACE_PIN = "674dc8459922ecd8885cf3a37f32d819a363ab24f8d0c88db96ec3ba836eb2a4"
 REDUCTION_TRACE_PIN = "180f68862dbf5e1d3f79f77c00386af89b41747077e9634a27371aae1dca7ec0"
 
 
@@ -775,6 +899,6 @@ def test_pivot_trace_pinned(monkeypatch):
     for M in (10**3, 10**6, 10**9):
         K, proof = thin_segment(M)
         certify(K, recompile(K, proof))
-    assert (len(trace), len(reduction)) == (1573, 143)
+    assert (len(trace), len(reduction)) == (681, 143)
     assert hashlib.sha256(repr(trace).encode()).hexdigest() == PIVOT_TRACE_PIN
     assert hashlib.sha256(repr(reduction).encode()).hexdigest() == REDUCTION_TRACE_PIN

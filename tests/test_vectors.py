@@ -126,6 +126,40 @@ def test_rational_text_form():
         parse_rational("")
 
 
+def reference_parse_rational(text: str) -> Fraction:
+    """The text form parsed without the integer fast path."""
+    cleaned = text.strip().replace("−", "-")
+    if not cleaned:
+        raise ValueError("empty rational literal")
+    if "/" in cleaned:
+        num, _, den = cleaned.partition("/")
+        numerator, denominator = int(num), int(den)
+        if denominator == 0:
+            raise ValueError(f"zero denominator in rational literal {text!r}")
+        return Fraction(numerator, denominator)
+    return Fraction(int(cleaned))
+
+
+@pytest.mark.parametrize("text", [
+    "0", "-0", "+0", "00", " 0 ", "−0", "0/7", "7", "-12", " 3 ", "1_000", "3/2", "−5/3",
+    "", " ", "1/0", "0/0", "a", "1.5", "1/", "/2", "--1", "1/2/3", "0x10", "1e3",
+])
+def test_parse_rational_matches_reference(text):
+    """Same value, or the same ValueError, as parsing without the fast path;
+    every integer zero is the one shared Fraction."""
+    try:
+        expected = reference_parse_rational(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            parse_rational(text)
+        assert str(info.value) == str(exc)
+        return
+    value = parse_rational(text)
+    assert type(value) is Fraction and value == expected
+    if value == 0 and "/" not in text:
+        assert value is parse_rational("0")
+
+
 def test_as_ints_requires_integrality():
     assert Vector([2, -3]).as_ints() == (2, -3)
     with pytest.raises(ValueError):
