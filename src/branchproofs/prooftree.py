@@ -258,6 +258,10 @@ def _witness(system: InequalitySystem) -> str:
     """"; witness x = (...)": x = 0 or the memoized point of ``is_empty``'s c = 0 solve."""
     zero = Vector.zero(system.n)
     point = lp_optimize(system, zero).point if any(b < 0 for b in system.rhs) else zero
+    return _witness_text(point)
+
+
+def _witness_text(point: Vector) -> str:
     return f"; witness x = ({', '.join(map(format_rational, point))})"
 
 
@@ -370,9 +374,11 @@ def verify_enumerative_proof(K: InequalitySystem, proof: EnumNode) -> Report:
                 continue
             lo_val = -lo_neg
             if lo_val < node.lo or hi_val > node.hi:
+                # the point attaining an escaping end, from its memoized solve
+                end = node.a if hi_val > node.hi else -node.a
                 failures.append(
                     f"{where}: range [{lo_val}, {hi_val}] escapes bounds"
-                    f" [{node.lo}, {node.hi}]"
+                    f" [{node.lo}, {node.hi}]" + _witness_text(lp_optimize(system, end).point)
                 )
             if not node.children and math.floor(node.hi) >= node.lo:
                 failures.append(

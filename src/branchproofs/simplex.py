@@ -17,14 +17,19 @@ integral ("integer pivoting"): it stores only ``d`` times the basis inverse
 and the basic values, for the basis scale ``d``.  Each system scales its rows
 to integers once and keeps their nonzeros (a derived system extends its
 parent's), so a column or a reduced cost costs one product per nonzero; the
-simplex multipliers are updated by rank one per pivot.  Every outcome is
-re-verified in integers on the scaled rows before it is returned, with the
-point, ray, duals or Farkas multipliers over a common denominator, the last
-two read over their nonzeros only; a failure raises ``SolverError``.  Every
-row combination ``lam (A, b)`` -- a dual's, a given Farkas certificate's
-(``FarkasCertificate.verify``, which solves nothing), ``combination``'s --
-is this one integer path: ``_weights`` turns the nonzero rational multipliers
-into integer weights on the scaled rows and ``_combine`` sums those rows.
+simplex multipliers are updated by rank one per pivot; a pricing scan
+skips the basic columns, whose reduced costs are 0.  Every outcome is
+re-verified in integers on the scaled rows before it is returned; a failure
+raises ``SolverError``.  An optimum is checked in the solver's own integers,
+read from the final tableau: its point times ``|d|`` and its duals as integer
+weights on the scaled rows, over their nonzeros; ``Optimal`` builds its
+Fraction ``point`` and ``dual`` from them only when they are first read.  A
+ray is checked over a common denominator, and Farkas multipliers over their
+nonzeros.  Every row combination ``lam (A, b)`` -- a dual's, a given Farkas
+certificate's (``FarkasCertificate.verify``, which solves nothing),
+``combination``'s -- is this one integer path: ``_weights`` turns the nonzero
+rational multipliers into integer weights on the scaled rows (the solver's
+own duals already are) and ``_combine`` sums those rows.
 Certificate reduction runs on this solver too: every Farkas certificate the
 solver returns is a basic dual ray (the basis plus the entering column, so at
 most n+1 nonzeros), and ``reduce_certificate`` reduces a certificate to the
@@ -60,7 +65,7 @@ from math import lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .vectors import Scalar, Vector, format_rational, parse_rational
+from .vectors import _ZERO, Scalar, Vector, format_rational, parse_rational
 
 
 class DimensionMismatch(ValueError):
@@ -186,7 +191,7 @@ class InequalitySystem:
     def __repr__(self) -> str:
         return f"InequalitySystem(n={self.n}, m={self.m})"
 
-    # text format: line 1 "n m", then m lines "a_1 ... a_n b"
+    # text format: line 1 "n m" (n, m >= 1), then m lines "a_1 ... a_n b"
 
     def to_text(self) -> str:
         lines = [f"{self.n} {self.m}"]
@@ -203,6 +208,11 @@ class InequalitySystem:
         if len(header) != 2:
             raise ValueError("first line must be 'n m'")
         n, m = int(header[0]), int(header[1])
+        # a row holds n + 1 numbers, so a system with rows bounds n by its
+        # own length; a row-less one (all of Q^n, which no proof refutes)
+        # would not, and the work on it, a witness say, grows with n
+        if n < 1 or m < 1:
+            raise ValueError(f"header 'n m' needs n >= 1 and m >= 1, found {n} {m}")
         body = tokens_by_line[1:]
         if len(body) != m:
             raise ValueError(f"expected {m} rows, found {len(body)}")
@@ -289,11 +299,67 @@ class FarkasCertificate:
         return not any(combo) and total < 0
 
 
-@dataclass(frozen=True)
 class Optimal:
-    value: Fraction
-    point: Vector
-    dual: Vector
+    """An optimum ``value`` with an optimal ``point`` and nonnegative ``dual``
+    multipliers, ``dual A = c`` and ``dual b = value``.
+
+    The solver checks an optimum in its own integers (``_check_optimal``)
+    and stores them: the point as integers over one scale, the duals as
+    integer weights on the scaled rows over another.  ``point`` and ``dual``
+    are built from them as Vectors when first read, the dual from its
+    nonzeros, and then kept; ``value`` is a Fraction from the start.  The
+    negation that ``lp_optimize(sense="min")`` returns shares what is built.
+    Equal, hashed and shown as the triple ``(value, point, dual)``.
+    """
+
+    __slots__ = ("value", "_parts", "_built")
+
+    def __init__(self, value: Fraction, point: Vector, dual: Vector):
+        self.value, self._parts, self._built = value, None, [point, dual]
+
+    @classmethod
+    def _unbuilt(cls, value, point, scale, weights, sigmas, w_den) -> "Optimal":
+        """The optimum with point ``point / scale`` and dual ``sigma_i w_i /
+        w_den`` on each row i of the ``(i, w_i)`` weights, 0 elsewhere."""
+        out = object.__new__(cls)
+        out.value, out._built = value, [None, None]
+        out._parts = (point, scale, weights, sigmas, w_den)
+        return out
+
+    def _negated(self) -> "Optimal":
+        out = object.__new__(Optimal)
+        out.value, out._parts, out._built = -self.value, self._parts, self._built
+        return out
+
+    @property
+    def point(self) -> Vector:
+        built = self._built
+        if built[0] is None:
+            point, scale = self._parts[:2]
+            built[0] = Vector(Fraction(v, scale) if v else _ZERO for v in point)
+        return built[0]
+
+    @property
+    def dual(self) -> Vector:
+        built = self._built
+        if built[1] is None:
+            _, _, weights, sigmas, w_den = self._parts
+            entries = [_ZERO] * len(sigmas)
+            for i, w in weights:
+                entries[i] = Fraction(sigmas[i] * w, w_den)
+            built[1] = Vector(entries)
+        return built[1]
+
+    def __eq__(self, other):
+        if type(other) is not Optimal:
+            return NotImplemented
+        return (self.value, self.point, self.dual) == (other.value, other.point, other.dual)
+
+    def __hash__(self):
+        return hash((self.value, self.point, self.dual))
+
+    def __repr__(self) -> str:
+        return f"Optimal(value={self.value!r}, point={self.point!r}, dual={self.dual!r})"
 
 
 @dataclass(frozen=True)
@@ -324,7 +390,7 @@ def lp_optimize(system: InequalitySystem, c: Vector, sense: str = "max") -> LpOu
     if sense == "min":
         res = _solve_max(system, -c)
         if isinstance(res, Optimal):
-            return Optimal(-res.value, res.point, res.dual)
+            return res._negated()
         return res
     raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
 
@@ -448,8 +514,11 @@ class _DualTableau:
         d, sd = self.d, (1 if self.d > 0 else -1)
         row_tau = [w * t for w, t in zip(self.inv[pos], self.tau)]
         scaled = [t * v for t, v in zip(self.tau, prices)]
+        basic = set(self.basis)  # alpha is d or 0 there: never taken
         best_col, best_cost, best_alpha = None, 0, 0
         for col, (r, a) in enumerate(zip(raw, self.mat)):
+            if col in basic:
+                continue
             alpha = 0
             for j, v in a:
                 alpha += row_tau[j] * v
@@ -505,11 +574,15 @@ class _DualTableau:
     def _entering(self, raw, prices, artificials) -> tuple[int | None, int]:
         """Bland's rule: the first column, with its cost, whose d-scaled reduced
         cost ``d raw[k] - (prices o tau) A_k`` (artificial j: ``A_k = tau_j e_j``)
-        has d's sign; ``(None, 0)`` at optimum."""
+        has d's sign; ``(None, 0)`` at optimum.  Basic columns, whose reduced
+        costs are 0, are skipped."""
         d, sd = self.d, (1 if self.d > 0 else -1)
         scaled = [t * v for t, v in zip(self.tau, prices)]
         units = [((j, t),) for j, t in enumerate(self.tau)] if artificials else []
+        basic = set(self.basis)
         for col, (r, a) in enumerate(zip(raw, self.mat + units)):
+            if col in basic:
+                continue
             cost = d * r
             for j, v in a:
                 cost -= scaled[j] * v
@@ -635,7 +708,6 @@ def _solve_verified(system: InequalitySystem, c: Vector, key: _Key) -> LpOutcome
     mat, rhs_b, sigmas = system._scaled_rows()
     c_int, mu = _over_common_denominator(c)
     m, n = system.m, system.n
-    zero = Fraction(0)
 
     # phase 2 maximizes -(scaled b) y over a feasible dual basis
     raw = [-v for v in rhs_b] + [0] * n
@@ -655,7 +727,7 @@ def _solve_verified(system: InequalitySystem, c: Vector, key: _Key) -> LpOutcome
             raise SolverError("phase 1 objective cannot be unbounded")
         if tab.objective_value(phase1) != 0:
             # dual infeasible: the primal is unbounded or empty
-            ray = _primal_vector(tab, phase1)
+            ray = Vector(Fraction(v, abs(tab.d)) for v in _primal(tab, phase1))
             _check_ray(system, c, ray)
             witness = is_empty(system)  # c = 0 never reaches this branch
             if witness is not None:
@@ -674,30 +746,31 @@ def _solve_verified(system: InequalitySystem, c: Vector, key: _Key) -> LpOutcome
         _check_farkas(system, ray)
         system._empty = True
         d = abs(tab.d)
-        lam = (Fraction(sigmas[i] * ray[i], d) if i in ray else zero for i in range(m))
+        lam = (Fraction(sigmas[i] * ray[i], d) if i in ray else _ZERO for i in range(m))
         return Infeasible(FarkasCertificate(Vector(lam)))
 
-    point = _primal_vector(tab, raw)
-    basic = {var: v for var, v in zip(tab.basis, tab.beta) if v}
-    dual = Vector(Fraction(sigmas[i] * basic[i], mu * tab.d) if i in basic else zero
-                  for i in range(m))
-    value = -tab.objective_value(raw) / mu
-    _check_optimal(system, c, value, point, dual)
+    # the optimum in the tableau's integers: the point is p / |d|, the dual
+    # on row i is sigma_i w_i / (mu |d|), for w_i = sd beta_i on basic rows
+    scale, sd = abs(tab.d), (1 if tab.d > 0 else -1)
+    point = _primal(tab, raw)
+    weights = [(var, sd * v) for var, v in zip(tab.basis, tab.beta) if v and var < m]
+    total = _check_optimal(system, c_int, point, weights, scale)
     system._empty = False
     if not tab.dropped:
         # a dropped equality may stop being redundant once rows are added
         system._tableaux[key] = tab
-    return Optimal(value, point, dual)
+    w_den = mu * scale
+    return Optimal._unbuilt(Fraction(total, w_den), point, scale, weights, sigmas, w_den)
 
 
-def _primal_vector(tab: _DualTableau, raw: list[int]) -> Vector:
-    """``-tau_j prices_j / d`` per coordinate, 0 for a dropped equality: the
-    phase-1 ray, or the phase-2 optimal point."""
+def _primal(tab: _DualTableau, raw: list[int]) -> list[int]:
+    """``|d|`` times the primal vector, ``-sd tau_j prices_j`` per coordinate
+    and 0 for a dropped equality: the phase-1 ray, or the phase-2 optimal
+    point."""
+    sd = 1 if tab.d > 0 else -1
     dropped = set(tab.dropped)
-    return Vector(
-        0 if j in dropped else Fraction(-t * v, tab.d)
-        for j, (t, v) in enumerate(zip(tab.tau, tab.prices(raw)))
-    )
+    return [0 if j in dropped else -sd * t * v
+            for j, (t, v) in enumerate(zip(tab.tau, tab.prices(raw)))]
 
 
 def _ray_direction(tab: _DualTableau, col: int) -> dict[int, int]:
@@ -730,27 +803,25 @@ def _check_ray(system: InequalitySystem, c: Vector, ray: Vector) -> None:
         raise SolverError("extracted ray leaves the recession cone")
 
 
-def _check_optimal(system, c, value, point, dual) -> None:
-    """Require a feasible point attaining ``value`` and nonnegative duals with
-    ``dual A = c`` and ``dual b = value``, in integers on the scaled rows.
+def _check_optimal(system, c_int, point, weights, scale) -> int:
+    """Require an optimum in integers on the scaled rows, and return its
+    value times ``mu scale``, for ``c = c_int / mu``.
 
-    The point is ``p / D`` and ``dual_i / sigma_i`` is ``W_i / E`` for
-    integers p, W and common denominators D, E; row i scaled by sigma_i then
-    reads ``A_i p <= b_i D``, and the dual identities read ``sum W_i A_i = E c``
-    and ``sum W_i b_i = E value``; both, and the signs, read only the nonzeros.
+    The point is ``point / scale``, and the ``(i, w_i)`` weights put
+    ``sigma_i w_i / (mu scale)`` on row i.  Checked: every ``w_i >= 0``,
+    ``sum w_i A_i = scale c_int``, ``c_int point = sum w_i b_i`` (strong
+    duality; the value is ``sum w_i b_i / (mu scale)``) and ``A_i point <= b_i
+    scale`` on every scaled row.  The weights are read over their nonzeros.
     """
-    mat, rhs, _ = system._scaled_rows()
-    c_int, mu = _over_common_denominator(c)
-    p_int, p_den = _over_common_denominator(point)
-    if sum(map(mul, c_int, p_int)) * value.denominator != value.numerator * mu * p_den:
-        raise SolverError("optimal point does not attain the reported value")
-    if any(sum([p_int[j] * v for j, v in row]) > b * p_den for row, b in zip(mat, rhs)):
-        raise SolverError("optimal point is infeasible")
-    weights, w_den = _weights(system, dual)
     if any(w < 0 for _, w in weights):
         raise SolverError("negative dual multiplier")
     combo, total = _combine(system, weights)
-    if [v * mu for v in combo] != [w_den * v for v in c_int]:
+    if combo != [scale * v for v in c_int]:
         raise SolverError("duals do not reproduce the objective")
-    if total * value.denominator != w_den * value.numerator:
-        raise SolverError("strong duality violated")
+    if sum(map(mul, c_int, point)) != total:
+        raise SolverError("strong duality violated: the optimal point does not attain"
+                          " the duals' value")
+    mat, rhs, _ = system._scaled_rows()
+    if any(sum([point[j] * v for j, v in row]) > b * scale for row, b in zip(mat, rhs)):
+        raise SolverError("optimal point is infeasible")
+    return total

@@ -77,7 +77,9 @@ class Vector:
 
     @staticmethod
     def zero(dim: int) -> "Vector":
-        return Vector([0] * dim)
+        vec = object.__new__(Vector)
+        vec.entries = (_ZERO,) * dim
+        return vec
 
     @staticmethod
     def unit(dim: int, index: int) -> "Vector":

@@ -358,6 +358,10 @@ def contract_cases(depth):
          ["verify", "branching", "k.ineq", "p.proof"], 2),
         ("deeper list for an enumerative tag",
          {"e.proof": f"(enode (1) 0 0 (child 0 {nested}))"}, ["stats", "e.proof"], 2),
+        ("3 million variables, no rows", {"k.ineq": "3000000 0\n", "p.proof": "(leaf)"},
+         ["verify", "branching", "k.ineq", "p.proof"], 2),
+        ("negative row count", {"k.ineq": "2 -1\n", "p.proof": "(leaf)"},
+         ["verify", "branching", "k.ineq", "p.proof"], 2),
         ("10^12 missing children",
          {"k.ineq": SEGMENT, "e.proof": "(enode (1) 0 1000000000000 (child 0 (eleaf empty)))"},
          ["verify", "enumerative", "k.ineq", "e.proof"], 1),

@@ -286,6 +286,23 @@ def test_verify_enumerative_examples():
     assert verify_enumerative_proof(tseitin_polytope(tri), tseitin_sp_refutation(tri)).valid
 
 
+def test_escaped_bound_reports_the_point_attaining_it():
+    """A bound that the range escapes is reported with the optimal point of
+    the support solve at the escaping end."""
+    K = InequalitySystem([[-1, 0], [0, -1], [1, 2]], [0, 0, Fraction(5, 2)])
+    for lo, hi, witness in ((0, 2, "(5/2, 0)"), (1, 3, "(0, 0)")):
+        report = verify_enumerative_proof(K, EnumNode(a=Vector([1, 1]), lo=lo, hi=hi))
+        assert report.failures[0] == (
+            f"(root): range [0, 5/2] escapes bounds [{lo}, {hi}]; witness x = {witness}")
+    tri = TseitinInstance(3, ((0, 1), (1, 2), (0, 2)), (1, 0, 0))
+    P, proof = tseitin_polytope(tri), tseitin_sp_refutation(tri)
+    tampered = EnumNode(a=proof.a, lo=proof.lo, hi=proof.hi - 1, children=proof.children)
+    (failure,) = [f for f in verify_enumerative_proof(P, tampered).failures if "escapes" in f]
+    top = Fraction(failure.split(", ", 1)[1].split("]", 1)[0])
+    point = reported_witness(failure)
+    assert top > tampered.hi and P.contains(point) and proof.a.dot(point) == top
+
+
 def test_verify_enumerative_missing_child():
     K = InequalitySystem.box(1, 0, 1)
     node = EnumNode(

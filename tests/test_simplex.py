@@ -2,6 +2,7 @@
 
 import hashlib
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
@@ -356,25 +357,40 @@ FRACTIONAL = InequalitySystem(
 )
 
 
+def check_fraction_outcome(system, c, point, dual) -> Fraction:
+    """``_check_optimal`` on an optimum given in Fractions, turned into its
+    integer form by ``_over_common_denominator`` and ``_weights``: the point
+    over a scale, the duals as weights over mu times that scale.  Returns the
+    value the check certifies."""
+    c_int, mu = simplex._over_common_denominator(c)
+    p_int, p_den = simplex._over_common_denominator(point)
+    weights, w_den = simplex._weights(system, dual)
+    scale = lcm(p_den, w_den)
+    point = [v * (scale // p_den) for v in p_int]
+    weights = [(i, w * mu * (scale // w_den)) for i, w in weights]
+    total = simplex._check_optimal(system, c_int, point, weights, scale)
+    return Fraction(total, mu * scale)
+
+
 def test_check_optimal_catches_tampered_outcomes():
     c = Vector([1, 1])
     res = lp_optimize(FRACTIONAL, c)
     assert isinstance(res, Optimal)
-    value, point, dual = res.value, res.point, res.dual
-    check = simplex._check_optimal
-    check(FRACTIONAL, c, value, point, dual)  # the true outcome passes
+    point, dual = res.point, res.dual
+    # the true outcome passes
+    assert check_fraction_outcome(FRACTIONAL, c, point, dual) == res.value
     # -x1 <= 0 and 2/3 x1 <= 1/2, taken 1 : 3/2, cancel in A but add 3/4 to b
     cancelling = Vector([0, 1, 0, Fraction(3, 2)])
     tampered = {
-        "infeasible": (value, point + Vector([10, -10]), dual),
-        "does not attain": (value + 1, point, dual),
-        "negative dual": (value, point, dual - Vector([0, 1, 0, 0])),
-        "do not reproduce": (value, point, dual * 2),
-        "strong duality": (value, point, dual + cancelling),
+        "infeasible": (point + Vector([10, -10]), dual),
+        "does not attain": (point - Vector([1, 0]), dual),
+        "negative dual": (point, dual - Vector([0, 1, 0, 0])),
+        "do not reproduce": (point, dual * 2),
+        "strong duality": (point, dual + cancelling),
     }
-    for message, (v, p, y) in tampered.items():
+    for message, (p, y) in tampered.items():
         with pytest.raises(SolverError, match=message):
-            check(FRACTIONAL, c, v, p, y)
+            check_fraction_outcome(FRACTIONAL, c, p, y)
 
 
 def test_check_ray_catches_bad_rays():
@@ -476,15 +492,15 @@ def test_carried_multipliers_equal_fresh_prices(monkeypatch):
     assert checked[True] > 300 and checked[False] > 100
 
 
-def fraction_check_optimal(system, c, value, point, dual) -> bool:
-    """Reference: the optimality conditions in Fraction arithmetic."""
+def fraction_check_optimal(system, c, point, dual) -> bool:
+    """Reference: the optimality conditions in Fraction arithmetic, the
+    value being the duals' ``dual b``."""
     combo, total = fraction_combination(system, dual)
     return (
-        c.dot(point) == value
+        c.dot(point) == total
         and system.contains(point)
         and all(v >= 0 for v in dual)
         and combo == list(c)
-        and total == value
     )
 
 
@@ -502,25 +518,83 @@ def test_integer_checks_agree_with_fraction_reference():
         if not isinstance(res, Optimal):
             continue
         checked += 1
-        for _ in range(4):  # nudge one part of the outcome, or none
-            value, point, dual = res.value, list(res.point), list(res.dual)
-            part = rng.randrange(4)
+        for _ in range(4):  # nudge the point or the duals, or neither
+            point, dual = list(res.point), list(res.dual)
+            part = rng.randrange(3)
             nudge = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
             if part == 1:
-                value += nudge
-            elif part == 2:
                 point[rng.randrange(n)] += nudge
-            elif part == 3:
+            elif part == 2:
                 dual[rng.randrange(len(dual))] += nudge
             point, dual = Vector(point), Vector(dual)
-            expected = fraction_check_optimal(system, c, value, point, dual)
+            expected = fraction_check_optimal(system, c, point, dual)
             try:
-                simplex._check_optimal(system, c, value, point, dual)
+                value = check_fraction_outcome(system, c, point, dual)
                 passed = True
             except SolverError:
                 passed = False
             assert passed == expected
+            if passed:
+                assert value == fraction_combination(system, dual)[1]
     assert checked > 50
+
+
+def test_lazy_point_and_dual_equal_the_fraction_formulas(monkeypatch):
+    """On random systems and both senses, an optimum builds nothing until read;
+    then its point is ``-tau_j prices_j / d`` (0 for a dropped equality) and
+    its dual ``sigma_i beta_i / (mu d)`` on basic rows, from the final
+    tableau, its value is ``-(objective value) / mu``, and equality and repr
+    are those of the triple."""
+    finals = []
+    primal = simplex._primal
+
+    def recorded(tab, raw):
+        finals.append((tab.d, list(tab.tau), tab.prices(raw), set(tab.dropped),
+                       dict(zip(tab.basis, tab.beta)), tab.objective_value(raw)))
+        return primal(tab, raw)
+
+    monkeypatch.setattr(simplex, "_primal", recorded)
+    rng = Random(3131)
+    seen = {"max": 0, "min": 0}
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        if rng.randrange(2):
+            system = random_system(rng, n, rng.randint(1, 8))
+        else:  # bounded, so most objectives have an optimum
+            system = random_boxed_polytope(rng, n, rng.randint(1, 4))
+        c = Vector([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)])
+        sense = rng.choice(["max", "min"])
+        finals.clear()
+        res = lp_optimize(system, c, sense=sense)
+        if not isinstance(res, Optimal):
+            continue
+        seen[sense] += 1
+        assert res._built == [None, None]
+        d, tau, prices, dropped, basic, objective = finals[-1]
+        solved = c if sense == "max" else -c
+        mu = simplex._over_common_denominator(solved)[1]
+        sigmas = system._scaled_rows()[2]
+        point = Vector(0 if j in dropped else Fraction(-t * v, d)
+                       for j, (t, v) in enumerate(zip(tau, prices)))
+        dual = Vector(Fraction(sigmas[i] * basic[i], mu * d) if basic.get(i) else 0
+                      for i in range(system.m))
+        value = -objective / mu
+        assert res.value == (value if sense == "max" else -value)
+        assert res.dual == dual and res.point == point
+        memo = system._outcomes[solved.entries]
+        assert memo.point is res.point and memo.dual is res.dual  # built once
+        assert res == Optimal(res.value, point, dual)
+        assert repr(res) == f"Optimal(value={res.value!r}, point={point!r}, dual={dual!r})"
+    assert min(seen.values()) > 40, seen
+
+
+def test_support_value_leaves_the_dual_unbuilt():
+    from branchproofs.geometry import support_value
+
+    K = cold_twin(FRACTIONAL)
+    a = Vector([1, 1])
+    assert support_value(K, a) == Fraction(5, 2)
+    assert K._outcomes[a.entries]._built == [None, None]
 
 
 def fraction_farkas_check(system: InequalitySystem, lam) -> bool:
@@ -787,7 +861,8 @@ def test_restart_agrees_with_cold_solves(monkeypatch):
             outcome = lp_optimize(system, c)
             assert same_outcome(outcome, lp_optimize(cold_twin(system), c))
             if isinstance(outcome, Optimal):
-                simplex._check_optimal(system, c, outcome.value, outcome.point, outcome.dual)
+                assert check_fraction_outcome(system, c, outcome.point,
+                                              outcome.dual) == outcome.value
             elif isinstance(outcome, Unbounded):
                 simplex._check_ray(system, c, outcome.ray)
             outcomes[type(outcome)] += 1
