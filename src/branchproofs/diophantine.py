@@ -32,10 +32,6 @@ class DioApprox:
     multiplier: int  # l, with ||a'||_inf == l
     precision: int  # N
 
-    def negated(self) -> "DioApprox":
-        """The same-quality approximation of -a (same multiplier)."""
-        return DioApprox(-self.a_prime, self.multiplier, self.precision)
-
 
 @dataclass(frozen=True)
 class RhsClassification:

@@ -202,10 +202,6 @@ class Report:
     valid: bool
     failures: tuple[str, ...] = ()
 
-    @property
-    def failing_leaves(self) -> tuple[str, ...]:
-        return tuple(f.split(":", 1)[0] for f in self.failures)
-
 
 @dataclass(frozen=True)
 class ProofStats:

@@ -462,7 +462,6 @@ def recompile(
     K: InequalitySystem,
     proof: BranchNode,
     R: int | None = None,
-    debug: bool = False,
 ) -> BranchNode:
     """Rebuild a valid branching proof using only small disjunction normals.
 
@@ -505,7 +504,7 @@ def recompile(
         else:
             seqs = [seq_pairs[d][0 if went_left else 1] for d, (_, went_left) in enumerate(path)]
             orig_rows = [row for parent, went_left in path for row in parent.edge_rows(went_left)]
-            built.append(_repair_leaf(K, orig_rows, seqs, debug))
+            built.append(_repair_leaf(K, orig_rows, seqs))
     if not radius_proven:
         report = verify_branching_proof(K, built[0])
         if not report.valid:
@@ -515,7 +514,7 @@ def recompile(
     return built[0]
 
 
-def _repair_leaf(K: InequalitySystem, orig_rows, seqs, debug: bool) -> BranchNode:
+def _repair_leaf(K: InequalitySystem, orig_rows, seqs) -> BranchNode:
     """The leaf itself, or a chain of the repair's +/- pairs whose right
     children are empty leaves, when the replaced path leaves K nonempty."""
     n = K.n
@@ -526,7 +525,7 @@ def _repair_leaf(K: InequalitySystem, orig_rows, seqs, debug: bool) -> BranchNod
     P_prime = InequalitySystem(
         [a for a, _ in prime_rows], [b for _, b in prime_rows], n=n
     )
-    pairs = _cut_pairs(K, P, P_prime, seqs, debug=debug)
+    pairs = _cut_pairs(K, P, P_prime, seqs)
     tree = BranchNode()
     for a_c, b_c in reversed(list(_plus_minus(pairs))):
         tree = BranchNode(a_c, b_c, tree, BranchNode())

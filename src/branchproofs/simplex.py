@@ -37,24 +37,27 @@ solver's certificate for the rows of its support.
 
 Outcomes are memoized per system, keyed by the objective, whose hash is
 computed once per solve: asking the same system the same question again costs
-a dictionary lookup.  A derived system starts with an empty memo, but a solve
-on it warm-starts: a solve that ends at an optimum keeps its final basis, and
-a system made by ``with_rows`` / ``with_equality`` (rows appended) or
-``with_rhs`` (one right-hand side changed, as a tightening CG cut does)
-copies the nearest ancestor's kept basis for the objective, once that
-ancestor's scaled rows are checked to be a prefix of its own.  Added primal
-rows only add dual columns, and a changed b only changes costs, so the basis
-stays dual feasible and phase 1 is skipped.  A new objective restarts from
-a kept basis for another one (Lemke's dual simplex, with Bland's rule): the
-system's own last kept basis, which phase 2 must then find optimal, or else
-the nearest ancestor's, if a changed b has not made it suboptimal, extended
-after the restart.  A kept basis is optimal for the costs -b whatever c is,
-and c only changes the basic values, so a dual simplex makes them feasible
+a dictionary lookup.  A derived system (``with_rows`` / ``with_equality``
+append rows, ``with_rhs`` changes one right-hand side, as a tightening CG cut
+does) starts with an empty memo, but a solve that ends at an optimum keeps its
+final basis for the objective, and every solve takes its start from one walk
+over the system's kept bases and its ancestors' (``_kept_start``).  The first
+basis kept for the objective whose scaled rows are a prefix of the system's is
+extended: added primal rows only add dual columns, and a changed b only
+changes costs, so the basis stays dual feasible and phase 1 is skipped.  Else
+the last basis of the nearest system that keeps any, the system itself or an
+ancestor, is restarted for the objective by dual simplex (Lemke, with Bland's
+rule) and extended; an ancestor's must first have rows that are a prefix of
+the system's and a basis that a changed b has not made suboptimal, or the
+solve goes cold.  A kept basis is optimal for the costs -b whatever c is, and
+c only changes the basic values, so the dual simplex makes them feasible
 again; if it cannot, the primal is unbounded along c and the solve goes cold,
-which builds and checks the ray.  A pivot replaces the inverse's rows and never
-writes into them, so any number of derived systems and objectives can start
-from one kept basis.  A basis whose phase 1 dropped a redundant equality is
-never kept, because added rows can make that equality matter again.
+which builds and checks the ray.  A restart on all of the system's rows is
+then optimal: phase 2 must not pivot, or the solve raises ``SolverError``.  A
+pivot replaces the inverse's rows and never writes into them, so any number of
+derived systems and objectives can start from one kept basis.  A basis whose
+phase 1 dropped a redundant equality is never kept, because added rows can
+make that equality matter again.
 """
 
 from __future__ import annotations
@@ -664,44 +667,40 @@ def _solve_max(system: InequalitySystem, c: Vector) -> LpOutcome:
     return outcome
 
 
-def _warm_tableau(system: InequalitySystem, key: _Key) -> Optional[_DualTableau]:
-    """The nearest ancestor's kept optimal tableau for the objective, extended
-    to the system's rows, or None.  Its rows must be a prefix of the system's
-    scaled rows; the rows are compared, not assumed."""
-    link = system._ancestry
+def _kept_start(system: InequalitySystem, key: _Key, c_int: list[int], raw: list[int]
+                ) -> tuple[Optional[_DualTableau], bool]:
+    """The kept basis a solve of c starts from, extended to the system's
+    rows, and whether it was restarted on all of them; ``(None, False)`` if
+    the solve must go cold.
+
+    One walk over the system's kept tableaux and its ancestors': the first
+    basis kept for c whose scaled rows are a prefix of the system's is
+    extended.  Else the last basis of the first dict that keeps any is
+    restarted for c and extended: the system's own, which is optimal for its
+    costs, or an ancestor's, once its rows are checked to be a prefix of the
+    system's and its basis dual feasible for their costs in ``raw``, which
+    ``with_rhs`` may have changed.
+    """
+    mat = system._scaled_rows()[0]
+    link, other = (system._tableaux, system._ancestry), None
     while link is not None:
         kept, link = link
         tab = kept.get(key)
-        if tab is not None:
-            mat = system._scaled_rows()[0]
-            if tab.mat == mat[:tab.m]:
-                return tab.extended(mat)
-            return None
-    return None
-
-
-def _ancestor_restart(system: InequalitySystem, c_int: list[int], raw: list[int]
-                      ) -> Optional[_DualTableau]:
-    """The last basis kept by the nearest ancestor that keeps one, restarted
-    for c on the ancestor's rows and extended to the system's, or None.
-
-    The ancestor's rows must be a prefix of the system's, and its basis dual
-    feasible for their costs in ``raw``, which ``with_rhs`` may have changed.
-    """
-    link = system._ancestry
-    while link is not None:
-        kept, link = link
-        if kept:
-            tab = next(reversed(kept.values()))
-            mat = system._scaled_rows()[0]
-            costs = raw[:tab.m] + raw[system.m:]
-            if tab.mat != mat[:tab.m]:
-                return None
-            if tab._entering(costs, tab.prices(costs), False)[0] is not None:
-                return None
-            tab = tab.restarted(c_int, costs)
-            return tab and tab.extended(mat)
-    return None
+        if tab is not None and tab.mat == mat[:tab.m]:
+            return tab.extended(mat), False
+        other = other or kept
+    if not other:
+        return None, False
+    tab = next(reversed(other.values()))
+    costs = raw[:tab.m] + raw[system.m:]
+    own = tab.mat is mat  # only the system's own tableaux are on its rows
+    if not own and (tab.mat != mat[:tab.m]
+                    or tab._entering(costs, tab.prices(costs), False)[0] is not None):
+        return None, False
+    tab = tab.restarted(c_int, costs)
+    if tab is None or own:
+        return tab, tab is not None
+    return tab.extended(mat), tab.m == system.m
 
 
 def _solve_verified(system: InequalitySystem, c: Vector, key: _Key) -> LpOutcome:
@@ -711,14 +710,7 @@ def _solve_verified(system: InequalitySystem, c: Vector, key: _Key) -> LpOutcome
 
     # phase 2 maximizes -(scaled b) y over a feasible dual basis
     raw = [-v for v in rhs_b] + [0] * n
-    tab = _warm_tableau(system, key)
-    restart = None
-    if tab is None and system._tableaux:
-        # the last basis kept for another objective, made feasible for c
-        tab = next(reversed(system._tableaux.values())).restarted(c_int, raw)
-        restart = tab and list(tab.basis)
-    elif tab is None:
-        tab = _ancestor_restart(system, c_int, raw)
+    tab, restarted = _kept_start(system, key, c_int, raw)
     if tab is None:
         tab = _DualTableau(mat, c_int)
         # phase 1: maximize minus the sum of artificials
@@ -735,8 +727,9 @@ def _solve_verified(system: InequalitySystem, c: Vector, key: _Key) -> LpOutcome
             return Unbounded(ray)
         tab.drive_out_artificials()
 
+    basis = restarted and list(tab.basis)
     unb_col = tab.run(raw, artificials=False)
-    if restart is not None and tab.basis != restart:
+    if restarted and tab.basis != basis:
         # dual simplex keeps the costs optimal, so phase 2 has nothing to do
         raise SolverError("restarted basis was not optimal")
 

@@ -123,9 +123,6 @@ class Vector:
         self._check_dim(other)
         return sum((a * b for a, b in zip(self.entries, other.entries)), Fraction(0))
 
-    def norm_l1(self) -> Fraction:
-        return sum((abs(a) for a in self.entries), Fraction(0))
-
     def norm_linf(self) -> Fraction:
         if not self.entries:
             return Fraction(0)

@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 from branchproofs.diophantine import (
+    DioApprox,
     approximation_error,
     classify_rhs,
     dirichlet_approx,
@@ -156,7 +157,8 @@ def test_flip_symmetry():
         a, b, R, N = case
         approx = dirichlet_approx(a, N)
         cls = classify_rhs(a, Fraction(b), approx, R, N)
-        flipped = classify_rhs(-a, Fraction(-b - 1), approx.negated(), R, N)
+        negated = DioApprox(-approx.a_prime, approx.multiplier, approx.precision)
+        flipped = classify_rhs(-a, Fraction(-b - 1), negated, R, N)
         assert flipped.dominating == cls.dominating
         if cls.dominating:
             assert flipped.b_prime == -cls.b_prime - 1

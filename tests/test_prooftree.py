@@ -50,7 +50,7 @@ def test_verify_names_nonempty_leaf():
     bad = BranchNode(Vector([1, 0]), 0, leaf(), leaf())
     report = verify_branching_proof(K, bad)
     assert not report.valid
-    assert report.failing_leaves == ("L",)  # witness x = (0, 1/2)
+    assert [f.split(":", 1)[0] for f in report.failures] == ["L"]  # witness x = (0, 1/2)
 
 
 def test_verify_reports_every_nonempty_leaf_in_path_order():

@@ -803,13 +803,14 @@ def test_sibling_children_warm_start_from_one_kept_tableau(monkeypatch):
 def count_solves(monkeypatch) -> dict:
     """Count real solves, and how they start: cold from the artificial
     basis, warm from an ancestor's basis for the objective, or restarted from
-    a basis for another objective (``from_ancestor`` of them an ancestor's);
-    a restart that finds the objective unbounded falls back to the cold path."""
+    a basis for another objective (``from_ancestor`` of them an ancestor's,
+    whose rows are not the system's own scaled rows); a restart that finds
+    the objective unbounded falls back to the cold path."""
     counts = dict.fromkeys(["solves", "cold", "warm", "restarted", "from_ancestor",
                             "fallback"], 0)
-    init, warm_tableau = simplex._DualTableau.__init__, simplex._warm_tableau
-    restarted, ancestor = simplex._DualTableau.restarted, simplex._ancestor_restart
-    solve = simplex._solve_verified
+    init, kept_start = simplex._DualTableau.__init__, simplex._kept_start
+    restarted, solve = simplex._DualTableau.restarted, simplex._solve_verified
+    solving = []  # the scaled rows of the system whose start is looked up
 
     def counted_solve(*args):
         counts["solves"] += 1
@@ -819,25 +820,23 @@ def count_solves(monkeypatch) -> dict:
         counts["cold"] += 1
         init(self, *args)
 
-    def counted_warm(*args):
-        tab = warm_tableau(*args)
-        counts["warm"] += tab is not None
-        return tab
+    def counted_start(system, *args):
+        solving.append(system._scaled_rows()[0])
+        restarts = counts["restarted"] + counts["fallback"]
+        tab, all_rows = kept_start(system, *args)
+        solving.pop()
+        counts["warm"] += tab is not None and counts["restarted"] + counts["fallback"] == restarts
+        return tab, all_rows
 
     def counted_restart(self, *args):
         tab = restarted(self, *args)
         counts["restarted" if tab is not None else "fallback"] += 1
-        return tab
-
-    def counted_ancestor(*args):
-        tab = ancestor(*args)
-        counts["from_ancestor"] += tab is not None
+        counts["from_ancestor"] += tab is not None and self.mat is not solving[-1]
         return tab
 
     monkeypatch.setattr(simplex, "_solve_verified", counted_solve)
-    monkeypatch.setattr(simplex, "_ancestor_restart", counted_ancestor)
     monkeypatch.setattr(simplex._DualTableau, "__init__", counted_init)
-    monkeypatch.setattr(simplex, "_warm_tableau", counted_warm)
+    monkeypatch.setattr(simplex, "_kept_start", counted_start)
     monkeypatch.setattr(simplex._DualTableau, "restarted", counted_restart)
     return counts
 
@@ -870,6 +869,18 @@ def test_restart_agrees_with_cold_solves(monkeypatch):
     assert counts["restarted"] > 200 and counts["fallback"] > 40
 
 
+def largest_ratio(self, pos, raw, prices):
+    """``_DualTableau._dual_entering`` with its ratio test reversed."""
+    sd = 1 if self.d > 0 else -1
+    best = (None, 0, 0)
+    for col, a in enumerate(self.mat):
+        alpha = self.column(col)[pos]
+        cost = self.d * raw[col] - sum(self.tau[j] * prices[j] * v for j, v in a)
+        if alpha * sd < 0 and (best[0] is None or cost * best[2] > best[1] * alpha):
+            best = (col, cost, alpha)
+    return best[:2]
+
+
 def test_wrong_restart_raises(monkeypatch):
     """A restart that skips the dual simplex, keeps the old basic values, or
     takes a column other than the least ratio's ends in a basis that is not
@@ -886,16 +897,6 @@ def test_wrong_restart_raises(monkeypatch):
         twin.beta = [sum(w * v for w, v in zip(row, tau_c)) for row in twin.inv]
         return twin
 
-    def largest_ratio(self, pos, raw, prices):  # the ratio test reversed
-        sd = 1 if self.d > 0 else -1
-        best = (None, 0, 0)
-        for col, a in enumerate(self.mat):
-            alpha = self.column(col)[pos]
-            cost = self.d * raw[col] - sum(self.tau[j] * prices[j] * v for j, v in a)
-            if alpha * sd < 0 and (best[0] is None or cost * best[2] > best[1] * alpha):
-                best = (col, cost, alpha)
-        return best[:2]
-
     for attr, wrong in (("restarted", unpivoted),
                         ("restarted", lambda self, c_int, raw: self.extended(self.mat)),
                         ("_dual_entering", largest_ratio)):
@@ -905,6 +906,44 @@ def test_wrong_restart_raises(monkeypatch):
             patched.setattr(simplex._DualTableau, attr, wrong)
             with pytest.raises(SolverError):
                 lp_optimize(fresh, second)
+
+
+def test_wrong_restart_of_rhs_child_raises(monkeypatch):
+    """A with_rhs child keeps no basis of its own and restarts from its
+    parent's on all of its rows, so a restart that ends in a basis not
+    optimal for the objective is caught there too, not repaired by phase 2."""
+    system = InequalitySystem.box(2, -2, 2).with_rows(
+        [(Vector([0, -3]), 4), (Vector([0, 0]), 2), (Vector([3, 3]), -2)])
+    first, second = Vector([2, 0]), Vector([-1, 2])
+    child = system.with_rhs(5, 3)  # loosens 0 <= 2, which no optimum uses
+    assert lp_optimize(cold_twin(child), second).value == Fraction(14, 3)
+    assert lp_optimize(system, first).value == Fraction(4, 3)
+    counts = count_solves(monkeypatch)
+    monkeypatch.setattr(simplex._DualTableau, "_dual_entering", largest_ratio)
+    with pytest.raises(SolverError, match="restarted basis was not optimal"):
+        lp_optimize(child, second)
+    assert counts["from_ancestor"] == 1 and counts["cold"] == 0
+
+
+def test_rescaled_rhs_child_solves_as_its_cold_twin(monkeypatch):
+    """A with_rhs child whose changed row scales differently fails the
+    prefix check against every kept basis, so each of its solves starts as
+    its cold twin's does and ends with the same outcome."""
+    parent = InequalitySystem.box(2, -2, 2).with_rows([(Vector([1, 1]), 3)])
+    objectives = [Vector([1, 2]), Vector([2, -1]), Vector([-1, 0])]
+    for c in objectives:
+        lp_optimize(parent, c)
+    child = parent.with_rhs(4, Fraction(1, 3))
+    assert child._scaled_rows()[0][4] != parent._scaled_rows()[0][4]
+    starts, outcomes = [], []
+    for system in (child, cold_twin(child)):
+        with monkeypatch.context() as patched:
+            counts = count_solves(patched)
+            outcomes.append([lp_optimize(system, c) for c in objectives])
+        starts.append(counts)
+    assert starts[0] == starts[1]
+    assert starts[0]["cold"] == 1 and starts[0]["restarted"] == 2
+    assert outcomes[0] == outcomes[1]
 
 
 def test_grid3x3_solve_starts_pinned(monkeypatch):
