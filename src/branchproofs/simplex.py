@@ -52,8 +52,13 @@ the system's and a basis that a changed b has not made suboptimal, or the
 solve goes cold.  A kept basis is optimal for the costs -b whatever c is, and
 c only changes the basic values, so the dual simplex makes them feasible
 again; if it cannot, the primal is unbounded along c and the solve goes cold,
-which builds and checks the ray.  A restart on all of the system's rows is
-then optimal: phase 2 must not pivot, or the solve raises ``SolverError``.  A
+which builds and checks the ray.  A start carries what its kept basis
+proves: the columns whose reduced costs are already <= 0 (a kept basis's
+rows, unless a changed b changed their costs), which phase 2's first scan
+skips, and the multipliers, which are built once per basis.  A restart on all
+of the system's rows is then optimal and skips phase 2; a wrong one leaves
+a positive reduced cost on some row i, which is ``A_i p > b_i |d|`` for the
+point p, and so fails the feasibility check of every optimum.  A
 pivot replaces the inverse's rows and never writes into them, so any number of
 derived systems and objectives can start from one kept basis.  A basis whose
 phase 1 dropped a redundant equality is never kept, because added rows can
@@ -452,7 +457,8 @@ class _DualTableau:
     Only ``inv`` (``d`` times the basis inverse, one list per basis position)
     and ``beta`` (``d`` times the basic values) are stored; columns and reduced
     costs come from them and the sparse rows ``mat``, and ``run`` updates the
-    multipliers by rank one per pivot.  ``d`` starts at 1 and becomes the
+    multipliers by rank one per pivot and leaves them in ``multipliers``,
+    where a kept tableau keeps them.  ``d`` starts at 1 and becomes the
     pivot element after each pivot, so every division is exact, and every
     integer equals the one a dense tableau ``d B^-1 [tau A^T | I | tau c]``
     would hold.
@@ -468,6 +474,8 @@ class _DualTableau:
         self.basis = [self.m + j for j in range(n)]
         self.dropped: list[int] = []  # equality rows removed as redundant
         self.d = 1
+        self.multipliers: Optional[list[int]] = None  # left by run and restarted
+        self.rhs: Optional[list[int]] = None  # the scaled b it was kept for
 
     def extended(self, mat: list[tuple[tuple[int, int], ...]]) -> "_DualTableau":
         """A copy with one y column per row of ``mat`` beyond ``self.mat``.
@@ -481,25 +489,27 @@ class _DualTableau:
         twin.inv, twin.beta, twin.basis = list(self.inv), list(self.beta), list(self.basis)
         return twin
 
-    def restarted(self, c_int: list[int], raw: list[int]) -> Optional["_DualTableau"]:
+    def restarted(self, c_int: list[int], raw: list[int], prices: list[int]
+                  ) -> Optional["_DualTableau"]:
         """A copy for the right-hand side ``c_int``, made feasible by dual
         simplex, or None if the LP dual is infeasible for it.
 
-        The basis is optimal for the costs ``raw``, which c does not change, so
-        the copy keeps ``tau`` and resets ``beta = inv (tau o c)``.  While a
-        ``beta`` lacks d's sign, the least basic variable among them leaves
-        (Bland) and ``_dual_entering`` picks the entering column; the
-        multipliers are updated by rank one, as in ``run``.
+        The basis is optimal for the costs ``raw``, which c does not change,
+        and ``prices`` are its multipliers for them; the copy keeps ``tau``
+        and resets ``beta = inv (tau o c)``.  While a ``beta`` lacks d's sign,
+        the least basic variable among them leaves (Bland) and
+        ``_dual_entering`` picks the entering column; the multipliers are
+        updated by rank one, as in ``run``, and left on the copy.
         """
         twin = self.extended(self.mat)
         tau_c = [t * v for t, v in zip(self.tau, c_int)]
         twin.beta = [sum(map(mul, row, tau_c)) for row in twin.inv]
-        prices = twin.prices(raw)
         while True:
             sd = 1 if twin.d > 0 else -1
             wrong = [(var, pos) for pos, (var, v) in enumerate(zip(twin.basis, twin.beta))
                      if v * sd < 0]
             if not wrong:
+                twin.multipliers = prices
                 return twin
             pos = min(wrong)[1]
             col, cost = twin._dual_entering(pos, raw, prices)
@@ -538,10 +548,16 @@ class _DualTableau:
 
     def column(self, col: int) -> list[int]:
         """``d B^-1`` times column ``col`` of ``[tau A^T | I]``."""
-        if col < self.m:
-            a = [(j, self.tau[j] * v) for j, v in self.mat[col]]
-            return [sum([row[j] * v for j, v in a]) for row in self.inv]
-        return [row[col - self.m] for row in self.inv]
+        if col >= self.m:
+            return [row[col - self.m] for row in self.inv]
+        a = [(j, self.tau[j] * v) for j, v in self.mat[col]]
+        out = []
+        for row in self.inv:
+            total = 0
+            for j, v in a:
+                total += row[j] * v
+            out.append(total)
+        return out
 
     def prices(self, raw: list[int]) -> list[int]:
         """``d`` times the simplex multipliers of the per-column costs ``raw``."""
@@ -574,16 +590,20 @@ class _DualTableau:
         self.d = p
         self.basis[pos] = col
 
-    def _entering(self, raw, prices, artificials) -> tuple[int | None, int]:
-        """Bland's rule: the first column, with its cost, whose d-scaled reduced
-        cost ``d raw[k] - (prices o tau) A_k`` (artificial j: ``A_k = tau_j e_j``)
-        has d's sign; ``(None, 0)`` at optimum.  Basic columns, whose reduced
-        costs are 0, are skipped."""
+    def _entering(self, raw, prices, artificials, start) -> tuple[int | None, int]:
+        """Bland's rule from column ``start`` on: the first column, with its
+        cost, whose d-scaled reduced cost ``d raw[k] - (prices o tau) A_k``
+        (artificial j: ``A_k = tau_j e_j``) has d's sign; ``(None, 0)`` at
+        optimum.  Basic columns, whose reduced costs are 0, are skipped."""
         d, sd = self.d, (1 if self.d > 0 else -1)
         scaled = [t * v for t, v in zip(self.tau, prices)]
-        units = [((j, t),) for j, t in enumerate(self.tau)] if artificials else []
+        rows = self.mat
+        if artificials:
+            rows = rows + [((j, t),) for j, t in enumerate(self.tau)]
+        if start:
+            raw, rows = raw[start:], rows[start:]
         basic = set(self.basis)
-        for col, (r, a) in enumerate(zip(raw, self.mat + units)):
+        for col, (r, a) in enumerate(zip(raw, rows), start):
             if col in basic:
                 continue
             cost = d * r
@@ -612,15 +632,24 @@ class _DualTableau:
             best_pos, best_num, best_coeff = pos, num, coeff
         return best_pos
 
-    def run(self, raw: list[int], artificials: bool) -> int | None:
+    def run(self, raw: list[int], artificials: bool, start: int = 0) -> int | None:
         """Bland-rule simplex for the per-column costs ``raw``, entering
-        artificial columns only if asked; None at optimum, else the unbounded
-        column."""
-        prices = self.prices(raw)
+        artificial columns only if asked; None at optimum, with the
+        multipliers left in ``multipliers``, else the unbounded column.
+
+        The first scan begins at column ``start``: the columns before it
+        must have reduced costs <= 0 for ``raw``, so Bland's first improving
+        column, and every pivot, are those of a scan from 0.  For ``start >
+        0`` the multipliers on the tableau must be those of ``raw``; for 0
+        they are built here.
+        """
+        prices = self.multipliers if start else self.prices(raw)
         while True:
-            col, cost = self._entering(raw, prices, artificials)
+            col, cost = self._entering(raw, prices, artificials, start)
             if col is None:
+                self.multipliers = prices
                 return None
+            start = 0
             column = self.column(col)
             pos = self._leaving(column)
             if pos is None:
@@ -668,39 +697,48 @@ def _solve_max(system: InequalitySystem, c: Vector) -> LpOutcome:
 
 
 def _kept_start(system: InequalitySystem, key: _Key, c_int: list[int], raw: list[int]
-                ) -> tuple[Optional[_DualTableau], bool]:
+                ) -> tuple[Optional[_DualTableau], int]:
     """The kept basis a solve of c starts from, extended to the system's
-    rows, and whether it was restarted on all of them; ``(None, False)`` if
-    the solve must go cold.
+    rows, and how many leading columns have reduced cost <= 0 for ``raw``;
+    ``(None, 0)`` if the solve must go cold.
 
     One walk over the system's kept tableaux and its ancestors': the first
     basis kept for c whose scaled rows are a prefix of the system's is
-    extended.  Else the last basis of the first dict that keeps any is
-    restarted for c and extended: the system's own, which is optimal for its
-    costs, or an ancestor's, once its rows are checked to be a prefix of the
-    system's and its basis dual feasible for their costs in ``raw``, which
-    ``with_rhs`` may have changed.
+    extended, its columns priced if the system's scaled b on those rows is
+    the kept one (else ``with_rhs`` changed a cost, and none are).  Else the
+    last basis of the first dict that keeps any is restarted for c and
+    extended, its columns priced by the dual simplex: the system's own,
+    which is optimal for its costs, or an ancestor's, once its rows are
+    checked to be a prefix of the system's and, where its b is not the
+    system's, its basis dual feasible for their costs.  A restart reuses the
+    kept multipliers wherever the costs are the kept ones.
     """
-    mat = system._scaled_rows()[0]
+    mat, rhs = system._scaled_rows()[:2]
     link, other = (system._tableaux, system._ancestry), None
     while link is not None:
         kept, link = link
         tab = kept.get(key)
         if tab is not None and tab.mat == mat[:tab.m]:
-            return tab.extended(mat), False
+            return tab.extended(mat), tab.m if tab.rhs == rhs[:tab.m] else 0
         other = other or kept
     if not other:
-        return None, False
+        return None, 0
     tab = next(reversed(other.values()))
-    costs = raw[:tab.m] + raw[system.m:]
+    m, start = system.m, tab.m
+    costs = raw if start == m else raw[:start] + raw[m:]
     own = tab.mat is mat  # only the system's own tableaux are on its rows
-    if not own and (tab.mat != mat[:tab.m]
-                    or tab._entering(costs, tab.prices(costs), False)[0] is not None):
-        return None, False
-    tab = tab.restarted(c_int, costs)
-    if tab is None or own:
-        return tab, tab is not None
-    return tab.extended(mat), tab.m == system.m
+    prices = tab.multipliers
+    if not own:
+        if tab.mat != mat[:start]:
+            return None, 0
+        if tab.rhs != rhs[:start]:
+            prices = tab.prices(costs)
+            if tab._entering(costs, prices, False, 0)[0] is not None:
+                return None, 0
+    tab = tab.restarted(c_int, costs, prices)
+    if tab is None:
+        return None, 0
+    return (tab if own else tab.extended(mat)), start
 
 
 def _solve_verified(system: InequalitySystem, c: Vector, key: _Key) -> LpOutcome:
@@ -710,7 +748,7 @@ def _solve_verified(system: InequalitySystem, c: Vector, key: _Key) -> LpOutcome
 
     # phase 2 maximizes -(scaled b) y over a feasible dual basis
     raw = [-v for v in rhs_b] + [0] * n
-    tab, restarted = _kept_start(system, key, c_int, raw)
+    tab, start = _kept_start(system, key, c_int, raw)
     if tab is None:
         tab = _DualTableau(mat, c_int)
         # phase 1: maximize minus the sum of artificials
@@ -719,7 +757,7 @@ def _solve_verified(system: InequalitySystem, c: Vector, key: _Key) -> LpOutcome
             raise SolverError("phase 1 objective cannot be unbounded")
         if tab.objective_value(phase1) != 0:
             # dual infeasible: the primal is unbounded or empty
-            ray = Vector(Fraction(v, abs(tab.d)) for v in _primal(tab, phase1))
+            ray = Vector(Fraction(v, abs(tab.d)) for v in _primal(tab))
             _check_ray(system, c, ray)
             witness = is_empty(system)  # c = 0 never reaches this branch
             if witness is not None:
@@ -727,11 +765,10 @@ def _solve_verified(system: InequalitySystem, c: Vector, key: _Key) -> LpOutcome
             return Unbounded(ray)
         tab.drive_out_artificials()
 
-    basis = restarted and list(tab.basis)
-    unb_col = tab.run(raw, artificials=False)
-    if restarted and tab.basis != basis:
-        # dual simplex keeps the costs optimal, so phase 2 has nothing to do
-        raise SolverError("restarted basis was not optimal")
+    # with every column priced (a restart on all rows) phase 2 has nothing to
+    # do; a positive reduced cost on row i would be A_i p > b_i |d| for the
+    # point p, which _check_optimal's feasibility scan rejects
+    unb_col = None if start == m else tab.run(raw, False, start)
 
     if unb_col is not None:
         # unbounded dual ray == Farkas certificate of primal emptiness
@@ -745,25 +782,26 @@ def _solve_verified(system: InequalitySystem, c: Vector, key: _Key) -> LpOutcome
     # the optimum in the tableau's integers: the point is p / |d|, the dual
     # on row i is sigma_i w_i / (mu |d|), for w_i = sd beta_i on basic rows
     scale, sd = abs(tab.d), (1 if tab.d > 0 else -1)
-    point = _primal(tab, raw)
+    point = _primal(tab)
     weights = [(var, sd * v) for var, v in zip(tab.basis, tab.beta) if v and var < m]
     total = _check_optimal(system, c_int, point, weights, scale)
     system._empty = False
     if not tab.dropped:
         # a dropped equality may stop being redundant once rows are added
+        tab.rhs = rhs_b
         system._tableaux[key] = tab
     w_den = mu * scale
     return Optimal._unbuilt(Fraction(total, w_den), point, scale, weights, sigmas, w_den)
 
 
-def _primal(tab: _DualTableau, raw: list[int]) -> list[int]:
+def _primal(tab: _DualTableau) -> list[int]:
     """``|d|`` times the primal vector, ``-sd tau_j prices_j`` per coordinate
-    and 0 for a dropped equality: the phase-1 ray, or the phase-2 optimal
-    point."""
+    for the multipliers left on the tableau, and 0 for a dropped equality:
+    the phase-1 ray, or the phase-2 optimal point."""
     sd = 1 if tab.d > 0 else -1
     dropped = set(tab.dropped)
     return [0 if j in dropped else -sd * t * v
-            for j, (t, v) in enumerate(zip(tab.tau, tab.prices(raw)))]
+            for j, (t, v) in enumerate(zip(tab.tau, tab.multipliers))]
 
 
 def _ray_direction(tab: _DualTableau, col: int) -> dict[int, int]:
@@ -815,6 +853,10 @@ def _check_optimal(system, c_int, point, weights, scale) -> int:
         raise SolverError("strong duality violated: the optimal point does not attain"
                           " the duals' value")
     mat, rhs, _ = system._scaled_rows()
-    if any(sum([point[j] * v for j, v in row]) > b * scale for row, b in zip(mat, rhs)):
-        raise SolverError("optimal point is infeasible")
+    for row, b in zip(mat, rhs):
+        lhs = 0
+        for j, v in row:
+            lhs += point[j] * v
+        if lhs > b * scale:
+            raise SolverError("optimal point is infeasible")
     return total

@@ -466,30 +466,70 @@ def test_phase_one_and_reduction_checks_raise(monkeypatch):
 def test_carried_multipliers_equal_fresh_prices(monkeypatch):
     """After every pivot of ``run``, in phase 1 with artificials and in phase
     2, the rank-one update gives exactly ``prices(raw)`` of the new basis:
-    Bland's rule receives the carried multipliers at every step."""
+    Bland's rule receives the carried multipliers at every step.  So does
+    the first step of a solve that starts from a kept basis: one kept for
+    the objective and extended (warm), or an ancestor's restarted and
+    extended; and every restart by dual simplex leaves ``prices(raw)``."""
     checked = {True: 0, False: 0}  # entering steps that follow a pivot
-    pivoted = []
+    carried = dict.fromkeys(["warm", "restarted", "ancestor"], 0)
+    pivoted, restarts = [], []
     entering, pivot = simplex._DualTableau._entering, simplex._DualTableau.pivot
+    run, restarted = simplex._DualTableau.run, simplex._DualTableau.restarted
+    kept_start = simplex._kept_start
 
-    def checked_entering(self, raw, prices, artificials):
+    def checked_entering(self, raw, prices, artificials, *rest):
         assert prices == self.prices(raw)
         checked[artificials] += bool(pivoted)
         pivoted.clear()
-        return entering(self, raw, prices, artificials)
+        return entering(self, raw, prices, artificials, *rest)
 
     def noted_pivot(self, *args):
         pivoted.append(True)
         pivot(self, *args)
 
+    def noted_start(*args):
+        restarts.clear()
+        return kept_start(*args)
+
+    def checked_restart(self, c_int, raw, *rest):
+        twin = restarted(self, c_int, raw, *rest)
+        if twin is not None:
+            assert twin.multipliers == twin.prices(raw)
+            carried["restarted"] += 1
+            restarts.append(twin)
+        return twin
+
+    def checked_run(self, raw, artificials, start=0):
+        if start:
+            assert self.multipliers == self.prices(raw)
+            carried["ancestor" if restarts else "warm"] += 1
+        return run(self, raw, artificials, start)
+
     monkeypatch.setattr(simplex._DualTableau, "_entering", checked_entering)
     monkeypatch.setattr(simplex._DualTableau, "pivot", noted_pivot)
+    monkeypatch.setattr(simplex._DualTableau, "restarted", checked_restart)
+    monkeypatch.setattr(simplex._DualTableau, "run", checked_run)
+    monkeypatch.setattr(simplex, "_kept_start", noted_start)
     rng = Random(8080)
+
+    def objective(n):
+        return Vector([rng.randint(-3, 3) for _ in range(n)])
+
+    def extra_rows(n):
+        return [(objective(n), rng.randint(-1, 4)) for _ in range(rng.randint(1, 3))]
+
     for _ in range(150):
         n = rng.randint(1, 4)
         system = random_system(rng, n, rng.randint(1, 8))
-        lp_optimize(system, Vector([rng.randint(-3, 3) for _ in range(n)]))
+        c = objective(n)
+        lp_optimize(system, c)
         is_empty(system)
+        child = system.with_rows(extra_rows(n))
+        lp_optimize(child, c)  # warm, from the basis kept for c
+        lp_optimize(child, objective(n))  # restarted from the child's own
+        lp_optimize(system.with_rows(extra_rows(n)), objective(n))  # from an ancestor's
     assert checked[True] > 300 and checked[False] > 100
+    assert min(carried.values()) > 30, carried
 
 
 def fraction_check_optimal(system, c, point, dual) -> bool:
@@ -548,10 +588,9 @@ def test_lazy_point_and_dual_equal_the_fraction_formulas(monkeypatch):
     finals = []
     primal = simplex._primal
 
-    def recorded(tab, raw):
-        finals.append((tab.d, list(tab.tau), tab.prices(raw), set(tab.dropped),
-                       dict(zip(tab.basis, tab.beta)), tab.objective_value(raw)))
-        return primal(tab, raw)
+    def recorded(tab):
+        finals.append(tab)
+        return primal(tab)
 
     monkeypatch.setattr(simplex, "_primal", recorded)
     rng = Random(3131)
@@ -570,7 +609,10 @@ def test_lazy_point_and_dual_equal_the_fraction_formulas(monkeypatch):
             continue
         seen[sense] += 1
         assert res._built == [None, None]
-        d, tau, prices, dropped, basic, objective = finals[-1]
+        tab = finals[-1]
+        raw = [-v for v in system._scaled_rows()[1]] + [0] * n
+        d, tau, prices, dropped = tab.d, tab.tau, tab.prices(raw), set(tab.dropped)
+        basic, objective = dict(zip(tab.basis, tab.beta)), tab.objective_value(raw)
         solved = c if sense == "max" else -c
         mu = simplex._over_common_denominator(solved)[1]
         sigmas = system._scaled_rows()[2]
@@ -891,14 +933,14 @@ def test_wrong_restart_raises(monkeypatch):
     assert lp_optimize(system, first).value == Fraction(4, 3)
     assert lp_optimize(cold_twin(system), second).value == Fraction(14, 3)
 
-    def unpivoted(self, c_int, raw):  # beta reset, but not made feasible
+    def unpivoted(self, c_int, raw, prices):  # beta reset, but not made feasible
         twin = self.extended(self.mat)
         tau_c = [t * v for t, v in zip(self.tau, c_int)]
         twin.beta = [sum(w * v for w, v in zip(row, tau_c)) for row in twin.inv]
         return twin
 
     for attr, wrong in (("restarted", unpivoted),
-                        ("restarted", lambda self, c_int, raw: self.extended(self.mat)),
+                        ("restarted", lambda self, c_int, raw, prices: self.extended(self.mat)),
                         ("_dual_entering", largest_ratio)):
         fresh = cold_twin(system)
         lp_optimize(fresh, first)
@@ -920,7 +962,7 @@ def test_wrong_restart_of_rhs_child_raises(monkeypatch):
     assert lp_optimize(system, first).value == Fraction(4, 3)
     counts = count_solves(monkeypatch)
     monkeypatch.setattr(simplex._DualTableau, "_dual_entering", largest_ratio)
-    with pytest.raises(SolverError, match="restarted basis was not optimal"):
+    with pytest.raises(SolverError, match="optimal point is infeasible"):
         lp_optimize(child, second)
     assert counts["from_ancestor"] == 1 and counts["cold"] == 0
 
@@ -944,6 +986,62 @@ def test_rescaled_rhs_child_solves_as_its_cold_twin(monkeypatch):
     assert starts[0] == starts[1]
     assert starts[0]["cold"] == 1 and starts[0]["restarted"] == 2
     assert outcomes[0] == outcomes[1]
+
+
+def test_tightened_integral_row_reprices_every_column():
+    """A with_rhs child that tightens an integral row keeps its scaled row,
+    so the parent's kept bases pass the prefix check.  But a changed b
+    changes the costs: the basis kept for (2, 1) puts x2 at -3, past -x2 <=
+    2, a row before the changed one, so no kept column counts as priced; and
+    the last kept basis, for (-1, 1), puts x1 + x2 at 0, so it is no start
+    for (0, 1).  Each solve ends with its cold twin's outcome."""
+    parent = InequalitySystem.box(2, -2, 2).with_rows([(Vector([1, 1]), 3)])
+    objectives = [Vector([2, 1]), Vector([1, 2]), Vector([-1, 1])]
+    for c in objectives:
+        lp_optimize(parent, c)
+    child = parent.with_rhs(4, -1)  # x1 + x2 <= -1
+    assert child._scaled_rows()[0] == parent._scaled_rows()[0]
+    for c in [Vector([0, 1])] + objectives + [Vector([1, 0])]:
+        outcome = lp_optimize(child, c)
+        assert same_outcome(outcome, lp_optimize(cold_twin(child), c))
+        assert check_fraction_outcome(child, c, outcome.point, outcome.dual) == outcome.value
+    assert lp_optimize(child, objectives[0]).value == 0
+
+
+def test_kept_columns_are_not_priced_again(monkeypatch):
+    """A restart on all of a system's rows is optimal as it stands, so it
+    never calls ``run``; a solve that extends a basis kept for the objective,
+    or an ancestor's basis restarted for it, begins its first Bland scan at
+    the appended columns."""
+    runs, scans = [], []
+    run, entering = simplex._DualTableau.run, simplex._DualTableau._entering
+
+    def counted_run(self, raw, artificials, start=0):
+        runs.append(start)
+        return run(self, raw, artificials, start)
+
+    def counted_entering(self, raw, prices, artificials, start):
+        scans.append(start)
+        return entering(self, raw, prices, artificials, start)
+
+    parent = InequalitySystem.box(2, -2, 2).with_rows([(Vector([1, 1]), 3)])
+    c = Vector([2, 1])
+    lp_optimize(parent, c)
+    monkeypatch.setattr(simplex._DualTableau, "run", counted_run)
+    monkeypatch.setattr(simplex._DualTableau, "_entering", counted_entering)
+    assert lp_optimize(parent, Vector([1, 2])).value == 5  # restarted on all rows
+    assert scans == []
+    # likewise from the parent's basis, once its one scan finds it optimal for
+    # the child's costs
+    assert lp_optimize(parent.with_rhs(4, 2), Vector([1, 0])).value == 2
+    assert runs == [] and scans == [0]
+    cut = (Vector([1, 0]), 1)  # x1 <= 1 cuts off the optimum (2, 1)
+    for objective in (c, Vector([3, 1])):  # warm, then restarted from the parent's
+        del runs[:], scans[:]
+        child = parent.with_rows([cut])
+        outcome = lp_optimize(child, objective)
+        assert runs == [parent.m] and scans[0] == parent.m and scans[1:] == [0] * (len(scans) - 1)
+        assert outcome == lp_optimize(cold_twin(child), objective)
 
 
 def test_grid3x3_solve_starts_pinned(monkeypatch):
