@@ -3,9 +3,11 @@
 ``dirichlet_approx`` finds, for a nonzero rational vector a and precision N,
 the smallest positive integer l <= N^n such that rounding l * a / ||a||_inf
 coordinate-wise gives an integer vector a' with rounding error below 1/N.
-Existence is a pigeonhole fact, so the linear scan always terminates; the
-scan itself runs on raw integers (per-coordinate modular remainders) to stay
-fast for large N^n.
+Existence is a pigeonhole fact (Dirichlet), so some l <= N^n qualifies.  The
+search runs on raw integers (per-coordinate modular remainders) and tests
+only the l that put one coordinate within 1/N of an integer, jumping between
+them in increasing order by an exact Euclid search (``first``), so the first
+l that passes is the smallest.
 
 ``classify_rhs`` decides, for an inequality ``a x <= b`` and an approximation
 a' of a, whether a' together with a unique integer right-hand side b' fully
@@ -47,11 +49,47 @@ class RhsClassification:
     alpha: Fraction
 
 
+def first(a: int, m: int, lo: int, hi: int) -> int | None:
+    """Least x >= 0 with lo <= (a * x) mod m <= hi, or None if there is none.
+
+    Requires 0 <= lo <= hi < m.  Exact Euclid search in O(log m) steps: when
+    no multiple of a lies in [lo, hi], the least x belongs to the least
+    y >= 1 for which [lo + m y, hi + m y] holds a multiple of a, which is a
+    search of the same form with (a, m) replaced by (m mod a, a); then
+    x = ceil((lo + m y) / a).  The steps are kept on a list rather than the
+    call stack, so no coefficient size reaches the recursion limit.
+    """
+    steps = []
+    while True:
+        a %= m
+        if lo == 0:
+            x = 0
+            break
+        if a == 0:
+            return None
+        x = -(-lo // a)
+        if a * x <= hi:
+            break
+        # [lo, hi] holds no multiple of a, so its residues mod a, negated,
+        # form the interval [-hi mod a, -lo mod a], which does not wrap past 0
+        steps.append((a, m, lo))
+        a, m, lo, hi = m, a, -hi % a, -lo % a
+    for a, m, lo in reversed(steps):
+        x = -(-(lo + m * x) // a)
+    return x
+
+
 def dirichlet_approx(a: Vector, N: int) -> DioApprox:
     """Smallest l in 1..N^n with ||l * a/||a||_inf - round(...)||_inf < 1/N.
 
     The returned integer vector a' = round(l * a / ||a||_inf) satisfies
     ||a'||_inf = l and keeps every zero coordinate of a zero.
+
+    Coordinate p/q of a/||a||_inf is within 1/N of an integer at l exactly
+    when (l p) mod q lies in the window [-w, w] mod q, w = ceil(q/N) - 1.
+    Only the l whose window holds for the coordinate with the largest
+    denominator are tested, in increasing order, each found from the last
+    by ``first``.
     """
     if a.is_zero():
         raise ValueError("cannot approximate the zero vector")
@@ -68,14 +106,22 @@ def dirichlet_approx(a: Vector, N: int) -> DioApprox:
     if not checks:
         hit = 1
     else:
-        for l in range(1, bound + 1):
+        p0, q0 = max(checks, key=lambda check: check[1])
+        w = -(-q0 // N) - 1
+        l = 0
+        while hit is None:
+            l += 1
+            s = (-w - p0 * l) % q0  # l + x qualifies iff (p0 x) mod q0 in [s, s + 2w]
+            if s + 2 * w < q0:  # else that window wraps past 0 and holds x = 0
+                l += first(p0, q0, s, s + 2 * w)
+            if l > bound:
+                break
             for p, q in checks:
                 r = (l * p) % q
                 if min(r, q - r) * N >= q:
                     break
             else:
                 hit = l
-                break
     if hit is None:
         raise RuntimeError(
             "no multiplier below N^n satisfied the error bound;"

@@ -83,6 +83,26 @@ def brute_force_dirichlet(a: Vector, N: int):
     raise AssertionError("pigeonhole guarantee violated")
 
 
+def linear_scan_dirichlet(a: Vector, N: int):
+    """``brute_force_dirichlet`` as an integer scan over every l in 1..N^n.
+
+    Coordinate p/q of a/||a||_inf is within 1/N of an integer at l exactly
+    when min(r, q - r) N < q for r = (l p) mod q.  Far faster than the
+    Fraction oracle, so it cross-checks cases with larger denominators.
+    """
+    scale = a.norm_linf()
+    unit = [e / scale for e in a]
+    checks = [(u.numerator, u.denominator) for u in unit if u.denominator != 1]
+    for l in range(1, N ** len(a) + 1):
+        for p, q in checks:
+            r = (l * p) % q
+            if min(r, q - r) * N >= q:
+                break
+        else:
+            return l, Vector(_round_half_away(l * u) for u in unit)
+    raise AssertionError("pigeonhole guarantee violated")
+
+
 def _round_half_away(value: Fraction) -> int:
     if value >= 0:
         return (2 * value.numerator + value.denominator) // (2 * value.denominator)

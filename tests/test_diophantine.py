@@ -1,6 +1,7 @@
 """Diophantine approximation and the dominating / non-dominating split."""
 
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -10,12 +11,13 @@ from branchproofs.diophantine import (
     approximation_error,
     classify_rhs,
     dirichlet_approx,
+    first,
 )
 from branchproofs.geometry import Halfspace, implies_R
 from branchproofs.simplex import InequalitySystem
 from branchproofs.vectors import Vector
 
-from oracles import brute_force_dirichlet
+from oracles import brute_force_dirichlet, linear_scan_dirichlet
 
 
 def test_dirichlet_examples():
@@ -28,6 +30,31 @@ def test_dirichlet_examples():
 
     d = dirichlet_approx(Vector([1, Fraction(2, 3)]), 4)
     assert (d.multiplier, d.a_prime) == (3, Vector([3, 2]))
+
+
+def _edge_case_vectors(rng):
+    """Inputs on the edges of the jump search, with a precision for each.
+
+    N = 1 (every residue is in the window), denominators at most N (window
+    of one residue, so l is a multiple of them), negative numerators over
+    one shared denominator, and denominators up to about 10^3; windows that
+    wrap past 0 arise in the last two families.
+    """
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        a = Vector([Fraction(rng.randint(-50, 50), rng.randint(1, 50)) for _ in range(n)])
+        yield a, 1
+    for _ in range(40):
+        N = rng.randint(2, 9)
+        q = rng.randint(2, N)
+        yield Vector([q] + [rng.randint(-q, q) for _ in range(rng.randint(0, 2))]), N
+    for _ in range(40):
+        q = rng.randint(2, 60)
+        yield Vector([q] + [-rng.randint(1, q) for _ in range(2)]), rng.randint(2, 12)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        a = Vector([Fraction(rng.randint(-10**3, 10**3), rng.randint(1, 10**3)) for _ in range(n)])
+        yield a, rng.randint(1, 30)
 
 
 def test_dirichlet_matches_brute_force():
@@ -43,6 +70,77 @@ def test_dirichlet_matches_brute_force():
         expected_l, expected_ap = brute_force_dirichlet(a, N)
         got = dirichlet_approx(a, N)
         assert (got.multiplier, got.a_prime) == (expected_l, expected_ap)
+    for a, N in _edge_case_vectors(Random(7)):
+        if a.is_zero():
+            continue
+        got = dirichlet_approx(a, N)
+        expected = brute_force_dirichlet(a, N)
+        assert (got.multiplier, got.a_prime) == expected, (a, N)
+        assert linear_scan_dirichlet(a, N) == expected, (a, N)
+
+
+def test_first_matches_brute_force():
+    rng = Random(8)
+    for _ in range(3000):
+        m = rng.randint(1, 80)
+        a = rng.randint(-200, 200)
+        lo = rng.randint(0, m - 1)
+        hi = rng.randint(lo, m - 1)
+        expected = next((x for x in range(m) if lo <= a * x % m <= hi), None)
+        assert first(a, m, lo, hi) == expected, (a, m, lo, hi)
+
+
+def test_first_on_large_moduli():
+    rng = Random(9)
+    for _ in range(200):
+        m = rng.randint(2, 10**15)
+        a = rng.randint(1, m - 1)
+        lo = rng.randint(1, m - 1)
+        hi = min(m - 1, lo + rng.randint(0, m // 10**3))
+        x = first(a, m, lo, hi)
+        if x is None:
+            # only possible when gcd(a, m) > 1 leaves [lo, hi] without a
+            # multiple of it
+            g = gcd(a, m)
+            assert g > 1 and hi // g * g < lo
+            continue
+        assert lo <= a * x % m <= hi
+        # x is the least one: no earlier multiplier of a lands in the window
+        # (checked where a brute-force scan is cheap)
+        if x < 10**5:
+            assert all(not lo <= a * y % m <= hi for y in range(x))
+    # about 2000 Euclid steps, more than the default recursion limit allows
+    m = 2**4000
+    a = 3**2500 % m
+    x = first(a, m, 5, 10**50)
+    assert 5 <= a * x % m <= 10**50
+
+
+def test_dirichlet_matches_linear_scan_on_larger_inputs():
+    rng = Random(10)
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        N = rng.randint(8, 24)
+        a = Vector([rng.randint(-10**9, 10**9) for _ in range(n)])
+        if a.is_zero():
+            continue
+        got = dirichlet_approx(a, N)
+        assert (got.multiplier, got.a_prime) == linear_scan_dirichlet(a, N), (a, N)
+
+
+def test_dirichlet_six_dimensions():
+    """n = 6, N = 60 on the normal of instances/large/slab6.ineq.
+
+    The multiplier is pinned to the value that ``linear_scan_dirichlet``
+    gives in about 8 s; the jump search takes about 2 s.
+    """
+    a = Vector([1170691171678, -1369503366352, -8140286472612,
+                5691960509595, 5344945543347, 7052469140836])
+    N = 60
+    d = dirichlet_approx(a, N)
+    assert d.multiplier == 11426616
+    assert d.a_prime.norm_linf() == d.multiplier <= N ** len(a)
+    assert approximation_error(a, d) * N < 1
 
 
 def test_dirichlet_invariants_random():
