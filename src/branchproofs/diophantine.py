@@ -5,9 +5,11 @@ the smallest positive integer l <= N^n such that rounding l * a / ||a||_inf
 coordinate-wise gives an integer vector a' with rounding error below 1/N.
 Existence is a pigeonhole fact (Dirichlet), so some l <= N^n qualifies.  The
 search runs on raw integers (per-coordinate modular remainders) and tests
-only the l that put one coordinate within 1/N of an integer, jumping between
-them in increasing order by an exact Euclid search (``first``), so the first
-l that passes is the smallest.
+only the l that put one coordinate within 1/N of an integer, in increasing
+order, so the first l that passes is the smallest.  ``candidates`` steps
+from one such l to the next in O(1): by the three-gap theorem the gaps take
+at most three values, a, b and a + b, which two exact Euclid searches
+(``first``) find once per call.
 
 ``classify_rhs`` decides, for an inequality ``a x <= b`` and an approximation
 a' of a, whether a' together with a unique integer right-hand side b' fully
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import floor
 
 from .vectors import Scalar, Vector, round_half_away
@@ -79,6 +82,42 @@ def first(a: int, m: int, lo: int, hi: int) -> int | None:
     return x
 
 
+def candidates(p: int, q: int, w: int):
+    """Every l >= 1 with (p l) mod q in the window [-w, w] mod q, increasing.
+
+    Requires gcd(p, q) = 1 and 0 <= w.  Steps in O(1) per candidate, keeping
+    r, the residue of p l centred in [-w, w].  Let a be the least x >= 1
+    with (p x) mod q in [0, 2w], and b the least x >= 1 with (-p x) mod q in
+    [0, 2w]; they shift r up by s_a = (p a) mod q and down by
+    s_b = (-p b) mod q.  The gaps between returns of a rotation to an
+    interval take at most three values (Sos 1958; Slater, "Gaps and steps
+    for the sequence n theta mod 1", 1967): the next candidate is l + a or
+    l + b, whichever shift keeps r in the window, and l + a + b, which moves
+    r by s_a - s_b, when neither does.  Both shifts keep r in the window only
+    when a = b: otherwise s_a + s_b <= 2w, so x = |a - b| < max(a, b) would
+    meet the condition that defines the larger of a and b.
+    """
+    if 2 * w + 1 >= q:  # the window holds every residue
+        yield from count(1)
+        return
+    # for 0 < x < q, (p x) mod q != 0; w = 0 leaves x = q alone
+    a = first(p, q, 1, 2 * w) if w else q
+    b = first(-p, q, 1, 2 * w) if w else q
+    up, down = p * a % q, -p * b % q
+    l = r = 0
+    while True:
+        if r + up <= w:
+            l += a
+            r += up
+        elif r - down >= -w:
+            l += b
+            r -= down
+        else:
+            l += a + b
+            r += up - down
+        yield l
+
+
 def dirichlet_approx(a: Vector, N: int) -> DioApprox:
     """Smallest l in 1..N^n with ||l * a/||a||_inf - round(...)||_inf < 1/N.
 
@@ -87,9 +126,9 @@ def dirichlet_approx(a: Vector, N: int) -> DioApprox:
 
     Coordinate p/q of a/||a||_inf is within 1/N of an integer at l exactly
     when (l p) mod q lies in the window [-w, w] mod q, w = ceil(q/N) - 1.
-    Only the l whose window holds for the coordinate with the largest
-    denominator are tested, in increasing order, each found from the last
-    by ``first``.
+    Only the l whose window holds for the coordinate p0/q0 with the largest
+    denominator are tested, in increasing order as ``candidates`` steps
+    through them; each is checked exactly on every other coordinate.
     """
     if a.is_zero():
         raise ValueError("cannot approximate the zero vector")
@@ -107,28 +146,28 @@ def dirichlet_approx(a: Vector, N: int) -> DioApprox:
         hit = 1
     else:
         p0, q0 = max(checks, key=lambda check: check[1])
-        w = -(-q0 // N) - 1
-        l = 0
-        while hit is None:
-            l += 1
-            s = (-w - p0 * l) % q0  # l + x qualifies iff (p0 x) mod q0 in [s, s + 2w]
-            if s + 2 * w < q0:  # else that window wraps past 0 and holds x = 0
-                l += first(p0, q0, s, s + 2 * w)
+        # every candidate holds for (p0, q0) by construction
+        others = [check for check in checks if check != (p0, q0)]
+        for l in candidates(p0, q0, -(-q0 // N) - 1):
             if l > bound:
                 break
-            for p, q in checks:
+            for p, q in others:
                 r = (l * p) % q
                 if min(r, q - r) * N >= q:
                     break
             else:
                 hit = l
+                break
     if hit is None:
         raise RuntimeError(
             "no multiplier below N^n satisfied the error bound;"
             " this contradicts the pigeonhole guarantee"
         )
     a_prime = Vector(round_half_away(hit * u) for u in unit)
-    assert int(a_prime.norm_linf()) == hit
+    if int(a_prime.norm_linf()) != hit:
+        raise RuntimeError(
+            f"rounding gave ||a'||_inf = {a_prime.norm_linf()}, not l = {hit}"
+        )
     return DioApprox(a_prime, hit, N)
 
 

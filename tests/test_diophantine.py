@@ -1,14 +1,17 @@
 """Diophantine approximation and the dominating / non-dominating split."""
 
 from fractions import Fraction
+from itertools import count, islice
 from math import gcd
 from random import Random
 
 import pytest
 
+from branchproofs import diophantine
 from branchproofs.diophantine import (
     DioApprox,
     approximation_error,
+    candidates,
     classify_rhs,
     dirichlet_approx,
     first,
@@ -33,12 +36,14 @@ def test_dirichlet_examples():
 
 
 def _edge_case_vectors(rng):
-    """Inputs on the edges of the jump search, with a precision for each.
+    """Inputs on the edges of the candidate search, with a precision for each.
 
     N = 1 (every residue is in the window), denominators at most N (window
     of one residue, so l is a multiple of them), negative numerators over
     one shared denominator, and denominators up to about 10^3; windows that
-    wrap past 0 arise in the last two families.
+    wrap past 0 arise in the last two families.  Then N = 2 over odd
+    denominators (2w + 1 = q0), the denominator 2 alone, several
+    coordinates over one denominator, and n = 1.
     """
     for _ in range(40):
         n = rng.randint(1, 3)
@@ -55,6 +60,17 @@ def _edge_case_vectors(rng):
         n = rng.randint(1, 3)
         a = Vector([Fraction(rng.randint(-10**3, 10**3), rng.randint(1, 10**3)) for _ in range(n)])
         yield a, rng.randint(1, 30)
+    for _ in range(20):
+        q = 2 * rng.randint(1, 40) + 1
+        yield Vector([q] + [rng.randint(-q, q) for _ in range(rng.randint(1, 2))]), 2
+    for _ in range(20):
+        yield Vector([2] + [rng.choice((-1, 1)) for _ in range(rng.randint(0, 3))]), rng.randint(1, 9)
+    for _ in range(20):
+        q = rng.choice((3, 5, 7, 11, 101, 211, 293))
+        others = [rng.choice((-1, 1)) * rng.randint(1, q - 1) for _ in range(rng.randint(2, 3))]
+        yield Vector([q] + others), rng.randint(2, 20)
+    for _ in range(20):
+        yield Vector([Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))]), rng.randint(1, 50)
 
 
 def test_dirichlet_matches_brute_force():
@@ -77,6 +93,67 @@ def test_dirichlet_matches_brute_force():
         expected = brute_force_dirichlet(a, N)
         assert (got.multiplier, got.a_prime) == expected, (a, N)
         assert linear_scan_dirichlet(a, N) == expected, (a, N)
+
+
+def _euclid_candidates(p, q, w):
+    """The candidates as repeated ``first`` calls find them, one per call."""
+    l = 0
+    while True:
+        l += 1
+        s = (-w - p * l) % q  # l + x qualifies iff (p x) mod q in [s, s + 2w]
+        if s + 2 * w < q:
+            l += first(p, q, s, s + 2 * w)
+        yield l
+
+
+def _step_cases(rng):
+    """(p, q, w) with gcd(p, q) = 1: random, then the edges of the stepper.
+
+    w = 0 (q <= N, so a = b = q), 2w + 1 >= q (every l), q = 2 and
+    negative p arise on purpose; w = ceil(q / N) - 1 as in the search.
+    """
+    for _ in range(300):
+        q = rng.randint(2, 500)
+        N = rng.randint(1, 40)
+        yield rng.randint(-q, q), q, -(-q // N) - 1
+    for q in range(2, 30):
+        for p in (1, -1, q - 1, 1 - q, q // 2 + 1, -(q // 2) - 1):
+            for w in (0, 1, (q - 1) // 2, q // 2, q - 1):
+                yield p, q, w
+
+
+def test_candidates_match_first_and_brute_force():
+    for p, q, w in _step_cases(Random(11)):
+        if gcd(p, q) != 1:
+            continue
+        brute = (l for l in count(1) if min(p * l % q, -p * l % q) <= w)
+        expected = list(islice(brute, 200))
+        got = list(islice(candidates(p, q, w), 200))
+        assert got == expected, (p, q, w)
+        assert list(islice(_euclid_candidates(p, q, w), 200)) == expected, (p, q, w)
+        a = next(x for x in count(1) if p * x % q <= 2 * w)
+        b = next(x for x in count(1) if -p * x % q <= 2 * w)
+        gaps = {y - x for x, y in zip([0] + got, got)}
+        assert gaps <= {a, b, a + b}, (p, q, w, gaps, a, b)
+
+
+def test_candidates_on_large_moduli():
+    rng = Random(12)
+    for _ in range(40):
+        q = rng.randint(10**9, 10**15)
+        p = rng.randint(-q, q)
+        if gcd(p, q) != 1:
+            continue
+        w = -(-q // rng.randint(2, 120)) - 1
+        got = list(islice(candidates(p, q, w), 2000))
+        assert got == list(islice(_euclid_candidates(p, q, w), 2000)), (p, q, w)
+
+
+def test_dirichlet_raises_when_rounding_misses_the_multiplier(monkeypatch):
+    real = diophantine.round_half_away
+    monkeypatch.setattr(diophantine, "round_half_away", lambda v: real(v) + 1)
+    with pytest.raises(RuntimeError, match="not l ="):
+        dirichlet_approx(Vector([3, 1]), 4)
 
 
 def test_first_matches_brute_force():
@@ -132,7 +209,7 @@ def test_dirichlet_six_dimensions():
     """n = 6, N = 60 on the normal of instances/large/slab6.ineq.
 
     The multiplier is pinned to the value that ``linear_scan_dirichlet``
-    gives in about 8 s; the jump search takes about 2 s.
+    gives in about 8 s; the candidate search takes about 0.3 s.
     """
     a = Vector([1170691171678, -1369503366352, -8140286472612,
                 5691960509595, 5344945543347, 7052469140836])
