@@ -23,10 +23,10 @@ from .simplex import (
     reduce_certificate,
 )
 from .geometry import (
-    NEG_INFINITY,
-    UNBOUNDED,
     CgCut,
+    EmptySet,
     Halfspace,
+    UnboundedSet,
     apply_cg,
     apply_cg_list,
     cuts_from_text,

@@ -19,22 +19,17 @@ cut's record, which makes the cut's trace on the face coincide with the
 face's own CG cut; existence of such an ``i`` is guaranteed for rational
 polytopes, and small multipliers are preferred (the search runs
 i = 0, 1, 2, 4, 8, ... with a generous cap that turns a violated
-precondition into a diagnosable error).
+precondition into a diagnosable error).  Support values here must be
+finite, else :func:`support_value` raises ``EmptySet`` or ``UnboundedSet``;
+only a CG cut (a no-op) and the push-down loop (which stops) take an empty
+set as an answer.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .geometry import (
-    NEG_INFINITY,
-    UNBOUNDED,
-    CgCut,
-    apply_cg,
-    face,
-    support_value,
-)
+from .geometry import CgCut, EmptySet, apply_cg, face, support_value
 from .prooftree import EnumNode
 from .simplex import InequalitySystem, is_empty
 from .vectors import Vector
@@ -55,7 +50,7 @@ def lift_cg_sequence(
     (the face was already empty).  Returns K after the lifted cuts and their
     records on K, like :func:`apply_cg`.
     """
-    h_c = _finite_support(K, c, "face normal")
+    h_c = support_value(K, c)
     if h_c.denominator != 1:
         raise ValueError("face support value must be integral for lifting")
     current = K
@@ -72,23 +67,13 @@ def lift_cg_sequence(
 def _search_multiplier(K, c, a, h_c, target: int) -> int:
     i = 0
     while i <= _MULTIPLIER_CAP:
-        value = _finite_support(K, a + i * c, "lifted cut normal")
-        if math.floor(value - i * h_c) == target:
+        if math.floor(support_value(K, a + i * c) - i * h_c) == target:
             return i
         i = 1 if i == 0 else 2 * i
     raise RuntimeError(
         "no lifting multiplier found below the cap; the set is probably"
         " unbounded or the face support value is not integral"
     )
-
-
-def _finite_support(K, direction, what: str) -> Fraction:
-    value = support_value(K, direction)
-    if value == NEG_INFINITY:
-        raise ValueError(f"empty set while evaluating the {what}")
-    if value == UNBOUNDED:
-        raise ValueError(f"set unbounded along the {what}")
-    return value
 
 
 def enum_to_cp(K: InequalitySystem, proof: EnumNode) -> list[Vector]:
@@ -140,8 +125,11 @@ def _serialize_node(K: InequalitySystem, node: EnumNode):
     records = [record]
     previous_b = None
     while True:
-        value = support_value(current, a_r)
-        if value == NEG_INFINITY or value < node.lo:
+        try:
+            value = support_value(current, a_r)
+        except EmptySet:
+            break
+        if value < node.lo:
             break
         if value.denominator != 1:
             raise RuntimeError("support value not integral after a CG cut")

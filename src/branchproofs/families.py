@@ -18,9 +18,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import support_value, NEG_INFINITY, UNBOUNDED
+from .geometry import EmptySet, support_value
 from .prooftree import BranchNode, EnumNode
-from .simplex import FarkasCertificate, InequalitySystem, is_empty, lp_optimize, Optimal
+from .simplex import FarkasCertificate, InequalitySystem, is_empty
 from .vectors import Vector
 
 _DEGREE_GUARD = 20
@@ -149,17 +149,10 @@ def tseitin_sp_refutation(inst: TseitinInstance) -> EnumNode:
     return _expand_set(inst, K, vertices, 0)
 
 
-def _lp_range(system: InequalitySystem, functional: Vector):
-    hi = support_value(system, functional)
-    lo = support_value(system, -functional)
-    if hi in (UNBOUNDED, NEG_INFINITY) or lo == UNBOUNDED:
-        raise RuntimeError("edge-count functional must be bounded and nonempty")
-    return -lo, hi
-
-
 def _branch(system: InequalitySystem, functional: Vector, continuation) -> EnumNode:
     """One enumerative node on `functional` with a child per feasible integer."""
-    lo, hi = _lp_range(system, functional)
+    hi = support_value(system, functional)
+    lo = -support_value(system, -functional)
     children = []
     b = math.ceil(lo)
     while b <= math.floor(hi):
@@ -298,11 +291,14 @@ def qn_split_refutation(n: int, cut_rhs: Fraction = Fraction(1, 2)) -> SplitCutR
             ("x_%d >= 1" % i, -x_i, Fraction(-1)),
         ):
             side = Q.with_rows([(row, bound)])
-            outcome = lp_optimize(side, -y_i, sense="max")
-            if isinstance(outcome, Optimal) and outcome.value > -cut_rhs:
+            try:
+                low = -support_value(side, -y_i)
+            except EmptySet:
+                continue
+            if low < cut_rhs:
                 failures.append(
                     f"cut y_{i} >= {cut_rhs} invalid on side {label}:"
-                    f" min y_{i} = {-outcome.value}"
+                    f" min y_{i} = {low}"
                 )
     augmented = Q.with_rows(
         [(-Vector.unit(dim, n + i), -cut_rhs) for i in range(n)]

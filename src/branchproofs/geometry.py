@@ -1,9 +1,12 @@
 """Polytope geometry: support functions, CG cuts, faces, l1-ball implication.
 
-The support value of an empty set is ``-math.inf`` and of a direction in
-which the set is unbounded is ``math.inf``; both are order-compatible
-sentinels only (no arithmetic is performed on them).  All sets here are
-rational polytopes given as inequality systems.
+All sets here are rational polytopes given as inequality systems.  The
+support value ``h_K(a)`` is an exact Fraction; where the paper's convention
+gives it the value -infinity (K empty) or +infinity (K unbounded along a),
+:func:`support_value` raises :class:`EmptySet` or :class:`UnboundedSet`, and
+only the callers that give such a case a meaning catch it: a CG cut of an
+empty set is a no-op, and an empty set lies in every ball and implies every
+inequality.
 """
 
 from __future__ import annotations
@@ -11,21 +14,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
-from .simplex import (
-    InequalitySystem,
-    Infeasible,
-    Optimal,
-    Unbounded,
-    lp_optimize,
-)
+from .simplex import InequalitySystem, Infeasible, Optimal, lp_optimize
 from .vectors import Scalar, Vector
 
-NEG_INFINITY = -math.inf
-UNBOUNDED = math.inf
 
-SupportValue = Union[Fraction, float]
+class EmptySet(ValueError):
+    """The set is empty: its support value is -infinity in every direction."""
+
+
+class UnboundedSet(ValueError):
+    """The set is unbounded along the asked direction."""
 
 
 @dataclass(frozen=True)
@@ -43,42 +43,43 @@ class Halfspace:
 class CgCut:
     """A Chvatal-Gomory cut record: normal a and rhs floor(h_K(a)).
 
-    The rhs is ``NEG_INFINITY`` for the sentinel cut produced by cutting an
-    empty set (the cut is then a no-op).
+    The rhs is None for the no-op cut produced by cutting an empty set.
     """
 
     normal: Vector
-    rhs: Union[int, float]
+    rhs: int | None
 
     def is_noop(self) -> bool:
-        return self.rhs == NEG_INFINITY
+        return self.rhs is None
 
 
-def support_value(K: InequalitySystem, a: Vector) -> SupportValue:
-    """sup of a x over K: a Fraction, NEG_INFINITY if K is empty, or UNBOUNDED."""
-    outcome = lp_optimize(K, a, sense="max")
+def support_value(K: InequalitySystem, a: Vector) -> Fraction:
+    """max of a x over K, exactly.
+
+    Raises :class:`EmptySet` if K is empty and :class:`UnboundedSet` if a x
+    is unbounded above on K.
+    """
+    outcome = lp_optimize(K, a)
     if isinstance(outcome, Optimal):
         return outcome.value
     if isinstance(outcome, Infeasible):
-        return NEG_INFINITY
-    return UNBOUNDED
+        raise EmptySet("the set is empty")
+    raise UnboundedSet(f"the set is unbounded along ({a.text()})")
 
 
 def apply_cg(K: InequalitySystem, a: Vector) -> tuple[InequalitySystem, CgCut]:
     """Apply the CG cut induced by integer normal a: K -> K n {a x <= floor(h)}.
 
-    On an empty K the set is returned unchanged with a sentinel no-op cut
-    (matching the h = -infinity convention).  A direction in which K is
-    unbounded is an error.
+    On an empty K the set is returned unchanged with a no-op cut (matching
+    the h = -infinity convention).  A direction in which K is unbounded
+    raises :class:`UnboundedSet`.
     """
     if not a.is_integral():
         raise ValueError("CG cut normals must be integral")
-    value = support_value(K, a)
-    if value == NEG_INFINITY:
-        return K, CgCut(a, NEG_INFINITY)
-    if value == UNBOUNDED:
-        raise ValueError("set is unbounded in the cut direction")
-    rhs = math.floor(value)
+    try:
+        rhs = math.floor(support_value(K, a))
+    except EmptySet:
+        return K, CgCut(a, None)
     return _append_dominant(K, a, Fraction(rhs)), CgCut(a, rhs)
 
 
@@ -115,13 +116,11 @@ def apply_cg_list(
 
 
 def face(K: InequalitySystem, a: Vector) -> InequalitySystem:
-    """The face of maximizers of a over K, as K plus the equality a x = h_K(a)."""
-    value = support_value(K, a)
-    if value == NEG_INFINITY:
-        raise ValueError("face of an empty set")
-    if value == UNBOUNDED:
-        raise ValueError("set is unbounded in the face direction")
-    return K.with_equality(a, value)
+    """The face of maximizers of a over K, as K plus the equality a x = h_K(a).
+
+    Raises as :func:`support_value` does when K is empty or unbounded along a.
+    """
+    return K.with_equality(a, support_value(K, a))
 
 
 def implies_R(
@@ -153,33 +152,29 @@ def implies_R(
         [a for a, _ in ext_rows], [b for _, b in ext_rows], n=2 * n
     )
     objective = Vector(tuple(target.normal) + (0,) * n)
-    outcome = lp_optimize(extended, objective, sense="max")
-    if isinstance(outcome, Infeasible):
+    try:
+        value = support_value(extended, objective)
+    except EmptySet:
         return True
-    if isinstance(outcome, Unbounded):  # impossible: |x_i| <= y_i, sum y_i <= R
-        raise RuntimeError("l1-restricted system cannot be unbounded")
-    if strict:
-        return outcome.value < target.rhs
-    return outcome.value <= target.rhs
+    return value < target.rhs if strict else value <= target.rhs
 
 
 def l1_radius_bound(K: InequalitySystem) -> int:
     """A positive integer R with K inside the l1 ball of radius R.
 
     Computed from 2n exact LPs as ceil of the sum over coordinates of
-    max(|min x_i|, |max x_i|); raises if K is unbounded.  An empty K gets
-    R = 1.
+    max(|min x_i|, |max x_i|); raises :class:`UnboundedSet` if K is
+    unbounded.  An empty K gets R = 1.
     """
     total = Fraction(0)
-    for i in range(K.n):
-        unit = Vector.unit(K.n, i)
-        hi = support_value(K, unit)
-        lo = support_value(K, -unit)
-        if hi == UNBOUNDED or lo == UNBOUNDED:
-            raise ValueError("set is unbounded; no l1 radius exists")
-        if hi == NEG_INFINITY:
-            return 1
-        total += max(abs(hi), abs(lo))
+    try:
+        for i in range(K.n):
+            unit = Vector.unit(K.n, i)
+            hi = support_value(K, unit)
+            lo = support_value(K, -unit)
+            total += max(abs(hi), abs(lo))
+    except EmptySet:
+        return 1
     return max(1, math.ceil(total))
 
 

@@ -37,7 +37,7 @@ from .simplex import (
     lp_optimize,
     reduce_certificate,
 )
-from .geometry import UNBOUNDED, support_value
+from .geometry import UnboundedSet, support_value
 from .vectors import Vector, bit_size, format_rational, parse_rational
 
 
@@ -341,11 +341,11 @@ def verify_enumerative_proof(K: InequalitySystem, proof: EnumNode) -> Report:
     The subtree of a node unbounded in its direction is not checked.
     """
     failures: list[str] = []
-    pruned = math.inf  # the walk skips nodes deeper than this
+    pruned = None  # the walk skips nodes deeper than this
     for node, path, system, leaving in _relaxations(K, proof):
-        if len(path) > pruned:
+        if pruned is not None and len(path) > pruned:
             continue
-        pruned = math.inf
+        pruned = None
         if leaving:
             continue
         where = "/".join(str(b) for _, b in path) or "(root)"
@@ -360,15 +360,14 @@ def verify_enumerative_proof(K: InequalitySystem, proof: EnumNode) -> Report:
                     " (write it as a childless labeled node)"
                 )
             continue
-        empty = is_empty(system) is not None
-        if not empty:
-            hi_val = support_value(system, node.a)
-            lo_neg = support_value(system, -node.a)
-            if hi_val == UNBOUNDED or lo_neg == UNBOUNDED:
+        if is_empty(system) is None:
+            try:
+                hi_val = support_value(system, node.a)
+                lo_val = -support_value(system, -node.a)
+            except UnboundedSet:
                 failures.append(f"{where}: relaxation unbounded in the direction")
                 pruned = len(path)
                 continue
-            lo_val = -lo_neg
             if lo_val < node.lo or hi_val > node.hi:
                 # the point attaining an escaping end, from its memoized solve
                 end = node.a if hi_val > node.hi else -node.a

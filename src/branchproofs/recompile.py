@@ -27,7 +27,9 @@ from typing import Optional
 
 from .diophantine import classify_rhs, dirichlet_approx
 from .geometry import (
+    EmptySet,
     Halfspace,
+    UnboundedSet,
     apply_cg_list,
     implies_R,
     l1_radius_bound,
@@ -37,10 +39,7 @@ from .prooftree import BranchNode, Report, verify_branching_proof, walk
 from .simplex import (
     FarkasCertificate,
     InequalitySystem,
-    Optimal,
-    Unbounded,
     is_empty,
-    lp_optimize,
     reduce_certificate,
 )
 from .vectors import Vector, round_half_away
@@ -75,7 +74,6 @@ def long_to_short(
     R: int,
     N: int,
     M: int,
-    residual_trace: list | None = None,
 ) -> SubstitutionSequence:
     """Iterated Diophantine approximation of ``a x <= b``.
 
@@ -104,8 +102,6 @@ def long_to_short(
     alphas: list[Fraction] = []
 
     for _ in range(n + 1):
-        if residual_trace is not None:
-            residual_trace.append(a_hat)
         if a_hat.norm_linf() <= threshold:
             break
         approx = dirichlet_approx(a_hat, N)
@@ -271,18 +267,16 @@ def generalized_certificate(
 
 
 def _check_generalized(K, P, lam: Vector, shift=None) -> Fraction:
-    """Exact value of min over K of lam (A x - b - shift); must be positive."""
+    """Exact value of min over K of lam (A x - b - shift); must be positive.
+
+    An empty K or one unbounded below in lam A raises, as support_value does.
+    """
     combo, offset = P.combination(lam)
     if shift is not None:
         offset += sum(
             (l * s for l, s in zip(lam, shift)), Fraction(0)
         )
-    outcome = lp_optimize(K, Vector(combo), sense="min")
-    if isinstance(outcome, Unbounded):
-        raise ValueError("K is unbounded; generalized certificates need compactness")
-    if not isinstance(outcome, Optimal):
-        raise ValueError("K is empty; generalized certificates need K nonempty")
-    margin = outcome.value - offset
+    margin = -support_value(K, -Vector(combo)) - offset
     if margin <= 0:
         raise ValueError("multipliers do not certify disjointness")
     return margin
@@ -329,18 +323,18 @@ def select_violated_row(
 def _cut_pairs(
     K: InequalitySystem,
     P: InequalitySystem,
-    P_prime: InequalitySystem,
     seqs: list[SubstitutionSequence],
     debug: bool = False,
 ) -> list[tuple[Vector, int]]:
-    """The (normal, rhs) pairs behind gen_cg_cuts, in emission order."""
+    """The (normal, rhs) pairs behind gen_cg_cuts, in emission order; none
+    when K n P' is already empty."""
     n = K.n
     m = P.m
-    if len(seqs) != m or P_prime.m != m:
+    if len(seqs) != m:
         raise ValueError("need one substitution sequence per row of P")
-    for (row, rhs), seq in zip(P_prime.rows(), seqs):
-        if row != seq.a_prime or rhs != seq.b_prime:
-            raise ValueError("P' rows must be the sequences' replacement rows")
+    K_prime = K.with_rows((seq.a_prime, seq.b_prime) for seq in seqs)
+    if is_empty(K_prime) is not None:
+        return []  # nothing to repair
 
     lam = generalized_certificate(K, P)
     level = [1] * m  # current level per row (1-based)
@@ -371,32 +365,31 @@ def _cut_pairs(
                 level[j] += 1
             eps[j] = seqs[j].levels[level[j] - 1][2]
         if debug:
-            _check_repair_invariants(K, P, P_prime, pairs, eps)
+            _check_repair_invariants(K_prime, P, pairs, eps)
 
 
 def gen_cg_cuts(
     K: InequalitySystem,
     P: InequalitySystem,
-    P_prime: InequalitySystem,
     seqs: list[SubstitutionSequence],
     debug: bool = False,
 ) -> list[Vector]:
     """CG cut normals emptying K n P', drawn from the substitution levels.
 
-    Given disjoint K and P and the substitution polyhedron P' built from one
-    valid substitution sequence per row of P, returns an ordered list of at
-    most 2(n+1) normals, in +/- pairs, with ``apply_cg_list(K n P', cuts)``
-    empty.  Each pair forces one more level equality ``a_{j,p} x = b_{j,p}``,
-    shrinking an affine subspace tracked alongside; the loop stops as soon as
-    the accumulated error budget certifies emptiness outright.
+    Given disjoint K and P and one valid substitution sequence per row of P,
+    whose replacement rows ``a' x <= b'`` make up the substitution
+    polyhedron P', returns an ordered list of at most 2(n+1) normals, in
+    +/- pairs, with ``apply_cg_list(K n P', cuts)`` empty (no normals when
+    K n P' is empty already).  Each pair forces one more level equality
+    ``a_{j,p} x = b_{j,p}``, shrinking an affine subspace tracked alongside;
+    the loop stops as soon as the accumulated error budget certifies
+    emptiness outright.
 
     With ``debug=True`` the tracked invariants (the cut set stays inside the
     affine subspace and inside the error-relaxed P) are re-checked by LPs
     after every round.
     """
-    if is_empty(K.with_rows(P_prime.rows())) is not None:
-        return []  # nothing to repair
-    pairs = _cut_pairs(K, P, P_prime, seqs, debug=debug)
+    pairs = _cut_pairs(K, P, seqs, debug=debug)
     return [a for a, _ in _plus_minus(pairs)]
 
 
@@ -408,19 +401,18 @@ def _plus_minus(pairs):
 
 
 def _affine_implies_equality(V: InequalitySystem, a: Vector, b: int) -> bool:
-    """Whether the affine subspace V lies inside {a x = b}."""
-    for objective, bound in ((a, b), (-a, -b)):
-        outcome = lp_optimize(V, objective, sense="max")
-        if isinstance(outcome, Unbounded):
-            return False
-        if isinstance(outcome, Optimal) and outcome.value != bound:
-            return False
-    return True  # empty V satisfies everything vacuously
+    """Whether the affine subspace V lies inside {a x = b}; an empty V does."""
+    try:
+        return support_value(V, a) == b and support_value(V, -a) == -b
+    except EmptySet:
+        return True
+    except UnboundedSet:
+        return False
 
 
-def _check_repair_invariants(K, P, P_prime, pairs, eps) -> None:
+def _check_repair_invariants(K_prime, P, pairs, eps) -> None:
     cuts = [a for a, _ in _plus_minus(pairs)]
-    current = apply_cg_list(K.with_rows(P_prime.rows()), cuts)
+    current = apply_cg_list(K_prime, cuts)
     if is_empty(current) is not None:
         return
     for a_i, b_i in pairs:
@@ -517,15 +509,8 @@ def recompile(
 def _repair_leaf(K: InequalitySystem, orig_rows, seqs) -> BranchNode:
     """The leaf itself, or a chain of the repair's +/- pairs whose right
     children are empty leaves, when the replaced path leaves K nonempty."""
-    n = K.n
-    prime_rows = [(seq.a_prime, Fraction(seq.b_prime)) for seq in seqs]
-    if is_empty(K.with_rows(prime_rows)) is not None:
-        return BranchNode()
-    P = InequalitySystem([a for a, _ in orig_rows], [b for _, b in orig_rows], n=n)
-    P_prime = InequalitySystem(
-        [a for a, _ in prime_rows], [b for _, b in prime_rows], n=n
-    )
-    pairs = _cut_pairs(K, P, P_prime, seqs)
+    P = InequalitySystem([a for a, _ in orig_rows], [b for _, b in orig_rows], n=K.n)
+    pairs = _cut_pairs(K, P, seqs)
     tree = BranchNode()
     for a_c, b_c in reversed(list(_plus_minus(pairs))):
         tree = BranchNode(a_c, b_c, tree, BranchNode())

@@ -1,6 +1,6 @@
 """Exact rational linear programming with verified certificates.
 
-Solves max/min of a linear functional over ``{x : A x <= b}`` in exact
+Solves max of a linear functional over ``{x : A x <= b}`` in exact
 arithmetic and returns one of three fully certified outcomes:
 
 * ``Optimal``    -- optimal value, an optimal point, and dual multipliers
@@ -315,48 +315,40 @@ class Optimal:
     and stores them: the point as integers over one scale, the duals as
     integer weights on the scaled rows over another.  ``point`` and ``dual``
     are built from them as Vectors when first read, the dual from its
-    nonzeros, and then kept; ``value`` is a Fraction from the start.  The
-    negation that ``lp_optimize(sense="min")`` returns shares what is built.
+    nonzeros, and then kept; ``value`` is a Fraction from the start.
     Equal, hashed and shown as the triple ``(value, point, dual)``.
     """
 
-    __slots__ = ("value", "_parts", "_built")
+    __slots__ = ("value", "_parts", "_point", "_dual")
 
     def __init__(self, value: Fraction, point: Vector, dual: Vector):
-        self.value, self._parts, self._built = value, None, [point, dual]
+        self.value, self._parts, self._point, self._dual = value, None, point, dual
 
     @classmethod
     def _unbuilt(cls, value, point, scale, weights, sigmas, w_den) -> "Optimal":
         """The optimum with point ``point / scale`` and dual ``sigma_i w_i /
         w_den`` on each row i of the ``(i, w_i)`` weights, 0 elsewhere."""
         out = object.__new__(cls)
-        out.value, out._built = value, [None, None]
+        out.value, out._point, out._dual = value, None, None
         out._parts = (point, scale, weights, sigmas, w_den)
-        return out
-
-    def _negated(self) -> "Optimal":
-        out = object.__new__(Optimal)
-        out.value, out._parts, out._built = -self.value, self._parts, self._built
         return out
 
     @property
     def point(self) -> Vector:
-        built = self._built
-        if built[0] is None:
+        if self._point is None:
             point, scale = self._parts[:2]
-            built[0] = Vector(Fraction(v, scale) if v else _ZERO for v in point)
-        return built[0]
+            self._point = Vector(Fraction(v, scale) if v else _ZERO for v in point)
+        return self._point
 
     @property
     def dual(self) -> Vector:
-        built = self._built
-        if built[1] is None:
+        if self._dual is None:
             _, _, weights, sigmas, w_den = self._parts
             entries = [_ZERO] * len(sigmas)
             for i, w in weights:
                 entries[i] = Fraction(sigmas[i] * w, w_den)
-            built[1] = Vector(entries)
-        return built[1]
+            self._dual = Vector(entries)
+        return self._dual
 
     def __eq__(self, other):
         if type(other) is not Optimal:
@@ -385,22 +377,11 @@ class Unbounded:
 LpOutcome = Optimal | Infeasible | Unbounded
 
 
-def lp_optimize(system: InequalitySystem, c: Vector, sense: str = "max") -> LpOutcome:
-    """Exact optimum of ``c x`` over ``A x <= b``, with certificate.
-
-    For ``sense="min"`` the problem is solved as max of ``-c``; the returned
-    duals then satisfy ``dual A = -c`` and ``dual b = -value``.
-    """
+def lp_optimize(system: InequalitySystem, c: Vector) -> LpOutcome:
+    """Exact maximum of ``c x`` over ``A x <= b``, with certificate."""
     if len(c) != system.n:
         raise DimensionMismatch(f"objective has dim {len(c)}, system has n={system.n}")
-    if sense == "max":
-        return _solve_max(system, c)
-    if sense == "min":
-        res = _solve_max(system, -c)
-        if isinstance(res, Optimal):
-            return res._negated()
-        return res
-    raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
+    return _solve_max(system, c)
 
 
 def is_empty(system: InequalitySystem) -> Optional[FarkasCertificate]:

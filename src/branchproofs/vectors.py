@@ -2,9 +2,7 @@
 
 Every numeric quantity in this package is a ``fractions.Fraction`` (kept in
 lowest terms with a positive denominator by the stdlib), so all arithmetic,
-comparisons and floors are exact.  ``math.inf`` / ``-math.inf`` appear only as
-order-compatible sentinels for unbounded / empty optimization problems; they
-never enter arithmetic.
+comparisons and floors are exact.
 
 A :class:`Vector` is an immutable fixed-dimension tuple of Fractions with the
 usual linear operations, the l1 / l-infinity norms, and nearest-integer

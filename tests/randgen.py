@@ -7,7 +7,7 @@ import math
 from fractions import Fraction
 from random import Random
 
-from branchproofs.geometry import NEG_INFINITY, UNBOUNDED, support_value
+from branchproofs.geometry import EmptySet, UnboundedSet, support_value
 from branchproofs.prooftree import EnumNode
 from branchproofs.simplex import InequalitySystem, is_empty
 from branchproofs.vectors import Vector
@@ -85,9 +85,10 @@ def random_enumerative_proof(rng: Random, system: InequalitySystem) -> EnumNode:
             a = Vector([rng.randint(-2, 2) for _ in range(n)])
             if a.is_zero():
                 continue
-            hi = support_value(current, a)
-            lo = -support_value(current, -a)
-            if hi in (UNBOUNDED, NEG_INFINITY) or lo == -UNBOUNDED:
+            try:
+                hi = support_value(current, a)
+                lo = -support_value(current, -a)
+            except (EmptySet, UnboundedSet):
                 continue
             if lo < hi:
                 choice = (a, lo, hi)

@@ -120,12 +120,9 @@ def _leaf_repair_case(K, P, R):
     n = K.n
     N, M = 10 * n * R, (10 * n * R) ** (n + 2)
     seqs = [long_to_short(a, int(b), R, N, M) for a, b in P.rows()]
-    P_prime = InequalitySystem(
-        [s.a_prime for s in seqs], [s.b_prime for s in seqs], n=n
-    )
-    cuts = gen_cg_cuts(K, P, P_prime, seqs)
+    cuts = gen_cg_cuts(K, P, seqs)
     assert len(cuts) <= 2 * (n + 1), "too many repair cuts"
-    final = apply_cg_list(K.with_rows(P_prime.rows()), cuts)
+    final = apply_cg_list(K.with_rows((s.a_prime, s.b_prime) for s in seqs), cuts)
     assert is_empty(final) is not None, "repair cuts left the set nonempty"
 
 

@@ -274,6 +274,9 @@ LOW_RECURSION_LIMIT = 150
 
 SEGMENT = "1 2\n1 3/4\n-1 -1/4\n"  # 1/4 <= x <= 3/4, no integer point
 POINT = "2 4\n1 0 0\n-1 0 0\n0 1 1/2\n0 -1 -1/2\n"  # x1 = 0, x2 = 1/2
+QUADRANT = "2 2\n-1 0 0\n0 -1 0\n"  # x1, x2 >= 0: unbounded along (1 0)
+RAY = "2 3\n-1 0 0\n0 1 1/2\n0 -1 -1/2\n"  # x1 >= 0, x2 = 1/2
+EMPTY = "1 2\n1 0\n-1 -1\n"  # x <= 0 and x >= 1
 
 
 @contextmanager
@@ -365,6 +368,20 @@ def contract_cases(depth):
         ("10^12 missing children",
          {"k.ineq": SEGMENT, "e.proof": "(enode (1) 0 1000000000000 (child 0 (eleaf empty)))"},
          ["verify", "enumerative", "k.ineq", "e.proof"], 1),
+        ("unbounded enumerative node",
+         {"k.ineq": QUADRANT, "e.proof": "(enode (1 0) 0 3 (child 0 (eleaf empty)))"},
+         ["verify", "enumerative", "k.ineq", "e.proof"], 1),
+        ("unbounded enum-to-cp",
+         {"k.ineq": QUADRANT, "e.proof": "(enode (1 0) 0 3 (child 0 (eleaf empty)))"},
+         ["enum-to-cp", "k.ineq", "e.proof", "--out", "e.cuts"], 2),
+        ("unbounded cut", {"k.ineq": QUADRANT, "c.cuts": "1 0\n"},
+         ["verify", "cp", "k.ineq", "c.cuts"], 2),
+        ("unbounded recompile", {"k.ineq": RAY, "p.proof": "(node (0 1 0) (leaf) (leaf))"},
+         ["recompile", "k.ineq", "p.proof", "--out", "r.proof"], 2),
+        ("empty enum-to-cp", {"k.ineq": EMPTY, "e.proof": "(eleaf empty)"},
+         ["enum-to-cp", "k.ineq", "e.proof", "--out", "e.cuts"], 0),
+        ("empty recompile", {"k.ineq": EMPTY, "p.proof": "(node (1 0) (leaf) (leaf))"},
+         ["recompile", "k.ineq", "p.proof", "--out", "r.proof"], 0),
     ]
 
 

@@ -1,15 +1,17 @@
 """Support functions, CG cuts, faces, l1-ball implication, radius bounds."""
 
+import re
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
 from branchproofs.families import pn_polytope
 from branchproofs.geometry import (
-    NEG_INFINITY,
-    UNBOUNDED,
+    EmptySet,
     Halfspace,
+    UnboundedSet,
     _append_dominant,
     apply_cg,
     apply_cg_list,
@@ -34,10 +36,32 @@ def unit_box(n):
 def test_support_value_examples():
     assert support_value(unit_box(2), Vector([1, 1])) == 2
     empty = InequalitySystem([[1], [-1]], [0, -1])
-    assert support_value(empty, Vector([3])) == NEG_INFINITY
+    with pytest.raises(EmptySet):
+        support_value(empty, Vector([3]))
     assert support_value(pn_polytope(2), Vector([1, 0])) == Fraction(1, 2)
     free = InequalitySystem([], [], n=1)
-    assert support_value(free, Vector([1])) == UNBOUNDED
+    with pytest.raises(UnboundedSet):
+        support_value(free, Vector([1]))
+
+
+def test_empty_and_unbounded_are_value_errors():
+    """The CLI maps a ValueError to exit 2; the message names the direction."""
+    assert issubclass(EmptySet, ValueError) and issubclass(UnboundedSet, ValueError)
+    half_plane = InequalitySystem([[-1, 0]], [0])
+    with pytest.raises(UnboundedSet, match=r"^the set is unbounded along \(1 -1/2\)$"):
+        support_value(half_plane, Vector([1, Fraction(-1, 2)]))
+
+
+def test_no_float_in_src():
+    """Support values are exact: no module names a float or an infinity."""
+    src = Path(__file__).resolve().parents[1] / "src" / "branchproofs"
+    pattern = re.compile(r"math\.inf|NEG_INFINITY|UNBOUNDED|\bfloat\b")
+    modules = sorted(src.glob("*.py"))
+    assert modules
+    found = [f"{path.name}:{i}" for path in modules
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if pattern.search(line)]
+    assert not found, found
 
 
 def test_apply_cg_examples():
@@ -68,7 +92,7 @@ def test_apply_cg_empty_set_is_noop():
 
 
 def test_apply_cg_unbounded_direction_raises():
-    with pytest.raises(ValueError):
+    with pytest.raises(UnboundedSet):
         apply_cg(InequalitySystem([[-1]], [0]), Vector([1]))
 
 
@@ -161,9 +185,9 @@ def test_face_support_is_stable():
 
 def test_face_errors():
     empty = InequalitySystem([[1], [-1]], [0, -1])
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptySet):
         face(empty, Vector([1]))
-    with pytest.raises(ValueError):
+    with pytest.raises(UnboundedSet):
         face(InequalitySystem([[-1]], [0]), Vector([1]))
 
 
@@ -205,7 +229,8 @@ def test_implies_R_monotone_in_premise():
 def test_l1_radius_bound_examples():
     assert l1_radius_bound(InequalitySystem.box(2, 0, 1)) == 2
     assert l1_radius_bound(pn_polytope(2)) == 1
-    with pytest.raises(ValueError):
+    assert l1_radius_bound(InequalitySystem([[1, 0], [-1, 0]], [0, -1])) == 1
+    with pytest.raises(UnboundedSet):
         l1_radius_bound(InequalitySystem([[-1]], [0]))
 
 

@@ -57,10 +57,16 @@ def test_long_to_short_rejects_bad_input():
 
 
 def test_residual_zero_coordinates_increase():
-    trace: list[Vector] = []
-    long_to_short(Vector([10**6, 123457, 3]), 5, R=2, N=60, M=60**5,
-                  residual_trace=trace)
-    zero_counts = [sum(1 for v in r if v == 0) for r in trace]
+    """Residuals r_0 = a, r_(i+1) = r_i - alpha_i a'_i over the levels with
+    gamma_i = 2 alpha_i / (5 n) > 0 gain a zero coordinate at each step."""
+    a = Vector([10**12, 123456789, 3])
+    seq = long_to_short(a, 5, R=2, N=60, M=60**5)
+    residuals = [a]
+    for a_i, _, gamma in seq.levels:
+        if gamma > 0:
+            residuals.append(residuals[-1] - 5 * len(a) * gamma / 2 * a_i)
+    assert len(residuals) == 3
+    zero_counts = [sum(1 for v in r if v == 0) for r in residuals]
     assert all(b > a for a, b in zip(zero_counts, zero_counts[1:]))
 
 
@@ -132,10 +138,9 @@ def test_gen_cg_cuts_thin_segment_leaf():
     K, _ = thin_segment(10**6)
     seq = long_to_short(Vector([10**6, 1]), 0, R=3, N=60, M=60**4)
     P = InequalitySystem([Vector([10**6, 1])], [0], n=2)
-    P_prime = InequalitySystem([seq.a_prime], [seq.b_prime], n=2)
-    cuts = gen_cg_cuts(K, P, P_prime, [seq], debug=True)
+    cuts = gen_cg_cuts(K, P, [seq], debug=True)
     assert cuts == [Vector([1, 0]), Vector([-1, 0])]
-    final = apply_cg_list(K.with_rows(P_prime.rows()), cuts)
+    final = apply_cg_list(K.with_rows([(seq.a_prime, seq.b_prime)]), cuts)
     assert is_empty(final) is not None
     # select_violated_row picks the only row of P here
     lam = generalized_certificate(K, P)
@@ -146,9 +151,8 @@ def test_gen_cg_cuts_empty_intersection_returns_nothing():
     K, _ = thin_segment(10)
     seq = long_to_short(Vector([10, 1]), -100, R=3, N=60, M=60**4)
     P = InequalitySystem([Vector([10, 1])], [-100], n=2)
-    P_prime = InequalitySystem([seq.a_prime], [seq.b_prime], n=2)
-    assert is_empty(K.with_rows(P_prime.rows())) is not None
-    assert gen_cg_cuts(K, P, P_prime, [seq]) == []
+    assert is_empty(K.with_rows([(seq.a_prime, seq.b_prime)])) is not None
+    assert gen_cg_cuts(K, P, [seq]) == []
 
 
 def test_recompile_thin_segment():
