@@ -29,6 +29,7 @@ from .families import (
 )
 from .geometry import apply_cg_list, cuts_from_text, cuts_to_text
 from .prooftree import (
+    certified_failure,
     certify,
     detect_proof_kind,
     format_branching,
@@ -43,7 +44,7 @@ from .prooftree import (
 )
 from .recompile import recompile
 from .simplex import InequalitySystem, is_empty
-from .vectors import bit_size
+from .vectors import sparse_bit_size
 
 
 def _read(path: str) -> str:
@@ -133,10 +134,11 @@ def _cmd_verify(args) -> int:
     if args.kind == "branching":
         report = verify_branching_proof(system, parse_branching(text))
     elif args.kind == "certified":
-        ok = verify_certified_proof(system, parse_branching(text))
-        if ok:
+        proof = parse_branching(text)
+        if verify_certified_proof(system, proof):
             print("RESULT valid certified proof")
             return 0
+        print(certified_failure(system, proof))
         print("RESULT invalid certificate check failed")
         return 1
     elif args.kind == "enumerative":
@@ -170,7 +172,8 @@ def _cmd_certify(args) -> int:
         return 1
     _write(_out(args, ".certified.proof"), format_branching(certified) + "\n")
     _print_stats(certified)
-    sizes = [bit_size(node.cert) for node, _, _ in walk(certified) if node.is_leaf]
+    sizes = [sparse_bit_size(node.cert.m, node.cert.nonzeros)
+             for node, _, _ in walk(certified) if node.is_leaf]
     print(f"certificates: {len(sizes)}, bit sizes {sizes} (total {sum(sizes)})")
     print("RESULT valid certified proof written")
     return 0

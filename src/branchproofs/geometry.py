@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .simplex import InequalitySystem, Infeasible, Optimal, lp_optimize
-from .vectors import Scalar, Vector
+from .vectors import Scalar, Vector, parse_integer
 
 
 class EmptySet(ValueError):
@@ -190,7 +190,7 @@ def cuts_from_text(text: str, n: int | None = None) -> list[Vector]:
     for line in text.splitlines():
         if not line.strip():
             continue
-        entries = [int(tok.replace("−", "-")) for tok in line.split()]
+        entries = [parse_integer(tok) for tok in line.split()]
         if n is not None and len(entries) != n:
             raise ValueError(f"cut of dimension {len(entries)}, expected {n}")
         cuts.append(Vector(entries))

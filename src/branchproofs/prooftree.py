@@ -38,7 +38,7 @@ from .simplex import (
     reduce_certificate,
 )
 from .geometry import UnboundedSet, support_value
-from .vectors import Vector, bit_size, format_rational, parse_rational
+from .vectors import Vector, bit_size, format_rational, parse_rational, sparse_bit_size
 
 
 class _TreeNode:
@@ -79,12 +79,14 @@ class BranchNode(_TreeNode):
     b: int | None = None
     left: "BranchNode | None" = None
     right: "BranchNode | None" = None
-    cert: Vector | None = None
+    cert: FarkasCertificate | None = None
 
     def __post_init__(self):
         if self.a is None:
             if self.left is not None or self.right is not None or self.b is not None:
                 raise ValueError("leaves carry no disjunction and no children")
+            if self.cert is not None and not isinstance(self.cert, FarkasCertificate):
+                raise TypeError("a leaf certificate must be a FarkasCertificate")
         else:
             if not self.a.is_integral() or self.a.is_zero():
                 raise ValueError("disjunction normals must be nonzero integral")
@@ -119,9 +121,10 @@ class BranchNode(_TreeNode):
         """The bits of the disjunction or certificate, and the largest
         coefficient of the two edge rows."""
         if self.a is None:
-            return (0 if self.cert is None else bit_size(self.cert)), 0
+            cert = self.cert
+            return (0 if cert is None else sparse_bit_size(cert.m, cert.nonzeros)), 0
         b = self.b
-        coeff = max(int(self.a.norm_linf()), abs(b), abs(b + 1))
+        coeff = max(max([abs(e.numerator) for e in self.a]), abs(b), abs(b + 1))
         return bit_size(self.a) + bit_size(b), coeff
 
     def leaf_count(self) -> int:
@@ -192,7 +195,7 @@ class EnumNode(_TreeNode):
         values = [b for b, _ in self.children]
         bits = bit_size(self.a) + bit_size(self.lo) + bit_size(self.hi)
         bits += sum(map(bit_size, values))
-        return bits, max([int(self.a.norm_linf()), *map(abs, values)])
+        return bits, max([abs(e.numerator) for e in self.a] + [abs(v) for v in values])
 
 
 @dataclass(frozen=True)
@@ -299,13 +302,20 @@ def verify_certified_proof(K: InequalitySystem, proof: BranchNode) -> bool:
     root-to-leaf order.  Raises if a leaf has no certificate.  Stops at the
     first leaf whose certificate fails.
     """
-    for node, _, system, _ in _relaxations(K, proof):
+    return certified_failure(K, proof) is None
+
+
+def certified_failure(K: InequalitySystem, proof: BranchNode) -> str | None:
+    """"label: check" for the first leaf whose certificate fails, naming the
+    leaf by its branch label and the check by ``FarkasCertificate.failed_check``;
+    None when every certificate holds.  Raises if a leaf has no certificate."""
+    for node, path, system, _ in _relaxations(K, proof):
         if node.is_leaf:
             if node.cert is None:
                 raise ValueError("leaf without certificate")
-            if not FarkasCertificate(node.cert).verify(system):
-                return False
-    return True
+            if not node.cert.verify(system):
+                return f"{_branch_label(path)}: {node.cert.failed_check(system)}"
+    return None
 
 
 def certify(K: InequalitySystem, proof: BranchNode) -> BranchNode:
@@ -327,7 +337,7 @@ def certify(K: InequalitySystem, proof: BranchNode) -> BranchNode:
                 raise ValueError(
                     f"cannot certify: leaf {_branch_label(path)} has a nonempty relaxation"
                 )
-            built.append(BranchNode(cert=reduce_certificate(system, cert).multipliers))
+            built.append(BranchNode(cert=reduce_certificate(system, cert)))
     return built[0]
 
 
@@ -457,21 +467,49 @@ def _tokenize(text: str):
 
 def _read_sexp(tokens: list[str]):
     """The first datum of ``tokens`` (an atom or nested lists) and the
-    position after it."""
+    position after it.
+
+    A nested ``(cert ...)`` group of atoms, which holds most of a certified
+    proof's tokens, is taken as one slice up to its ``)``; a group that holds
+    a ``(`` is read token by token like any other.  The next ``(`` and ``)``
+    are searched for only once the read has passed the last ones found, so
+    the searches cover the tokens once in all, however the groups nest."""
     if tokens[0] != "(":
         return tokens[0], 1
     open_lists: list[list] = []
-    for pos, tok in enumerate(tokens):
+    pos, end = 0, len(tokens)
+    opening = closing = -1  # the first "(" and ")" at or after their last search
+    while pos < end:
+        tok = tokens[pos]
+        pos += 1
         if tok == "(":
+            if open_lists and pos < end and tokens[pos] == "cert":
+                if opening < pos:
+                    opening = _find(tokens, "(", pos)
+                if closing < pos:
+                    closing = _find(tokens, ")", pos)
+                if closing < opening:  # a flat group
+                    open_lists[-1].append(tokens[pos:closing])
+                    pos = closing + 1
+                    continue
             open_lists.append([])
         elif tok == ")":
             done = open_lists.pop()
             if not open_lists:
-                return done, pos + 1
+                return done, pos
             open_lists[-1].append(done)
         else:
             open_lists[-1].append(tok)
     raise ValueError("unbalanced parentheses")
+
+
+def _find(tokens: list[str], token: str, start: int) -> int:
+    """The position of the first ``token`` at or after ``start``, else the
+    length of ``tokens``."""
+    try:
+        return tokens.index(token, start)
+    except ValueError:
+        return len(tokens)
 
 
 def _parse_tree_text(text: str):
@@ -492,19 +530,37 @@ def _shown(item) -> str:
     return "(" + " ".join(t if isinstance(t, str) else "(...)" for t in item) + ")"
 
 
-def _rational_atom(atom) -> Fraction:
+def _rational_atom(atom, numbers: dict[str, Fraction]) -> Fraction:
     """The number an atom spells; a list where a number belongs is an input
-    error."""
+    error.  ``numbers`` holds the tokens parsed so far, so one parse reads
+    each distinct token once and shares its Fraction."""
     if isinstance(atom, list):
         raise ValueError(f"expected a number, found {_shown(atom)}")
-    return parse_rational(atom)
+    value = numbers.get(atom)
+    if value is None:
+        value = numbers[atom] = parse_rational(atom)
+    return value
 
 
-def _int_atom(atom) -> int:
-    value = _rational_atom(atom)
+def _integer_atom(atom, numbers: dict[str, Fraction]) -> Fraction:
+    """The integer an atom spells, as its shared Fraction."""
+    value = _rational_atom(atom, numbers)
     if value.denominator != 1:
         raise ValueError(f"expected an integer, found {atom}")
-    return value.numerator
+    return value
+
+
+def _certificate(group: list, numbers: dict[str, Fraction]) -> FarkasCertificate:
+    """The certificate of a ``(cert ...)`` group, from its nonzero tokens:
+    a token spelled "0" is skipped unparsed, and one that parses to 0
+    (``-0``, ``00``, ``0/7``) is dropped."""
+    spelled = [(i, tok) for i, tok in enumerate(group) if tok != "0"]
+    nonzeros = []
+    for i, tok in spelled[1:]:  # spelled[0] is the "cert" tag
+        value = _rational_atom(tok, numbers)
+        if value:
+            nonzeros.append((i - 1, value))
+    return FarkasCertificate._from_nonzeros(len(group) - 1, nonzeros)
 
 
 def format_branching(proof: BranchNode) -> str:
@@ -522,8 +578,10 @@ def format_branching(proof: BranchNode) -> str:
         elif node.cert is None:
             parts.append(f"{pad}(leaf)")
         else:
-            lams = " ".join(format_rational(v) for v in node.cert)
-            parts.append(f"{pad}(leaf (cert {lams}))")
+            lams = ["0"] * node.cert.m
+            for i, v in node.cert.nonzeros:
+                lams[i] = format_rational(v)
+            parts.append(f"{pad}(leaf (cert {' '.join(lams)}))")
     return "".join(parts)
 
 
@@ -533,6 +591,7 @@ def parse_branching(text: str) -> BranchNode:
 
 def _branching_from_sexp(sexp) -> BranchNode:
     """Check nodes top-down, build them bottom-up, by an explicit stack."""
+    numbers: dict[str, Fraction] = {}
     built: list[BranchNode] = []  # finished subtrees, left to right
     todo: list = [sexp]  # s-expressions, and (a, b) once a node's children are queued
     while todo:
@@ -548,17 +607,16 @@ def _branching_from_sexp(sexp) -> BranchNode:
             if len(item) == 1:
                 built.append(BranchNode())
             elif len(item) == 2 and isinstance(item[1], list) and item[1][:1] == ["cert"]:
-                lams = Vector([_rational_atom(t) for t in item[1][1:]])
-                built.append(BranchNode(cert=lams))
+                built.append(BranchNode(cert=_certificate(item[1], numbers)))
             else:
                 raise ValueError("malformed leaf")
         elif tag == "node":
             if len(item) != 4 or not isinstance(item[1], list):
                 raise ValueError("malformed internal node")
-            numbers = [_int_atom(t) for t in item[1]]
-            if len(numbers) < 2:
+            values = [_integer_atom(t, numbers) for t in item[1]]
+            if len(values) < 2:
                 raise ValueError("disjunction needs at least one coefficient and a rhs")
-            todo += [(Vector(numbers[:-1]), numbers[-1]), item[3], item[2]]
+            todo += [(Vector(values[:-1]), values[-1].numerator), item[3], item[2]]
         else:
             raise ValueError(f"unknown node tag {_shown(tag)}")
     return built[0]
@@ -599,6 +657,7 @@ def _enumerative_from_sexp(sexp) -> EnumNode:
     A child group is checked when the walk reaches it, after the subtrees of
     its earlier siblings, as a recursive descent would.
     """
+    numbers: dict[str, Fraction] = {}
     built: list[EnumNode] = []  # finished subtrees, left to right
     todo: list = [("node", sexp)]
     while todo:
@@ -613,7 +672,7 @@ def _enumerative_from_sexp(sexp) -> EnumNode:
             group, values = item
             if not isinstance(group, list) or len(group) != 3 or group[0] != "child":
                 raise ValueError("malformed child group")
-            values.append(_int_atom(group[1]))
+            values.append(_integer_atom(group[1], numbers).numerator)
             todo.append(("node", group[2]))
         elif not isinstance(item, list) or not item:
             raise ValueError("malformed proof node")
@@ -624,9 +683,10 @@ def _enumerative_from_sexp(sexp) -> EnumNode:
         elif item[0] == "enode":
             if len(item) < 4 or not isinstance(item[1], list):
                 raise ValueError("malformed enumerative node")
-            a = Vector([_int_atom(t) for t in item[1]])
+            a = Vector([_integer_atom(t, numbers) for t in item[1]])
             values: list[int] = []
-            todo.append(("build", (a, _rational_atom(item[2]), _rational_atom(item[3]), values)))
+            lo, hi = _rational_atom(item[2], numbers), _rational_atom(item[3], numbers)
+            todo.append(("build", (a, lo, hi, values)))
             todo.extend(("child", (group, values)) for group in reversed(item[4:]))
         else:
             raise ValueError(f"unknown node tag {_shown(item[0])}")

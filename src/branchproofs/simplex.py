@@ -29,7 +29,9 @@ nonzeros.  Every row combination ``lam (A, b)`` -- a dual's, a given Farkas
 certificate's (``FarkasCertificate.verify``, which solves nothing),
 ``combination``'s -- is this one integer path: ``_weights`` turns the nonzero
 rational multipliers into integer weights on the scaled rows (the solver's
-own duals already are) and ``_combine`` sums those rows.
+own duals already are) and ``_combine`` sums those rows.  A
+``FarkasCertificate`` keeps only its nonzero multipliers, from the solver's
+ray to the proof file and back, and builds the dense Vector when it is read.
 Certificate reduction runs on this solver too: every Farkas certificate the
 solver returns is a basic dual ray (the basis plus the entering column, so at
 most n+1 nonzeros), and ``reduce_certificate`` reduces a certificate to the
@@ -73,7 +75,7 @@ from math import lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .vectors import _ZERO, Scalar, Vector, format_rational, parse_rational
+from .vectors import _ZERO, Scalar, Vector, format_rational, parse_integer, parse_rational
 
 
 class DimensionMismatch(ValueError):
@@ -135,7 +137,7 @@ class InequalitySystem:
         """The exact row combination ``(sum lam_i a_i, sum lam_i b_i)`` of up
         to m multipliers, as a list of n Fractions and a Fraction, computed in
         integers on the scaled rows over lam's nonzeros (``_weights``)."""
-        weights, w_den = _weights(self, lam)
+        weights, w_den = _weights(self, [(i, y) for i, y in enumerate(lam) if y])
         combo, total = _combine(self, weights)
         return [Fraction(v, w_den) for v in combo], Fraction(total, w_den)
 
@@ -215,7 +217,7 @@ class InequalitySystem:
         header = tokens_by_line[0]
         if len(header) != 2:
             raise ValueError("first line must be 'n m'")
-        n, m = int(header[0]), int(header[1])
+        n, m = parse_integer(header[0]), parse_integer(header[1])
         # a row holds n + 1 numbers, so a system with rows bounds n by its
         # own length; a row-less one (all of Q^n, which no proof refutes)
         # would not, and the work on it, a witness say, grows with n
@@ -265,19 +267,19 @@ def _combine(system: InequalitySystem, weights) -> tuple[list[int], int]:
     return combo, total
 
 
-def _weights(system: InequalitySystem, multipliers) -> tuple[list[tuple[int, int]], int]:
-    """Rational multipliers on the rows as integer weights on the scaled rows.
+def _weights(system: InequalitySystem, nonzeros) -> tuple[list[tuple[int, int]], int]:
+    """Nonzero rational multipliers, ``(i, lam_i)`` pairs, as integer weights
+    on the scaled rows.
 
-    Each nonzero ``lam_i`` becomes ``(i, lam_i W / sigma_i)``, for sigma_i the
+    Each ``lam_i`` becomes ``(i, lam_i W / sigma_i)``, for sigma_i the
     row's scale and W the least common multiple of the ``den(lam_i) sigma_i``,
     so that ``_combine`` of the weights is W times ``(lam A, lam b)``; a weight
     has the sign of its multiplier.  Returns the weights and W.
     """
     sigmas = system._scaled_rows()[2]
-    support = [(i, y) for i, y in enumerate(multipliers) if y]
-    w_den = lcm(*(y.denominator * sigmas[i] for i, y in support))
+    w_den = lcm(*(y.denominator * sigmas[i] for i, y in nonzeros))
     return [(i, y.numerator * (w_den // (y.denominator * sigmas[i])))
-            for i, y in support], w_den
+            for i, y in nonzeros], w_den
 
 
 def _over_common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
@@ -287,24 +289,73 @@ def _over_common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int
     return [v.numerator * (denom // v.denominator) for v in values], denom
 
 
-@dataclass(frozen=True)
 class FarkasCertificate:
-    """Nonnegative multipliers proving ``A x <= b`` empty: lam A = 0, lam b < 0."""
+    """Nonnegative multipliers proving ``A x <= b`` empty: lam A = 0, lam b < 0.
 
-    multipliers: Vector
+    Stored as the row count ``m`` and the ``nonzeros``, the ``(row, lam_row)``
+    pairs with ``lam_row != 0`` in row order, which is all that checking,
+    writing or measuring one reads.  ``multipliers``, the dense Vector of all
+    m entries, is built when first read and then kept.  Equal and hashed as
+    ``(m, nonzeros)``.
+    """
+
+    __slots__ = ("m", "nonzeros", "_multipliers")
+
+    def __init__(self, multipliers: Vector):
+        self.m = len(multipliers)
+        self.nonzeros = tuple((i, v) for i, v in enumerate(multipliers) if v)
+        self._multipliers = multipliers
+
+    @classmethod
+    def _from_nonzeros(cls, m: int, nonzeros) -> "FarkasCertificate":
+        """The certificate on m rows with these nonzero ``(row, Fraction)``
+        pairs, given in row order."""
+        out = object.__new__(cls)
+        out.m, out.nonzeros, out._multipliers = m, tuple(nonzeros), None
+        return out
+
+    @property
+    def multipliers(self) -> Vector:
+        if self._multipliers is None:
+            entries = [_ZERO] * self.m
+            for i, v in self.nonzeros:
+                entries[i] = v
+            self._multipliers = Vector(entries)
+        return self._multipliers
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.multipliers) if v != 0)
+        return tuple(i for i, _ in self.nonzeros)
 
     def verify(self, system: InequalitySystem) -> bool:
         """Exactly, in integers on the scaled rows over the nonzeros only."""
-        if len(self.multipliers) != system.m:
-            return False
-        weights, _ = _weights(system, self.multipliers)
-        if any(w < 0 for _, w in weights):
-            return False
+        return self.failed_check(system) is None
+
+    def failed_check(self, system: InequalitySystem) -> Optional[str]:
+        """The first check the certificate fails on the system, or None: a
+        wrong length, a negative multiplier, ``lam A != 0`` or ``lam b >= 0``."""
+        if self.m != system.m:
+            return f"wrong length: {self.m} multipliers for {system.m} rows"
+        weights, _ = _weights(system, self.nonzeros)
+        for i, w in weights:
+            if w < 0:
+                return f"negative multiplier l_{i + 1}"
         combo, total = _combine(system, weights)
-        return not any(combo) and total < 0
+        if any(combo):
+            return "lam A != 0"
+        if total >= 0:
+            return "lam b >= 0"
+        return None
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not FarkasCertificate:
+            return NotImplemented
+        return (self.m, self.nonzeros) == (other.m, other.nonzeros)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.nonzeros))
+
+    def __repr__(self) -> str:
+        return f"FarkasCertificate({self.multipliers!r})"
 
 
 class Optimal:
@@ -417,11 +468,9 @@ def reduce_certificate(
     if basic is None:
         raise SolverError("support rows not empty, yet the certificate verified")
     slack = -rows.combination(basic.multipliers)[1]
-    lam = [Fraction(0)] * system.m
-    for i, v in zip(support, basic.multipliers):
-        lam[i] = v / slack
-    reduced = FarkasCertificate(Vector(lam))
-    if len(reduced.support()) > system.n + 1 or not reduced.verify(system):
+    reduced = FarkasCertificate._from_nonzeros(
+        system.m, [(support[i], v / slack) for i, v in basic.nonzeros])
+    if len(reduced.nonzeros) > system.n + 1 or not reduced.verify(system):
         raise SolverError("certificate reduction produced an invalid certificate")
     return reduced
 
@@ -757,8 +806,8 @@ def _solve_verified(system: InequalitySystem, c: Vector, key: _Key) -> LpOutcome
         _check_farkas(system, ray)
         system._empty = True
         d = abs(tab.d)
-        lam = (Fraction(sigmas[i] * ray[i], d) if i in ray else _ZERO for i in range(m))
-        return Infeasible(FarkasCertificate(Vector(lam)))
+        return Infeasible(FarkasCertificate._from_nonzeros(
+            m, [(i, Fraction(sigmas[i] * v, d)) for i, v in sorted(ray.items())]))
 
     # the optimum in the tableau's integers: the point is p / |d|, the dual
     # on row i is sigma_i w_i / (mu |d|), for w_i = sd beta_i on basic rows

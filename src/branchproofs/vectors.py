@@ -23,18 +23,27 @@ Scalar = Union[int, Fraction]
 _ZERO = Fraction(0)  # shared by every parsed zero; a Fraction is immutable
 
 
+def parse_integer(text: str) -> int:
+    """Parse an integer literal: ASCII digits after an optional sign ``-``,
+    ``+`` or the unicode minus.  ``int`` alone would also read ``_`` digit
+    separators and non-ASCII digits."""
+    cleaned = text.strip().replace("−", "-")
+    if "_" in cleaned or not cleaned.isascii():
+        raise ValueError(f"invalid integer literal {cleaned!r}")
+    return int(cleaned)
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse the text form "p/q" or "p" (optional leading minus sign)."""
+    """Parse the text form "p/q" or "p" (optional leading sign)."""
     if text == "0":  # the commonest token by far
         return _ZERO
-    cleaned = text.strip().replace("−", "-")  # accept the unicode minus
-    if not cleaned:
+    if not text.strip():
         raise ValueError("empty rational literal")
-    if "/" not in cleaned:
-        value = int(cleaned)
+    num, slash, den = text.partition("/")
+    if not slash:
+        value = parse_integer(num)
         return Fraction(value) if value else _ZERO
-    num, _, den = cleaned.partition("/")
-    numerator, denominator = int(num), int(den)
+    numerator, denominator = parse_integer(num), parse_integer(den)
     if denominator == 0:
         raise ValueError(f"zero denominator in rational literal {text!r}")
     return Fraction(numerator, denominator)
@@ -175,3 +184,11 @@ def bit_size(obj) -> int:
         rows = [list(row) for row in obj]
         return sum(len(row) + sum(map(bit_size, row)) for row in rows)
     raise TypeError(f"bit_size not defined for {type(obj).__name__}")
+
+
+def sparse_bit_size(dim: int, nonzeros) -> int:
+    """``bit_size`` of the dimension-``dim`` vector whose nonzero entries are
+    the ``(index, value)`` pairs: each zero entry costs 2 bits."""
+    return 3 * dim - 2 * len(nonzeros) + sum(
+        [1 + v.numerator.bit_length() + v.denominator.bit_length() for _, v in nonzeros]
+    )

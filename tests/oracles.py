@@ -25,6 +25,30 @@ def fraction_combination(system, lam) -> tuple[list[Fraction], Fraction]:
     return combo, total
 
 
+def dense_proof_bits(proof) -> int:
+    """The encoding bit size of a branching proof, over every entry of its
+    dense certificate vectors: one bit per node and per edge, a rational p/q
+    costs 1 + ceil(log2(|p|+1)) + ceil(log2(q+1)) bits and a vector its
+    dimension plus its entries."""
+    def rational(value) -> int:
+        value = Fraction(value)
+        return 1 + abs(value.numerator).bit_length() + value.denominator.bit_length()
+
+    def vector(entries) -> int:
+        return len(entries) + sum(rational(e) for e in entries)
+
+    nodes, bits, todo = 0, 0, [proof]
+    while todo:
+        node = todo.pop()
+        nodes += 1
+        if node.a is not None:
+            bits += vector(list(node.a)) + rational(node.b)
+            todo += [node.left, node.right]
+        elif node.cert is not None:
+            bits += vector(list(node.cert.multipliers))
+    return bits + 2 * nodes - 1
+
+
 def fourier_motzkin_empty(matrix, rhs) -> bool:
     """True iff {x : A x <= b} is empty, by eliminating variables in order."""
     rows = [list(a) + [Fraction(b)] for a, b in zip(matrix, rhs)]

@@ -244,7 +244,7 @@ def test_criterion_8_certified_recompilation():
 
         def leaf_supports(node):
             if node.is_leaf:
-                yield len([v for v in node.cert if v != 0])
+                yield len([v for v in node.cert.multipliers if v != 0])
             else:
                 yield from leaf_supports(node.left)
                 yield from leaf_supports(node.right)

@@ -57,6 +57,25 @@ def test_verify_invalid_names_leaf(tmp_path, capsys):
     assert "L" in out  # the failing leaf path
 
 
+@pytest.mark.parametrize("proof, line", [
+    ("(node (1 0) (leaf (cert 0 1 1)) (leaf (cert 1 0)))", "R: wrong length: 2 multipliers for 3 rows"),
+    ("(node (1 0) (leaf (cert 0 -1 1)) (leaf (cert 1 0 1)))", "L: negative multiplier l_2"),
+    ("(node (1 0) (leaf (cert 0 2 1)) (leaf (cert 1 0 1)))", "L: lam A != 0"),
+    ("(node (1 0) (leaf (cert 0 1 1)) (leaf (cert 1 1 0)))", "R: lam b >= 0"),
+    ("(leaf (cert 1 1))", "(root): lam b >= 0"),
+])
+def test_verify_certified_names_failing_leaf_and_check(tmp_path, capsys, proof, line):
+    """An invalid certified proof's report names the first failing leaf by
+    its branch label, and the check its certificate failed, before the
+    RESULT line."""
+    (tmp_path / "k.ineq").write_text(SEGMENT)
+    (tmp_path / "p.proof").write_text(proof)
+    code, out = run(capsys, "verify", "certified", str(tmp_path / "k.ineq"),
+                    str(tmp_path / "p.proof"))
+    assert code == 1
+    assert out.splitlines() == [line, "RESULT invalid certificate check failed"]
+
+
 def test_missing_file_is_an_input_error(tmp_path, capsys):
     code, out = run(capsys, "recompile", str(tmp_path / "nope.ineq"),
                     str(tmp_path / "nope.proof"))
@@ -382,6 +401,34 @@ def contract_cases(depth):
          ["enum-to-cp", "k.ineq", "e.proof", "--out", "e.cuts"], 0),
         ("empty recompile", {"k.ineq": EMPTY, "p.proof": "(node (1 0) (leaf) (leaf))"},
          ["recompile", "k.ineq", "p.proof", "--out", "r.proof"], 0),
+        ("list inside a certificate", {"k.ineq": SEGMENT, "p.proof": "(leaf (cert 1 (2) 3))"},
+         ["verify", "certified", "k.ineq", "p.proof"], 2),
+        ("unclosed certificate", {"k.ineq": SEGMENT, "p.proof": "(leaf (cert 1 2"},
+         ["verify", "certified", "k.ineq", "p.proof"], 2),
+        ("nested certificate groups",
+         {"k.ineq": SEGMENT, "p.proof": "(leaf " + "(cert 1 " * (10 * depth) + ")" * (10 * depth + 1)},
+         ["verify", "certified", "k.ineq", "p.proof"], 2),
+        ("two certificates on a leaf", {"k.ineq": SEGMENT, "p.proof": "(leaf (cert 1) (cert 2))"},
+         ["verify", "certified", "k.ineq", "p.proof"], 2),
+        ("empty certificate", {"k.ineq": SEGMENT, "p.proof": "(leaf (cert))"},
+         ["verify", "certified", "k.ineq", "p.proof"], 1),
+        ("wrong-length certificate",
+         {"k.ineq": SEGMENT, "p.proof": "(node (1 0) (leaf (cert 0 1 1)) (leaf (cert 1 0)))"},
+         ["verify", "certified", "k.ineq", "p.proof"], 1),
+        ("digit separator in a system", {"k.ineq": "1 2\n1 3/4\n-1 -1_0/40\n", "p.proof": "(leaf)"},
+         ["verify", "branching", "k.ineq", "p.proof"], 2),
+        ("non-ASCII digits in a system header", {"k.ineq": "١ 2\n1 3/4\n-1 -1/4\n",
+                                                 "p.proof": "(leaf)"},
+         ["verify", "branching", "k.ineq", "p.proof"], 2),
+        ("digit separator in a normal", {"k.ineq": SEGMENT, "p.proof": "(node (1_0 0) (leaf) (leaf))"},
+         ["verify", "branching", "k.ineq", "p.proof"], 2),
+        ("non-ASCII digits in a certificate",
+         {"k.ineq": SEGMENT, "p.proof": "(node (1 0) (leaf (cert 0 ١ 1)) (leaf (cert 1 0 1)))"},
+         ["verify", "certified", "k.ineq", "p.proof"], 2),
+        ("digit separator in a cut", {"k.ineq": SEGMENT, "c.cuts": "1_0\n"},
+         ["verify", "cp", "k.ineq", "c.cuts"], 2),
+        ("non-ASCII digits in a cut", {"k.ineq": SEGMENT, "c.cuts": "−٢\n"},
+         ["verify", "cp", "k.ineq", "c.cuts"], 2),
     ]
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from branchproofs.families import thin_segment, tseitin_polytope, tseitin_sp_refutation
 from branchproofs.families import TseitinInstance
@@ -28,9 +29,10 @@ from branchproofs.prooftree import (
     verify_enumerative_proof,
 )
 from branchproofs.recompile import recompile
-from branchproofs.simplex import InequalitySystem
-from branchproofs.vectors import Vector, parse_rational
+from branchproofs.simplex import FarkasCertificate, InequalitySystem
+from branchproofs.vectors import Vector, format_rational, parse_rational
 
+from oracles import dense_proof_bits
 from randgen import random_enumerative_proof, random_integer_free_polytope
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -143,7 +145,7 @@ def test_certify_and_verify_certified():
             yield from leaves(node.right)
 
     for node in leaves(certified):
-        assert len([v for v in node.cert if v != 0]) <= K.n + 1
+        assert len([v for v in node.cert.multipliers if v != 0]) <= K.n + 1
 
 
 def test_certified_tampering_detected():
@@ -153,10 +155,10 @@ def test_certified_tampering_detected():
     def tamper(node, how):
         if node.is_leaf:
             if how == "scale":
-                return BranchNode(cert=3 * node.cert)
-            entries = list(node.cert)
+                return BranchNode(cert=FarkasCertificate(3 * node.cert.multipliers))
+            entries = list(node.cert.multipliers)
             entries[next(i for i, v in enumerate(entries) if v != 0)] = 0
-            return BranchNode(cert=Vector(entries))
+            return BranchNode(cert=FarkasCertificate(Vector(entries)))
         return BranchNode(node.a, node.b, tamper(node.left, how), node.right)
 
     assert verify_certified_proof(K, tamper(certified, "scale"))  # cone is scale-free
@@ -268,7 +270,7 @@ def test_single_leaf_over_empty_system():
     assert verify_branching_proof(empty, leaf()).valid
     certified = certify(empty, leaf())
     assert verify_certified_proof(empty, certified)
-    assert len(certified.cert) == empty.m
+    assert len(certified.cert.multipliers) == empty.m
 
 
 def test_verify_enumerative_examples():
@@ -387,6 +389,62 @@ def test_branching_round_trip():
     assert parse_branching(format_branching(proof)) == proof
     certified = certify(K, proof)
     assert parse_branching(format_branching(certified)) == certified
+
+
+ZERO_SPELLINGS = ("0", "-0", "00", "0/7")
+
+
+@st.composite
+def spelled_rational(draw):
+    """(token, value): a spelling of 0, or a nonzero fraction, in lowest terms
+    or not, with no sign or one of ``-``, ``+`` and the unicode minus."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(ZERO_SPELLINGS)), Fraction(0)
+    p, q, k = draw(st.integers(1, 10**6)), draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    sign = draw(st.sampled_from(["", "+", "-", "−"]))
+    value = Fraction(p, q) if sign in ("", "+") else Fraction(-p, q)
+    body = f"{k * p}" if q == k == 1 else f"{k * p}/{k * q}"
+    return sign + body, value
+
+
+@st.composite
+def spelled_proof(draw, n, depth):
+    """(text, canonical text, proof): a branching proof of at most ``depth``
+    levels whose leaf certificates are spelled by ``spelled_rational``; the
+    canonical text spells every value as ``format_rational`` does."""
+    if depth == 0 or draw(st.booleans()):
+        if draw(st.integers(0, 4)) == 0:
+            return "(leaf)", "(leaf)", BranchNode()
+        entries = draw(st.lists(spelled_rational(), max_size=6))
+        text = " ".join(["(leaf (cert", *(t for t, _ in entries)]) + "))"
+        canonical = " ".join(["(leaf (cert", *(format_rational(v) for _, v in entries)]) + "))"
+        cert = FarkasCertificate(Vector([v for _, v in entries]))
+        return text, canonical, BranchNode(cert=cert)
+    a = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any))
+    b = draw(st.integers(-5, 5))
+    left, right = draw(spelled_proof(n, depth - 1)), draw(spelled_proof(n, depth - 1))
+    header = "(node (" + " ".join(map(str, a)) + f" {b})"
+    return (f"{header} {left[0]} {right[0]})", f"{header} {left[1]} {right[1]})",
+            BranchNode(Vector(a), b, left[2], right[2]))
+
+
+def tokens(text):
+    return text.replace("(", " ( ").replace(")", " ) ").split()
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(case=st.integers(1, 3).flatmap(lambda n: spelled_proof(n, 3)))
+def test_certified_text_round_trips_sparse(case):
+    """Zero spellings are dropped and nonzero fractions kept by the reader;
+    the writer spells every multiplier canonically, "0" between the
+    nonzeros; and proof_stats' sparse bit size equals the dense count."""
+    text, canonical, expected = case
+    parsed = parse_branching(text)
+    assert parsed == expected
+    written = format_branching(parsed)
+    assert tokens(written) == tokens(canonical)
+    assert parse_branching(written) == parsed
+    assert proof_stats(parsed).bit_size == dense_proof_bits(parsed)
 
 
 def test_enumerative_round_trip():

@@ -364,7 +364,7 @@ def check_fraction_outcome(system, c, point, dual) -> Fraction:
     value the check certifies."""
     c_int, mu = simplex._over_common_denominator(c)
     p_int, p_den = simplex._over_common_denominator(point)
-    weights, w_den = simplex._weights(system, dual)
+    weights, w_den = simplex._weights(system, [(i, y) for i, y in enumerate(dual) if y])
     scale = lcm(p_den, w_den)
     point = [v * (scale // p_den) for v in p_int]
     weights = [(i, w * mu * (scale // w_den)) for i, w in weights]
@@ -701,6 +701,12 @@ def test_integer_farkas_check_agrees_with_fraction_reference(case):
         assert FarkasCertificate(cert.multipliers).verify(system)
     for lam in candidates:
         assert FarkasCertificate(lam).verify(system) == fraction_farkas_check(system, lam)
+        # the sparse form the solver, the reducer and the reader build
+        dense = FarkasCertificate(lam)
+        sparse = FarkasCertificate._from_nonzeros(len(lam), [(i, v) for i, v in enumerate(lam) if v])
+        assert sparse == dense and hash(sparse) == hash(dense)
+        assert sparse.support() == dense.support() == tuple(i for i, v in enumerate(lam) if v)
+        assert sparse.multipliers == lam and sparse.verify(system) == dense.verify(system)
         if len(lam) == system.m:
             assert system.combination(lam) == fraction_combination(system, lam)
 

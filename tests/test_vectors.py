@@ -125,22 +125,30 @@ def test_rational_text_form():
 
 
 def reference_parse_rational(text: str) -> Fraction:
-    """The text form parsed without the integer fast path."""
+    """The text form parsed without the integer fast path.  ``int`` also
+    reads ``_`` separators and non-ASCII digits, which the format does not
+    allow."""
+    def integer(part):
+        if "_" in part or not part.isascii():
+            raise ValueError(f"invalid integer literal {part!r}")
+        return int(part)
+
     cleaned = text.strip().replace("−", "-")
     if not cleaned:
         raise ValueError("empty rational literal")
     if "/" in cleaned:
         num, _, den = cleaned.partition("/")
-        numerator, denominator = int(num), int(den)
+        numerator, denominator = integer(num), integer(den)
         if denominator == 0:
             raise ValueError(f"zero denominator in rational literal {text!r}")
         return Fraction(numerator, denominator)
-    return Fraction(int(cleaned))
+    return Fraction(integer(cleaned))
 
 
 @pytest.mark.parametrize("text", [
     "0", "-0", "+0", "00", " 0 ", "−0", "0/7", "7", "-12", " 3 ", "1_000", "3/2", "−5/3",
     "", " ", "1/0", "0/0", "a", "1.5", "1/", "/2", "--1", "1/2/3", "0x10", "1e3",
+    "3/1_0", "١٢", "−١", "1/٢",
 ])
 def test_parse_rational_matches_reference(text):
     """Same value, or the same ValueError, as parsing without the fast path;
