@@ -41,7 +41,6 @@ from .prooftree import (
     EnumNode,
     Report,
     ProofStats,
-    certified_failure,
     certify,
     enumerative_to_branching,
     format_branching,

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .geometry import EmptySet, support_value
 from .prooftree import BranchNode, EnumNode
 from .simplex import FarkasCertificate, InequalitySystem, is_empty
-from .vectors import Vector
+from .vectors import Vector, parse_integer
 
 _DEGREE_GUARD = 20
 _PN_GUARD = 16
@@ -77,11 +77,11 @@ class TseitinInstance:
             raise ValueError("empty graph description")
         if len(rows[0]) < 2:
             raise ValueError("first line must be 'V E'")
-        nv, ne = int(rows[0][0]), int(rows[0][1])
+        nv, ne = parse_integer(rows[0][0]), parse_integer(rows[0][1])
         if len(rows) != ne + 2:
             raise ValueError(f"expected {ne} edge lines plus a parity line")
-        edges = tuple((int(u), int(v)) for u, v in rows[1 : ne + 1])
-        parities = tuple(int(p) for p in rows[ne + 1])
+        edges = tuple((parse_integer(u), parse_integer(v)) for u, v in rows[1 : ne + 1])
+        parities = tuple(parse_integer(p) for p in rows[ne + 1])
         return TseitinInstance(nv, edges, parities)
 
 

@@ -26,6 +26,7 @@ may nest deeper than Python's recursion limit.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -295,27 +296,23 @@ def verify_branching_proof(K: InequalitySystem, proof: BranchNode) -> Report:
     return Report(valid=not failures, failures=tuple(failures))
 
 
-def verify_certified_proof(K: InequalitySystem, proof: BranchNode) -> bool:
+def verify_certified_proof(K: InequalitySystem, proof: BranchNode) -> Report:
     """Check every leaf's Farkas certificate by pure arithmetic (no LPs).
 
     Certificates list multipliers for K's rows first, then the path rows in
     root-to-leaf order.  Raises if a leaf has no certificate.  Stops at the
-    first leaf whose certificate fails.
+    first leaf whose certificate fails, reporting it as "label: check": the
+    leaf's branch label and the check it fails
+    (``FarkasCertificate.failed_check``).
     """
-    return certified_failure(K, proof) is None
-
-
-def certified_failure(K: InequalitySystem, proof: BranchNode) -> str | None:
-    """"label: check" for the first leaf whose certificate fails, naming the
-    leaf by its branch label and the check by ``FarkasCertificate.failed_check``;
-    None when every certificate holds.  Raises if a leaf has no certificate."""
     for node, path, system, _ in _relaxations(K, proof):
         if node.is_leaf:
             if node.cert is None:
                 raise ValueError("leaf without certificate")
             if not node.cert.verify(system):
-                return f"{_branch_label(path)}: {node.cert.failed_check(system)}"
-    return None
+                failure = f"{_branch_label(path)}: {node.cert.failed_check(system)}"
+                return Report(valid=False, failures=(failure,))
+    return Report(valid=True)
 
 
 def certify(K: InequalitySystem, proof: BranchNode) -> BranchNode:
@@ -465,84 +462,49 @@ def _tokenize(text: str):
     return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
-def _read_sexp(tokens: list[str]):
-    """The first datum of ``tokens`` (an atom or nested lists) and the
-    position after it.
-
-    A nested ``(cert ...)`` group of atoms, which holds most of a certified
-    proof's tokens, is taken as one slice up to its ``)``; a group that holds
-    a ``(`` is read token by token like any other.  The next ``(`` and ``)``
-    are searched for only once the read has passed the last ones found, so
-    the searches cover the tokens once in all, however the groups nest."""
-    if tokens[0] != "(":
-        return tokens[0], 1
-    open_lists: list[list] = []
-    pos, end = 0, len(tokens)
-    opening = closing = -1  # the first "(" and ")" at or after their last search
-    while pos < end:
-        tok = tokens[pos]
-        pos += 1
-        if tok == "(":
-            if open_lists and pos < end and tokens[pos] == "cert":
-                if opening < pos:
-                    opening = _find(tokens, "(", pos)
-                if closing < pos:
-                    closing = _find(tokens, ")", pos)
-                if closing < opening:  # a flat group
-                    open_lists[-1].append(tokens[pos:closing])
-                    pos = closing + 1
-                    continue
-            open_lists.append([])
-        elif tok == ")":
-            done = open_lists.pop()
-            if not open_lists:
-                return done, pos
-            open_lists[-1].append(done)
-        else:
-            open_lists[-1].append(tok)
-    raise ValueError("unbalanced parentheses")
+def _open(tokens: list[str], pos: int, tags: tuple[str, ...]) -> tuple[str, int]:
+    """The tag, one of ``tags``, of the node group that opens at ``pos``, and
+    the position after it."""
+    opening = tokens[pos:pos + 2]
+    if len(opening) < 2 or opening[0] != "(" or opening[1] not in tags:
+        raise ValueError(f"expected ({' or ('.join(tags)} at token {pos}")
+    return opening[1], pos + 2
 
 
-def _find(tokens: list[str], token: str, start: int) -> int:
-    """The position of the first ``token`` at or after ``start``, else the
-    length of ``tokens``."""
+def _close(tokens: list[str], pos: int) -> int:
+    """The position after the ``)`` that must stand at ``pos``."""
+    if tokens[pos:pos + 1] != [")"]:
+        raise ValueError(f"expected ')' at token {pos}")
+    return pos + 1
+
+
+def _atoms(tokens: list[str], pos: int) -> tuple[list[str], int]:
+    """The atoms of the flat group that opens at ``pos`` (a node's
+    coefficients or a leaf's ``(cert ...)``), taken as one slice up to its
+    ``)``, and the position after it."""
+    if tokens[pos:pos + 1] != ["("]:
+        raise ValueError(f"expected '(' at token {pos}")
     try:
-        return tokens.index(token, start)
+        end = tokens.index(")", pos + 1)
     except ValueError:
-        return len(tokens)
+        raise ValueError(f"unclosed group at token {pos}") from None
+    group = tokens[pos + 1:end]
+    if "(" in group:
+        raise ValueError(f"expected numbers in the group at token {pos}, found a list")
+    return group, end + 1
 
 
-def _parse_tree_text(text: str):
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ValueError("empty proof text")
-    sexp, pos = _read_sexp(tokens)
-    if pos != len(tokens):
-        raise ValueError("trailing tokens after proof")
-    return sexp
-
-
-def _shown(item) -> str:
-    """An s-expression for an error message, its nested lists as ``(...)``:
-    a list may be nested too deeply for ``repr``."""
-    if isinstance(item, str):
-        return repr(item)
-    return "(" + " ".join(t if isinstance(t, str) else "(...)" for t in item) + ")"
-
-
-def _rational_atom(atom, numbers: dict[str, Fraction]) -> Fraction:
-    """The number an atom spells; a list where a number belongs is an input
-    error.  ``numbers`` holds the tokens parsed so far, so one parse reads
-    each distinct token once and shares its Fraction."""
-    if isinstance(atom, list):
-        raise ValueError(f"expected a number, found {_shown(atom)}")
+def _rational_atom(atom: str, numbers: dict[str, Fraction]) -> Fraction:
+    """The number an atom spells.  ``numbers`` holds the tokens parsed so
+    far, so one parse reads each distinct token once and shares its
+    Fraction."""
     value = numbers.get(atom)
     if value is None:
         value = numbers[atom] = parse_rational(atom)
     return value
 
 
-def _integer_atom(atom, numbers: dict[str, Fraction]) -> Fraction:
+def _integer_atom(atom: str, numbers: dict[str, Fraction]) -> Fraction:
     """The integer an atom spells, as its shared Fraction."""
     value = _rational_atom(atom, numbers)
     if value.denominator != 1:
@@ -586,40 +548,43 @@ def format_branching(proof: BranchNode) -> str:
 
 
 def parse_branching(text: str) -> BranchNode:
-    return _branching_from_sexp(_parse_tree_text(text))
+    """Read a branching proof in one pass over its tokens.
 
-
-def _branching_from_sexp(sexp) -> BranchNode:
-    """Check nodes top-down, build them bottom-up, by an explicit stack."""
+    One explicit stack holds ``(a, b, len(built))`` for each node whose
+    subtrees are still being read; a node is built as soon as its second
+    subtree closes.
+    """
+    tokens = _tokenize(text)
     numbers: dict[str, Fraction] = {}
     built: list[BranchNode] = []  # finished subtrees, left to right
-    todo: list = [sexp]  # s-expressions, and (a, b) once a node's children are queued
-    while todo:
-        item = todo.pop()
-        if isinstance(item, tuple):
-            right = built.pop()
-            built[-1] = BranchNode(a=item[0], b=item[1], left=built[-1], right=right)
-            continue
-        if not isinstance(item, list) or not item:
-            raise ValueError("malformed proof node")
-        tag = item[0]
-        if tag == "leaf":
-            if len(item) == 1:
-                built.append(BranchNode())
-            elif len(item) == 2 and isinstance(item[1], list) and item[1][:1] == ["cert"]:
-                built.append(BranchNode(cert=_certificate(item[1], numbers)))
-            else:
-                raise ValueError("malformed leaf")
-        elif tag == "node":
-            if len(item) != 4 or not isinstance(item[1], list):
-                raise ValueError("malformed internal node")
-            values = [_integer_atom(t, numbers) for t in item[1]]
+    open_nodes: list[tuple] = []
+    pos = 0
+    while True:
+        tag, pos = _open(tokens, pos, ("node", "leaf"))
+        if tag == "node":
+            header, pos = _atoms(tokens, pos)
+            values = [_integer_atom(t, numbers) for t in header]
             if len(values) < 2:
                 raise ValueError("disjunction needs at least one coefficient and a rhs")
-            todo += [(Vector(values[:-1]), values[-1].numerator), item[3], item[2]]
+            open_nodes.append((Vector(values[:-1]), values[-1].numerator, len(built)))
+            continue
+        if tokens[pos:pos + 1] == ["("]:
+            group, pos = _atoms(tokens, pos)
+            if group[:1] != ["cert"]:
+                raise ValueError("a leaf holds nothing but a (cert ...) group")
+            built.append(BranchNode(cert=_certificate(group, numbers)))
         else:
-            raise ValueError(f"unknown node tag {_shown(tag)}")
-    return built[0]
+            built.append(BranchNode())
+        pos = _close(tokens, pos)
+        while open_nodes and len(built) == open_nodes[-1][2] + 2:
+            a, b, _ = open_nodes.pop()
+            pos = _close(tokens, pos)
+            right = built.pop()
+            built[-1] = BranchNode(a=a, b=b, left=built[-1], right=right)
+        if not open_nodes:
+            if pos != len(tokens):
+                raise ValueError("trailing tokens after proof")
+            return built[0]
 
 
 def format_enumerative(proof: EnumNode) -> str:
@@ -648,57 +613,65 @@ def format_enumerative(proof: EnumNode) -> str:
 
 
 def parse_enumerative(text: str) -> EnumNode:
-    return _enumerative_from_sexp(_parse_tree_text(text))
+    """Read an enumerative proof in one pass over its tokens.
 
-
-def _enumerative_from_sexp(sexp) -> EnumNode:
-    """Check nodes top-down, build them bottom-up, by an explicit stack.
-
-    A child group is checked when the walk reaches it, after the subtrees of
-    its earlier siblings, as a recursive descent would.
+    One explicit stack holds ``(a, lo, hi, child values, len(built))`` for
+    each node whose children are still being read; a ``(child b`` group
+    pushes b, and a node is built as soon as its own ``)`` is read.
     """
+    tokens = _tokenize(text)
     numbers: dict[str, Fraction] = {}
     built: list[EnumNode] = []  # finished subtrees, left to right
-    todo: list = [("node", sexp)]
-    while todo:
-        kind, item = todo.pop()
-        if kind == "build":  # (a, lo, hi, child values) once the children are built
-            a, lo, hi, values = item
-            first = len(built) - len(values)
-            children = tuple(zip(values, built[first:]))
-            del built[first:]
-            built.append(EnumNode(a=a, lo=lo, hi=hi, children=children))
-        elif kind == "child":
-            group, values = item
-            if not isinstance(group, list) or len(group) != 3 or group[0] != "child":
-                raise ValueError("malformed child group")
-            values.append(_integer_atom(group[1], numbers).numerator)
-            todo.append(("node", group[2]))
-        elif not isinstance(item, list) or not item:
-            raise ValueError("malformed proof node")
-        elif item[0] == "eleaf":
-            if len(item) != 2 or item[1] not in ("empty", "gap"):
-                raise ValueError("malformed enumerative leaf")
-            built.append(EnumNode(leaf_kind=item[1]))
-        elif item[0] == "enode":
-            if len(item) < 4 or not isinstance(item[1], list):
-                raise ValueError("malformed enumerative node")
-            a = Vector([_integer_atom(t, numbers) for t in item[1]])
-            values: list[int] = []
-            lo, hi = _rational_atom(item[2], numbers), _rational_atom(item[3], numbers)
-            todo.append(("build", (a, lo, hi, values)))
-            todo.extend(("child", (group, values)) for group in reversed(item[4:]))
+    open_nodes: list[tuple] = []
+    pos = 0
+    while True:
+        tag, pos = _open(tokens, pos, ("enode", "eleaf"))
+        if tag == "enode":
+            header, pos = _atoms(tokens, pos)
+            a = Vector([_integer_atom(t, numbers) for t in header])
+            bounds = tokens[pos:pos + 2]
+            if len(bounds) < 2:
+                raise ValueError("an enumerative node needs bounds lo hi")
+            lo, hi = (_rational_atom(t, numbers) for t in bounds)
+            open_nodes.append((a, lo, hi, [], len(built)))
+            pos += 2
         else:
-            raise ValueError(f"unknown node tag {_shown(item[0])}")
-    return built[0]
+            kind = tokens[pos:pos + 1]
+            if kind != ["empty"] and kind != ["gap"]:
+                raise ValueError("an enumerative leaf is (eleaf empty) or (eleaf gap)")
+            built.append(EnumNode(leaf_kind=kind[0]))
+            pos = _close(tokens, pos + 1)
+        finished = tag == "eleaf"  # a subtree closed, so its child group closes next
+        while open_nodes:
+            if finished:
+                pos = _close(tokens, pos)
+            if tokens[pos:pos + 2] == ["(", "child"]:
+                value = tokens[pos + 2:pos + 3]
+                if not value:
+                    raise ValueError("a child group needs a value b")
+                open_nodes[-1][3].append(_integer_atom(value[0], numbers).numerator)
+                pos += 3
+                break
+            a, lo, hi, values, first = open_nodes.pop()
+            pos = _close(tokens, pos)
+            children = tuple(zip(values, built[first:]))
+            built[first:] = [EnumNode(a=a, lo=lo, hi=hi, children=children)]
+            finished = True
+        if not open_nodes:
+            if pos != len(tokens):
+                raise ValueError("trailing tokens after proof")
+            return built[0]
+
+
+_OPENING_TAG = re.compile(r"\s*\(\s*([^\s()]*)")
 
 
 def detect_proof_kind(text: str) -> str:
-    """"branching" or "enumerative", from the first node tag."""
-    tokens = _tokenize(text)
-    for tok in tokens:
-        if tok in ("node", "leaf"):
-            return "branching"
-        if tok in ("enode", "eleaf"):
-            return "enumerative"
+    """"branching" or "enumerative", from the opening node tag."""
+    opening = _OPENING_TAG.match(text)
+    tag = opening[1] if opening else None
+    if tag in ("node", "leaf"):
+        return "branching"
+    if tag in ("enode", "eleaf"):
+        return "enumerative"
     raise ValueError("cannot detect proof kind")

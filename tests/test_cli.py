@@ -73,7 +73,7 @@ def test_verify_certified_names_failing_leaf_and_check(tmp_path, capsys, proof, 
     code, out = run(capsys, "verify", "certified", str(tmp_path / "k.ineq"),
                     str(tmp_path / "p.proof"))
     assert code == 1
-    assert out.splitlines() == [line, "RESULT invalid certificate check failed"]
+    assert out.splitlines() == [line, f"RESULT invalid certified proof: {line}"]
 
 
 def test_missing_file_is_an_input_error(tmp_path, capsys):
@@ -256,29 +256,35 @@ def test_unknown_subcommand_exits_2():
     assert info.value.code == 2
 
 
-def parsed(argv, only=None):
-    """What the parser with every subcommand, or with only ``only``, makes
-    of argv: the namespace, or the exit code and the usage text."""
+def parsed(parser, argv):
+    """What ``parser`` makes of argv: the namespace, or the exit code and
+    the usage text."""
     err = io.StringIO()
     with redirect_stderr(err), redirect_stdout(io.StringIO()):
         try:
-            return vars(build_parser(only).parse_args(argv))
+            return vars(parser.parse_args(argv))
         except SystemExit as exc:
             return exc.code, err.getvalue()
 
 
-@pytest.mark.parametrize("argv", [
+ARGVS = [
     ["gen-tseitin", "g.graph"], ["gen-tseitin", "g.graph", "--system", "s", "--proof", "p"],
     ["gen-pn", "3"], ["gen-pn", "x"], ["gen-qn", "3", "--split-check"],
     ["thin-segment", "10", "--system", "t"], ["recompile", "s", "p", "--radius", "4"],
     ["enum-to-cp", "s", "p", "--out", "c"], ["verify", "cp", "s", "c"],
     ["verify", "bogus", "s", "p"], ["verify", "cp", "s", "c", "extra"], ["certify", "s"],
     ["stats", "p"], ["stats", "--bad", "p"], ["verify", "-h"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", ARGVS)
 def test_one_subcommand_parser_parses_alike(argv):
-    """main builds only the named subcommand's parser; it gives the same
-    namespace, or the same exit code and usage text, as the whole parser."""
-    assert parsed(argv, argv[0]) == parsed(argv)
+    """main parses every call with the one parser it builds per process;
+    after parsing every other command line it still gives the same
+    namespace, or the same exit code and usage text, as a new parser."""
+    for other in ARGVS:
+        parsed(build_parser(), other)
+    assert parsed(build_parser(), argv) == parsed(build_parser.__wrapped__(), argv)
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +435,44 @@ def contract_cases(depth):
          ["verify", "cp", "k.ineq", "c.cuts"], 2),
         ("non-ASCII digits in a cut", {"k.ineq": SEGMENT, "c.cuts": "−٢\n"},
          ["verify", "cp", "k.ineq", "c.cuts"], 2),
+        ("digit separator in a graph", {"g.graph": "2 1\n0 0_1\n1 0\n"}, ["gen-tseitin", "g.graph"], 2),
+        ("non-ASCII digits in a graph", {"g.graph": "2 1\n0 ١\n1 0\n"}, ["gen-tseitin", "g.graph"], 2),
+        # one row per error path of the proof readers
+        ("empty proof file", {"k.ineq": SEGMENT, "p.proof": ""},
+         ["verify", "branching", "k.ineq", "p.proof"], 2),
+        ("enumerative tag in a branching proof", {"k.ineq": SEGMENT, "p.proof": "(eleaf empty)"},
+         ["verify", "branching", "k.ineq", "p.proof"], 2),
+        ("node with a third subtree",
+         {"k.ineq": SEGMENT, "p.proof": "(node (1 0) (leaf) (leaf) (leaf))"},
+         ["verify", "branching", "k.ineq", "p.proof"], 2),
+        ("unclosed leaf", {"k.ineq": SEGMENT, "p.proof": "(node (1 0) (leaf) (leaf"},
+         ["verify", "branching", "k.ineq", "p.proof"], 2),
+        ("node without a coefficient group", {"k.ineq": SEGMENT, "p.proof": "(node 1 0 (leaf) (leaf))"},
+         ["verify", "branching", "k.ineq", "p.proof"], 2),
+        ("disjunction without a normal", {"k.ineq": SEGMENT, "p.proof": "(node (0) (leaf) (leaf))"},
+         ["verify", "branching", "k.ineq", "p.proof"], 2),
+        ("leaf holding a non-certificate group", {"k.ineq": SEGMENT, "p.proof": "(leaf (1 2))"},
+         ["verify", "certified", "k.ineq", "p.proof"], 2),
+        ("trailing branching proof", {"k.ineq": SEGMENT, "p.proof": "(leaf) (leaf)"},
+         ["verify", "branching", "k.ineq", "p.proof"], 2),
+        ("unclosed enumerative node",
+         {"k.ineq": SEGMENT, "e.proof": "(enode (1) 0 1 (child 0 (eleaf empty))"},
+         ["verify", "enumerative", "k.ineq", "e.proof"], 2),
+        ("two subtrees in a child group",
+         {"k.ineq": SEGMENT, "e.proof": "(enode (1) 0 0 (child 0 (eleaf empty) (eleaf empty)))"},
+         ["verify", "enumerative", "k.ineq", "e.proof"], 2),
+        ("child group at end of file", {"k.ineq": SEGMENT, "e.proof": "(enode (1) 0 1 (child"},
+         ["verify", "enumerative", "k.ineq", "e.proof"], 2),
+        ("enumerative node without bounds", {"k.ineq": SEGMENT, "e.proof": "(enode (1) 0"},
+         ["verify", "enumerative", "k.ineq", "e.proof"], 2),
+        ("enumerative leaf without a kind", {"k.ineq": SEGMENT, "e.proof": "(eleaf)"},
+         ["verify", "enumerative", "k.ineq", "e.proof"], 2),
+        ("branching tag in an enumerative proof",
+         {"k.ineq": SEGMENT, "e.proof": "(enode (1) 0 0 (child 0 (leaf)))"},
+         ["verify", "enumerative", "k.ineq", "e.proof"], 2),
+        ("trailing enumerative proof", {"k.ineq": SEGMENT, "e.proof": "(eleaf empty) 0"},
+         ["verify", "enumerative", "k.ineq", "e.proof"], 2),
+        ("unknown proof kind", {"p.proof": "(what)"}, ["stats", "p.proof"], 2),
     ]
 
 

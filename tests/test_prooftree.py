@@ -135,7 +135,7 @@ def test_verify_is_path_local():
 def test_certify_and_verify_certified():
     K, proof = thin_segment(10**6)
     certified = certify(K, proof)
-    assert verify_certified_proof(K, certified)
+    assert verify_certified_proof(K, certified).valid
 
     def leaves(node):
         if node.is_leaf:
@@ -161,8 +161,8 @@ def test_certified_tampering_detected():
             return BranchNode(cert=FarkasCertificate(Vector(entries)))
         return BranchNode(node.a, node.b, tamper(node.left, how), node.right)
 
-    assert verify_certified_proof(K, tamper(certified, "scale"))  # cone is scale-free
-    assert not verify_certified_proof(K, tamper(certified, "zero"))
+    assert verify_certified_proof(K, tamper(certified, "scale")).valid  # cone is scale-free
+    assert not verify_certified_proof(K, tamper(certified, "zero")).valid
 
 
 # sha256 of format_branching(certify(K, proof)): each bundled graph's Tseitin
@@ -210,7 +210,7 @@ def test_verify_certified_is_lp_free_and_scales_k_once(monkeypatch):
 
     monkeypatch.setattr(simplex, "_solve_max", lambda *args: solves.append(args))
     monkeypatch.setattr(simplex, "_scale_rows", counted_scale)
-    assert verify_certified_proof(K, certified)
+    assert verify_certified_proof(K, certified).valid
     assert solves == []
     assert scaled[0] == K.m and sum(scaled[1:]) == certified.node_count() - 1
     assert all(count == 1 for count in scaled[1:])
@@ -256,7 +256,7 @@ def test_certified_never_disagrees_with_lp_verifier():
         K = random_integer_free_polytope(rng, 2)
         proof = random_branching_proof(rng, K)
         assert verify_branching_proof(K, proof).valid
-        assert verify_certified_proof(K, certify(K, proof))
+        assert verify_certified_proof(K, certify(K, proof)).valid
 
 
 def test_missing_certificate_raises():
@@ -269,7 +269,7 @@ def test_single_leaf_over_empty_system():
     empty = InequalitySystem([[1, 0], [-1, 0]], [0, -1])
     assert verify_branching_proof(empty, leaf()).valid
     certified = certify(empty, leaf())
-    assert verify_certified_proof(empty, certified)
+    assert verify_certified_proof(empty, certified).valid
     assert len(certified.cert.multipliers) == empty.m
 
 
@@ -498,6 +498,31 @@ def test_parse_rejects_malformed():
         parse_branching("(leaf) extra")
     with pytest.raises(ValueError, match="nonzero"):
         parse_branching("(node (0 0) (leaf) (leaf))")  # zero normal
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_branching, "", r"^expected \(node or \(leaf at token 0$"),
+    (parse_branching, "(node (1 0) (leaf) (leaf) (leaf))", r"^expected '\)' at token 12$"),
+    (parse_branching, "(leaf x", r"^expected '\)' at token 2$"),
+    (parse_branching, "(node 1 0 (leaf) (leaf))", r"^expected '\(' at token 2$"),
+    (parse_branching, "(leaf (cert 1 2", "^unclosed group at token 2$"),
+    (parse_branching, "(leaf (cert 1 (2) 3))", "at token 2, found a list$"),
+    (parse_branching, "(node (0) (leaf) (leaf))", "^disjunction needs"),
+    (parse_branching, "(leaf (1 2))", r"nothing but a \(cert \.\.\.\) group$"),
+    (parse_branching, "(leaf) (leaf)", "^trailing tokens"),
+    (parse_enumerative, "(enode (1) 0 1 (child 0 (eleaf empty))", r"^expected '\)' at token 15$"),
+    (parse_enumerative, "(enode (1) 0 1 (child", "needs a value b$"),
+    (parse_enumerative, "(enode (1) 0", "needs bounds lo hi$"),
+    (parse_enumerative, "(eleaf)", r"is \(eleaf empty\) or \(eleaf gap\)$"),
+    (parse_enumerative, "(enode (1) 0 0 (child 0 (leaf)))",
+     r"^expected \(enode or \(eleaf at token 10$"),
+    (parse_enumerative, "(eleaf empty) 0", "^trailing tokens"),
+])
+def test_reader_errors_name_the_fault(parse, text, message):
+    """Each malformed text stops the reader at the check it breaks; the
+    CLI's exit-code contract sees only exit 2 for all of them."""
+    with pytest.raises(ValueError, match=message):
+        parse(text)
 
 
 def test_detect_proof_kind():

@@ -273,4 +273,4 @@ def test_recompile_rotated_slabs():
         stats = proof_stats(rebuilt)
         assert stats.max_coeff <= (10 * n * R) ** ((n + 2) ** 2)
         assert stats.length <= 3 + 4 * (n + 1) * 2
-        assert verify_certified_proof(K, certify(K, rebuilt))
+        assert verify_certified_proof(K, certify(K, rebuilt)).valid
