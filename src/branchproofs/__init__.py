@@ -68,7 +68,6 @@ from .recompile import (
     generalized_certificate,
     long_to_short,
     recompile,
-    select_violated_row,
     verify_substitution_sequence,
 )
 from .enumcp import enum_to_cp, lift_cg_sequence

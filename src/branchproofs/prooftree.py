@@ -300,18 +300,16 @@ def verify_certified_proof(K: InequalitySystem, proof: BranchNode) -> Report:
     """Check every leaf's Farkas certificate by pure arithmetic (no LPs).
 
     Certificates list multipliers for K's rows first, then the path rows in
-    root-to-leaf order.  Raises if a leaf has no certificate.  Stops at the
-    first leaf whose certificate fails, reporting it as "label: check": the
-    leaf's branch label and the check it fails
-    (``FarkasCertificate.failed_check``).
+    root-to-leaf order.  Stops at the first leaf that has no certificate or
+    whose certificate fails, reporting it as "label: check": the leaf's
+    branch label and ``no certificate`` or the check it fails
+    (``FarkasCertificate.failed_check``), so the verdict does not depend on
+    the order of the leaves.
     """
     for node, path, system, _ in _relaxations(K, proof):
-        if node.is_leaf:
-            if node.cert is None:
-                raise ValueError("leaf without certificate")
-            if not node.cert.verify(system):
-                failure = f"{_branch_label(path)}: {node.cert.failed_check(system)}"
-                return Report(valid=False, failures=(failure,))
+        if node.is_leaf and (node.cert is None or not node.cert.verify(system)):
+            check = "no certificate" if node.cert is None else node.cert.failed_check(system)
+            return Report(valid=False, failures=(f"{_branch_label(path)}: {check}",))
     return Report(valid=True)
 
 

@@ -14,7 +14,8 @@ Central pieces:
   substitution sequence of the complementary inequality;
 * ``verify_substitution_sequence`` -- machine-checks the four defining
   properties of such a sequence with exact l1-ball implication tests;
-* ``gen_cg_cuts``      -- produces the <= 2(n+1) leaf-repair cuts;
+* ``gen_cg_cuts``      -- the leaf repair: <= 2(n+1) CG cuts as (normal, rhs)
+  pairs;
 * ``recompile``        -- assembles the final proof tree.
 """
 
@@ -23,25 +24,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Optional
 
 from .diophantine import classify_rhs, dirichlet_approx
 from .geometry import (
     EmptySet,
     Halfspace,
     UnboundedSet,
-    apply_cg_list,
     implies_R,
     l1_radius_bound,
     support_value,
 )
 from .prooftree import BranchNode, Report, verify_branching_proof, walk
-from .simplex import (
-    FarkasCertificate,
-    InequalitySystem,
-    is_empty,
-    reduce_certificate,
-)
+from .simplex import InequalitySystem, is_empty, reduce_certificate
 from .vectors import Vector, round_half_away
 
 
@@ -247,157 +241,84 @@ def verify_substitution_sequence(
 # ---------------------------------------------------------------------------
 
 
-def generalized_certificate(
-    K: InequalitySystem, P: InequalitySystem
-) -> FarkasCertificate:
+def generalized_certificate(K: InequalitySystem, P: InequalitySystem) -> Vector:
     """Multipliers lam >= 0 on P's rows with  min over K of lam (A x - b) > 0.
 
-    Requires K nonempty and bounded and K disjoint from P.  The certificate
-    has at most n+1 nonzero entries and is verified by one exact LP before
-    being returned.
+    Requires K nonempty and bounded and K disjoint from P.  lam has at most
+    n+1 nonzero entries and is verified by one exact LP before being
+    returned.
     """
     combined = K.with_rows(P.rows())
     cert = is_empty(combined)
     if cert is None:
         raise ValueError("K and P intersect; no certificate exists")
-    reduced = reduce_certificate(combined, cert)
-    lam = Vector(reduced.multipliers[K.m :])
-    _check_generalized(K, P, lam)
-    return FarkasCertificate(lam)
-
-
-def _check_generalized(K, P, lam: Vector, shift=None) -> Fraction:
-    """Exact value of min over K of lam (A x - b - shift); must be positive.
-
-    An empty K or one unbounded below in lam A raises, as support_value does.
-    """
+    lam = Vector(reduce_certificate(combined, cert).multipliers[K.m :])
     combo, offset = P.combination(lam)
-    if shift is not None:
-        offset += sum(
-            (l * s for l, s in zip(lam, shift)), Fraction(0)
-        )
-    margin = -support_value(K, -Vector(combo)) - offset
-    if margin <= 0:
+    if -support_value(K, -Vector(combo)) <= offset:
         raise ValueError("multipliers do not certify disjointness")
-    return margin
-
-
-def select_violated_row(
-    K: InequalitySystem,
-    P: InequalitySystem,
-    eps: list[Fraction],
-    lam: FarkasCertificate,
-) -> Optional[int]:
-    """Pick the row whose relaxation must be tightened, or None.
-
-    With lam a (<= n+1)-sparse generalized certificate for K and P disjoint:
-    if max_j eps_j lam_j <= 0 then lam already certifies that K misses the
-    eps-relaxed P (returns None); otherwise returns the smallest argmax j*,
-    for which eps_j* > 0 and K misses P relaxed by eps - (n+1) eps_j* e_j*.
-    Both conclusions are re-verified by exact LPs.
-    """
-    mult = lam.multipliers
-    if len(mult) != P.m:
-        raise ValueError("multiplier length does not match P")
-    if len([v for v in mult if v != 0]) > K.n + 1:
-        raise ValueError("certificate is not (n+1)-sparse")
-    _check_generalized(K, P, mult)
-
-    best = max(e * l for e, l in zip(eps, mult))
-    if best <= 0:
-        _check_generalized(K, P, mult, shift=eps)  # lam kills the relaxed P too
-        return None
-    j_star = next(i for i, (e, l) in enumerate(zip(eps, mult)) if e * l == best)
-    if eps[j_star] <= 0:
-        raise RuntimeError("argmax row has nonpositive relaxation")
-    shifted = list(eps)
-    shifted[j_star] -= (K.n + 1) * eps[j_star]
-    relaxed = K.with_rows(
-        (row, rhs + shifted[j]) for j, (row, rhs) in enumerate(P.rows())
-    )
-    if is_empty(relaxed) is None:
-        raise RuntimeError("tightened relaxation is unexpectedly feasible")
-    return j_star
-
-
-def _cut_pairs(
-    K: InequalitySystem,
-    P: InequalitySystem,
-    seqs: list[SubstitutionSequence],
-    debug: bool = False,
-) -> list[tuple[Vector, int]]:
-    """The (normal, rhs) pairs behind gen_cg_cuts, in emission order; none
-    when K n P' is already empty."""
-    n = K.n
-    m = P.m
-    if len(seqs) != m:
-        raise ValueError("need one substitution sequence per row of P")
-    K_prime = K.with_rows((seq.a_prime, seq.b_prime) for seq in seqs)
-    if is_empty(K_prime) is not None:
-        return []  # nothing to repair
-
-    lam = generalized_certificate(K, P)
-    level = [1] * m  # current level per row (1-based)
-    eps = [seqs[j].levels[0][2] for j in range(m)]
-    pairs: list[tuple[Vector, int]] = []
-    V = InequalitySystem([], [], n=n)  # the affine subspace {a x = b for each pair}
-
-    while True:
-        if pairs and is_empty(V) is not None:
-            return pairs
-        relaxed = K.with_rows(
-            (row, rhs + eps[j]) for j, (row, rhs) in enumerate(P.rows())
-        )
-        if is_empty(relaxed) is not None:
-            return pairs
-        if len(pairs) == n + 1:
-            raise RuntimeError("leaf repair did not converge within n+1 rounds")
-        j_star = select_violated_row(K, P, eps, lam)
-        if j_star is None:
-            raise RuntimeError("certificate disagrees with the emptiness test")
-        a_jp, b_jp, _ = seqs[j_star].levels[level[j_star] - 1]
-        pairs.append((a_jp, b_jp))
-        V = V.with_equality(a_jp, b_jp)
-        for j in range(m):
-            while level[j] < seqs[j].k and _affine_implies_equality(
-                V, *seqs[j].levels[level[j] - 1][:2]
-            ):
-                level[j] += 1
-            eps[j] = seqs[j].levels[level[j] - 1][2]
-        if debug:
-            _check_repair_invariants(K_prime, P, pairs, eps)
+    return lam
 
 
 def gen_cg_cuts(
     K: InequalitySystem,
     P: InequalitySystem,
     seqs: list[SubstitutionSequence],
-    debug: bool = False,
-) -> list[Vector]:
-    """CG cut normals emptying K n P', drawn from the substitution levels.
+) -> list[tuple[Vector, int]]:
+    """The leaf repair: CG cuts emptying K n P', drawn from the substitution
+    levels, as ``(normal, rhs)`` pairs in emission order.
 
     Given disjoint K and P and one valid substitution sequence per row of P,
     whose replacement rows ``a' x <= b'`` make up the substitution
-    polyhedron P', returns an ordered list of at most 2(n+1) normals, in
-    +/- pairs, with ``apply_cg_list(K n P', cuts)`` empty (no normals when
-    K n P' is empty already).  Each pair forces one more level equality
-    ``a_{j,p} x = b_{j,p}``, shrinking an affine subspace tracked alongside;
-    the loop stops as soon as the accumulated error budget certifies
-    emptiness outright.
-
-    With ``debug=True`` the tracked invariants (the cut set stays inside the
-    affine subspace and inside the error-relaxed P) are re-checked by LPs
-    after every round.
+    polyhedron P', returns at most 2(n+1) pairs, ``(a, b)`` then ``(-a, -b)``
+    for each forced level equality ``a x = b``, with
+    ``apply_cg_list(K n P', normals)`` empty (none when K n P' is empty
+    already).  Round by round, with lam the generalized certificate and
+    eps_j the error of row j's current level, the row j* maximizing
+    eps_j lam_j (the first on ties) has its level equality forced: K misses
+    P relaxed by eps - (n+1) eps_j* e_j*, which is re-checked by an LP.  The
+    loop stops once the forced equalities are inconsistent or K misses P
+    relaxed by eps.
     """
-    pairs = _cut_pairs(K, P, seqs, debug=debug)
-    return [a for a, _ in _plus_minus(pairs)]
+    n = K.n
+    if len(seqs) != P.m:
+        raise ValueError("need one substitution sequence per row of P")
+    if is_empty(K.with_rows((seq.a_prime, seq.b_prime) for seq in seqs)) is not None:
+        return []  # nothing to repair
+    lam = generalized_certificate(K, P)
+    level = [0] * P.m  # index of each row's current level
+    eps = [seq.levels[0][2] for seq in seqs]
+    pairs: list[tuple[Vector, int]] = []
+    V = InequalitySystem([], [], n=n)  # the affine subspace of the forced equalities
+
+    while True:
+        if pairs and is_empty(V) is not None:
+            return pairs
+        if is_empty(_relaxed(K, P, eps)) is not None:
+            return pairs
+        if len(pairs) == 2 * (n + 1):
+            raise RuntimeError("leaf repair did not converge within n+1 rounds")
+        best = max(e * l for e, l in zip(eps, lam))
+        if best <= 0:
+            raise RuntimeError("certificate disagrees with the emptiness test")
+        j_star = next(j for j, (e, l) in enumerate(zip(eps, lam)) if e * l == best)
+        shifted = list(eps)
+        shifted[j_star] -= (n + 1) * eps[j_star]
+        if is_empty(_relaxed(K, P, shifted)) is None:
+            raise RuntimeError("tightened relaxation is unexpectedly feasible")
+        a_p, b_p, _ = seqs[j_star].levels[level[j_star]]
+        pairs += [(a_p, b_p), (-a_p, -b_p)]
+        V = V.with_equality(a_p, b_p)
+        for j, seq in enumerate(seqs):
+            while level[j] + 1 < seq.k and _affine_implies_equality(
+                V, *seq.levels[level[j]][:2]
+            ):
+                level[j] += 1
+            eps[j] = seq.levels[level[j]][2]
 
 
-def _plus_minus(pairs):
-    """Each (a, b) followed by (-a, -b): the +/- pairs of a leaf repair."""
-    for a, b in pairs:
-        yield a, b
-        yield -a, -b
+def _relaxed(K: InequalitySystem, P: InequalitySystem, eps) -> InequalitySystem:
+    """K with P's rows appended, row j relaxed by eps_j."""
+    return K.with_rows((row, rhs + e) for (row, rhs), e in zip(P.rows(), eps))
 
 
 def _affine_implies_equality(V: InequalitySystem, a: Vector, b: int) -> bool:
@@ -408,19 +329,6 @@ def _affine_implies_equality(V: InequalitySystem, a: Vector, b: int) -> bool:
         return True
     except UnboundedSet:
         return False
-
-
-def _check_repair_invariants(K_prime, P, pairs, eps) -> None:
-    cuts = [a for a, _ in _plus_minus(pairs)]
-    current = apply_cg_list(K_prime, cuts)
-    if is_empty(current) is not None:
-        return
-    for a_i, b_i in pairs:
-        if support_value(current, a_i) > b_i or -support_value(current, -a_i) < b_i:
-            raise AssertionError("cut set escaped the learned equalities")
-    for j, (row, rhs) in enumerate(P.rows()):
-        if support_value(current, row) > rhs + eps[j]:
-            raise AssertionError("cut set escaped the error-relaxed system")
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +418,7 @@ def _repair_leaf(K: InequalitySystem, orig_rows, seqs) -> BranchNode:
     """The leaf itself, or a chain of the repair's +/- pairs whose right
     children are empty leaves, when the replaced path leaves K nonempty."""
     P = InequalitySystem([a for a, _ in orig_rows], [b for _, b in orig_rows], n=K.n)
-    pairs = _cut_pairs(K, P, seqs)
     tree = BranchNode()
-    for a_c, b_c in reversed(list(_plus_minus(pairs))):
+    for a_c, b_c in reversed(gen_cg_cuts(K, P, seqs)):
         tree = BranchNode(a_c, b_c, tree, BranchNode())
     return tree

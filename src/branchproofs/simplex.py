@@ -802,12 +802,14 @@ def _solve_verified(system: InequalitySystem, c: Vector, key: _Key) -> LpOutcome
 
     if unb_col is not None:
         # unbounded dual ray == Farkas certificate of primal emptiness
-        ray = _ray_direction(tab, unb_col)
-        _check_farkas(system, ray)
+        ray, d = _ray_direction(tab, unb_col), abs(tab.d)
+        cert = FarkasCertificate._from_nonzeros(
+            m, [(i, Fraction(sigmas[i] * v, d)) for i, v in sorted(ray.items())])
+        failure = cert.failed_check(system)
+        if failure is not None:
+            raise SolverError(f"dual ray is no Farkas certificate: {failure}")
         system._empty = True
-        d = abs(tab.d)
-        return Infeasible(FarkasCertificate._from_nonzeros(
-            m, [(i, Fraction(sigmas[i] * v, d)) for i, v in sorted(ray.items())]))
+        return Infeasible(cert)
 
     # the optimum in the tableau's integers: the point is p / |d|, the dual
     # on row i is sigma_i w_i / (mu |d|), for w_i = sd beta_i on basic rows
@@ -840,18 +842,6 @@ def _ray_direction(tab: _DualTableau, col: int) -> dict[int, int]:
     direction = {var: -sd * f for f, var in zip(tab.column(col), tab.basis) if f}
     direction[col] = abs(tab.d)
     return direction
-
-
-def _check_farkas(system: InequalitySystem, ray: dict[int, int]) -> None:
-    """Require ``ray >= 0``, ``ray A = 0`` and ``ray b < 0`` in integers on the
-    scaled rows, over the ray's support only."""
-    if any(v < 0 for v in ray.values()):
-        raise SolverError("negative Farkas multiplier")
-    combo, total = _combine(system, ray.items())
-    if any(combo):
-        raise SolverError("Farkas multipliers do not cancel the rows")
-    if total >= 0:
-        raise SolverError("Farkas multipliers give no contradiction")
 
 
 def _check_ray(system: InequalitySystem, c: Vector, ray: Vector) -> None:

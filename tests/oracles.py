@@ -184,3 +184,66 @@ def _solve_support(system, support):
     if any(v < 0 for v in lam):
         return None
     return tuple(lam)
+
+
+def check_repair_invariants(K, P, seqs, pairs) -> None:
+    """Replay a leaf repair from its substitution sequences and the
+    ``(normal, rhs)`` pairs that ``gen_cg_cuts`` returned, and raise
+    ``AssertionError`` unless, after each +/- pair, the CG closure of
+    K n P' under the cuts so far is empty or lies inside every forced
+    equality and inside P relaxed by the current level errors.
+
+    Each forced equality must be the current level of some row; levels
+    advance once the forced equalities imply them, decided here by ranks
+    (Gaussian elimination) instead of the repair's LPs.
+    """
+    from branchproofs.geometry import apply_cg_list, support_value
+    from branchproofs.simplex import is_empty
+
+    forced = pairs[::2]
+    assert pairs[1::2] == [(-a, -b) for a, b in forced], "pairs are not +/- pairs"
+    K_prime = K.with_rows((seq.a_prime, seq.b_prime) for seq in seqs)
+    level = [0] * len(seqs)
+    emptied = False  # once the closure is empty, later rounds only replay levels
+    for r, (a_r, b_r) in enumerate(forced, start=1):
+        assert any(seq.levels[l][:2] == (a_r, b_r) for seq, l in zip(seqs, level)), \
+            f"round {r} forces no current level"
+        learned = [list(a) + [b] for a, b in forced[:r]]
+        for j, seq in enumerate(seqs):
+            while level[j] + 1 < seq.k and _affine_implies(learned, *seq.levels[level[j]][:2]):
+                level[j] += 1
+        if not emptied:
+            current = apply_cg_list(K_prime, [a for a, _ in pairs[: 2 * r]])
+            emptied = is_empty(current) is not None
+        if emptied:
+            continue
+        for a, b in forced[:r]:
+            assert support_value(current, a) <= b <= -support_value(current, -a), \
+                f"round {r}: cut set escaped the forced equalities"
+        for (row, rhs), seq, l in zip(P.rows(), seqs, level):
+            assert support_value(current, row) <= rhs + seq.levels[l][2], \
+                f"round {r}: cut set escaped the error-relaxed P"
+
+
+def _affine_implies(learned, a, b) -> bool:
+    """Whether the equalities ``[A | b]`` (rows of ``learned``) imply
+    ``a x = b``: they are inconsistent, or ``(a, b)`` lies in their row span."""
+    coeffs = [row[:-1] for row in learned]
+    if _rank(coeffs) < _rank(learned):
+        return True
+    return _rank(learned + [list(a) + [b]]) == _rank(learned)
+
+
+def _rank(rows) -> int:
+    rows = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank

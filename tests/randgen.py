@@ -147,6 +147,45 @@ def random_disjoint_pair(rng: Random, n: int, magnitude: int = 1):
             return K, P
 
 
+def random_thin_slab(rng: Random, n: int):
+    """(K, a, c): K = {a x = c + 1/2} inside a box ``-l <= x <= u`` with
+    l_i in {0, 1} and u_i in {1, 2}, for an integer normal a whose entries
+    have random magnitudes up to 10^9, so ``a x <= c or a x >= c + 1``
+    refutes it; K may be empty."""
+    a = Vector([rng.choice([-1, 1]) * rng.randint(10 ** rng.randint(1, 9), 10**9)
+                for _ in range(n)])
+    c = rng.randint(-3, 3)
+    rows = [(a, c + Fraction(1, 2)), (-a, -c - Fraction(1, 2))]
+    for i in range(n):
+        rows.append((Vector.unit(n, i), rng.randint(1, 2)))
+        rows.append((-Vector.unit(n, i), rng.randint(0, 1)))
+    return InequalitySystem([r for r, _ in rows], [b for _, b in rows], n=n), a, c
+
+
+def random_split_leaf(rng: Random, n: int):
+    """(K, P) for a leaf under two large disjunctions: K is a thin
+    slab ``t + 1/2 <= s x <= t + 1/2 + w`` (w in [0, 1/2]) of the unit box,
+    for s = a1 + a2 with random normals of magnitude up to 10^9, and P is
+    ``a1 x <= b1, a2 x <= t - b1`` with b1 halving K's range of a1 x.  Each
+    row of P meets K, and both together miss it.  Returns None when K is
+    empty or a row of P misses it."""
+    a1, a2 = (Vector([rng.choice([-1, 1]) * rng.randint(10 ** rng.randint(1, 9), 10**9)
+                      for _ in range(n)]) for _ in range(2))
+    s = a1 + a2
+    box = InequalitySystem.box(n, 0, 1)
+    lo, hi = -support_value(box, -s), support_value(box, s)
+    t = math.floor(lo + (hi - lo) * Fraction(rng.randint(1, 9), 10))
+    K = box.with_rows([(-s, -t - Fraction(1, 2)),
+                       (s, t + Fraction(1, 2) + Fraction(rng.randint(0, 4), 8))])
+    if is_empty(K) is not None:
+        return None
+    b1 = math.floor((support_value(K, a1) - support_value(K, -a1)) / 2)
+    P = InequalitySystem([a1, a2], [b1, t - b1], n=n)
+    if any(is_empty(K.with_rows([row])) is not None for row in P.rows()):
+        return None
+    return K, P
+
+
 def _nonzero_vector(rng: Random, n: int, span: int = 3) -> Vector:
     while True:
         a = Vector([rng.randint(-span, span) for _ in range(n)])

@@ -38,13 +38,15 @@ from branchproofs.recompile import (
 from branchproofs.simplex import InequalitySystem, is_empty
 from branchproofs.vectors import Vector
 
-from oracles import fourier_motzkin_empty, integer_points_in_box
+from oracles import check_repair_invariants, fourier_motzkin_empty, integer_points_in_box
 from randgen import (
     random_boxed_polytope,
     random_disjoint_pair,
     random_enumerative_proof,
     random_integer_free_polytope,
+    random_split_leaf,
     random_system,
+    random_thin_slab,
 )
 
 COEFF_BOUND = (10 * 2 * 3) ** 16  # (10 n R)^((n+2)^2) at n = 2, R = 3
@@ -116,14 +118,19 @@ def test_criterion_3_substitution_suite():
     print(f"criterion 3 (substitution sequences, 100 samples, {elapsed:.1f}s): PASS")
 
 
-def _leaf_repair_case(K, P, R):
+def _leaf_repair_case(K, P, R) -> int:
+    """Check one leaf's repair, its invariants replayed by the oracle; return
+    its number of rounds."""
     n = K.n
     N, M = 10 * n * R, (10 * n * R) ** (n + 2)
     seqs = [long_to_short(a, int(b), R, N, M) for a, b in P.rows()]
-    cuts = gen_cg_cuts(K, P, seqs)
-    assert len(cuts) <= 2 * (n + 1), "too many repair cuts"
+    pairs = gen_cg_cuts(K, P, seqs)
+    assert len(pairs) <= 2 * (n + 1), "too many repair cuts"
+    cuts = [a for a, _ in pairs]
     final = apply_cg_list(K.with_rows((s.a_prime, s.b_prime) for s in seqs), cuts)
     assert is_empty(final) is not None, "repair cuts left the set nonempty"
+    check_repair_invariants(K, P, seqs, pairs)
+    return len(pairs) // 2
 
 
 def test_criterion_4_leaf_repair_bound():
@@ -138,7 +145,28 @@ def test_criterion_4_leaf_repair_bound():
         n = rng.randint(1, 3)
         K, P = random_disjoint_pair(rng, n, magnitude=rng.randint(0, 5))
         _leaf_repair_case(K, P, R=l1_radius_bound(K))
-    print("criterion 4 (leaf repair, 6 fixture + 50 random leaves): PASS")
+    # both leaves of thin slabs with large normals
+    rng = Random(40405)
+    rounds = []
+    for _ in range(10):
+        K, a, c = random_thin_slab(rng, rng.choice([2, 3]))
+        if is_empty(K) is not None:
+            continue
+        for row, rhs in ((a, c), (-a, -c - 1)):
+            P = InequalitySystem([row], [rhs], n=K.n)
+            rounds.append(_leaf_repair_case(K, P, l1_radius_bound(K)))
+    # leaves under two large disjunctions, where the repair picks between rows
+    rng = Random(40408)
+    split_rounds = []
+    for _ in range(300):
+        case = random_split_leaf(rng, rng.choice([2, 3]))
+        if case is not None:
+            K, P = case
+            split_rounds.append(_leaf_repair_case(K, P, l1_radius_bound(K)))
+    assert max(rounds) >= 2 and max(split_rounds) >= 2, "no leaf needed a second repair round"
+    print(f"criterion 4 (leaf repair, 6 fixture + 50 random + {len(rounds)} slab"
+          f" + {len(split_rounds)} split leaves, {sum(r >= 2 for r in rounds + split_rounds)}"
+          f" of them in 2+ rounds): PASS")
 
 
 def test_criterion_5_enum_to_cp_bound():

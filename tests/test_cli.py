@@ -63,6 +63,8 @@ def test_verify_invalid_names_leaf(tmp_path, capsys):
     ("(node (1 0) (leaf (cert 0 2 1)) (leaf (cert 1 0 1)))", "L: lam A != 0"),
     ("(node (1 0) (leaf (cert 0 1 1)) (leaf (cert 1 1 0)))", "R: lam b >= 0"),
     ("(leaf (cert 1 1))", "(root): lam b >= 0"),
+    ("(node (1 0) (leaf) (leaf (cert 0 2 1)))", "L: no certificate"),
+    ("(node (1 0) (leaf (cert 0 1 1)) (leaf))", "R: no certificate"),
 ])
 def test_verify_certified_names_failing_leaf_and_check(tmp_path, capsys, proof, line):
     """An invalid certified proof's report names the first failing leaf by
@@ -417,6 +419,12 @@ def contract_cases(depth):
         ("two certificates on a leaf", {"k.ineq": SEGMENT, "p.proof": "(leaf (cert 1) (cert 2))"},
          ["verify", "certified", "k.ineq", "p.proof"], 2),
         ("empty certificate", {"k.ineq": SEGMENT, "p.proof": "(leaf (cert))"},
+         ["verify", "certified", "k.ineq", "p.proof"], 1),
+        ("bad certificate, then a leaf without one",
+         {"k.ineq": SEGMENT, "p.proof": "(node (1 0) (leaf (cert 0 2 1)) (leaf))"},
+         ["verify", "certified", "k.ineq", "p.proof"], 1),
+        ("leaf without a certificate, then a bad one",
+         {"k.ineq": SEGMENT, "p.proof": "(node (1 0) (leaf) (leaf (cert 0 2 1)))"},
          ["verify", "certified", "k.ineq", "p.proof"], 1),
         ("wrong-length certificate",
          {"k.ineq": SEGMENT, "p.proof": "(node (1 0) (leaf (cert 0 1 1)) (leaf (cert 1 0)))"},

@@ -259,10 +259,15 @@ def test_certified_never_disagrees_with_lp_verifier():
         assert verify_certified_proof(K, certify(K, proof)).valid
 
 
-def test_missing_certificate_raises():
+def test_missing_certificate_fails_its_leaf():
+    """A leaf without a certificate fails as "<label>: no certificate", on
+    the left or on the right."""
     K, proof = thin_segment(10)
-    with pytest.raises(ValueError, match="certificate"):
-        verify_certified_proof(K, proof)
+    report = verify_certified_proof(K, proof)
+    assert not report.valid and report.failures == ("L: no certificate",)
+    certified = certify(K, proof)
+    half = BranchNode(proof.a, proof.b, certified.left, BranchNode())
+    assert verify_certified_proof(K, half).failures == ("R: no certificate",)
 
 
 def test_single_leaf_over_empty_system():

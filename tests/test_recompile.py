@@ -1,5 +1,6 @@
 """Substitution sequences, generalized certificates, leaf repair, recompile."""
 
+import hashlib
 from fractions import Fraction
 from random import Random
 
@@ -7,7 +8,7 @@ import pytest
 
 from branchproofs.families import thin_segment
 from branchproofs.geometry import apply_cg_list, l1_radius_bound
-from branchproofs.prooftree import proof_stats, verify_branching_proof
+from branchproofs.prooftree import BranchNode, format_branching, proof_stats, verify_branching_proof
 from branchproofs.recompile import (
     SubstitutionSequence,
     flip_sequence,
@@ -15,12 +16,12 @@ from branchproofs.recompile import (
     generalized_certificate,
     long_to_short,
     recompile,
-    select_violated_row,
     verify_substitution_sequence,
 )
-from branchproofs.simplex import FarkasCertificate, InequalitySystem, is_empty
+from branchproofs.simplex import InequalitySystem, is_empty
 from branchproofs.vectors import Vector
 
+from oracles import check_repair_invariants
 from randgen import random_branching_proof, random_integer_free_polytope
 
 
@@ -108,43 +109,26 @@ def test_generalized_certificate_examples():
     K = InequalitySystem([[2], [-2], [1], [-1]], [1, -1, 2, 2])
     P = InequalitySystem([[1], [-1]], [0, -1])
     lam = generalized_certificate(K, P)
-    assert len(lam.multipliers) == 2
-    assert all(v >= 0 for v in lam.multipliers)
+    assert len(lam) == 2
+    assert all(v >= 0 for v in lam)
 
     box = InequalitySystem.box(1, 0, 1)
     single = generalized_certificate(box, InequalitySystem([[1]], [-1]))
-    assert single.support() == (0,)
+    assert single[0] > 0
 
     with pytest.raises(ValueError, match="intersect"):
         generalized_certificate(box, InequalitySystem([[1]], [0]))
-
-
-def test_select_violated_row_examples():
-    K = InequalitySystem([[2], [-2], [1], [-1]], [1, -1, 2, 2])
-    P = InequalitySystem([[1], [-1]], [0, -1])
-    lam = generalized_certificate(K, P)
-    # zero relaxation: the certificate already witnesses emptiness
-    assert select_violated_row(K, P, [Fraction(0), Fraction(0)], lam) is None
-    # a single positive entry at a support row gets picked
-    eps = [Fraction(0), Fraction(0)]
-    support = lam.support()[0]
-    eps[support] = Fraction(1, 10)
-    assert select_violated_row(K, P, eps, lam) == support
-    with pytest.raises(ValueError):
-        select_violated_row(K, P, eps, FarkasCertificate(Vector([0, 0])))
 
 
 def test_gen_cg_cuts_thin_segment_leaf():
     K, _ = thin_segment(10**6)
     seq = long_to_short(Vector([10**6, 1]), 0, R=3, N=60, M=60**4)
     P = InequalitySystem([Vector([10**6, 1])], [0], n=2)
-    cuts = gen_cg_cuts(K, P, [seq], debug=True)
-    assert cuts == [Vector([1, 0]), Vector([-1, 0])]
-    final = apply_cg_list(K.with_rows([(seq.a_prime, seq.b_prime)]), cuts)
+    pairs = gen_cg_cuts(K, P, [seq])
+    assert pairs == [(Vector([1, 0]), 0), (Vector([-1, 0]), 0)]
+    final = apply_cg_list(K.with_rows([(seq.a_prime, seq.b_prime)]), [a for a, _ in pairs])
     assert is_empty(final) is not None
-    # select_violated_row picks the only row of P here
-    lam = generalized_certificate(K, P)
-    assert select_violated_row(K, P, [seq.levels[0][2]], lam) == 0
+    check_repair_invariants(K, P, [seq], pairs)
 
 
 def test_gen_cg_cuts_empty_intersection_returns_nothing():
@@ -153,6 +137,42 @@ def test_gen_cg_cuts_empty_intersection_returns_nothing():
     P = InequalitySystem([Vector([10, 1])], [-100], n=2)
     assert is_empty(K.with_rows([(seq.a_prime, seq.b_prime)])) is not None
     assert gen_cg_cuts(K, P, [seq]) == []
+
+
+# K = {a x = 7/2, -1 <= x1 <= 2, 0 <= x2 <= 1} refuted by a x <= 3 or >= 4:
+# both leaves of the recompiled proof take two repair rounds
+TWO_ROUND_NORMAL = Vector([-1034173427, 199396078])
+TWO_ROUND_K = InequalitySystem(
+    [TWO_ROUND_NORMAL, -TWO_ROUND_NORMAL, [1, 0], [-1, 0], [0, 1], [0, -1]],
+    [Fraction(7, 2), Fraction(-7, 2), 2, 1, 1, 0],
+)
+
+
+def test_two_round_repair_output_is_pinned():
+    """The recompiled proof of a case whose leaves each need two repair
+    rounds, byte for byte."""
+    proof = BranchNode(TWO_ROUND_NORMAL, 3, BranchNode(), BranchNode())
+    rebuilt = recompile(TWO_ROUND_K, proof)
+    assert rebuilt.node_count() == 19
+    text = format_branching(rebuilt) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "27e909b5400307d937e864d232b7719af781538869b30c4d50b0e19ecce0880d"
+    )
+
+
+@pytest.mark.parametrize("a, b", [(TWO_ROUND_NORMAL, 3), (-TWO_ROUND_NORMAL, -4)])
+def test_two_round_repair_keeps_its_invariants(a, b):
+    K = TWO_ROUND_K
+    R = l1_radius_bound(K)
+    N, M = 10 * 2 * R, (10 * 2 * R) ** 4
+    P = InequalitySystem([a], [b], n=2)
+    seqs = [long_to_short(a, b, R, N, M)]
+    pairs = gen_cg_cuts(K, P, seqs)
+    assert len(pairs) == 4  # two rounds
+    check_repair_invariants(K, P, seqs, pairs)
+    a_2, b_2 = pairs[2]
+    with pytest.raises(AssertionError, match="round 2 forces no current level"):
+        check_repair_invariants(K, P, seqs, pairs[:2] + [(a_2, b_2 + 1), (-a_2, -b_2 - 1)])
 
 
 def test_recompile_thin_segment():
@@ -175,15 +195,11 @@ def test_recompile_small_coefficients_pass_through():
 
 def test_recompile_empty_root():
     empty = InequalitySystem([[1, 0], [-1, 0]], [0, -1])
-    from branchproofs.prooftree import BranchNode
-
     rebuilt = recompile(empty, BranchNode())
     assert rebuilt.is_leaf
 
 
 def test_recompile_rejects_invalid_proof():
-    from branchproofs.prooftree import BranchNode
-
     K, _ = thin_segment(10)
     bad = BranchNode(Vector([1, 0]), 0, BranchNode(), BranchNode())
     with pytest.raises(ValueError, match="invalid"):
@@ -215,8 +231,6 @@ def test_recompile_verifies_output_of_unproven_radius(monkeypatch):
     """n = 11 and R below l1_radius_bound: the rebuilt proof is verified."""
     import importlib
 
-    from branchproofs.prooftree import BranchNode
-
     module = importlib.import_module("branchproofs.recompile")  # not the function
     n = 11
     e1 = Vector.unit(n, 0)
@@ -244,7 +258,7 @@ def test_recompile_verifies_output_of_unproven_radius(monkeypatch):
 
 def test_recompile_rotated_slabs():
     """Big-coefficient slabs in random orientation, n in {2, 3}."""
-    from branchproofs.prooftree import BranchNode, certify, verify_certified_proof
+    from branchproofs.prooftree import certify, verify_certified_proof
     import math
 
     rng = Random(20250811)

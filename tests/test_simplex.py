@@ -428,10 +428,10 @@ def test_farkas_check_catches_tampered_rays(monkeypatch):
     assert len(ray) == 2
     tampers = []
     for i in ray:
-        tampers.append(("do not cancel", lambda tab, i=i: {**ray, i: ray[i] + 1}))
-        tampers.append(("negative Farkas", lambda tab, i=i: {**ray, i: -ray[i]}))
+        tampers.append(("lam A != 0", lambda tab, i=i: {**ray, i: ray[i] + 1}))
+        tampers.append(("negative multiplier", lambda tab, i=i: {**ray, i: -ray[i]}))
     # rows 2 and 3 cancel in A, but 5 + 5 is no contradiction
-    tampers.append(("no contradiction", lambda tab: {2: 1, 3: 1}))
+    tampers.append(("lam b >= 0", lambda tab: {2: 1, 3: 1}))
     for message, tampered in tampers:
         monkeypatch.setattr(simplex, "_ray_direction", lambda tab, col: tampered(tab))
         with pytest.raises(SolverError, match=message):
