@@ -116,9 +116,7 @@ def _serialize_node(K: InequalitySystem, node: EnumNode):
         return [], K
     if node.a is None:
         # an unlabeled leaf over a nonempty set: the proof is invalid
-        raise ValueError(
-            f"{node.leaf_kind} leaf reached with a nonempty relaxation"
-        )
+        raise ValueError("empty leaf reached with a nonempty relaxation")
     a_r = node.a
     children = dict(node.children)
     current, record = apply_cg(K, a_r)

@@ -12,7 +12,7 @@ Two tree shapes are modeled:
   a direction ``a`` and bounds ``lo <= hi`` with one child per integer b in
   ``[lo, hi]``, whose edge asserts the equality ``a x = b``.  A labeled node
   with no children claims the bounds contain no integer (``floor(hi) < lo``);
-  an unlabeled ``empty`` leaf claims its relaxation is empty.
+  an unlabeled leaf claims its relaxation is empty.
 
 Verification runs one exact LP per node: a child's relaxation is its
 parent's plus the edge's rows (:func:`_relaxations`), so each solve
@@ -36,7 +36,6 @@ from .simplex import (
     InequalitySystem,
     is_empty,
     lp_optimize,
-    reduce_certificate,
 )
 from .geometry import UnboundedSet, support_value
 from .vectors import Vector, bit_size, format_rational, parse_rational, sparse_bit_size
@@ -136,10 +135,10 @@ class BranchNode(_TreeNode):
 class EnumNode(_TreeNode):
     """A node of an enumerative proof.
 
-    ``a is None`` marks an unlabeled leaf (``leaf_kind`` "empty" or "gap");
-    otherwise the node carries direction/bounds and children keyed by the
-    branched integer value.  A labeled childless node is the canonical
-    integer-free-interval leaf.
+    ``a is None`` marks an unlabeled leaf (``leaf_kind`` "empty", its only
+    kind), which claims its relaxation is empty; otherwise the node carries
+    direction/bounds and children keyed by the branched integer value.  A
+    labeled childless node is the integer-free-interval leaf.
     """
 
     a: Vector | None = None
@@ -152,8 +151,8 @@ class EnumNode(_TreeNode):
         if self.a is None:
             if self.children:
                 raise ValueError("unlabeled leaves cannot have children")
-            if self.leaf_kind not in ("empty", "gap"):
-                raise ValueError("unlabeled leaves must be 'empty' or 'gap'")
+            if self.leaf_kind != "empty":
+                raise ValueError("unlabeled leaves must be 'empty'")
         else:
             if not self.a.is_integral() or self.a.is_zero():
                 raise ValueError("branching directions must be nonzero integral")
@@ -317,8 +316,10 @@ def certify(K: InequalitySystem, proof: BranchNode) -> BranchNode:
     """Label every leaf with a reduced Farkas certificate (<= n+1 nonzeros).
 
     Every node's relaxation is solved, so each leaf warm-starts from its
-    parent's.  Raises ``ValueError`` naming the first nonempty leaf if the
-    proof is invalid.
+    parent's, and each leaf takes the solver's certificate as it is: a
+    basic dual ray scaled to ``lam b = -1``, which is already reduced.
+    Raises ``ValueError`` naming the first nonempty leaf if the proof is
+    invalid.
     """
     built: list[BranchNode] = []  # finished subtrees, left to right
     for node, path, system, leaving in _relaxations(K, proof):
@@ -332,7 +333,7 @@ def certify(K: InequalitySystem, proof: BranchNode) -> BranchNode:
                 raise ValueError(
                     f"cannot certify: leaf {_branch_label(path)} has a nonempty relaxation"
                 )
-            built.append(BranchNode(cert=reduce_certificate(system, cert)))
+            built.append(BranchNode(cert=cert))
     return built[0]
 
 
@@ -342,7 +343,8 @@ def verify_enumerative_proof(K: InequalitySystem, proof: EnumNode) -> Report:
     At every labeled node with nonempty relaxation, the exact min/max of
     ``a x`` must lie within ``[lo, hi]`` and a child must exist for every
     integer in that interval (one failure per run of missing values);
-    childless labeled nodes must satisfy ``floor(hi) < lo``.  Unlabeled "empty" leaves must have empty relaxations.
+    childless labeled nodes must satisfy ``floor(hi) < lo``.  Unlabeled
+    leaves must have empty relaxations.
     The subtree of a node unbounded in its direction is not checked.
     """
     failures: list[str] = []
@@ -355,15 +357,8 @@ def verify_enumerative_proof(K: InequalitySystem, proof: EnumNode) -> Report:
             continue
         where = "/".join(str(b) for _, b in path) or "(root)"
         if node.a is None:
-            if node.leaf_kind == "empty":
-                if is_empty(system) is None:
-                    witness = _witness(system)
-                    failures.append(f"{where}: leaf relaxation is nonempty{witness}")
-            else:
-                failures.append(
-                    f"{where}: gap leaf carries no direction/bounds"
-                    " (write it as a childless labeled node)"
-                )
+            if is_empty(system) is None:
+                failures.append(f"{where}: leaf relaxation is nonempty{_witness(system)}")
             continue
         if is_empty(system) is None:
             try:
@@ -408,8 +403,6 @@ def enumerative_to_branching(proof: EnumNode) -> BranchNode:
     built: list[BranchNode] = []  # converted subtrees, left to right
     for node, _, leaving in walk(proof):
         if node.a is None:
-            if node.leaf_kind != "empty":
-                raise ValueError("cannot convert an unlabeled gap leaf")
             built.append(BranchNode())
         elif not node.children:
             built.append(BranchNode(node.a, math.floor(node.hi), BranchNode(), BranchNode()))
@@ -452,7 +445,7 @@ def proof_stats(proof) -> ProofStats:
 #   branching:    (node (a_1 ... a_n b) LEFT RIGHT) | (leaf)
 #                 | (leaf (cert lam_1 ... lam_m))
 #   enumerative:  (enode (a_1 ... a_n) lo hi (child b SUBTREE)...)
-#                 | (eleaf empty) | (eleaf gap)
+#                 | (eleaf empty)
 # ---------------------------------------------------------------------------
 
 
@@ -596,7 +589,7 @@ def format_enumerative(proof: EnumNode) -> str:
                 parts.append(f"\n{'  ' * (depth - 1)}(child {path[-1][1]}\n")
             pad = "  " * depth
             if node.a is None:
-                parts.append(f"{pad}(eleaf {node.leaf_kind})")
+                parts.append(f"{pad}(eleaf empty)")
             else:
                 coeffs = " ".join(str(v) for v in node.a.as_ints())
                 parts.append(
@@ -634,10 +627,10 @@ def parse_enumerative(text: str) -> EnumNode:
             open_nodes.append((a, lo, hi, [], len(built)))
             pos += 2
         else:
-            kind = tokens[pos:pos + 1]
-            if kind != ["empty"] and kind != ["gap"]:
-                raise ValueError("an enumerative leaf is (eleaf empty) or (eleaf gap)")
-            built.append(EnumNode(leaf_kind=kind[0]))
+            if tokens[pos:pos + 1] != ["empty"]:
+                raise ValueError("an enumerative leaf is (eleaf empty); an integer-free"
+                                 " interval is a childless (enode (a_1 ... a_n) lo hi)")
+            built.append(EnumNode(leaf_kind="empty"))
             pos = _close(tokens, pos + 1)
         finished = tag == "eleaf"  # a subtree closed, so its child group closes next
         while open_nodes:

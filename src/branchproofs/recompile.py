@@ -35,7 +35,7 @@ from .geometry import (
     support_value,
 )
 from .prooftree import BranchNode, Report, verify_branching_proof, walk
-from .simplex import InequalitySystem, is_empty, reduce_certificate
+from .simplex import InequalitySystem, is_empty
 from .vectors import Vector, round_half_away
 
 
@@ -244,15 +244,16 @@ def verify_substitution_sequence(
 def generalized_certificate(K: InequalitySystem, P: InequalitySystem) -> Vector:
     """Multipliers lam >= 0 on P's rows with  min over K of lam (A x - b) > 0.
 
-    Requires K nonempty and bounded and K disjoint from P.  lam has at most
-    n+1 nonzero entries and is verified by one exact LP before being
-    returned.
+    Requires K nonempty and bounded and K disjoint from P.  lam is P's part
+    of the solver's certificate for K and P together, which is already
+    reduced, so it has at most n+1 nonzero entries; it is verified by one
+    exact LP before being returned.
     """
     combined = K.with_rows(P.rows())
     cert = is_empty(combined)
     if cert is None:
         raise ValueError("K and P intersect; no certificate exists")
-    lam = Vector(reduce_certificate(combined, cert).multipliers[K.m :])
+    lam = Vector(cert.multipliers[K.m :])
     combo, offset = P.combination(lam)
     if -support_value(K, -Vector(combo)) <= offset:
         raise ValueError("multipliers do not certify disjointness")

@@ -6,7 +6,7 @@ arithmetic and returns one of three fully certified outcomes:
 * ``Optimal``    -- optimal value, an optimal point, and dual multipliers
   satisfying strong duality as exact identities;
 * ``Infeasible`` -- a Farkas certificate ``lam >= 0`` with ``lam A = 0`` and
-  ``lam b < 0``;
+  ``lam b = -1``, with at most n+1 nonzeros;
 * ``Unbounded``  -- a ray ``r`` with ``A r <= 0`` and ``c r > 0``.
 
 Internally the solver runs Bland-rule primal simplex on the LP dual
@@ -32,10 +32,11 @@ rational multipliers into integer weights on the scaled rows (the solver's
 own duals already are) and ``_combine`` sums those rows.  A
 ``FarkasCertificate`` keeps only its nonzero multipliers, from the solver's
 ray to the proof file and back, and builds the dense Vector when it is read.
-Certificate reduction runs on this solver too: every Farkas certificate the
-solver returns is a basic dual ray (the basis plus the entering column, so at
-most n+1 nonzeros), and ``reduce_certificate`` reduces a certificate to the
-solver's certificate for the rows of its support.
+Every Farkas certificate the solver returns is reduced: a basic dual ray
+(the basis plus the entering column, so at most n+1 nonzeros, checked)
+scaled to ``lam b = -1``, the one vertex of the normalized dual cone on its
+independent support rows.  ``reduce_certificate`` reduces one from elsewhere
+to the solver's certificate for the rows of its support.
 
 Outcomes are memoized per system, keyed by the objective, whose hash is
 computed once per solve: asking the same system the same question again costs
@@ -453,11 +454,11 @@ def reduce_certificate(
 ) -> FarkasCertificate:
     """Reduce a Farkas certificate to a vertex of the normalized dual cone.
 
-    The result is the solver's certificate for the rows of the input's
-    support, a basic dual ray, embedded in the m rows and scaled to
-    ``lam b = -1``.  Its support rows carry linearly independent
-    ``(a_i, b_i)`` vectors, so it has at most n+1 nonzero multipliers; both
-    that and the certificate are checked again on the whole system.
+    The solver's own certificates already are such vertices.  The result is
+    the solver's certificate for the rows of the input's support, embedded
+    in the m rows.  Its support rows carry linearly independent ``(a_i,
+    b_i)`` vectors, so it has at most n+1 nonzero multipliers; both that and
+    the certificate are checked again on the whole system.
     """
     if not cert.verify(system):
         raise ValueError("input is not a valid Farkas certificate for the system")
@@ -467,9 +468,8 @@ def reduce_certificate(
     basic = is_empty(rows)
     if basic is None:
         raise SolverError("support rows not empty, yet the certificate verified")
-    slack = -rows.combination(basic.multipliers)[1]
     reduced = FarkasCertificate._from_nonzeros(
-        system.m, [(support[i], v / slack) for i, v in basic.nonzeros])
+        system.m, [(support[i], v) for i, v in basic.nonzeros])
     if len(reduced.nonzeros) > system.n + 1 or not reduced.verify(system):
         raise SolverError("certificate reduction produced an invalid certificate")
     return reduced
@@ -801,11 +801,16 @@ def _solve_verified(system: InequalitySystem, c: Vector, key: _Key) -> LpOutcome
     unb_col = None if start == m else tab.run(raw, False, start)
 
     if unb_col is not None:
-        # unbounded dual ray == Farkas certificate of primal emptiness
-        ray, d = _ray_direction(tab, unb_col), abs(tab.d)
+        # unbounded dual ray == Farkas certificate of primal emptiness, scaled
+        # to lam b = -1; any positive scale gives failed_check the same verdict
+        ray = sorted(_ray_direction(tab, unb_col).items())
+        slack = -sum(v * rhs_b[i] for i, v in ray)
+        scale = slack if slack > 0 else abs(tab.d)
         cert = FarkasCertificate._from_nonzeros(
-            m, [(i, Fraction(sigmas[i] * v, d)) for i, v in sorted(ray.items())])
+            m, [(i, Fraction(sigmas[i] * v, scale)) for i, v in ray])
         failure = cert.failed_check(system)
+        if failure is None and len(ray) > n + 1:
+            failure = "more than n+1 nonzero multipliers"
         if failure is not None:
             raise SolverError(f"dual ray is no Farkas certificate: {failure}")
         system._empty = True

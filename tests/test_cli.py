@@ -407,6 +407,11 @@ def contract_cases(depth):
          ["recompile", "k.ineq", "p.proof", "--out", "r.proof"], 2),
         ("empty enum-to-cp", {"k.ineq": EMPTY, "e.proof": "(eleaf empty)"},
          ["enum-to-cp", "k.ineq", "e.proof", "--out", "e.cuts"], 0),
+        # an integer-free interval is a childless (enode ...), even on an empty K
+        ("gap leaf verify", {"k.ineq": EMPTY, "e.proof": "(eleaf gap)"},
+         ["verify", "enumerative", "k.ineq", "e.proof"], 2),
+        ("gap leaf enum-to-cp", {"k.ineq": EMPTY, "e.proof": "(eleaf gap)"},
+         ["enum-to-cp", "k.ineq", "e.proof", "--out", "e.cuts"], 2),
         ("empty recompile", {"k.ineq": EMPTY, "p.proof": "(node (1 0) (leaf) (leaf))"},
          ["recompile", "k.ineq", "p.proof", "--out", "r.proof"], 0),
         ("list inside a certificate", {"k.ineq": SEGMENT, "p.proof": "(leaf (cert 1 (2) 3))"},

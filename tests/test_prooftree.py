@@ -193,6 +193,20 @@ def test_certified_outputs_pinned():
     assert digests == CERTIFIED_PINS
 
 
+# sha256 of the certified Tseitin refutation of the 4x4 grid (411 leaves) as
+# certify writes it, with its closing newline
+GRID4X4_CERTIFIED_PIN = "2a9d6ea6feafd789f7aac4b64339d3a99cd94e78d09fa8344f2804763011f462"
+
+
+def test_certified_grid4x4_pinned():
+    inst = TseitinInstance.from_text((INSTANCES / "large" / "grid4x4.graph").read_text())
+    proof = enumerative_to_branching(tseitin_sp_refutation(inst))
+    certified = certify(tseitin_polytope(inst), proof)
+    assert certified.leaf_count() == 411
+    text = format_branching(certified) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == GRID4X4_CERTIFIED_PIN
+
+
 def test_verify_certified_is_lp_free_and_scales_k_once(monkeypatch):
     """On grid3x3's certified proof: no LP, K's rows scaled once, and then
     one row per edge, each relaxation extending its parent's scaled rows."""
@@ -219,7 +233,8 @@ def test_verify_certified_is_lp_free_and_scales_k_once(monkeypatch):
 def test_leaf_solves_warm_start_from_the_root(monkeypatch):
     """Each relaxation is its parent's plus one edge, so after the root's
     cold solve every relaxation's solve extends an ancestor's tableau;
-    certify also solves each leaf certificate's support rows, cold."""
+    certify takes each leaf's certificate as the solver returns it, so it
+    solves nothing more."""
     cold, warm = [], []
 
     class Counted(simplex._DualTableau):
@@ -234,11 +249,10 @@ def test_leaf_solves_warm_start_from_the_root(monkeypatch):
     monkeypatch.setattr(simplex, "_DualTableau", Counted)
     inst = TseitinInstance.from_text((INSTANCES / "k4.graph").read_text())
     proof = enumerative_to_branching(tseitin_sp_refutation(inst))
-    for check, cold_solves in ((verify_branching_proof, 1),
-                               (certify, 1 + proof.leaf_count())):
+    for check in (verify_branching_proof, certify):
         del cold[:], warm[:]
         check(tseitin_polytope(inst), proof)
-        assert len(cold) == cold_solves and len(warm) >= proof.leaf_count()
+        assert len(cold) == 1 and len(warm) >= proof.leaf_count()
 
 
 def test_certify_rejects_invalid_proof():
@@ -346,10 +360,12 @@ def test_verify_enumerative_bad_empty_leaf():
 
 
 def test_unlabeled_gap_leaf_is_unverifiable():
-    K = InequalitySystem.box(1, 0, 1)
-    report = verify_enumerative_proof(K, EnumNode(leaf_kind="gap"))
-    assert not report.valid
-    assert "gap leaf" in report.failures[0]
+    """An integer-free interval is a childless labeled node; an unlabeled
+    leaf of any kind but "empty" is neither built nor read."""
+    with pytest.raises(ValueError, match="must be 'empty'"):
+        EnumNode(leaf_kind="gap")
+    with pytest.raises(ValueError, match=r"childless \(enode"):
+        parse_enumerative("(eleaf gap)")
 
 
 def test_enumerative_to_branching_equivalence():
@@ -457,13 +473,13 @@ def test_enumerative_round_trip():
     K = random_integer_free_polytope(rng, 2)
     proof = random_enumerative_proof(rng, K)
     assert parse_enumerative(format_enumerative(proof)) == proof
-    assert parse_enumerative("(eleaf gap)") == EnumNode(leaf_kind="gap")
+    assert parse_enumerative("(eleaf empty)") == EnumNode(leaf_kind="empty")
 
 
-def enum_chain(depth: int, leaf_kind: str = "empty") -> EnumNode:
-    node = EnumNode(leaf_kind=leaf_kind)
+def enum_chain(depth: int, hi: int = 0) -> EnumNode:
+    node = EnumNode(leaf_kind="empty")
     for _ in range(depth):
-        node = EnumNode(a=Vector([1, 0]), lo=0, hi=0, children=((0, node),))
+        node = EnumNode(a=Vector([1, 0]), lo=0, hi=hi, children=((0, node),))
     return node
 
 
@@ -477,8 +493,8 @@ def branch_chain(depth: int, b: int = 0) -> BranchNode:
 def test_deep_trees_compare_hash_and_print():
     depth = 3000
     assert depth > sys.getrecursionlimit()
-    for chain, other in ((enum_chain, "gap"), (branch_chain, 1)):
-        tree, twin, differs = chain(depth), chain(depth), chain(depth, other)
+    for chain in (enum_chain, branch_chain):
+        tree, twin, differs = chain(depth), chain(depth), chain(depth, 1)
         assert tree == twin and not tree != twin
         assert tree != differs and not tree == differs
         assert tree != chain(depth - 1) and chain(depth + 1) != tree
@@ -518,7 +534,7 @@ def test_parse_rejects_malformed():
     (parse_enumerative, "(enode (1) 0 1 (child 0 (eleaf empty))", r"^expected '\)' at token 15$"),
     (parse_enumerative, "(enode (1) 0 1 (child", "needs a value b$"),
     (parse_enumerative, "(enode (1) 0", "needs bounds lo hi$"),
-    (parse_enumerative, "(eleaf)", r"is \(eleaf empty\) or \(eleaf gap\)$"),
+    (parse_enumerative, "(eleaf)", r"is \(eleaf empty\); an integer-free interval is a childless \(enode"),
     (parse_enumerative, "(enode (1) 0 0 (child 0 (leaf)))",
      r"^expected \(enode or \(eleaf at token 10$"),
     (parse_enumerative, "(eleaf empty) 0", "^trailing tokens"),

@@ -170,9 +170,9 @@ def normalized(system, lam) -> tuple:
 
 def test_solver_certificates_are_dual_cone_vertices():
     """Every certificate is_empty returns, cold or warm-started on a system
-    made by with_rows / with_rhs, is a basic dual ray: scaled to lam b = -1
-    it is a vertex of the normalized dual cone, and reduce_certificate
-    returns exactly that scaling of it."""
+    made by with_rows / with_rhs, is a basic dual ray already scaled to
+    lam b = -1: a vertex of the normalized dual cone, which
+    reduce_certificate returns unchanged."""
     rng = Random(2024)
     seen = {"cold": 0, "rows": 0, "rhs": 0}
     for _ in range(150):
@@ -192,7 +192,8 @@ def test_solver_certificates_are_dual_cone_vertices():
             seen[kind] += 1
             vertex = normalized(system, cert.multipliers)
             assert vertex in dual_cone_vertices(system)
-            assert tuple(reduce_certificate(system, cert).multipliers) == vertex
+            assert tuple(cert.multipliers) == vertex
+            assert reduce_certificate(system, cert) == cert
     assert min(seen.values()) > 10, seen
 
 
@@ -412,7 +413,8 @@ EMPTY_LINE = InequalitySystem([[1], [-1], [1], [-1]], [0, -1, 5, 5])
 
 def test_farkas_check_catches_tampered_rays(monkeypatch):
     """Each entry of the phase-2 dual ray, perturbed or negated, fails the
-    integer Farkas check; so does a ray that cancels A without contradiction."""
+    integer Farkas check; so does a ray that cancels A without contradiction,
+    and one that proves emptiness on more than n+1 rows."""
     rays = []
     direction = simplex._ray_direction
 
@@ -432,6 +434,8 @@ def test_farkas_check_catches_tampered_rays(monkeypatch):
         tampers.append(("negative multiplier", lambda tab, i=i: {**ray, i: -ray[i]}))
     # rows 2 and 3 cancel in A, but 5 + 5 is no contradiction
     tampers.append(("lam b >= 0", lambda tab: {2: 1, 3: 1}))
+    # 5 x - 6 x + x = 0 and 0 - 6 + 5 < 0, but on n+2 rows: no basic ray
+    tampers.append((r"more than n\+1 nonzero", lambda tab: {0: 5, 1: 6, 2: 1}))
     for message, tampered in tampers:
         monkeypatch.setattr(simplex, "_ray_direction", lambda tab, col: tampered(tab))
         with pytest.raises(SolverError, match=message):
@@ -1065,18 +1069,14 @@ def test_grid3x3_solve_starts_pinned(monkeypatch):
                       "from_ancestor": 17, "fallback": 0}
 
 
-# sha256 of the (pos, col, d) of every pivot made by the pipelines below,
-# outside reduce_certificate and inside it; the entering and leaving rules and
-# the exact pivot arithmetic are pinned by them
+# sha256 of the (pos, col, d) of every pivot made by the pipelines below; the
+# entering and leaving rules and the exact pivot arithmetic are pinned by them
 PIVOT_TRACE_PIN = "674dc8459922ecd8885cf3a37f32d819a363ab24f8d0c88db96ec3ba836eb2a4"
-REDUCTION_TRACE_PIN = "180f68862dbf5e1d3f79f77c00386af89b41747077e9634a27371aae1dca7ec0"
 
 
 def test_pivot_trace_pinned(monkeypatch):
-    import importlib
     from pathlib import Path
 
-    from branchproofs import prooftree
     from branchproofs.enumcp import enum_to_cp
     from branchproofs.families import (
         TseitinInstance, thin_segment, tseitin_polytope, tseitin_sp_refutation,
@@ -1086,24 +1086,14 @@ def test_pivot_trace_pinned(monkeypatch):
     )
     from branchproofs.recompile import recompile
 
-    trace, reduction = [], []
-    traces = [trace]  # the innermost is written to
+    trace = []
     pivot = simplex._DualTableau.pivot
 
     def traced(self, pos, col, *rest):
         pivot(self, pos, col, *rest)
-        traces[-1].append((pos, col, self.d))
-
-    def reducing(*args):
-        traces.append(reduction)
-        try:
-            return reduce_certificate(*args)
-        finally:
-            traces.pop()
+        trace.append((pos, col, self.d))
 
     monkeypatch.setattr(simplex._DualTableau, "pivot", traced)
-    for module in (prooftree, importlib.import_module("branchproofs.recompile")):
-        monkeypatch.setattr(module, "reduce_certificate", reducing)
     instances = Path(__file__).resolve().parent.parent / "instances"
     for name in ("k4", "cycle5"):
         inst = TseitinInstance.from_text((instances / f"{name}.graph").read_text())
@@ -1114,6 +1104,5 @@ def test_pivot_trace_pinned(monkeypatch):
     for M in (10**3, 10**6, 10**9):
         K, proof = thin_segment(M)
         certify(K, recompile(K, proof))
-    assert (len(trace), len(reduction)) == (681, 143)
+    assert len(trace) == 681
     assert hashlib.sha256(repr(trace).encode()).hexdigest() == PIVOT_TRACE_PIN
-    assert hashlib.sha256(repr(reduction).encode()).hexdigest() == REDUCTION_TRACE_PIN
