@@ -16,22 +16,35 @@ Lifting replaces a face cut ``a`` by ``a + i c`` (c the face normal).  A
 multiplier ``i`` is accepted exactly when
 ``floor(h_K(a + i c) - i h_K(c)) == floor(h_F(a))``, the rhs of the face
 cut's record, which makes the cut's trace on the face coincide with the
-face's own CG cut; existence of such an ``i`` is guaranteed for rational
-polytopes, and small multipliers are preferred (the search runs
-i = 0, 1, 2, 4, 8, ... with a generous cap that turns a violated
-precondition into a diagnosable error).  Support values here must be
-finite, else :func:`support_value` raises ``EmptySet`` or ``UnboundedSet``;
-only a CG cut (a no-op) and the push-down loop (which stops) take an empty
-set as an answer.
+face's own CG cut; the least such ``i`` in the schedule i = 0, 1, 2, 4, 8,
+... is taken, with a generous cap that turns a violated precondition into a
+diagnosable error.  With ``g(i) = h_K(a + i c) - i h_K(c)``, the minimum of g
+over i >= 0 is ``h_F(a)`` (LP duality), and the face LP's optimal dual says
+from where on: each record carries the optimum of the LP that made it and
+the row that holds its cut, so the dual's weight on a face row moves to
+that row's K-side row, and the face's rows ``(c, h_c)`` and ``(-c, -h_c)``,
+and each earlier face cut k (lifted with multiplier ``i_k``), add weight
+times -1, +1 and ``i_k`` to a number i0.  For every ``i >= i* = max(0,
+ceil(i0))`` these multipliers plus ``i - i0`` times the dual of ``h_K(c)``
+certify ``h_K(a + i c) = h_F(a) + i h_K(c)``, attained at the face optimum,
+so only the schedule values below i* are solved; the first one at or above
+it is checked in integers (``geometry._apply_certified``) and cut with no
+LP, and its record carries that certificate up to the next level.  The
+multiplier is the one the search by solves alone finds.  Support values
+here must be finite, else :func:`support_value` raises ``EmptySet`` or
+``UnboundedSet``; only a CG cut (a no-op) and the push-down loop (which
+stops) take an empty set as an answer.
 """
 
 from __future__ import annotations
 
 import math
 
-from .geometry import CgCut, EmptySet, apply_cg, face, support_value
+from .geometry import (
+    CgCut, EmptySet, _apply_certified, _support_optimum, apply_cg, face, support_value,
+)
 from .prooftree import EnumNode
-from .simplex import InequalitySystem, is_empty
+from .simplex import InequalitySystem, SolverError, is_empty
 from .vectors import Vector
 
 _MULTIPLIER_CAP = 2**64
@@ -47,28 +60,84 @@ def lift_cg_sequence(
     the previously lifted cuts, so the set equality holds prefix-wise.
     Requires ``h_K(c)`` finite and integral; each multiplier is the smallest
     in the doubling schedule passing the floor test, and 0 for a no-op cut
-    (the face was already empty).  Returns K after the lifted cuts and their
-    records on K, like :func:`apply_cg`.
+    (the face was already empty).  A record that carries its face optimum
+    has the schedule values below its i* solved and the first at or above it
+    certified with no LP (see the module docstring); a record that carries
+    none, such as a hand-built ``CgCut(a, rhs)``, has every value solved.
+    Returns K after the lifted cuts and their records on K, like
+    :func:`apply_cg`, each carrying its own optimum on K.
     """
-    h_c = support_value(K, c)
-    if h_c.denominator != 1:
+    along = _support_optimum(K, c)
+    if along.value.denominator != 1:
         raise ValueError("face support value must be integral for lifting")
+    h_c, along_dual = int(along.value), along._sparse()[2]
+    # face row r -> (k, s): current's row k is face row r plus s (c, h_c),
+    # with a rhs no larger; k is None for the face's rows (c, h_c) and
+    # (-c, -h_c), which are -s (c, h_c) themselves
+    rows = [(k, 0) for k in range(K.m)] + [(None, -1), (None, 1)]
     current = K
     lifted: list[CgCut] = []
     for cut in face_cuts:
         multiplier = 0
-        if not cut.is_noop():
-            multiplier = _search_multiplier(current, c, cut.normal, h_c, cut.rhs)
-        current, record = apply_cg(current, cut.normal + multiplier * c)
+        if cut.is_noop():
+            current, record = apply_cg(current, cut.normal)
+        else:
+            plan = None
+            if rows is not None and cut._optimal is not None:
+                plan = _face_dual_on_k(cut._optimal, rows, along_dual)
+            current, record, multiplier = _search_multiplier(
+                current, c, cut.normal, h_c, cut.rhs, plan)
         lifted.append(record)
+        if rows is None or cut._row is None or cut._row > len(rows) or record._row is None:
+            rows = None  # no map from here on: later records are solved
+        elif cut._row == len(rows):
+            rows.append((record._row, multiplier))
+        else:
+            rows[cut._row] = (record._row, multiplier)
     return current, lifted
 
 
-def _search_multiplier(K, c, a, h_c, target: int) -> int:
+def _face_dual_on_k(optimal, rows, along):
+    """``(i0, point, scale, multipliers, along)`` from a face optimum: the
+    dual's weight on face row r moves to r's K-side row and adds weight
+    times r's shift to i0, so the ``{row: multiplier}`` combine current's
+    rows to at most ``(a + i0 c, value + i0 h_c)``; the point is the face
+    optimum as integers over ``scale``, and ``along`` the dual of h_K(c)."""
+    point, scale, dual = optimal._sparse()
+    i0, weights = 0, {}
+    for r, y in dual:
+        if r >= len(rows):
+            raise SolverError("carried dual has a row outside the face")
+        k, shift = rows[r]
+        i0 += shift * y
+        if k is not None:
+            weights[k] = weights.get(k, 0) + y
+    return i0, point, scale, weights, along
+
+
+def _search_multiplier(K, c, a, h_c: int, target: int, plan):
+    """``(system, record, i)`` for the least i in 0, 1, 2, 4, ... with
+    ``floor(h_K(a + i c)) - i h_c == target``, K cut by ``a + i c``.
+
+    With a ``plan`` from :func:`_face_dual_on_k`, the first schedule value at
+    or above i0 is not solved: its multipliers are the plan's plus ``i - i0``
+    times the dual of h_K(c), and :func:`_apply_certified` checks them with
+    the face optimum."""
     i = 0
     while i <= _MULTIPLIER_CAP:
-        if math.floor(support_value(K, a + i * c) - i * h_c) == target:
-            return i
+        normal = a + i * c
+        if plan is not None and i >= plan[0]:
+            i0, point, scale, weights, along = plan
+            weights = dict(weights)
+            for k, y in along:
+                weights[k] = weights.get(k, 0) + (i - i0) * y
+            nonzeros = sorted((k, y) for k, y in weights.items() if y)
+            system, record = _apply_certified(K, normal, point, scale, nonzeros)
+            if record.rhs - i * h_c != target:
+                raise SolverError("certified lift fails the floor test")
+            return system, record, i
+        if math.floor(support_value(K, normal)) - i * h_c == target:
+            return (*apply_cg(K, normal), i)
         i = 1 if i == 0 else 2 * i
     raise RuntimeError(
         "no lifting multiplier found below the cap; the set is probably"
@@ -125,10 +194,11 @@ def _serialize_node(K: InequalitySystem, node: EnumNode):
     while True:
         try:
             value = support_value(current, a_r)
-        except EmptySet:
-            break
+        except EmptySet:  # the solver verified its Farkas certificate
+            return records, current
         if value < node.lo:
-            break
+            # support dropped below lo on a nonempty set: bounds were wrong
+            raise ValueError("enumerative proof does not refute the set")
         if value.denominator != 1:
             raise RuntimeError("support value not integral after a CG cut")
         b = int(value)
@@ -142,7 +212,3 @@ def _serialize_node(K: InequalitySystem, node: EnumNode):
         records.extend(lifted)
         current, record = apply_cg(current, a_r)
         records.append(record)
-    if is_empty(current) is None:
-        # support dropped below lo on a nonempty set: bounds were wrong
-        raise ValueError("enumerative proof does not refute the set")
-    return records, current

@@ -12,11 +12,13 @@ inequality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .simplex import InequalitySystem, Infeasible, Optimal, lp_optimize
+from .simplex import (
+    InequalitySystem, Infeasible, Optimal, _check_optimal, _weights, lp_optimize,
+)
 from .vectors import Scalar, Vector, parse_integer
 
 
@@ -44,13 +46,26 @@ class CgCut:
     """A Chvatal-Gomory cut record: normal a and rhs floor(h_K(a)).
 
     The rhs is None for the no-op cut produced by cutting an empty set.
+    A record that :func:`apply_cg` returns also keeps, out of its fields,
+    the ``Optimal`` of max a x over the cut set (``_optimal``) and the index
+    of the row that carries the cut in the new system (``_row``): appended,
+    tightened in place or already there.  Lifting reads them.
     """
 
     normal: Vector
     rhs: int | None
+    _optimal: Optional[Optimal] = field(default=None, init=False, repr=False, compare=False)
+    _row: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def is_noop(self) -> bool:
         return self.rhs is None
+
+    @classmethod
+    def _carrying(cls, a: Vector, rhs: int, optimal: Optimal, row: int) -> "CgCut":
+        out = cls(a, rhs)
+        object.__setattr__(out, "_optimal", optimal)
+        object.__setattr__(out, "_row", row)
+        return out
 
 
 def support_value(K: InequalitySystem, a: Vector) -> Fraction:
@@ -59,9 +74,14 @@ def support_value(K: InequalitySystem, a: Vector) -> Fraction:
     Raises :class:`EmptySet` if K is empty and :class:`UnboundedSet` if a x
     is unbounded above on K.
     """
+    return _support_optimum(K, a).value
+
+
+def _support_optimum(K: InequalitySystem, a: Vector) -> Optimal:
+    """The verified ``Optimal`` of max a x over K; raises as :func:`support_value`."""
     outcome = lp_optimize(K, a)
     if isinstance(outcome, Optimal):
-        return outcome.value
+        return outcome
     if isinstance(outcome, Infeasible):
         raise EmptySet("the set is empty")
     raise UnboundedSet(f"the set is unbounded along ({a.text()})")
@@ -71,25 +91,61 @@ def apply_cg(K: InequalitySystem, a: Vector) -> tuple[InequalitySystem, CgCut]:
     """Apply the CG cut induced by integer normal a: K -> K n {a x <= floor(h)}.
 
     On an empty K the set is returned unchanged with a no-op cut (matching
-    the h = -infinity convention).  A direction in which K is unbounded
-    raises :class:`UnboundedSet`.
+    the h = -infinity convention), with no LP once K's emptiness is known.
+    A direction in which K is unbounded raises :class:`UnboundedSet`.
     """
     if not a.is_integral():
         raise ValueError("CG cut normals must be integral")
+    if K._empty:  # a Farkas certificate of K is already verified
+        return K, CgCut(a, None)
     try:
-        rhs = math.floor(support_value(K, a))
+        optimal = _support_optimum(K, a)
     except EmptySet:
         return K, CgCut(a, None)
-    return _append_dominant(K, a, Fraction(rhs)), CgCut(a, rhs)
+    return _cut(K, a, optimal)
 
 
-def _append_dominant(K: InequalitySystem, a: Vector, b: Fraction) -> InequalitySystem:
-    """K n {a x <= b}, replacing an existing looser row with the same normal.
+def _apply_certified(
+    K: InequalitySystem, a: Vector, point: list[int], scale: int, nonzeros
+) -> tuple[InequalitySystem, CgCut]:
+    """:func:`apply_cg` of integer normal a from a given optimum, with no LP.
+
+    The optimum is the point ``point / scale`` and the dual multipliers
+    ``nonzeros``, ``(row, Fraction)`` pairs on K's rows.  It is checked in
+    integers on K's scaled rows, as the solver checks its own optima: every
+    multiplier >= 0, ``lam A = a``, the point feasible and ``a point = lam b``,
+    which is then ``h_K(a)``.  A failed check raises ``SolverError``.
+    """
+    weights, w_den = _weights(K, nonzeros)
+    common = math.lcm(w_den, scale)
+    weights = [(i, w * (common // w_den)) for i, w in weights]
+    point = [v * (common // scale) for v in point]
+    total = _check_optimal(K, a.as_ints(), point, weights, common)
+    optimal = Optimal._unbuilt(Fraction(total, common), point, common, weights,
+                               K._scaled_rows()[2], common)
+    return _cut(K, a, optimal)
+
+
+def _cut(K: InequalitySystem, a: Vector, optimal: Optimal
+         ) -> tuple[InequalitySystem, CgCut]:
+    rhs = math.floor(optimal.value)
+    system, row = _append_dominant(K, a, Fraction(rhs))
+    return system, CgCut._carrying(a, rhs, optimal, row)
+
+
+def _append_dominant(
+    K: InequalitySystem, a: Vector, b: Fraction
+) -> tuple[InequalitySystem, int]:
+    """K n {a x <= b}, replacing an existing looser row with the same normal,
+    and the index of the row that now carries ``a x <= b``.
 
     Set-equivalent to appending the row; keeps systems small when the same
     normal is cut repeatedly (as the serialization of enumerative proofs does).
-    The normal a is integral, so row i has normal a exactly when its scaled
-    nonzeros are those of sigma_i a, a comparison of integer tuples.
+    The row is the first with normal a, tightened in place through
+    ``with_rhs`` or, if its rhs is already <= b, kept as it is with K; or
+    else the appended row ``K.m``.  The normal a is integral, so row i has
+    normal a exactly when its scaled nonzeros are those of sigma_i a, a
+    comparison of integer tuples.
     """
     mat, _, sigmas = K._scaled_rows()
     target = tuple((j, e.numerator) for j, e in enumerate(a) if e)
@@ -100,9 +156,9 @@ def _append_dominant(K: InequalitySystem, a: Vector, b: Fraction) -> InequalityS
             want = scaled[sigma] = tuple((j, sigma * v) for j, v in target)
         if row == want:
             if K.rhs[i] <= b:
-                return K
-            return K.with_rhs(i, b)
-    return K.with_rows([(a, b)])
+                return K, i
+            return K.with_rhs(i, b), i
+    return K.with_rows([(a, b)]), K.m
 
 
 def apply_cg_list(

@@ -51,18 +51,19 @@ changes costs, so the basis stays dual feasible and phase 1 is skipped.  Else
 the last basis of the nearest system that keeps any, the system itself or an
 ancestor, is restarted for the objective by dual simplex (Lemke, with Bland's
 rule) and extended; an ancestor's must first have rows that are a prefix of
-the system's and a basis that a changed b has not made suboptimal, or the
-solve goes cold.  A kept basis is optimal for the costs -b whatever c is, and
-c only changes the basic values, so the dual simplex makes them feasible
-again; if it cannot, the primal is unbounded along c and the solve goes cold,
-which builds and checks the ray.  A start carries what its kept basis
-proves: the columns whose reduced costs are already <= 0 (a kept basis's
-rows, unless a changed b changed their costs), which phase 2's first scan
-skips, and the multipliers, which are built once per basis.  A restart on all
-of the system's rows is then optimal and skips phase 2; a wrong one leaves
-a positive reduced cost on some row i, which is ``A_i p > b_i |d|`` for the
-point p, and so fails the feasibility check of every optimum.  A
-pivot replaces the inverse's rows and never writes into them, so any number of
+the system's, or the solve goes cold; if a changed b has made its basis
+suboptimal, the restart runs on the costs the basis was kept for, and phase 2
+prices every column for the system's own.  A kept basis is optimal for the
+costs -b whatever c is, and c only changes the basic values, so the dual
+simplex makes them feasible again; if it cannot, the primal is unbounded along
+c and the solve goes cold, which builds and checks the ray.  A start carries
+what its kept basis proves: the columns whose reduced costs are already <= 0
+(a kept basis's rows, unless a changed b changed their costs), which phase 2's
+first scan skips, and the multipliers, which are built once per basis.  A
+restart on all of the system's rows is then optimal and skips phase 2; a wrong
+one leaves a positive reduced cost on some row i, which is ``A_i p > b_i |d|``
+for the point p, and so fails the feasibility check of every optimum.  A pivot
+replaces the inverse's rows and never writes into them, so any number of
 derived systems and objectives can start from one kept basis.  A basis whose
 phase 1 dropped a redundant equality is never kept, because added rows can
 make that equality matter again.
@@ -402,6 +403,13 @@ class Optimal:
             self._dual = Vector(entries)
         return self._dual
 
+    def _sparse(self) -> tuple[list[int], int, list[tuple[int, Fraction]]]:
+        """For an optimum built by ``_unbuilt``: the point as integers over
+        one scale, and the dual's nonzero ``(row, Fraction)`` pairs, without
+        building the dense Vectors."""
+        point, scale, weights, sigmas, w_den = self._parts
+        return point, scale, [(i, Fraction(sigmas[i] * w, w_den)) for i, w in weights]
+
     def __eq__(self, other):
         if type(other) is not Optimal:
             return NotImplemented
@@ -740,8 +748,10 @@ def _kept_start(system: InequalitySystem, key: _Key, c_int: list[int], raw: list
     extended, its columns priced by the dual simplex: the system's own,
     which is optimal for its costs, or an ancestor's, once its rows are
     checked to be a prefix of the system's and, where its b is not the
-    system's, its basis dual feasible for their costs.  A restart reuses the
-    kept multipliers wherever the costs are the kept ones.
+    system's, its basis dual feasible for their costs.  An ancestor's basis
+    that is not is restarted on the costs of its own b, and none of its
+    columns count as priced.  A restart reuses the kept multipliers wherever
+    the costs are the kept ones.
     """
     mat, rhs = system._scaled_rows()[:2]
     link, other = (system._tableaux, system._ancestry), None
@@ -764,7 +774,8 @@ def _kept_start(system: InequalitySystem, key: _Key, c_int: list[int], raw: list
         if tab.rhs != rhs[:start]:
             prices = tab.prices(costs)
             if tab._entering(costs, prices, False, 0)[0] is not None:
-                return None, 0
+                # optimal for its own b only: phase 2 then prices every column
+                costs, prices, start = [-v for v in tab.rhs] + raw[m:], tab.multipliers, 0
     tab = tab.restarted(c_int, costs, prices)
     if tab is None:
         return None, 0

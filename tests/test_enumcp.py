@@ -1,7 +1,9 @@
 """CG-cut lifting and the enumerative-to-cutting-plane serialization."""
 
 import hashlib
+import math
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -9,9 +11,11 @@ import pytest
 from branchproofs import enumcp
 from branchproofs.enumcp import enum_to_cp, lift_cg_sequence
 from branchproofs.families import TseitinInstance, tseitin_polytope, tseitin_sp_refutation
-from branchproofs.geometry import apply_cg, apply_cg_list, cuts_to_text, face, support_value
+from branchproofs.geometry import (
+    CgCut, apply_cg, apply_cg_list, cuts_to_text, face, support_value,
+)
 from branchproofs.prooftree import EnumNode, verify_enumerative_proof
-from branchproofs.simplex import InequalitySystem, is_empty
+from branchproofs.simplex import InequalitySystem, Optimal, SolverError, is_empty
 from branchproofs.vectors import Vector
 
 from oracles import integer_points_in_box
@@ -34,13 +38,25 @@ def diagonal_segment():
     )
 
 
-def lift(K, c, normals):
-    """The lifted records of ``normals`` applied in turn to ``face(K, c)``."""
+def face_records(K, c, normals):
+    """The records of ``normals`` applied in turn to ``face(K, c)``."""
     face_set, records = face(K, c), []
     for a in normals:
         face_set, record = apply_cg(face_set, a)
         records.append(record)
-    return lift_cg_sequence(K, c, records)[1]
+    return records
+
+
+def lift(K, c, normals):
+    """The lifted records of ``normals`` applied in turn to ``face(K, c)``.
+
+    Their hand-built twins ``CgCut(a, rhs)``, which carry no face optimum,
+    must lift by the search of solves alone to the same cuts."""
+    records = face_records(K, c, normals)
+    lifted = lift_cg_sequence(K, c, records)[1]
+    searched = lift_cg_sequence(K, c, [CgCut(r.normal, r.rhs) for r in records])[1]
+    assert lifted == searched  # normals and rhs
+    return lifted
 
 
 def test_lift_cg_cut_zero_multiplier():
@@ -86,6 +102,147 @@ def test_lift_preserves_face_trace():
             assert lhs.contains(point) == rhs.contains(point)
 
 
+def count_certified(monkeypatch) -> list:
+    """Every certified lift from here on, as ``(system, normal, record)``."""
+    certified, real = [], enumcp._apply_certified
+
+    def counted(K, a, *rest):
+        system, record = real(K, a, *rest)
+        certified.append((K, a, record))
+        return system, record
+
+    monkeypatch.setattr(enumcp, "_apply_certified", counted)
+    return certified
+
+
+def assert_cold_values(certified):
+    """Each certified value is the support value a cold twin solves."""
+    for K, a, record in certified:
+        cold = InequalitySystem(K.matrix, K.rhs, n=K.n)
+        assert record._optimal.value == support_value(cold, a)
+        assert record.rhs == math.floor(record._optimal.value)
+
+
+def test_hand_built_records_lift_by_the_search(monkeypatch):
+    """Records without a carried optimum are lifted by solves alone; the
+    records apply_cg returns are certified on the same cases."""
+    certified = count_certified(monkeypatch)
+    cases = [(horizontal_segment(), Vector([1, 0]), [Vector([0, 1])]),
+             (diagonal_segment(), Vector([1, 0]), [Vector([0, -1])]),
+             (InequalitySystem.box(2, 0, 1), Vector([0, 0]), [Vector([1, 1])])]
+    for K, c, normals in cases:
+        bare = [CgCut(r.normal, r.rhs) for r in face_records(K, c, normals)]
+        lift_cg_sequence(K, c, bare)
+    assert certified == []
+    for K, c, normals in cases:
+        lift_cg_sequence(K, c, face_records(K, c, normals))
+    assert len(certified) == len(cases)
+    assert_cold_values(certified)
+
+
+def with_optimal(record, optimal):
+    return CgCut._carrying(record.normal, record.rhs, optimal, record._row)
+
+
+def test_tampered_carried_certificate_raises(monkeypatch):
+    """A carried dual with one multiplier halved, or a carried point moved
+    off K, fails the integer check of the certified lift."""
+    K, c = diagonal_segment(), Vector([1, 0])
+    (record,) = face_records(K, c, [Vector([0, -1])])
+    opt = record._optimal
+    point, scale, weights, sigmas, w_den = opt._parts
+    certified = count_certified(monkeypatch)
+    assert lift_cg_sequence(K, c, [record])[1][0].normal == Vector([1, -1])
+    assert len(certified) == 1 and len(weights) == 2
+    for row, _ in weights:  # sigma_i w_i / w_den on row i: halve one
+        halved = [(i, w if i == row else 2 * w) for i, w in weights]
+        tampered = Optimal._unbuilt(opt.value, point, scale, halved, sigmas, 2 * w_den)
+        assert sum(a != b for a, b in zip(tampered.dual, opt.dual)) == 1
+        with pytest.raises(SolverError):
+            lift_cg_sequence(K, c, [with_optimal(record, tampered)])
+    moved = Optimal._unbuilt(opt.value, [v + scale for v in point], scale, weights,
+                             sigmas, w_den)
+    assert not K.contains(moved.point)
+    with pytest.raises(SolverError):
+        lift_cg_sequence(K, c, [with_optimal(record, moved)])
+
+
+def test_lift_row_map_through_a_row_tightened_on_the_face(monkeypatch):
+    """The face tightens its row 2 in place while K appends the lifted cut,
+    so face row 2 maps to K's new row with the cut's multiplier; a later
+    face cut whose dual uses face row 2 is certified through that map."""
+    K = InequalitySystem([[1, 0], [-1, 0], [0, 1], [2, 2], [0, -1]],
+                         [1, 0, Fraction(5, 2), 5, 0])
+    c = Vector([1, 0])
+    F0 = face(K, c)
+    F1, first = apply_cg(F0, Vector([0, 1]))
+    assert first._row == 2 and F1.m == F0.m and F1.rhs[2] == 1  # tightened in place
+    _, second = apply_cg(F1, Vector([0, 1]))
+    assert second._row == 2 and list(second._optimal.dual) == [0, 0, 1, 0, 0, 0, 0]
+    certified = count_certified(monkeypatch)
+    after, lifted = lift_cg_sequence(K, c, [first, second])
+    assert [r.normal for r in lifted] == [Vector([1, 1]), Vector([1, 1])]
+    assert lifted[0]._row == K.m and after.m == K.m + 1  # appended on K
+    assert lifted[1]._row == K.m and after.rhs[K.m] == 2  # dominated by it
+    assert [a for _, a, _ in certified] == [Vector([1, 1]), Vector([1, 1])]
+    assert_cold_values(certified)
+
+
+def test_certified_lifts_match_cold_solves(monkeypatch):
+    """On seeded random polytopes and proofs, every certified lift's value
+    is the support value of a cold twin of its system."""
+    certified = count_certified(monkeypatch)
+    rng = Random(90)
+    for _ in range(25):
+        K = random_integer_free_polytope(rng, 2)
+        c = Vector([rng.randint(-2, 2), rng.randint(-2, 2)])
+        if c.is_zero() or support_value(K, c).denominator != 1:
+            continue
+        normals = [Vector([rng.randint(-2, 2), rng.randint(-2, 2)])
+                   for _ in range(rng.randint(1, 3))]
+        lift(K, c, normals)
+    rng = Random(47)
+    for _ in range(10):
+        K = random_integer_free_polytope(rng, rng.randint(2, 3))
+        enum_to_cp(K, random_enumerative_proof(rng, K))
+    assert len(certified) > 20
+    assert_cold_values(certified)
+
+
+# (certified lifts, search solves) of k4's enum_to_cp
+CERTIFIED_K4_PIN = (28, 15)
+
+
+def test_k4_lifts_are_certified(monkeypatch):
+    """k4's enum_to_cp makes 34 searches; before certified lifts they solved
+    43 support values, now most end at a certificate with no LP."""
+    inst = TseitinInstance.from_text(
+        (Path(__file__).resolve().parent.parent / "instances" / "k4.graph").read_text())
+    counts = {"searches": 0, "solves": 0}
+    searching = []
+    real_search, real_support = enumcp._search_multiplier, enumcp.support_value
+
+    def search(*args):
+        counts["searches"] += 1
+        searching.append(True)
+        try:
+            return real_search(*args)
+        finally:
+            searching.pop()
+
+    def support(*args):
+        counts["solves"] += bool(searching)
+        return real_support(*args)
+
+    monkeypatch.setattr(enumcp, "_search_multiplier", search)
+    monkeypatch.setattr(enumcp, "support_value", support)
+    certified = count_certified(monkeypatch)
+    enum_to_cp(tseitin_polytope(inst), tseitin_sp_refutation(inst))
+    assert counts["searches"] == 34
+    assert 0 < len(certified) and counts["solves"] < 43
+    assert (len(certified), counts["solves"]) == CERTIFIED_K4_PIN
+
+
 def test_lift_sequence_trivial_cases():
     K = horizontal_segment()
     current, lifted = lift_cg_sequence(K, Vector([1, 0]), [])
@@ -128,6 +285,10 @@ def test_enum_to_cp_invalid_proof_raises():
                              (1, EnumNode(leaf_kind="empty"))))
     with pytest.raises(ValueError):
         enum_to_cp(K, bad)
+    # the push-down leaves 1/2 <= x <= 2, below lo = 3 but not empty
+    K = InequalitySystem.box(1, Fraction(1, 2), Fraction(5, 2))
+    with pytest.raises(ValueError, match="does not refute"):
+        enum_to_cp(K, EnumNode(a=Vector([1]), lo=3, hi=3))
 
 
 def test_enum_to_cp_random_bound_and_emptiness():

@@ -107,7 +107,8 @@ def test_apply_cg_list_examples():
 
 def test_append_dominant_replaces_the_first_row_with_the_normal():
     """The scaled-row lookup finds the first row equal to a, whatever its
-    scale, and no row that is only a multiple of a."""
+    scale, and no row that is only a multiple of a; the row it reports
+    carries the cut: appended, tightened in place, or already dominating."""
     rng = Random(808)
     normals = [Vector(v) for v in ([1, 1], [2, 2], [Fraction(1, 2), Fraction(1, 2)],
                                    [1, 0], [0, -1], [1, -1])]
@@ -119,14 +120,16 @@ def test_append_dominant_replaces_the_first_row_with_the_normal():
         b = Fraction(rng.randint(-3, 3))
         first = next((i for i, row in enumerate(K.matrix) if row == a), None)
         if first is None:
-            expected = list(rows) + [(a, b)]
+            expected, carrier = list(rows) + [(a, b)], len(rows)
         elif K.rhs[first] <= b:
-            expected = list(rows)
+            expected, carrier = list(rows), first
         else:
-            expected = list(rows)
+            expected, carrier = list(rows), first
             expected[first] = (a, b)
-        result = _append_dominant(K, a, b)
+        result, row = _append_dominant(K, a, b)
         assert list(result.rows()) == expected
+        assert row == carrier and result.matrix[row] == a and result.rhs[row] <= b
+        assert (result is K) == (first is not None and K.rhs[first] <= b)
 
 
 def test_apply_cg_result_is_subset():
