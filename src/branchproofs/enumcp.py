@@ -33,7 +33,8 @@ LP, and its record carries that certificate up to the next level.  The
 multiplier is the one the search by solves alone finds.  Support values
 here must be finite, else :func:`support_value` raises ``EmptySet`` or
 ``UnboundedSet``; only a CG cut (a no-op) and the push-down loop (which
-stops) take an empty set as an answer.
+stops) take an empty set as an answer.  Only K itself is tested empty:
+every other node's set is a face at a finite support value, so nonempty.
 """
 
 from __future__ import annotations
@@ -150,8 +151,10 @@ def enum_to_cp(K: InequalitySystem, proof: EnumNode) -> list[Vector]:
 
     The returned list has length at most 2|T| - 1 and satisfies
     ``apply_cg_list(K, cuts)`` empty; an input proof that fails to refute the
-    set raises ``ValueError``.
+    set raises ``ValueError``.  An empty K takes no cut.
     """
+    if is_empty(K) is not None:
+        return []
     records, final = _serialize(K, proof)
     if is_empty(final) is None:
         raise ValueError("enumerative proof does not refute the set")
@@ -181,10 +184,8 @@ def _serialize(K: InequalitySystem, root: EnumNode):
 
 
 def _serialize_node(K: InequalitySystem, node: EnumNode):
-    if is_empty(K) is not None:
-        return [], K
+    # K is nonempty: enum_to_cp tested the root, and each face is nonempty
     if node.a is None:
-        # an unlabeled leaf over a nonempty set: the proof is invalid
         raise ValueError("empty leaf reached with a nonempty relaxation")
     a_r = node.a
     children = dict(node.children)

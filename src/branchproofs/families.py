@@ -75,12 +75,16 @@ class TseitinInstance:
         rows = [ln.split() for ln in text.splitlines() if ln.strip()]
         if not rows:
             raise ValueError("empty graph description")
-        if len(rows[0]) < 2:
-            raise ValueError("first line must be 'V E'")
-        nv, ne = parse_integer(rows[0][0]), parse_integer(rows[0][1])
+
+        def pair(row, form):
+            if len(row) != 2:
+                raise ValueError(f"{form} must be two integers, found '{' '.join(row)}'")
+            return parse_integer(row[0]), parse_integer(row[1])
+
+        nv, ne = pair(rows[0], "first line 'V E'")
         if len(rows) != ne + 2:
             raise ValueError(f"expected {ne} edge lines plus a parity line")
-        edges = tuple((parse_integer(u), parse_integer(v)) for u, v in rows[1 : ne + 1])
+        edges = tuple(pair(row, "edge line 'u v'") for row in rows[1 : ne + 1])
         parities = tuple(parse_integer(p) for p in rows[ne + 1])
         return TseitinInstance(nv, edges, parities)
 
@@ -140,29 +144,25 @@ def tseitin_sp_refutation(inst: TseitinInstance) -> EnumNode:
     contradicting.  A singleton set finishes with a complete branching tree
     over its incident edge variables, where every fully pinned assignment
     violates a parity clause.  Children are created for every integer in the
-    exact LP range of the branched functional; empty children become leaves.
+    exact LP range of the branched functional, each nonempty by convexity,
+    so only K is tested empty (and then refuted by one unlabeled leaf).
     """
     K = tseitin_polytope(inst)
     if is_empty(K) is not None:
-        return EnumNode(leaf_kind="empty")
+        return EnumNode()
     vertices = tuple(range(inst.num_vertices))
     return _expand_set(inst, K, vertices, 0)
 
 
 def _branch(system: InequalitySystem, functional: Vector, continuation) -> EnumNode:
-    """One enumerative node on `functional` with a child per feasible integer."""
+    """One enumerative node on `functional` with a child per integer in range."""
     hi = support_value(system, functional)
     lo = -support_value(system, -functional)
-    children = []
-    b = math.ceil(lo)
-    while b <= math.floor(hi):
-        child_system = system.with_equality(functional, b)
-        if is_empty(child_system) is not None:
-            children.append((b, EnumNode(leaf_kind="empty")))
-        else:
-            children.append((b, continuation(child_system, b)))
-        b += 1
-    return EnumNode(a=functional, lo=lo, hi=hi, children=tuple(children))
+    children = tuple(
+        (b, continuation(system.with_equality(functional, b), b))
+        for b in range(math.ceil(lo), math.floor(hi) + 1)
+    )
+    return EnumNode(a=functional, lo=lo, hi=hi, children=children)
 
 
 def _expand_set(inst, system, contradicting, boundary_value: int) -> EnumNode:
@@ -273,14 +273,13 @@ class SplitCutReport:
     certificate: FarkasCertificate | None
 
 
-def qn_split_refutation(n: int, cut_rhs: Fraction = Fraction(1, 2)) -> SplitCutReport:
-    """Check that y_i >= cut_rhs is a split cut of qn_polytope for every i
+def qn_split_refutation(n: int) -> SplitCutReport:
+    """Check that y_i >= 1/2 is a split cut of qn_polytope for every i
     (valid on both sides of the disjunction x_i <= 0 or x_i >= 1) and that
     adding all n cuts makes the system Farkas-certified empty.
-
-    The default cut_rhs 1/2 succeeds; larger values demonstrate failure.
     """
     Q = qn_polytope(n)
+    cut_rhs = Fraction(1, 2)
     dim = Q.n
     failures: list[str] = []
     for i in range(n):

@@ -14,13 +14,14 @@ Two tree shapes are modeled:
   with no children claims the bounds contain no integer (``floor(hi) < lo``);
   an unlabeled leaf claims its relaxation is empty.
 
-Verification runs one exact LP per node: a child's relaxation is its
-parent's plus the edge's rows (:func:`_relaxations`), so each solve
-warm-starts from the parent's optimal tableau.  Reports list failures in
-depth-first (path-sorted) order, so the result is deterministic.  Every pass
-over a tree runs on an explicit stack -- :func:`walk` for verifying,
-certifying, counting and writing, the parsers' own for reading -- so a proof
-may nest deeper than Python's recursion limit.
+Verification decides each node's emptiness once, by one exact LP or, at a
+labeled enumerative node, by the support LPs of its range.  A child's
+relaxation is its parent's plus the edge's rows (:func:`_relaxations`), so
+each solve warm-starts from the parent's optimal tableau.  Reports list
+failures in depth-first (path-sorted) order, so the result is deterministic.
+Every pass over a tree runs on an explicit stack -- :func:`walk` for
+verifying, certifying, counting and writing, the parsers' own for reading --
+so a proof may nest deeper than Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .simplex import (
     is_empty,
     lp_optimize,
 )
-from .geometry import UnboundedSet, support_value
+from .geometry import EmptySet, UnboundedSet, support_value
 from .vectors import Vector, bit_size, format_rational, parse_rational, sparse_bit_size
 
 
@@ -135,24 +136,21 @@ class BranchNode(_TreeNode):
 class EnumNode(_TreeNode):
     """A node of an enumerative proof.
 
-    ``a is None`` marks an unlabeled leaf (``leaf_kind`` "empty", its only
-    kind), which claims its relaxation is empty; otherwise the node carries
-    direction/bounds and children keyed by the branched integer value.  A
-    labeled childless node is the integer-free-interval leaf.
+    ``a is None`` marks an unlabeled leaf, ``EnumNode()``, which claims its
+    relaxation is empty; otherwise the node carries direction/bounds and
+    children keyed by the branched integer value.  A labeled childless node
+    is the integer-free-interval leaf.
     """
 
     a: Vector | None = None
     lo: Fraction | None = None
     hi: Fraction | None = None
     children: tuple[tuple[int, "EnumNode"], ...] = ()
-    leaf_kind: str | None = None
 
     def __post_init__(self):
         if self.a is None:
             if self.children:
                 raise ValueError("unlabeled leaves cannot have children")
-            if self.leaf_kind != "empty":
-                raise ValueError("unlabeled leaves must be 'empty'")
         else:
             if not self.a.is_integral() or self.a.is_zero():
                 raise ValueError("branching directions must be nonzero integral")
@@ -160,8 +158,6 @@ class EnumNode(_TreeNode):
                 raise ValueError("labeled nodes need bounds")
             object.__setattr__(self, "lo", Fraction(self.lo))
             object.__setattr__(self, "hi", Fraction(self.hi))
-            if self.leaf_kind is not None:
-                raise ValueError("labeled nodes carry no leaf kind")
             object.__setattr__(
                 self, "children", tuple(sorted(self.children, key=lambda kv: kv[0]))
             )
@@ -184,8 +180,7 @@ class EnumNode(_TreeNode):
 
     def _fields(self) -> tuple:
         values = tuple(b for b, _ in self.children)
-        return (("a", self.a), ("lo", self.lo), ("hi", self.hi),
-                ("values", values), ("leaf_kind", self.leaf_kind))
+        return (("a", self.a), ("lo", self.lo), ("hi", self.hi), ("values", values))
 
     def _label_size(self) -> tuple[int, int]:
         """The bits of ``(a, lo, hi)`` and of the edge integers, and the
@@ -343,8 +338,9 @@ def verify_enumerative_proof(K: InequalitySystem, proof: EnumNode) -> Report:
     At every labeled node with nonempty relaxation, the exact min/max of
     ``a x`` must lie within ``[lo, hi]`` and a child must exist for every
     integer in that interval (one failure per run of missing values);
-    childless labeled nodes must satisfy ``floor(hi) < lo``.  Unlabeled
-    leaves must have empty relaxations.
+    childless labeled nodes must satisfy ``floor(hi) < lo``.  A labeled
+    node's relaxation is empty when its support LPs raise ``EmptySet``.
+    Unlabeled leaves must have empty relaxations.
     The subtree of a node unbounded in its direction is not checked.
     """
     failures: list[str] = []
@@ -360,35 +356,37 @@ def verify_enumerative_proof(K: InequalitySystem, proof: EnumNode) -> Report:
             if is_empty(system) is None:
                 failures.append(f"{where}: leaf relaxation is nonempty{_witness(system)}")
             continue
-        if is_empty(system) is None:
-            try:
-                hi_val = support_value(system, node.a)
-                lo_val = -support_value(system, -node.a)
-            except UnboundedSet:
-                failures.append(f"{where}: relaxation unbounded in the direction")
-                pruned = len(path)
-                continue
-            if lo_val < node.lo or hi_val > node.hi:
-                # the point attaining an escaping end, from its memoized solve
-                end = node.a if hi_val > node.hi else -node.a
-                failures.append(
-                    f"{where}: range [{lo_val}, {hi_val}] escapes bounds"
-                    f" [{node.lo}, {node.hi}]" + _witness_text(lp_optimize(system, end).point)
-                )
-            if not node.children and math.floor(node.hi) >= node.lo:
-                failures.append(
-                    f"{where}: nonempty leaf whose bounds contain an integer"
-                    + _witness(system)
-                )
-            if node.children:
-                b, top = math.ceil(node.lo), math.floor(node.hi)
-                present = sorted({v for v, _ in node.children if b <= v <= top})
-                for v in present + [top + 1]:
-                    if v == b + 1:
-                        failures.append(f"{where}: missing child for b={b}")
-                    elif v > b:
-                        failures.append(f"{where}: missing children for b={b}..{v - 1}")
-                    b = v + 1
+        try:
+            hi_val = support_value(system, node.a)
+            lo_val = -support_value(system, -node.a)
+        except EmptySet:
+            continue
+        except UnboundedSet:
+            failures.append(f"{where}: relaxation unbounded in the direction")
+            pruned = len(path)
+            continue
+        if lo_val < node.lo or hi_val > node.hi:
+            # the point attaining an escaping end, from its memoized solve
+            end = node.a if hi_val > node.hi else -node.a
+            failures.append(
+                f"{where}: range [{lo_val}, {hi_val}] escapes bounds"
+                f" [{node.lo}, {node.hi}]" + _witness_text(lp_optimize(system, end).point)
+            )
+        if not node.children and math.floor(node.hi) >= node.lo:
+            # the maximizer of a x, from its memoized solve
+            failures.append(
+                f"{where}: nonempty leaf whose bounds contain an integer"
+                + _witness_text(lp_optimize(system, node.a).point)
+            )
+        if node.children:
+            b, top = math.ceil(node.lo), math.floor(node.hi)
+            present = sorted({v for v, _ in node.children if b <= v <= top})
+            for v in present + [top + 1]:
+                if v == b + 1:
+                    failures.append(f"{where}: missing child for b={b}")
+                elif v > b:
+                    failures.append(f"{where}: missing children for b={b}..{v - 1}")
+                b = v + 1
     return Report(valid=not failures, failures=tuple(failures))
 
 
@@ -630,7 +628,7 @@ def parse_enumerative(text: str) -> EnumNode:
             if tokens[pos:pos + 1] != ["empty"]:
                 raise ValueError("an enumerative leaf is (eleaf empty); an integer-free"
                                  " interval is a childless (enode (a_1 ... a_n) lo hi)")
-            built.append(EnumNode(leaf_kind="empty"))
+            built.append(EnumNode())
             pos = _close(tokens, pos + 1)
         finished = tag == "eleaf"  # a subtree closed, so its child group closes next
         while open_nodes:

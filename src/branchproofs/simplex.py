@@ -120,7 +120,7 @@ class InequalitySystem:
         self.matrix: tuple[Vector, ...] = rows
         self.n = n
         self._scaled = None
-        self._empty: bool | None = None
+        self._empty: FarkasCertificate | bool | None = None
         self._outcomes: dict[tuple[Fraction, ...], LpOutcome] = {}
         # final tableaux of optimal solves, by objective, for derived systems
         # to warm-start from; a derived system links to its parent's as
@@ -445,16 +445,14 @@ def lp_optimize(system: InequalitySystem, c: Vector) -> LpOutcome:
 
 
 def is_empty(system: InequalitySystem) -> Optional[FarkasCertificate]:
-    """A verified Farkas certificate iff the system is empty, else None."""
-    if system._empty is False:
-        return None
-    if system._empty is None and all(b >= 0 for b in system.rhs):
-        system._empty = False  # x = 0 is feasible
-        return None
-    res = _solve_max(system, Vector.zero(system.n))
-    if isinstance(res, Infeasible):
-        return res.certificate
-    return None
+    """A verified Farkas certificate iff the system is empty, else None; with
+    no LP once a solve on the system has decided it."""
+    if system._empty is None:
+        if all(b >= 0 for b in system.rhs):
+            system._empty = False  # x = 0 is feasible
+        else:
+            _solve_max(system, Vector.zero(system.n))  # sets system._empty
+    return system._empty or None
 
 
 def reduce_certificate(
@@ -824,7 +822,7 @@ def _solve_verified(system: InequalitySystem, c: Vector, key: _Key) -> LpOutcome
             failure = "more than n+1 nonzero multipliers"
         if failure is not None:
             raise SolverError(f"dual ray is no Farkas certificate: {failure}")
-        system._empty = True
+        system._empty = cert
         return Infeasible(cert)
 
     # the optimum in the tableau's integers: the point is p / |d|, the dual

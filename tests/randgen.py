@@ -114,7 +114,7 @@ def random_enumerative_proof(rng: Random, system: InequalitySystem) -> EnumNode:
         while b <= math.floor(hi):
             child = current.with_equality(a, b)
             if is_empty(child) is not None:
-                children.append((b, EnumNode(leaf_kind="empty")))
+                children.append((b, EnumNode()))
             else:
                 children.append((b, build(child)))
             b += 1

@@ -365,6 +365,10 @@ def contract_cases(depth):
          {"k.ineq": SEGMENT, "p.proof": "(node (1 0) (leaf (cert 1/0 1 1)) (leaf (cert 1 0 1)))"},
          ["verify", "certified", "k.ineq", "p.proof"], 2),
         ("one-token graph header", {"g.graph": "3\n"}, ["gen-tseitin", "g.graph"], 2),
+        ("three-token graph header", {"g.graph": "3 3 junk\n" + TRIANGLE.split("\n", 1)[1]},
+         ["gen-tseitin", "g.graph"], 2),
+        ("three-token edge line", {"g.graph": "3 3\n0 1 2\n1 2\n0 2\n1 0 0\n"},
+         ["gen-tseitin", "g.graph"], 2),
         ("deep verify branching", {"k.ineq": SEGMENT, "p.proof": chain},
          ["verify", "branching", "k.ineq", "p.proof"], 0),
         ("deep certify", {"k.ineq": SEGMENT, "p.proof": chain},

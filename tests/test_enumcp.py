@@ -209,8 +209,10 @@ def test_certified_lifts_match_cold_solves(monkeypatch):
     assert_cold_values(certified)
 
 
-# (certified lifts, search solves) of k4's enum_to_cp
-CERTIFIED_K4_PIN = (28, 15)
+# (certified lifts, search solves) of k4's enum_to_cp; the face LP is dual
+# degenerate, so the warm-start basis picks which optimal dual, and so which
+# i*, a lift sees, while the multipliers and cuts stay the same
+CERTIFIED_K4_PIN = (27, 16)
 
 
 def test_k4_lifts_are_certified(monkeypatch):
@@ -243,6 +245,35 @@ def test_k4_lifts_are_certified(monkeypatch):
     assert (len(certified), counts["solves"]) == CERTIFIED_K4_PIN
 
 
+def test_grid3x3_chain_tests_emptiness_only_at_the_root(monkeypatch):
+    """grid3x3's generator and enum_to_cp solve the zero-objective LP of
+    ``is_empty`` on K alone, and its verifier on no node: every node below
+    the root is nonempty by convexity, and the verifier reads a labeled
+    node's emptiness from its support LPs (the proof has no unlabeled leaf).
+    They solved 47, 47 and 32 such LPs while each node was tested by one of
+    its own."""
+    from branchproofs import simplex
+
+    inst = TseitinInstance.from_text(
+        (Path(__file__).resolve().parent.parent / "instances" / "grid3x3.graph").read_text())
+    zero_solves = []
+    solve = simplex._solve_verified
+
+    def counted_solve(system, c, key):
+        zero_solves[-1] += c.is_zero()
+        return solve(system, c, key)
+
+    monkeypatch.setattr(simplex, "_solve_verified", counted_solve)
+    zero_solves.append(0)
+    proof = tseitin_sp_refutation(inst)
+    zero_solves.append(0)
+    assert verify_enumerative_proof(tseitin_polytope(inst), proof).valid
+    zero_solves.append(0)
+    enum_to_cp(tseitin_polytope(inst), proof)
+    generator, verifier, serializer = zero_solves
+    assert generator <= 1 and verifier == 0 and serializer <= 1
+
+
 def test_lift_sequence_trivial_cases():
     K = horizontal_segment()
     current, lifted = lift_cg_sequence(K, Vector([1, 0]), [])
@@ -254,7 +285,7 @@ def test_lift_sequence_trivial_cases():
 
 def test_enum_to_cp_empty_set():
     empty = InequalitySystem([[1, 0], [-1, 0]], [0, -1])
-    proof = EnumNode(leaf_kind="empty")
+    proof = EnumNode()
     assert enum_to_cp(empty, proof) == []
 
 
@@ -281,8 +312,7 @@ def test_enum_to_cp_three_node_trace():
 def test_enum_to_cp_invalid_proof_raises():
     K = InequalitySystem.box(1, 0, 1)  # contains integers: not refutable
     bad = EnumNode(a=Vector([1]), lo=0, hi=1,
-                   children=((0, EnumNode(leaf_kind="empty")),
-                             (1, EnumNode(leaf_kind="empty"))))
+                   children=((0, EnumNode()), (1, EnumNode())))
     with pytest.raises(ValueError):
         enum_to_cp(K, bad)
     # the push-down leaves 1/2 <= x <= 2, below lo = 3 but not empty

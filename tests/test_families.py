@@ -43,6 +43,17 @@ def test_graph_text_round_trip():
     assert TseitinInstance.from_text(inst.to_text()) == inst
 
 
+@pytest.mark.parametrize("text, message", [
+    ("3 3 junk\n0 1\n1 2\n0 2\n1 0 0\n", "first line 'V E' must be two integers, found '3 3 junk'"),
+    ("3 3\n0 1 2\n1 2\n0 2\n1 0 0\n", "edge line 'u v' must be two integers, found '0 1 2'"),
+    ("3 3\n0 1\n1\n0 2\n1 0 0\n", "edge line 'u v' must be two integers, found '1'"),
+])
+def test_graph_reader_names_the_bad_line(text, message):
+    """A header is exactly 'V E' and an edge line exactly two integers."""
+    with pytest.raises(ValueError, match=message):
+        TseitinInstance.from_text(text)
+
+
 def test_triangle_polytope_shape():
     K = tseitin_polytope(triangle())
     assert K.n == 3
@@ -172,15 +183,21 @@ def test_qn_examples():
             assert not P.contains(x)
 
 
-def test_qn_split_refutation():
+def test_qn_split_refutation(monkeypatch):
     for n in (2, 4):
         report = qn_split_refutation(n)
         assert report.valid
         assert report.certificate is not None
 
-    tampered = qn_split_refutation(4, cut_rhs=Fraction(3, 4))
-    assert not tampered.valid
+    # on the cube [0,1]^(2n) in place of Q_n, y_i >= 1/2 is no split cut and
+    # the cut cube stays nonempty: the report names both faults
+    from branchproofs import families
+
+    monkeypatch.setattr(families, "qn_polytope", lambda n: InequalitySystem.box(2 * n, 0, 1))
+    tampered = qn_split_refutation(4)
+    assert not tampered.valid and tampered.certificate is None
     assert any("x_0 <= 0" in f for f in tampered.side_failures)
+    assert "augmented system is still feasible" in tampered.side_failures
 
 
 def test_thin_segment_examples():

@@ -100,7 +100,7 @@ def test_witnesses_lie_in_their_leaf_relaxations(monkeypatch):
         # cut the proof short: every child of the root becomes an "empty"
         # leaf or a childless node whose bounds hold an integer
         children = tuple(
-            (b, EnumNode(leaf_kind="empty") if rng.random() < 0.5 or child.a is None
+            (b, EnumNode() if rng.random() < 0.5 or child.a is None
              else EnumNode(a=child.a, lo=math.floor(child.lo), hi=math.ceil(child.hi)))
             for b, child in enum_proof.children
         )
@@ -328,7 +328,7 @@ def test_verify_enumerative_missing_child():
     K = InequalitySystem.box(1, 0, 1)
     node = EnumNode(
         a=Vector([1]), lo=0, hi=1,
-        children=((1, EnumNode(leaf_kind="empty")),),
+        children=((1, EnumNode()),),
     )
     report = verify_enumerative_proof(K, node)
     assert not report.valid
@@ -339,7 +339,7 @@ def test_verify_enumerative_missing_runs():
     """One failure per maximal run of missing values; children outside the
     bounds fill none."""
     K = InequalitySystem.box(1, 0, 6)
-    empty = EnumNode(leaf_kind="empty")
+    empty = EnumNode()
     node = EnumNode(
         a=Vector([1]), lo=0, hi=6,
         children=((-1, empty), (1, empty), (4, empty), (9, empty)),
@@ -355,14 +355,14 @@ def test_verify_enumerative_missing_runs():
 
 def test_verify_enumerative_bad_empty_leaf():
     K = InequalitySystem.box(1, 0, 1)
-    report = verify_enumerative_proof(K, EnumNode(leaf_kind="empty"))
+    report = verify_enumerative_proof(K, EnumNode())
     assert not report.valid
 
 
 def test_unlabeled_gap_leaf_is_unverifiable():
     """An integer-free interval is a childless labeled node; an unlabeled
-    leaf of any kind but "empty" is neither built nor read."""
-    with pytest.raises(ValueError, match="must be 'empty'"):
+    leaf has no kind to name, and one of any kind but "empty" is not read."""
+    with pytest.raises(TypeError):
         EnumNode(leaf_kind="gap")
     with pytest.raises(ValueError, match=r"childless \(enode"):
         parse_enumerative("(eleaf gap)")
@@ -381,7 +381,7 @@ def test_enumerative_to_branching_equivalence():
     K = InequalitySystem.box(1, 0, 1)
     missing = EnumNode(
         a=Vector([1]), lo=0, hi=1,
-        children=((1, EnumNode(leaf_kind="empty")),),
+        children=((1, EnumNode()),),
     )
     assert not verify_branching_proof(K, enumerative_to_branching(missing)).valid
 
@@ -473,11 +473,11 @@ def test_enumerative_round_trip():
     K = random_integer_free_polytope(rng, 2)
     proof = random_enumerative_proof(rng, K)
     assert parse_enumerative(format_enumerative(proof)) == proof
-    assert parse_enumerative("(eleaf empty)") == EnumNode(leaf_kind="empty")
+    assert parse_enumerative("(eleaf empty)") == EnumNode()
 
 
 def enum_chain(depth: int, hi: int = 0) -> EnumNode:
-    node = EnumNode(leaf_kind="empty")
+    node = EnumNode()
     for _ in range(depth):
         node = EnumNode(a=Vector([1, 0]), lo=0, hi=hi, children=((0, node),))
     return node
@@ -503,7 +503,7 @@ def test_deep_trees_compare_hash_and_print():
     assert enum_chain(1) != branch_chain(1)
     assert repr(enum_chain(1)) == (
         "EnumNode(a=Vector((1, 0)), lo=Fraction(0, 1), hi=Fraction(0, 1),"
-        " values=(0,), leaf_kind=None, children=1)"
+        " values=(0,), children=1)"
     )
     assert repr(BranchNode()) == "BranchNode(a=None, b=None, cert=None, children=0)"
 

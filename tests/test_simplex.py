@@ -803,6 +803,16 @@ def test_warm_start_into_empty_child_gives_farkas_certificate(monkeypatch):
     assert isinstance(lp_optimize(cold_twin(child), c), Infeasible)
 
 
+def test_is_empty_returns_the_certificate_a_solve_verified(monkeypatch):
+    """A system a solve found empty answers is_empty with that solve's
+    certificate, with no LP of its own."""
+    K = InequalitySystem.box(2, 0, 1).with_rows([(Vector([1, 1]), Fraction(-1, 2))])
+    outcome = lp_optimize(K, Vector([1, -1]))
+    assert isinstance(outcome, Infeasible)
+    monkeypatch.setattr(simplex, "_solve_verified", lambda *args: pytest.fail("solved again"))
+    assert is_empty(K) is outcome.certificate
+
+
 def test_fresh_import_frees_the_old_modules():
     """A freshly imported package leaves nothing holding the previous one."""
     import gc
@@ -1093,10 +1103,11 @@ def test_kept_columns_are_not_priced_again(monkeypatch):
 
 def test_grid3x3_solve_starts_pinned(monkeypatch):
     """How grid3x3's enum_to_cp starts its real solves: after the root's
-    cold solve, every solve warm-starts or restarts, 23 of the restarts from
+    cold solve, every solve warm-starts or restarts, 37 of the restarts from
     an ancestor's basis, and no objective is unbounded.  It made 361 solves
     before lifts were certified from the face's dual and each node stopped
-    at the Farkas certificate of its last push-down solve."""
+    at the Farkas certificate of its last push-down solve, and 183 while
+    every node's set was tested empty by a zero-objective LP of its own."""
     from pathlib import Path
 
     from branchproofs.enumcp import enum_to_cp
@@ -1107,14 +1118,14 @@ def test_grid3x3_solve_starts_pinned(monkeypatch):
     proof = tseitin_sp_refutation(inst)
     counts = count_solves(monkeypatch)
     enum_to_cp(tseitin_polytope(inst), proof)
-    assert counts["solves"] < 361
-    assert counts == {"solves": 183, "cold": 1, "warm": 134, "restarted": 48,
-                      "from_ancestor": 23, "fallback": 0}
+    assert counts["solves"] < 183
+    assert counts == {"solves": 152, "cold": 1, "warm": 103, "restarted": 48,
+                      "from_ancestor": 37, "fallback": 0}
 
 
 # sha256 of the (pos, col, d) of every pivot made by the pipelines below; the
 # entering and leaving rules and the exact pivot arithmetic are pinned by them
-PIVOT_TRACE_PIN = "a0aef527c2fd919ad164a9efe3f01c675e6372c785a6afaa9b8f1ca980ab12b6"
+PIVOT_TRACE_PIN = "196f6800dfb59c554968bcfcce80a532c3d829f0f4df4e90efe37c802e62d5c9"
 
 
 def test_pivot_trace_pinned(monkeypatch):
@@ -1147,5 +1158,5 @@ def test_pivot_trace_pinned(monkeypatch):
     for M in (10**3, 10**6, 10**9):
         K, proof = thin_segment(M)
         certify(K, recompile(K, proof))
-    assert len(trace) == 593
+    assert len(trace) == 612
     assert hashlib.sha256(repr(trace).encode()).hexdigest() == PIVOT_TRACE_PIN
