@@ -116,7 +116,7 @@ def _apply_certified(
     multiplier >= 0, ``lam A = a``, the point feasible and ``a point = lam b``,
     which is then ``h_K(a)``.  A failed check raises ``SolverError``.
     """
-    weights, w_den = _weights(K, nonzeros)
+    weights, w_den = _weights(K._scaled_rows(), nonzeros)
     common = math.lcm(w_den, scale)
     weights = [(i, w * (common // w_den)) for i, w in weights]
     point = [v * (common // scale) for v in point]

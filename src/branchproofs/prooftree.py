@@ -17,7 +17,10 @@ Two tree shapes are modeled:
 Verification decides each node's emptiness once, by one exact LP or, at a
 labeled enumerative node, by the support LPs of its range.  A child's
 relaxation is its parent's plus the edge's rows (:func:`_relaxations`), so
-each solve warm-starts from the parent's optimal tableau.  Reports list
+each solve warm-starts from the parent's optimal tableau.  A certified proof
+is checked with no LP and no relaxation: each leaf's certificate is checked
+in integers on K's scaled rows followed by a stack of the path's edge rows,
+which are their own scaled form.  Reports list
 failures in depth-first (path-sorted) order, so the result is deterministic.
 Every pass over a tree runs on an explicit stack -- :func:`walk` for
 verifying, certifying, counting and writing, the parsers' own for reading --
@@ -33,6 +36,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from .simplex import (
+    DimensionMismatch,
     FarkasCertificate,
     InequalitySystem,
     is_empty,
@@ -299,11 +303,37 @@ def verify_certified_proof(K: InequalitySystem, proof: BranchNode) -> Report:
     branch label and ``no certificate`` or the check it fails
     (``FarkasCertificate.failed_check``), so the verdict does not depend on
     the order of the leaves.
+
+    No relaxation is built.  The rows a leaf is checked on are K's scaled
+    rows, scaled once, followed by one stack of the path's edge rows, which
+    the walk truncates and extends in place.  A disjunction is integral, so
+    an edge row is its own scaled form with sigma 1: ``(a, b)`` on the left,
+    ``(-a, -b - 1)`` on the right.  Memory is O(m + D) for a depth-D proof.
+    A normal whose length is not ``K.n`` raises ``DimensionMismatch`` on
+    descending into its node's first child.
     """
-    for node, path, system, _ in _relaxations(K, proof):
-        if node.is_leaf and (node.cert is None or not node.cert.verify(system)):
-            check = "no certificate" if node.cert is None else node.cert.failed_check(system)
-            return Report(valid=False, failures=(f"{_branch_label(path)}: {check}",))
+    n, m = K.n, K.m
+    rows = tuple(list(part) for part in K._scaled_rows())
+    mat, rhs, sigmas = rows
+    for node, path, leaving in walk(proof):
+        if leaving:
+            continue
+        if path:
+            parent, went_left = path[-1]
+            if len(parent.a) != n:
+                raise DimensionMismatch("appended row disagrees with the system's dimension")
+            top = m + len(path) - 1  # the parent's rows end here
+            del mat[top:], rhs[top:], sigmas[top:]
+            sign = 1 if went_left else -1
+            mat.append(tuple((j, sign * e.numerator) for j, e in enumerate(parent.a)
+                             if e.numerator))
+            rhs.append(parent.b if went_left else -parent.b - 1)
+            sigmas.append(1)
+        if node.is_leaf:
+            cert = node.cert
+            check = "no certificate" if cert is None else cert._failed_check(rows, n)
+            if check is not None:
+                return Report(valid=False, failures=(f"{_branch_label(path)}: {check}",))
     return Report(valid=True)
 
 

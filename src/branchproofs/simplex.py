@@ -29,7 +29,9 @@ nonzeros.  Every row combination ``lam (A, b)`` -- a dual's, a given Farkas
 certificate's (``FarkasCertificate.verify``, which solves nothing),
 ``combination``'s -- is this one integer path: ``_weights`` turns the nonzero
 rational multipliers into integer weights on the scaled rows (the solver's
-own duals already are) and ``_combine`` sums those rows.  A
+own duals already are) and ``_combine`` sums those rows.  Both read the
+scaled rows as given, so a certified proof's leaves are checked on rows that
+belong to no system.  A
 ``FarkasCertificate`` keeps only its nonzero multipliers, from the solver's
 ray to the proof file and back, and builds the dense Vector when it is read.
 Every Farkas certificate the solver returns is reduced: a basic dual ray
@@ -139,8 +141,9 @@ class InequalitySystem:
         """The exact row combination ``(sum lam_i a_i, sum lam_i b_i)`` of up
         to m multipliers, as a list of n Fractions and a Fraction, computed in
         integers on the scaled rows over lam's nonzeros (``_weights``)."""
-        weights, w_den = _weights(self, [(i, y) for i, y in enumerate(lam) if y])
-        combo, total = _combine(self, weights)
+        rows = self._scaled_rows()
+        weights, w_den = _weights(rows, [(i, y) for i, y in enumerate(lam) if y])
+        combo, total = _combine(rows, self.n, weights)
         return [Fraction(v, w_den) for v in combo], Fraction(total, w_den)
 
     def with_rows(self, extra: Iterable[tuple]) -> "InequalitySystem":
@@ -258,10 +261,11 @@ def _scale_rows(rows) -> tuple[list[tuple[tuple[int, int], ...]], list[int], lis
     return mat, rhs, sigmas
 
 
-def _combine(system: InequalitySystem, weights) -> tuple[list[int], int]:
-    """``(sum w_i A_i, sum w_i b_i)`` on the scaled rows, for ``(i, w_i)`` pairs."""
-    mat, rhs, _ = system._scaled_rows()
-    combo, total = [0] * system.n, 0
+def _combine(rows, n: int, weights) -> tuple[list[int], int]:
+    """``(sum w_i A_i, sum w_i b_i)`` on scaled rows ``(mat, rhs, sigmas)`` in
+    n variables, for ``(i, w_i)`` pairs."""
+    mat, rhs, _ = rows
+    combo, total = [0] * n, 0
     for i, w in weights:
         for j, e in mat[i]:
             combo[j] += w * e
@@ -269,16 +273,16 @@ def _combine(system: InequalitySystem, weights) -> tuple[list[int], int]:
     return combo, total
 
 
-def _weights(system: InequalitySystem, nonzeros) -> tuple[list[tuple[int, int]], int]:
+def _weights(rows, nonzeros) -> tuple[list[tuple[int, int]], int]:
     """Nonzero rational multipliers, ``(i, lam_i)`` pairs, as integer weights
-    on the scaled rows.
+    on scaled rows ``(mat, rhs, sigmas)``.
 
     Each ``lam_i`` becomes ``(i, lam_i W / sigma_i)``, for sigma_i the
     row's scale and W the least common multiple of the ``den(lam_i) sigma_i``,
     so that ``_combine`` of the weights is W times ``(lam A, lam b)``; a weight
     has the sign of its multiplier.  Returns the weights and W.
     """
-    sigmas = system._scaled_rows()[2]
+    sigmas = rows[2]
     w_den = lcm(*(y.denominator * sigmas[i] for i, y in nonzeros))
     return [(i, y.numerator * (w_den // (y.denominator * sigmas[i])))
             for i, y in nonzeros], w_den
@@ -335,13 +339,18 @@ class FarkasCertificate:
     def failed_check(self, system: InequalitySystem) -> Optional[str]:
         """The first check the certificate fails on the system, or None: a
         wrong length, a negative multiplier, ``lam A != 0`` or ``lam b >= 0``."""
-        if self.m != system.m:
-            return f"wrong length: {self.m} multipliers for {system.m} rows"
-        weights, _ = _weights(system, self.nonzeros)
+        return self._failed_check(system._scaled_rows(), system.n)
+
+    def _failed_check(self, rows, n: int) -> Optional[str]:
+        """``failed_check`` on scaled rows ``(mat, rhs, sigmas)`` in n
+        variables, which need not belong to a system."""
+        if self.m != len(rows[0]):
+            return f"wrong length: {self.m} multipliers for {len(rows[0])} rows"
+        weights, _ = _weights(rows, self.nonzeros)
         for i, w in weights:
             if w < 0:
                 return f"negative multiplier l_{i + 1}"
-        combo, total = _combine(system, weights)
+        combo, total = _combine(rows, n, weights)
         if any(combo):
             return "lam A != 0"
         if total >= 0:
@@ -880,13 +889,14 @@ def _check_optimal(system, c_int, point, weights, scale) -> int:
     """
     if any(w < 0 for _, w in weights):
         raise SolverError("negative dual multiplier")
-    combo, total = _combine(system, weights)
+    rows = system._scaled_rows()
+    combo, total = _combine(rows, system.n, weights)
     if combo != [scale * v for v in c_int]:
         raise SolverError("duals do not reproduce the objective")
     if sum(map(mul, c_int, point)) != total:
         raise SolverError("strong duality violated: the optimal point does not attain"
                           " the duals' value")
-    mat, rhs, _ = system._scaled_rows()
+    mat, rhs, _ = rows
     for row, b in zip(mat, rhs):
         lhs = 0
         for j, v in row:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from branchproofs.prooftree import Report, _branch_label, _relaxations
 from branchproofs.vectors import Vector
 
 
@@ -23,6 +24,19 @@ def fraction_combination(system, lam) -> tuple[list[Fraction], Fraction]:
             combo[j] += coeff * e
         total += coeff * b
     return combo, total
+
+
+def relaxation_certified_report(K, proof) -> Report:
+    """``verify certified`` on built relaxations: each leaf's certificate is
+    checked by ``FarkasCertificate.failed_check`` on its relaxation, K plus
+    its path rows derived by ``with_rows`` (``_relaxations``), so a normal of
+    the wrong dimension raises from ``with_rows``.  The reference for the
+    verifier, which checks on one stack of scaled rows."""
+    for node, path, system, _ in _relaxations(K, proof):
+        if node.is_leaf and (node.cert is None or not node.cert.verify(system)):
+            check = "no certificate" if node.cert is None else node.cert.failed_check(system)
+            return Report(valid=False, failures=(f"{_branch_label(path)}: {check}",))
+    return Report(valid=True)
 
 
 def dense_proof_bits(proof) -> int:

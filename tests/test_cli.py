@@ -4,6 +4,7 @@ import hashlib
 import io
 import re
 import sys
+import tracemalloc
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -20,7 +21,9 @@ from branchproofs.prooftree import (
     format_enumerative,
     parse_branching,
     proof_stats,
+    verify_certified_proof,
 )
+from branchproofs.simplex import InequalitySystem
 from branchproofs.vectors import Vector
 
 
@@ -304,6 +307,11 @@ POINT = "2 4\n1 0 0\n-1 0 0\n0 1 1/2\n0 -1 -1/2\n"  # x1 = 0, x2 = 1/2
 QUADRANT = "2 2\n-1 0 0\n0 -1 0\n"  # x1, x2 >= 0: unbounded along (1 0)
 RAY = "2 3\n-1 0 0\n0 1 1/2\n0 -1 -1/2\n"  # x1 >= 0, x2 = 1/2
 EMPTY = "1 2\n1 0\n-1 -1\n"  # x <= 0 and x >= 1
+STRIP = "2 2\n1 0 3/4\n-1 0 -1/4\n"  # 1/4 <= x1 <= 3/4, x2 free
+# a split x1 <= 0 | x1 >= 1 whose certificates are valid for STRIP if the
+# normal's missing or extra coordinates are ignored
+SHORT_NORMAL = "(node (1 0) (leaf (cert 0 1 1)) (leaf (cert 1 0 1)))"
+LONG_NORMAL = "(node (1 0 0 0) (leaf (cert 0 1 1)) (leaf (cert 1 0 1)))"
 
 
 @contextmanager
@@ -331,6 +339,21 @@ def deep_chain(depth, certified=False):
         parts.append(f"(node (1 0) {leaf([0, 1] + [0] * (k - 1) + [1])} ")
     parts.append(leaf([1, 0] + [0] * (depth - 1) + [1]))
     return "".join(parts) + ")" * depth
+
+
+def test_verify_certified_memory_is_linear_in_depth():
+    """A depth-2000 certified chain checks in under 2 MB of traced memory:
+    the leaf rows are K's plus one stack of path rows, where a derived
+    system per node held O(depth^2) row references (82 MB)."""
+    K = InequalitySystem.from_text(SEGMENT)
+    proof = parse_branching(deep_chain(2000, certified=True))
+    tracemalloc.start()
+    try:
+        report = verify_certified_proof(K, proof)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.valid and peak < 2 * 2**20
 
 
 def wide_enode(width):
@@ -381,6 +404,14 @@ def contract_cases(depth):
          ["stats", "b.proof"], 0),
         ("deep enum-to-cp", {"k.ineq": POINT, "e.proof": format_enumerative(deep_enum_chain(depth))},
          ["enum-to-cp", "k.ineq", "e.proof", "--out", "e.cuts"], 0),
+        ("too-short normal, verify branching", {"k.ineq": STRIP, "p.proof": SHORT_NORMAL},
+         ["verify", "branching", "k.ineq", "p.proof"], 2),
+        ("too-short normal, verify certified", {"k.ineq": STRIP, "p.proof": SHORT_NORMAL},
+         ["verify", "certified", "k.ineq", "p.proof"], 2),
+        ("too-long normal, verify branching", {"k.ineq": STRIP, "p.proof": LONG_NORMAL},
+         ["verify", "branching", "k.ineq", "p.proof"], 2),
+        ("too-long normal, verify certified", {"k.ineq": STRIP, "p.proof": LONG_NORMAL},
+         ["verify", "certified", "k.ineq", "p.proof"], 2),
         ("zero disjunction normal",
          {"k.ineq": SEGMENT, "p.proof": "(node (0 0) (node (1 0) (leaf) (leaf)) (leaf))"},
          ["verify", "branching", "k.ineq", "p.proof"], 2),

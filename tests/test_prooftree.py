@@ -27,13 +27,18 @@ from branchproofs.prooftree import (
     verify_branching_proof,
     verify_certified_proof,
     verify_enumerative_proof,
+    walk,
 )
 from branchproofs.recompile import recompile
-from branchproofs.simplex import FarkasCertificate, InequalitySystem
+from branchproofs.simplex import DimensionMismatch, FarkasCertificate, InequalitySystem
 from branchproofs.vectors import Vector, format_rational, parse_rational
 
-from oracles import dense_proof_bits
-from randgen import random_enumerative_proof, random_integer_free_polytope
+from oracles import dense_proof_bits, relaxation_certified_report
+from randgen import (
+    random_branching_proof,
+    random_enumerative_proof,
+    random_integer_free_polytope,
+)
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -208,8 +213,8 @@ def test_certified_grid4x4_pinned():
 
 
 def test_verify_certified_is_lp_free_and_scales_k_once(monkeypatch):
-    """On grid3x3's certified proof: no LP, K's rows scaled once, and then
-    one row per edge, each relaxation extending its parent's scaled rows."""
+    """On grid3x3's certified proof: no LP, K's rows scaled once, and no
+    derived system; each edge row is the disjunction's own integers."""
     inst = TseitinInstance.from_text((INSTANCES / "grid3x3.graph").read_text())
     proof = enumerative_to_branching(tseitin_sp_refutation(inst))
     certified = certify(tseitin_polytope(inst), proof)
@@ -222,12 +227,15 @@ def test_verify_certified_is_lp_free_and_scales_k_once(monkeypatch):
         scaled.append(len(rows))
         return scale_rows(rows)
 
+    derived = []
     monkeypatch.setattr(simplex, "_solve_max", lambda *args: solves.append(args))
     monkeypatch.setattr(simplex, "_scale_rows", counted_scale)
+    for name in ("with_rows", "_derived"):
+        monkeypatch.setattr(InequalitySystem, name,
+                            lambda *args, name=name: derived.append(name))
     assert verify_certified_proof(K, certified).valid
-    assert solves == []
-    assert scaled[0] == K.m and sum(scaled[1:]) == certified.node_count() - 1
-    assert all(count == 1 for count in scaled[1:])
+    assert solves == [] and derived == []
+    assert scaled == [K.m]
 
 
 def test_leaf_solves_warm_start_from_the_root(monkeypatch):
@@ -264,13 +272,79 @@ def test_certify_rejects_invalid_proof():
 
 def test_certified_never_disagrees_with_lp_verifier():
     rng = Random(77)
-    from randgen import random_branching_proof
-
     for _ in range(15):
         K = random_integer_free_polytope(rng, 2)
         proof = random_branching_proof(rng, K)
         assert verify_branching_proof(K, proof).valid
         assert verify_certified_proof(K, certify(K, proof)).valid
+
+
+def _replaced(node, path, new):
+    """The tree with the node at ``path``, its went_left flags, replaced."""
+    if not path:
+        return new
+    left, right = node.left, node.right
+    if path[0]:
+        left = _replaced(left, path[1:], new)
+    else:
+        right = _replaced(right, path[1:], new)
+    return BranchNode(node.a, node.b, left, right)
+
+
+def _tampered(rng, proof):
+    """The proof with one random node changed: a leaf's certificate gets one
+    multiplier doubled, is dropped, or loses or gains an entry; an internal
+    node's normal loses or gains a coordinate."""
+    nodes = [(node, [went_left for _, went_left in path]) for node, path, leaving
+             in walk(proof) if not leaving and (node.a is not None or node.cert is not None)]
+    node, path = rng.choice(nodes)
+    if node.is_leaf:
+        cert = node.cert
+        how = rng.choice(["double", "drop", "short", "long"])
+        if how == "drop":
+            return _replaced(proof, path, BranchNode())
+        if how == "double":
+            k = rng.randrange(len(cert.nonzeros))
+            nonzeros = [(i, 2 * v if j == k else v) for j, (i, v) in enumerate(cert.nonzeros)]
+            return _replaced(proof, path, BranchNode(cert=FarkasCertificate._from_nonzeros(
+                cert.m, nonzeros)))
+        m = cert.m - 1 if how == "short" else cert.m + 1
+        nonzeros = [(i, v) for i, v in cert.nonzeros if i < m]
+        return _replaced(proof, path, BranchNode(cert=FarkasCertificate._from_nonzeros(
+            m, nonzeros)))
+    entries = list(node.a)
+    shorter = entries[:-1]
+    a = Vector(shorter if any(shorter) and rng.random() < 0.5 else entries + [1])
+    return _replaced(proof, path, BranchNode(a, node.b, node.left, node.right))
+
+
+def test_certified_check_matches_relaxation_oracle():
+    """``verify_certified_proof`` gives the identical Report, or the identical
+    ``DimensionMismatch``, as the check on built relaxations, on seeded
+    certified proofs and on copies with one or two random nodes tampered."""
+    def outcome(check, K, proof):
+        try:
+            return check(K, proof)
+        except DimensionMismatch as exc:
+            return str(exc)
+
+    rng = Random(2424)
+    seen = set()
+    for trial in range(24):
+        K = random_integer_free_polytope(rng, 2 + trial % 2)
+        certified = certify(K, random_branching_proof(rng, K))
+        variants = [certified] + [_tampered(rng, certified) for _ in range(6)]
+        variants += [_tampered(rng, _tampered(rng, certified)) for _ in range(3)]
+        for proof in variants:
+            expected = outcome(relaxation_certified_report, K, proof)
+            assert outcome(verify_certified_proof, K, proof) == expected
+            if isinstance(expected, str):
+                seen.add(expected)
+            else:
+                seen.update(f.split(": ", 1)[1].split(":")[0] for f in expected.failures)
+                seen.add(expected.valid)
+    assert seen >= {True, False, "no certificate", "wrong length", "lam A != 0",
+                    "appended row disagrees with the system's dimension"}
 
 
 def test_missing_certificate_fails_its_leaf():

@@ -365,7 +365,7 @@ def check_fraction_outcome(system, c, point, dual) -> Fraction:
     value the check certifies."""
     c_int, mu = simplex._over_common_denominator(c)
     p_int, p_den = simplex._over_common_denominator(point)
-    weights, w_den = simplex._weights(system, [(i, y) for i, y in enumerate(dual) if y])
+    weights, w_den = simplex._weights(system._scaled_rows(), [(i, y) for i, y in enumerate(dual) if y])
     scale = lcm(p_den, w_den)
     point = [v * (scale // p_den) for v in p_int]
     weights = [(i, w * mu * (scale // w_den)) for i, w in weights]
