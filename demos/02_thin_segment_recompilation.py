@@ -4,13 +4,15 @@ The segment  M x1 + x2 = 1/2, 0 <= x2 <= 2  is integer-free, and branching on
 M x1 + x2 <= 0 or >= 1 refutes it in one step -- but any one-step refutation
 needs a normal with a coefficient of order M.  Recompilation trades a few
 extra nodes for coefficients bounded by (10 n R)^((n+2)^2), a quantity that
-depends only on the dimension and the l1 radius (here R = 3), never on M.
+depends only on the dimension and the l1 radius R of the segment, never on M.
+Recompilation computes R from K itself (``l1_radius_bound``); here R = 3.
 """
 
 from branchproofs import (
     BranchNode,
     Vector,
     certify,
+    l1_radius_bound,
     proof_stats,
     recompile,
     thin_segment,
@@ -33,12 +35,14 @@ print(f"branching on x1 <= 0 / x1 >= 1 instead: valid = {report.valid} "
       f"({report.failures[0]})")
 
 print()
-rebuilt = recompile(K, proof, R=3)
+R = l1_radius_bound(K)
+rebuilt = recompile(K, proof)
 new_stats = proof_stats(rebuilt)
-bound = (10 * 2 * 3) ** 16
+bound = (10 * 2 * R) ** 16
+print(f"l1 radius of the segment, computed from K: R = {R}")
 print(f"recompiled proof: {new_stats.length} nodes "
       f"(allowed: {3 + 4 * 3 * 2}), largest coefficient "
-      f"{new_stats.max_coeff} (allowed: (10*2*3)^16 = {bound})")
+      f"{new_stats.max_coeff} (allowed: (10*2*{R})^16 = {bound})")
 print(f"recompiled proof valid: {verify_branching_proof(K, rebuilt).valid}")
 print(f"root disjunction is now {tuple(rebuilt.a.as_ints())} x <= {rebuilt.b}")
 

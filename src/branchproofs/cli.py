@@ -43,7 +43,7 @@ from .prooftree import (
     walk,
 )
 from .recompile import recompile
-from .simplex import InequalitySystem, is_empty
+from .simplex import DimensionMismatch, InequalitySystem, is_empty
 from .vectors import sparse_bit_size
 
 
@@ -107,7 +107,7 @@ def _cmd_thin_segment(args) -> int:
 def _cmd_recompile(args) -> int:
     system = InequalitySystem.from_text(_read(args.system))
     proof = parse_branching(_read(args.proof))
-    rebuilt = recompile(system, proof, R=args.radius)
+    rebuilt = recompile(system, proof)
     _write(_out(args, ".recompiled.proof"), format_branching(rebuilt) + "\n")
     _print_stats(rebuilt)
     report = verify_branching_proof(system, rebuilt)
@@ -161,6 +161,8 @@ def _cmd_certify(args) -> int:
     proof = parse_branching(_read(args.proof))
     try:
         certified = certify(system, proof)
+    except DimensionMismatch:
+        raise  # an input error, not an invalid proof
     except ValueError as exc:
         print(f"RESULT invalid {exc}")
         return 1
@@ -208,10 +210,8 @@ _SUBCOMMANDS = {
     "thin-segment": (_cmd_thin_segment, "the slanted segment fixture", [
         _arg("M", type=int), _arg("--system", default="thin.ineq"),
         _arg("--proof", default="thin.proof")]),
-    "recompile": (_cmd_recompile, "rebuild a proof with small coefficients", _SYSTEM_PROOF + [
-        _arg("--radius", type=int, default=None,
-             help="l1 radius R (default: computed from the system)"),
-        _arg("--out", default=None)]),
+    "recompile": (_cmd_recompile, "rebuild a proof with small coefficients",
+                  _SYSTEM_PROOF + [_arg("--out", default=None)]),
     "enum-to-cp": (_cmd_enum_to_cp, "serialize an enumerative proof to CG cuts",
                    _SYSTEM_PROOF + [_arg("--out", default=None)]),
     "verify": (_cmd_verify, "verify a proof against a system", [

@@ -2,16 +2,18 @@
 
 The pipeline replaces every disjunction ``a x <= b or >= b+1`` of a proof by
 an iterated Diophantine approximation ``a' x <= b' or >= b'+1`` whose
-coefficients depend only on the dimension and the l1 radius R of the set (not
-on the original proof), and then repairs each leaf whose new relaxation is no
-longer empty by a short chain of branching steps that simulates at most
-2(n+1) Chvatal-Gomory cuts drawn from the approximation data.
+coefficients depend only on the dimension n and the l1 radius R of the set
+(not on the original proof), and then repairs each leaf whose new relaxation
+is no longer empty by a short chain of branching steps that simulates at most
+2(n+1) Chvatal-Gomory cuts drawn from the approximation data.  The precision
+is fixed by the set: R = ``l1_radius_bound(K)``, N = 10 n R and
+M = N^(n+2).
 
 Central pieces:
 
 * ``long_to_short``    -- builds a valid substitution sequence
-  ``(a', b', k, (a_i, b_i, gamma_i))`` of an inequality, whose flip is a valid
-  substitution sequence of the complementary inequality;
+  ``(a', b', k, (a_i, b_i, gamma_i))`` of an inequality at radius R, whose
+  flip is a valid substitution sequence of the complementary inequality;
 * ``verify_substitution_sequence`` -- machine-checks the four defining
   properties of such a sequence with exact l1-ball implication tests;
 * ``gen_cg_cuts``      -- the leaf repair: <= 2(n+1) CG cuts as (normal, rhs)
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .diophantine import classify_rhs, dirichlet_approx
 from .geometry import (
@@ -62,14 +63,9 @@ class SubstitutionSequence:
         return len(self.levels)
 
 
-def long_to_short(
-    a: Vector,
-    b: int,
-    R: int,
-    N: int,
-    M: int,
-) -> SubstitutionSequence:
-    """Iterated Diophantine approximation of ``a x <= b``.
+def long_to_short(a: Vector, b: int, R: int) -> SubstitutionSequence:
+    """Iterated Diophantine approximation of ``a x <= b`` at radius R, with
+    precision N = 10 n R and base M = N^(n+2).
 
     Repeatedly approximates the residual direction, choosing each right-hand
     side by the dominating / non-dominating case split, until either a
@@ -85,10 +81,12 @@ def long_to_short(
         raise ValueError("disjunction normal must be nonzero")
     if not a.is_integral() or not isinstance(b, int):
         raise ValueError("disjunction must be integral")
-    if min(R, N, M) < 1 or Fraction(R, N) >= Fraction(1, 4):
-        raise ValueError("need positive R, N, M with R/N < 1/4")
+    if R < 1:
+        raise ValueError("radius must be a positive integer")
 
     n = len(a)
+    N = 10 * n * R
+    M = N ** (n + 2)
     threshold = 10 * n * N**n
     a_hat = Vector(Fraction(v) for v in a)
     b_hat = Fraction(b)
@@ -245,19 +243,18 @@ def generalized_certificate(K: InequalitySystem, P: InequalitySystem) -> Vector:
     """Multipliers lam >= 0 on P's rows with  min over K of lam (A x - b) > 0.
 
     Requires K nonempty and bounded and K disjoint from P.  lam is P's part
-    of the solver's certificate for K and P together, which is already
-    reduced, so it has at most n+1 nonzero entries; it is verified by one
-    exact LP before being returned.
+    lam_P of the solver's certificate (lam_K, lam_P) for K and P together,
+    from one emptiness LP; the certificate is already verified and reduced,
+    so lam has at most n+1 nonzero entries.  It needs no further check:
+    lam A = 0, lam b = -1 and lam_K >= 0 give, for every x in K,
+
+        lam_P (A_P x - b_P) = -lam_K A_K x - lam_P b_P
+                           >= -lam_K b_K - lam_P b_P = 1.
     """
-    combined = K.with_rows(P.rows())
-    cert = is_empty(combined)
+    cert = is_empty(K.with_rows(P.rows()))
     if cert is None:
         raise ValueError("K and P intersect; no certificate exists")
-    lam = Vector(cert.multipliers[K.m :])
-    combo, offset = P.combination(lam)
-    if -support_value(K, -Vector(combo)) <= offset:
-        raise ValueError("multipliers do not certify disjointness")
-    return lam
+    return Vector(cert.multipliers[K.m :])
 
 
 def gen_cg_cuts(
@@ -337,59 +334,24 @@ def _affine_implies_equality(V: InequalitySystem, a: Vector, b: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _check_l1_radius(K: InequalitySystem, R: int) -> bool:
-    """Whether an explicit radius R is proven to contain K in its l1 ball.
-
-    True when ``R >= l1_radius_bound(K)`` (2n LPs; raises if K is unbounded)
-    or, for n <= 10, when every sign pattern s in {-1, 1}^n has support value
-    at most R (2^n small LPs; a pattern above R raises).  False for n > 10
-    below the bound: the caller must verify what it builds from R.
-    """
-    if R < 1:
-        raise ValueError("radius must be a positive integer")
-    if R >= l1_radius_bound(K):
-        return True
-    if K.n > 10:
-        return False
-    for signs in product((1, -1), repeat=K.n):
-        if support_value(K, Vector(signs)) > R:
-            raise ValueError(
-                f"the set is not contained in the l1 ball of radius {R}"
-            )
-    return True
-
-
-def recompile(
-    K: InequalitySystem,
-    proof: BranchNode,
-    R: int | None = None,
-) -> BranchNode:
+def recompile(K: InequalitySystem, proof: BranchNode) -> BranchNode:
     """Rebuild a valid branching proof using only small disjunction normals.
 
     Every disjunction of the input proof is replaced by its substitution
-    disjunction at precision R, N = 10 n R, M = (10 n R)^(n+2), bounding all
-    edge coefficients by (10 n R)^((n+2)^2) independently of the input; each
-    leaf whose replacement relaxation is nonempty gets a repair chain of at
-    most 4(n+1) nodes encoding the gen_cg_cuts pairs as branching steps whose
-    right children are empty.  The result is again a valid proof, with node
-    count at most |T| + 4(n+1) * (number of leaves).
+    disjunction at radius R = ``l1_radius_bound(K)`` (``long_to_short``),
+    bounding all edge coefficients by (10 n R)^((n+2)^2) independently of
+    the input; each leaf whose replacement relaxation is nonempty gets a
+    repair chain of at most 4(n+1) nodes encoding the gen_cg_cuts pairs as
+    branching steps whose right children are empty.  The result is again a
+    valid proof, with node count at most |T| + 4(n+1) * (number of leaves).
 
-    ``R`` defaults to ``l1_radius_bound(K)``; the input proof must be valid.
-    An explicit R that cannot be proven to bound K (n > 10, below
-    ``l1_radius_bound``) gets the rebuilt proof verified, and a ``ValueError``
-    if it fails.
+    The input proof must be valid; ``l1_radius_bound`` raises
+    ``UnboundedSet`` if K is unbounded.
     """
     report = verify_branching_proof(K, proof)
     if not report.valid:
         raise ValueError(f"input proof is invalid: {report.failures[0]}")
-    if R is None:
-        R = l1_radius_bound(K)
-        radius_proven = True
-    else:
-        radius_proven = _check_l1_radius(K, R)
-    n = K.n
-    N = 10 * n * R
-    M = (10 * n * R) ** (n + 2)
+    R = l1_radius_bound(K)
 
     built: list[BranchNode] = []  # rebuilt subtrees, left to right
     seq_pairs: list[tuple] = []  # (seq, flipped seq) of each internal node on the path
@@ -399,19 +361,13 @@ def recompile(
             right = built.pop()
             built[-1] = BranchNode(seq.a_prime, seq.b_prime, built[-1], right)
         elif not node.is_leaf:
-            seq = long_to_short(node.a, node.b, R, N, M)
+            seq = long_to_short(node.a, node.b, R)
             del seq_pairs[len(path):]
             seq_pairs.append((seq, flip_sequence(seq)))
         else:
             seqs = [seq_pairs[d][0 if went_left else 1] for d, (_, went_left) in enumerate(path)]
             orig_rows = [row for parent, went_left in path for row in parent.edge_rows(went_left)]
             built.append(_repair_leaf(K, orig_rows, seqs))
-    if not radius_proven:
-        report = verify_branching_proof(K, built[0])
-        if not report.valid:
-            raise ValueError(
-                f"proof rebuilt at radius {R} is invalid: {report.failures[0]}"
-            )
     return built[0]
 
 

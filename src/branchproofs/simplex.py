@@ -26,13 +26,12 @@ weights on the scaled rows, over their nonzeros; ``Optimal`` builds its
 Fraction ``point`` and ``dual`` from them only when they are first read.  A
 ray is checked over a common denominator, and Farkas multipliers over their
 nonzeros.  Every row combination ``lam (A, b)`` -- a dual's, a given Farkas
-certificate's (``FarkasCertificate.verify``, which solves nothing),
-``combination``'s -- is this one integer path: ``_weights`` turns the nonzero
-rational multipliers into integer weights on the scaled rows (the solver's
-own duals already are) and ``_combine`` sums those rows.  Both read the
-scaled rows as given, so a certified proof's leaves are checked on rows that
-belong to no system.  A
-``FarkasCertificate`` keeps only its nonzero multipliers, from the solver's
+certificate's (``FarkasCertificate.verify``, which solves nothing) -- is
+this one integer path: ``_weights`` turns the nonzero rational multipliers
+into integer weights on the scaled rows (the solver's own duals already
+are) and ``_combine`` sums those rows.  Both read the scaled rows as given,
+so a certified proof's leaves are checked on rows that belong to no system.
+A ``FarkasCertificate`` keeps only its nonzero multipliers, from the solver's
 ray to the proof file and back, and builds the dense Vector when it is read.
 Every Farkas certificate the solver returns is reduced: a basic dual ray
 (the basis plus the entering column, so at most n+1 nonzeros, checked)
@@ -77,7 +76,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .vectors import _ZERO, Scalar, Vector, format_rational, parse_integer, parse_rational
 
@@ -136,15 +135,6 @@ class InequalitySystem:
 
     def rows(self) -> Iterable[tuple[Vector, Fraction]]:
         return zip(self.matrix, self.rhs)
-
-    def combination(self, lam: Sequence[Fraction]) -> tuple[list[Fraction], Fraction]:
-        """The exact row combination ``(sum lam_i a_i, sum lam_i b_i)`` of up
-        to m multipliers, as a list of n Fractions and a Fraction, computed in
-        integers on the scaled rows over lam's nonzeros (``_weights``)."""
-        rows = self._scaled_rows()
-        weights, w_den = _weights(rows, [(i, y) for i, y in enumerate(lam) if y])
-        combo, total = _combine(rows, self.n, weights)
-        return [Fraction(v, w_den) for v in combo], Fraction(total, w_den)
 
     def with_rows(self, extra: Iterable[tuple]) -> "InequalitySystem":
         """The system with the rows ``(a, b)`` appended; only they are checked."""

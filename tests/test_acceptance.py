@@ -60,7 +60,7 @@ def test_criterion_1_thin_segment_recompilation():
     """Recompiled one-step refutations stay valid with bounded data."""
     for M, K, proof in _thin_segment_fixtures():
         start = time.monotonic()
-        rebuilt = recompile(K, proof, R=3)
+        rebuilt = recompile(K, proof)
         elapsed = time.monotonic() - start
         report = verify_branching_proof(K, rebuilt)
         stats = proof_stats(rebuilt)
@@ -101,14 +101,13 @@ def test_criterion_3_substitution_suite():
     for trial in range(100):
         n = rng.randint(1, 3)
         R = rng.randint(1, 4)
-        N, M = 10 * n * R, (10 * n * R) ** (n + 2)
         span = 10 ** rng.choice([1, 3, 6])
         while True:
             a = Vector([rng.randint(-span, span) for _ in range(n)])
             if not a.is_zero():
                 break
         b = rng.randint(-2 * R * span, 2 * R * span)
-        seq = long_to_short(a, b, R, N, M)
+        seq = long_to_short(a, b, R)
         assert seq.k <= n + 1, f"trial {trial}: k too large"
         assert verify_substitution_sequence(seq, a, b).valid, f"trial {trial}"
         flip = flip_sequence(seq)
@@ -122,8 +121,7 @@ def _leaf_repair_case(K, P, R) -> int:
     """Check one leaf's repair, its invariants replayed by the oracle; return
     its number of rounds."""
     n = K.n
-    N, M = 10 * n * R, (10 * n * R) ** (n + 2)
-    seqs = [long_to_short(a, int(b), R, N, M) for a, b in P.rows()]
+    seqs = [long_to_short(a, int(b), R) for a, b in P.rows()]
     pairs = gen_cg_cuts(K, P, seqs)
     assert len(pairs) <= 2 * (n + 1), "too many repair cuts"
     cuts = [a for a, _ in pairs]
@@ -266,7 +264,7 @@ def test_criterion_8_certified_recompilation():
     """certify(recompile(T)) yields sparse, arithmetically checkable leaves."""
     total_bits = 0
     for M, K, proof in _thin_segment_fixtures():
-        rebuilt = recompile(K, proof, R=3)
+        rebuilt = recompile(K, proof)
         certified = certify(K, rebuilt)
         assert verify_certified_proof(K, certified).valid, f"M={M}"
 

@@ -95,7 +95,7 @@ def test_recompile_and_certify_flow(tmp_path, capsys):
         "--proof", str(proof))
     out_proof = tmp_path / "small.proof"
     code, out = run(capsys, "recompile", str(system), str(proof),
-                    "--radius", "3", "--out", str(out_proof))
+                    "--out", str(out_proof))
     assert code == 0 and "RESULT valid" in out
     certified = tmp_path / "cert.proof"
     code, out = run(capsys, "certify", str(system), str(out_proof),
@@ -111,7 +111,7 @@ def test_out_defaults_to_the_proof_path(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     system, proof = tmp_path / "thin.ineq", tmp_path / "thin.proof"
     run(capsys, "thin-segment", "1000", "--system", str(system), "--proof", str(proof))
-    code, out = run(capsys, "recompile", str(system), str(proof), "--radius", "3")
+    code, out = run(capsys, "recompile", str(system), str(proof))
     recompiled = tmp_path / "thin.recompiled.proof"
     assert code == 0 and f"wrote {recompiled}\n" in out
     code, out = run(capsys, "certify", str(system), str(recompiled))
@@ -275,7 +275,7 @@ def parsed(parser, argv):
 ARGVS = [
     ["gen-tseitin", "g.graph"], ["gen-tseitin", "g.graph", "--system", "s", "--proof", "p"],
     ["gen-pn", "3"], ["gen-pn", "x"], ["gen-qn", "3", "--split-check"],
-    ["thin-segment", "10", "--system", "t"], ["recompile", "s", "p", "--radius", "4"],
+    ["thin-segment", "10", "--system", "t"], ["recompile", "s", "p", "--out", "r"],
     ["enum-to-cp", "s", "p", "--out", "c"], ["verify", "cp", "s", "c"],
     ["verify", "bogus", "s", "p"], ["verify", "cp", "s", "c", "extra"], ["certify", "s"],
     ["stats", "p"], ["stats", "--bad", "p"], ["verify", "-h"],
@@ -312,6 +312,19 @@ STRIP = "2 2\n1 0 3/4\n-1 0 -1/4\n"  # 1/4 <= x1 <= 3/4, x2 free
 # normal's missing or extra coordinates are ignored
 SHORT_NORMAL = "(node (1 0) (leaf (cert 0 1 1)) (leaf (cert 1 0 1)))"
 LONG_NORMAL = "(node (1 0 0 0) (leaf (cert 0 1 1)) (leaf (cert 1 0 1)))"
+
+
+@pytest.mark.parametrize("proof", [SHORT_NORMAL, LONG_NORMAL])
+def test_certify_reports_a_wrong_length_normal_as_an_input_error(tmp_path, capsys, proof):
+    """certify gives a normal of the wrong length the RESULT line and exit
+    code that verify branching gives it, not an invalid-proof verdict."""
+    (tmp_path / "k.ineq").write_text(STRIP)
+    (tmp_path / "p.proof").write_text(proof)
+    paths = [str(tmp_path / "k.ineq"), str(tmp_path / "p.proof")]
+    code, out = run(capsys, "certify", *paths, "--out", str(tmp_path / "c.proof"))
+    expected = run(capsys, "verify", "branching", *paths)
+    assert (code, out) == expected
+    assert code == 2 and out.startswith("RESULT error: ")
 
 
 @contextmanager
@@ -412,6 +425,10 @@ def contract_cases(depth):
          ["verify", "branching", "k.ineq", "p.proof"], 2),
         ("too-long normal, verify certified", {"k.ineq": STRIP, "p.proof": LONG_NORMAL},
          ["verify", "certified", "k.ineq", "p.proof"], 2),
+        ("too-short normal, certify", {"k.ineq": STRIP, "p.proof": SHORT_NORMAL},
+         ["certify", "k.ineq", "p.proof", "--out", "c.proof"], 2),
+        ("too-long normal, certify", {"k.ineq": STRIP, "p.proof": LONG_NORMAL},
+         ["certify", "k.ineq", "p.proof", "--out", "c.proof"], 2),
         ("zero disjunction normal",
          {"k.ineq": SEGMENT, "p.proof": "(node (0 0) (node (1 0) (leaf) (leaf)) (leaf))"},
          ["verify", "branching", "k.ineq", "p.proof"], 2),

@@ -26,20 +26,20 @@ from randgen import random_branching_proof, random_integer_free_polytope
 
 
 def test_long_to_short_passthrough():
-    seq = long_to_short(Vector([7]), 3, R=2, N=20, M=8000)
+    seq = long_to_short(Vector([7]), 3, R=2)
     assert seq.k == 1
     assert seq.a_prime == Vector([7]) and seq.b_prime == 3
     assert seq.levels[0][2] == 0
 
 
 def test_long_to_short_unit_vector():
-    seq = long_to_short(Vector([1, 0, 0]), 0, R=2, N=60, M=60**5)
+    seq = long_to_short(Vector([1, 0, 0]), 0, R=2)
     assert seq.k == 1
     assert seq.a_prime == Vector([1, 0, 0]) and seq.b_prime == 0
 
 
 def test_long_to_short_thin_segment_trace():
-    seq = long_to_short(Vector([10**6, 1]), 0, R=3, N=60, M=60**4)
+    seq = long_to_short(Vector([10**6, 1]), 0, R=3)
     assert seq.k == 2
     assert seq.a_prime == Vector([60**4, 1])
     assert seq.b_prime == 0
@@ -50,18 +50,26 @@ def test_long_to_short_thin_segment_trace():
     assert (a2, b2, g2) == (Vector([0, 1]), 0, 0)
 
 
+@pytest.mark.parametrize("a, R", [(Vector([7]), 2), (Vector([10**6, 1]), 3), (Vector([10**12, 5, 3]), 1)])
+def test_long_to_short_derives_its_precision(a, R):
+    """N = 10 n R and M = N^(n+2) follow from the radius and the dimension."""
+    seq = long_to_short(a, 0, R)
+    n = len(a)
+    assert seq.R == R and seq.N == 10 * n * R and seq.M == seq.N ** (n + 2)
+
+
 def test_long_to_short_rejects_bad_input():
     with pytest.raises(ValueError):
-        long_to_short(Vector([0, 0]), 0, R=1, N=10, M=100)
+        long_to_short(Vector([0, 0]), 0, R=1)
     with pytest.raises(ValueError):
-        long_to_short(Vector([5]), 0, R=1, N=4, M=100)  # R/N = 1/4
+        long_to_short(Vector([5]), 0, R=0)
 
 
 def test_residual_zero_coordinates_increase():
     """Residuals r_0 = a, r_(i+1) = r_i - alpha_i a'_i over the levels with
     gamma_i = 2 alpha_i / (5 n) > 0 gain a zero coordinate at each step."""
     a = Vector([10**12, 123456789, 3])
-    seq = long_to_short(a, 5, R=2, N=60, M=60**5)
+    seq = long_to_short(a, 5, R=2)
     residuals = [a]
     for a_i, _, gamma in seq.levels:
         if gamma > 0:
@@ -73,7 +81,7 @@ def test_residual_zero_coordinates_increase():
 
 def test_verify_substitution_both_orientations():
     a, b = Vector([10**6, 1]), 0
-    seq = long_to_short(a, b, R=3, N=60, M=60**4)
+    seq = long_to_short(a, b, R=3)
     assert verify_substitution_sequence(seq, a, b).valid
     flip = flip_sequence(seq)
     assert verify_substitution_sequence(flip, -a, -b - 1).valid
@@ -81,7 +89,7 @@ def test_verify_substitution_both_orientations():
 
 def test_verify_detects_tampered_rhs():
     a, b = Vector([10**6, 1]), 0
-    seq = long_to_short(a, b, R=3, N=60, M=60**4)
+    seq = long_to_short(a, b, R=3)
     bump = seq.R * int(seq.a_prime.norm_linf())
     tampered = SubstitutionSequence(
         seq.a_prime, seq.b_prime + bump, seq.levels, seq.R, seq.N, seq.M
@@ -93,14 +101,14 @@ def test_verify_detects_tampered_rhs():
 
 
 def test_verify_k1_vacuous_properties():
-    seq = long_to_short(Vector([3, 1]), 2, R=2, N=40, M=40**4)
+    seq = long_to_short(Vector([3, 1]), 2, R=2)
     assert seq.k == 1
     report = verify_substitution_sequence(seq, Vector([3, 1]), 2)
     assert report.valid  # properties 2 and 4 hold vacuously
 
 
 def test_flip_is_involution():
-    seq = long_to_short(Vector([10**6, 1]), 0, R=3, N=60, M=60**4)
+    seq = long_to_short(Vector([10**6, 1]), 0, R=3)
     assert flip_sequence(flip_sequence(seq)) == seq
 
 
@@ -120,9 +128,23 @@ def test_generalized_certificate_examples():
         generalized_certificate(box, InequalitySystem([[1]], [0]))
 
 
+def test_generalized_certificate_solves_one_lp(monkeypatch):
+    """The multipliers come from the one emptiness LP of K and P together,
+    whose verified certificate needs no further LP."""
+    from branchproofs import simplex
+
+    solves = []
+    real = simplex._solve_verified
+    monkeypatch.setattr(simplex, "_solve_verified", lambda *args: solves.append(args) or real(*args))
+    K = InequalitySystem([[2], [-2], [1], [-1]], [1, -1, 2, 2])
+    lam = generalized_certificate(K, InequalitySystem([[1], [-1]], [0, -1]))
+    assert len(solves) == 1
+    assert (lam[0] + lam[1]) / 2 > 0  # lam (A_P x - b_P) at K's one point x = 1/2
+
+
 def test_gen_cg_cuts_thin_segment_leaf():
     K, _ = thin_segment(10**6)
-    seq = long_to_short(Vector([10**6, 1]), 0, R=3, N=60, M=60**4)
+    seq = long_to_short(Vector([10**6, 1]), 0, R=3)
     P = InequalitySystem([Vector([10**6, 1])], [0], n=2)
     pairs = gen_cg_cuts(K, P, [seq])
     assert pairs == [(Vector([1, 0]), 0), (Vector([-1, 0]), 0)]
@@ -133,7 +155,7 @@ def test_gen_cg_cuts_thin_segment_leaf():
 
 def test_gen_cg_cuts_empty_intersection_returns_nothing():
     K, _ = thin_segment(10)
-    seq = long_to_short(Vector([10, 1]), -100, R=3, N=60, M=60**4)
+    seq = long_to_short(Vector([10, 1]), -100, R=3)
     P = InequalitySystem([Vector([10, 1])], [-100], n=2)
     assert is_empty(K.with_rows([(seq.a_prime, seq.b_prime)])) is not None
     assert gen_cg_cuts(K, P, [seq]) == []
@@ -163,10 +185,8 @@ def test_two_round_repair_output_is_pinned():
 @pytest.mark.parametrize("a, b", [(TWO_ROUND_NORMAL, 3), (-TWO_ROUND_NORMAL, -4)])
 def test_two_round_repair_keeps_its_invariants(a, b):
     K = TWO_ROUND_K
-    R = l1_radius_bound(K)
-    N, M = 10 * 2 * R, (10 * 2 * R) ** 4
     P = InequalitySystem([a], [b], n=2)
-    seqs = [long_to_short(a, b, R, N, M)]
+    seqs = [long_to_short(a, b, l1_radius_bound(K))]
     pairs = gen_cg_cuts(K, P, seqs)
     assert len(pairs) == 4  # two rounds
     check_repair_invariants(K, P, seqs, pairs)
@@ -177,7 +197,7 @@ def test_two_round_repair_keeps_its_invariants(a, b):
 
 def test_recompile_thin_segment():
     K, proof = thin_segment(10**6)
-    rebuilt = recompile(K, proof, R=3)
+    rebuilt = recompile(K, proof)
     assert verify_branching_proof(K, rebuilt).valid
     stats = proof_stats(rebuilt)
     assert stats.length == 11  # 3 skeleton nodes + 2 repair cuts per leaf
@@ -187,7 +207,7 @@ def test_recompile_thin_segment():
 
 def test_recompile_small_coefficients_pass_through():
     K, proof = thin_segment(2)
-    rebuilt = recompile(K, proof, R=3)
+    rebuilt = recompile(K, proof)
     assert verify_branching_proof(K, rebuilt).valid
     assert rebuilt.node_count() == proof.node_count()
     assert rebuilt.a == proof.a and rebuilt.b == proof.b
@@ -219,41 +239,6 @@ def test_recompile_random_proofs():
         assert stats.max_coeff <= (10 * n * R) ** ((n + 2) ** 2)
         bound = proof.node_count() + 4 * (n + 1) * proof.leaf_count()
         assert stats.length <= bound
-
-
-def test_recompile_rejects_undersized_radius():
-    K, proof = thin_segment(10**6)
-    with pytest.raises(ValueError, match="l1 ball"):
-        recompile(K, proof, R=1)
-
-
-def test_recompile_verifies_output_of_unproven_radius(monkeypatch):
-    """n = 11 and R below l1_radius_bound: the rebuilt proof is verified."""
-    import importlib
-
-    module = importlib.import_module("branchproofs.recompile")  # not the function
-    n = 11
-    e1 = Vector.unit(n, 0)
-    # 1/4 <= x1 <= 3/4, 0 <= xi <= 1 otherwise; x1 <= 0 or x1 >= 1 refutes it
-    K = InequalitySystem.box(n, 0, 1).with_rows(
-        [(e1, Fraction(3, 4)), (-e1, Fraction(-1, 4))]
-    )
-    proof = BranchNode(e1, 0, BranchNode(), BranchNode())
-    assert l1_radius_bound(K) > 1
-    checked = []
-    real_verify = module.verify_branching_proof
-    monkeypatch.setattr(
-        module, "verify_branching_proof",
-        lambda S, p: checked.append(p) or real_verify(S, p),
-    )
-    try:
-        rebuilt = recompile(K, proof, R=1)
-    except ValueError as exc:
-        assert "rebuilt" in str(exc)
-    else:
-        assert verify_branching_proof(K, rebuilt).valid
-        assert checked[-1] is rebuilt
-    assert len(checked) == 2  # the input, then the rebuilt proof
 
 
 def test_recompile_rotated_slabs():
