@@ -28,8 +28,9 @@ instances = {
 
 for name, inst in instances.items():
     K = tseitin_polytope(inst)
+    max_degree = max(len(inst.incident(v)) for v in range(inst.num_vertices))
     print(f"== {name}: {inst.num_vertices} vertices, {inst.num_edges} edges, "
-          f"max degree {inst.max_degree} ==")
+          f"max degree {max_degree} ==")
     print(f"LP relaxation: {K.m} rows over {K.n} edge variables; "
           f"empty = {is_empty(K) is not None}")
 

@@ -50,6 +50,6 @@ report = qn_split_refutation(n)
 print(f"split cuts y_i >= 1/2 valid on both sides of x_i <= 0 / x_i >= 1: "
       f"{report.valid}")
 print(f"adding all {n} cuts empties Q_{n}: certificate with "
-      f"{len(report.certificate.support())} nonzero multipliers")
+      f"{len(report.certificate.nonzeros)} nonzero multipliers")
 print("so mixed-integer branching needs exponentially many steps where")
 print("n split cuts suffice")

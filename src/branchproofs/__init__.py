@@ -20,12 +20,10 @@ from .simplex import (
     Unbounded,
     is_empty,
     lp_optimize,
-    reduce_certificate,
 )
 from .geometry import (
     CgCut,
     EmptySet,
-    Halfspace,
     UnboundedSet,
     apply_cg,
     apply_cg_list,
@@ -57,7 +55,6 @@ from .prooftree import (
 from .diophantine import (
     DioApprox,
     RhsClassification,
-    approximation_error,
     classify_rhs,
     dirichlet_approx,
 )
@@ -82,5 +79,21 @@ from .families import (
     tseitin_sp_refutation,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Vector", "bit_size", "format_rational", "parse_rational",
+    "FarkasCertificate", "InequalitySystem", "Infeasible", "LpOutcome", "Optimal",
+    "Unbounded", "is_empty", "lp_optimize",
+    "CgCut", "EmptySet", "UnboundedSet", "apply_cg", "apply_cg_list", "cuts_from_text",
+    "cuts_to_text", "face", "implies_R", "l1_radius_bound", "support_value",
+    "BranchNode", "EnumNode", "Report", "ProofStats", "certify", "enumerative_to_branching",
+    "format_branching", "format_enumerative", "parse_branching", "parse_enumerative",
+    "detect_proof_kind", "proof_stats", "verify_branching_proof", "verify_certified_proof",
+    "verify_enumerative_proof", "walk",
+    "DioApprox", "RhsClassification", "classify_rhs", "dirichlet_approx",
+    "SubstitutionSequence", "flip_sequence", "gen_cg_cuts", "generalized_certificate",
+    "long_to_short", "recompile", "verify_substitution_sequence",
+    "enum_to_cp", "lift_cg_sequence",
+    "SplitCutReport", "TseitinInstance", "pn_polytope", "qn_polytope", "qn_split_refutation",
+    "thin_segment", "tseitin_polytope", "tseitin_sp_refutation",
+]
 __version__ = "0.1.0"

@@ -30,6 +30,7 @@ from .families import (
 )
 from .geometry import apply_cg_list, cuts_from_text, cuts_to_text
 from .prooftree import (
+    _witness,
     certify,
     detect_proof_kind,
     format_branching,
@@ -143,7 +144,7 @@ def _cmd_verify(args) -> int:
         if is_empty(final) is not None:
             print(f"RESULT valid cp proof of {len(cuts)} cuts empties the system")
             return 0
-        print("RESULT invalid cut list leaves the system nonempty")
+        print(f"RESULT invalid cut list leaves the system nonempty{_witness(final)}")
         return 1
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(args.kind)

@@ -35,7 +35,6 @@ class DioApprox:
 
     a_prime: Vector
     multiplier: int  # l, with ||a'||_inf == l
-    precision: int  # N
 
 
 @dataclass(frozen=True)
@@ -168,16 +167,7 @@ def dirichlet_approx(a: Vector, N: int) -> DioApprox:
         raise RuntimeError(
             f"rounding gave ||a'||_inf = {a_prime.norm_linf()}, not l = {hit}"
         )
-    return DioApprox(a_prime, hit, N)
-
-
-def approximation_error(a: Vector, approx: DioApprox) -> Fraction:
-    """max_i | l * a_i / ||a||_inf - a'_i |, exactly."""
-    scale = a.norm_linf()
-    return max(
-        abs(approx.multiplier * e / scale - w)
-        for e, w in zip(a, approx.a_prime)
-    )
+    return DioApprox(a_prime, hit)
 
 
 def classify_rhs(

@@ -55,13 +55,6 @@ class TseitinInstance:
     def incident(self, vertex: int) -> list[int]:
         return [i for i, (u, v) in enumerate(self.edges) if vertex in (u, v)]
 
-    def degree(self, vertex: int) -> int:
-        return len(self.incident(vertex))
-
-    @property
-    def max_degree(self) -> int:
-        return max(self.degree(v) for v in range(self.num_vertices))
-
     # graph text format: "V E", then E lines "u v", then one line of parities
 
     def to_text(self) -> str:

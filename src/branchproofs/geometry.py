@@ -31,17 +31,6 @@ class UnboundedSet(ValueError):
 
 
 @dataclass(frozen=True)
-class Halfspace:
-    """The halfspace {x : a x <= b}."""
-
-    normal: Vector
-    rhs: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "rhs", Fraction(self.rhs))
-
-
-@dataclass(frozen=True)
 class CgCut:
     """A Chvatal-Gomory cut record: normal a and rhs floor(h_K(a)).
 
@@ -121,8 +110,8 @@ def _apply_certified(
     weights = [(i, w * (common // w_den)) for i, w in weights]
     point = [v * (common // scale) for v in point]
     total = _check_optimal(K, a.as_ints(), point, weights, common)
-    optimal = Optimal._unbuilt(Fraction(total, common), point, common, weights,
-                               K._scaled_rows()[2], common)
+    optimal = Optimal(Fraction(total, common), point, common, weights,
+                      K._scaled_rows()[2], common)
     return _cut(K, a, optimal)
 
 
@@ -181,7 +170,8 @@ def face(K: InequalitySystem, a: Vector) -> InequalitySystem:
 
 def implies_R(
     premise: InequalitySystem,
-    target: Halfspace,
+    c: Vector,
+    d: Scalar,
     R: int,
     strict: bool = False,
 ) -> bool:
@@ -207,12 +197,12 @@ def implies_R(
     extended = InequalitySystem(
         [a for a, _ in ext_rows], [b for _, b in ext_rows], n=2 * n
     )
-    objective = Vector(tuple(target.normal) + (0,) * n)
+    objective = Vector(tuple(c) + (0,) * n)
     try:
         value = support_value(extended, objective)
     except EmptySet:
         return True
-    return value < target.rhs if strict else value <= target.rhs
+    return value < d if strict else value <= d
 
 
 def l1_radius_bound(K: InequalitySystem) -> int:

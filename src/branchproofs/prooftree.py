@@ -132,9 +132,6 @@ class BranchNode(_TreeNode):
         coeff = max(max([abs(e.numerator) for e in self.a]), abs(b), abs(b + 1))
         return bit_size(self.a) + bit_size(b), coeff
 
-    def leaf_count(self) -> int:
-        return sum(1 for node, _, _ in walk(self) if node.is_leaf)
-
 
 @dataclass(frozen=True, eq=False, repr=False)
 class EnumNode(_TreeNode):

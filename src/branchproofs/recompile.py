@@ -7,7 +7,7 @@ coefficients depend only on the dimension n and the l1 radius R of the set
 is no longer empty by a short chain of branching steps that simulates at most
 2(n+1) Chvatal-Gomory cuts drawn from the approximation data.  The precision
 is fixed by the set: R = ``l1_radius_bound(K)``, N = 10 n R and
-M = N^(n+2).
+M = N^(n+2); a substitution sequence stores R alone and derives N and M.
 
 Central pieces:
 
@@ -29,7 +29,6 @@ from fractions import Fraction
 from .diophantine import classify_rhs, dirichlet_approx
 from .geometry import (
     EmptySet,
-    Halfspace,
     UnboundedSet,
     implies_R,
     l1_radius_bound,
@@ -42,25 +41,32 @@ from .vectors import Vector, round_half_away
 
 @dataclass(frozen=True)
 class SubstitutionSequence:
-    """A valid substitution sequence of ``a x <= b`` at precision (R, N, M).
+    """A valid substitution sequence of ``a x <= b`` at radius R.
 
     ``levels`` holds (a_i, b_i, gamma_i) for i = 1..k with gamma_k = 0; the
     replacement disjunction is ``a' x <= b'`` with a' = sum M^(k-i) a_i and
-    b' = sum M^(k-i) b_i.  The defining properties (coefficient bounds and
-    three families of l1-ball implications) are checked by
-    :func:`verify_substitution_sequence`.
+    b' = sum M^(k-i) b_i.  The precision N = 10 n R and the base
+    M = N^(n+2) follow from R and the dimension n of a'.  The defining
+    properties (coefficient bounds and three families of l1-ball
+    implications) are checked by :func:`verify_substitution_sequence`.
     """
 
     a_prime: Vector
     b_prime: int
     levels: tuple[tuple[Vector, int, Fraction], ...]
     R: int
-    N: int
-    M: int
 
     @property
     def k(self) -> int:
         return len(self.levels)
+
+    @property
+    def N(self) -> int:
+        return 10 * len(self.a_prime) * self.R
+
+    @property
+    def M(self) -> int:
+        return self.N ** (len(self.a_prime) + 2)
 
 
 def long_to_short(a: Vector, b: int, R: int) -> SubstitutionSequence:
@@ -100,7 +106,7 @@ def long_to_short(a: Vector, b: int, R: int) -> SubstitutionSequence:
         cls = classify_rhs(a_hat, b_hat, approx, R, N)
         if cls.dominating:
             levels.append((approx.a_prime, cls.b_prime, Fraction(0)))
-            return _assemble(levels, R, N, M)
+            return _assemble(levels, R, M)
         gamma = 2 * cls.alpha / (5 * n)
         levels.append((approx.a_prime, cls.b_prime, gamma))
         alphas.append(cls.alpha)
@@ -125,10 +131,10 @@ def long_to_short(a: Vector, b: int, R: int) -> SubstitutionSequence:
     else:
         b_k = R * norm_k
     levels.append((a_k, b_k, Fraction(0)))
-    return _assemble(levels, R, N, M)
+    return _assemble(levels, R, M)
 
 
-def _assemble(levels, R: int, N: int, M: int) -> SubstitutionSequence:
+def _assemble(levels, R: int, M: int) -> SubstitutionSequence:
     k = len(levels)
     a_prime = Vector.zero(len(levels[0][0]))
     b_prime = 0
@@ -140,8 +146,6 @@ def _assemble(levels, R: int, N: int, M: int) -> SubstitutionSequence:
         b_prime=b_prime,
         levels=tuple(levels),
         R=R,
-        N=N,
-        M=M,
     )
 
 
@@ -160,8 +164,6 @@ def flip_sequence(seq: SubstitutionSequence) -> SubstitutionSequence:
         b_prime=-seq.b_prime - 1,
         levels=tuple(flipped),
         R=seq.R,
-        N=seq.N,
-        M=seq.M,
     )
 
 
@@ -199,7 +201,7 @@ def verify_substitution_sequence(
             fail(1, i, "level rhs exceeds R ||a_i|| + 1")
         if gamma_i < 0:
             fail(1, i, "negative gamma")
-    if seq.levels[-1][2] != 0:
+    if seq.levels and seq.levels[-1][2] != 0:
         fail(1, k, "gamma_k must be zero")
     if recon_a != seq.a_prime or recon_b != seq.b_prime:
         fail(1, "-", "a', b' are not the M-adic combination of the levels")
@@ -217,18 +219,18 @@ def verify_substitution_sequence(
 
     for l in range(1, k):
         a_l, b_l, _ = seq.levels[l - 1]
-        if not implies_R(premise(l - 1), Halfspace(a_l, b_l + 1), R, strict=True):
+        if not implies_R(premise(l - 1), a_l, b_l + 1, R, strict=True):
             fail(2, l, "approximate premise does not pin the level inequality")
     for l in range(1, k + 1):
         gamma_l = seq.levels[l - 1][2]
-        if not implies_R(premise(l - 1), Halfspace(a, b + gamma_l), R):
+        if not implies_R(premise(l - 1), a, b + gamma_l, R):
             fail(3, l, "premise does not imply the original inequality")
     for l in range(1, k):
         a_l, b_l, gamma_l = seq.levels[l - 1]
         system = InequalitySystem([a_l], [b_l - 1], n=n)
         for a_i, b_i, _ in seq.levels[: l - 1]:
             system = system.with_equality(a_i, b_i)
-        if not implies_R(system, Halfspace(a, b - n * gamma_l), R):
+        if not implies_R(system, a, b - n * gamma_l, R):
             fail(4, l, "strict level decrease does not overshoot the original")
 
     return Report(valid=not failures, failures=tuple(failures))

@@ -22,12 +22,12 @@ skips the basic columns, whose reduced costs are 0.  Every outcome is
 re-verified in integers on the scaled rows before it is returned; a failure
 raises ``SolverError``.  An optimum is checked in the solver's own integers,
 read from the final tableau: its point times ``|d|`` and its duals as integer
-weights on the scaled rows, over their nonzeros; ``Optimal`` builds its
-Fraction ``point`` and ``dual`` from them only when they are first read.  A
-ray is checked over a common denominator, and Farkas multipliers over their
-nonzeros.  Every row combination ``lam (A, b)`` -- a dual's, a given Farkas
-certificate's (``FarkasCertificate.verify``, which solves nothing) -- is
-this one integer path: ``_weights`` turns the nonzero rational multipliers
+weights on the scaled rows, over their nonzeros; ``Optimal`` is constructed
+from these integers and builds its Fraction ``point`` and ``dual`` only when
+they are first read.  A ray is checked over a common denominator, and Farkas
+multipliers over their nonzeros.  Every row combination ``lam (A, b)`` -- a
+dual's, a given Farkas certificate's (``FarkasCertificate.verify``, which
+solves nothing) -- is this one integer path: ``_weights`` turns the nonzero rational multipliers
 into integer weights on the scaled rows (the solver's own duals already
 are) and ``_combine`` sums those rows.  Both read the scaled rows as given,
 so a certified proof's leaves are checked on rows that belong to no system.
@@ -36,8 +36,8 @@ ray to the proof file and back, and builds the dense Vector when it is read.
 Every Farkas certificate the solver returns is reduced: a basic dual ray
 (the basis plus the entering column, so at most n+1 nonzeros, checked)
 scaled to ``lam b = -1``, the one vertex of the normalized dual cone on its
-independent support rows.  ``reduce_certificate`` reduces one from elsewhere
-to the solver's certificate for the rows of its support.
+independent support rows.  A certificate from elsewhere, such as a proof
+file's, is checked as given and never reduced.
 
 Outcomes are memoized per system, keyed by the objective, whose hash is
 computed once per solve: asking the same system the same question again costs
@@ -319,9 +319,6 @@ class FarkasCertificate:
             self._multipliers = Vector(entries)
         return self._multipliers
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.nonzeros)
-
     def verify(self, system: InequalitySystem) -> bool:
         """Exactly, in integers on the scaled rows over the nonzeros only."""
         return self.failed_check(system) is None
@@ -373,17 +370,11 @@ class Optimal:
 
     __slots__ = ("value", "_parts", "_point", "_dual")
 
-    def __init__(self, value: Fraction, point: Vector, dual: Vector):
-        self.value, self._parts, self._point, self._dual = value, None, point, dual
-
-    @classmethod
-    def _unbuilt(cls, value, point, scale, weights, sigmas, w_den) -> "Optimal":
+    def __init__(self, value: Fraction, point, scale, weights, sigmas, w_den):
         """The optimum with point ``point / scale`` and dual ``sigma_i w_i /
         w_den`` on each row i of the ``(i, w_i)`` weights, 0 elsewhere."""
-        out = object.__new__(cls)
-        out.value, out._point, out._dual = value, None, None
-        out._parts = (point, scale, weights, sigmas, w_den)
-        return out
+        self.value, self._point, self._dual = value, None, None
+        self._parts = (point, scale, weights, sigmas, w_den)
 
     @property
     def point(self) -> Vector:
@@ -403,9 +394,8 @@ class Optimal:
         return self._dual
 
     def _sparse(self) -> tuple[list[int], int, list[tuple[int, Fraction]]]:
-        """For an optimum built by ``_unbuilt``: the point as integers over
-        one scale, and the dual's nonzero ``(row, Fraction)`` pairs, without
-        building the dense Vectors."""
+        """The point as integers over one scale, and the dual's nonzero
+        ``(row, Fraction)`` pairs, without building the dense Vectors."""
         point, scale, weights, sigmas, w_den = self._parts
         return point, scale, [(i, Fraction(sigmas[i] * w, w_den)) for i, w in weights]
 
@@ -452,32 +442,6 @@ def is_empty(system: InequalitySystem) -> Optional[FarkasCertificate]:
         else:
             _solve_max(system, Vector.zero(system.n))  # sets system._empty
     return system._empty or None
-
-
-def reduce_certificate(
-    system: InequalitySystem, cert: FarkasCertificate
-) -> FarkasCertificate:
-    """Reduce a Farkas certificate to a vertex of the normalized dual cone.
-
-    The solver's own certificates already are such vertices.  The result is
-    the solver's certificate for the rows of the input's support, embedded
-    in the m rows.  Its support rows carry linearly independent ``(a_i,
-    b_i)`` vectors, so it has at most n+1 nonzero multipliers; both that and
-    the certificate are checked again on the whole system.
-    """
-    if not cert.verify(system):
-        raise ValueError("input is not a valid Farkas certificate for the system")
-    support = cert.support()
-    rows = InequalitySystem([system.matrix[i] for i in support],
-                            [system.rhs[i] for i in support], n=system.n)
-    basic = is_empty(rows)
-    if basic is None:
-        raise SolverError("support rows not empty, yet the certificate verified")
-    reduced = FarkasCertificate._from_nonzeros(
-        system.m, [(support[i], v) for i, v in basic.nonzeros])
-    if len(reduced.nonzeros) > system.n + 1 or not reduced.verify(system):
-        raise SolverError("certificate reduction produced an invalid certificate")
-    return reduced
 
 
 # ---------------------------------------------------------------------------
@@ -836,7 +800,7 @@ def _solve_verified(system: InequalitySystem, c: Vector, key: _Key) -> LpOutcome
         tab.rhs = rhs_b
         system._tableaux[key] = tab
     w_den = mu * scale
-    return Optimal._unbuilt(Fraction(total, w_den), point, scale, weights, sigmas, w_den)
+    return Optimal(Fraction(total, w_den), point, scale, weights, sigmas, w_den)
 
 
 def _primal(tab: _DualTableau) -> list[int]:

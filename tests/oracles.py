@@ -121,6 +121,12 @@ def brute_force_dirichlet(a: Vector, N: int):
     raise AssertionError("pigeonhole guarantee violated")
 
 
+def approximation_error(a: Vector, approx) -> Fraction:
+    """max_i | l * a_i / ||a||_inf - a'_i | of a ``DioApprox``, exactly."""
+    scale = a.norm_linf()
+    return max(abs(approx.multiplier * e / scale - w) for e, w in zip(a, approx.a_prime))
+
+
 def linear_scan_dirichlet(a: Vector, N: int):
     """``brute_force_dirichlet`` as an integer scan over every l in 1..N^n.
 

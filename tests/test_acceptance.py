@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 from random import Random
 
-from branchproofs.diophantine import approximation_error, dirichlet_approx
+from branchproofs.diophantine import dirichlet_approx
 from branchproofs.enumcp import enum_to_cp
 from branchproofs.families import (
     TseitinInstance,
@@ -38,7 +38,12 @@ from branchproofs.recompile import (
 from branchproofs.simplex import InequalitySystem, is_empty
 from branchproofs.vectors import Vector
 
-from oracles import check_repair_invariants, fourier_motzkin_empty, integer_points_in_box
+from oracles import (
+    approximation_error,
+    check_repair_invariants,
+    fourier_motzkin_empty,
+    integer_points_in_box,
+)
 from randgen import (
     random_boxed_polytope,
     random_disjoint_pair,

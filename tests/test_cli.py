@@ -24,7 +24,7 @@ from branchproofs.prooftree import (
     verify_certified_proof,
 )
 from branchproofs.simplex import InequalitySystem
-from branchproofs.vectors import Vector
+from branchproofs.vectors import Vector, parse_rational
 
 
 TRIANGLE = "3 3\n0 1\n1 2\n0 2\n1 0 0\n"
@@ -155,7 +155,11 @@ def test_cp_verify_detects_short_list(tmp_path, capsys):
     cuts = tmp_path / "weak.cuts"
     cuts.write_text("")  # zero cuts leave the fractional point intact
     code, out = run(capsys, "verify", "cp", str(system), str(cuts))
-    assert code == 1 and "RESULT invalid" in out
+    last = out.splitlines()[-1]
+    prefix = "RESULT invalid cut list leaves the system nonempty; witness x = ("
+    assert code == 1 and last.startswith(prefix) and last.endswith(")")
+    point = Vector([parse_rational(e) for e in last[len(prefix):-1].split(", ")])
+    assert InequalitySystem.from_text(system.read_text()).contains(point)
 
 
 # sha256 of the gen-tseitin .ineq / .proof and the enum-to-cp .cuts, and the

@@ -10,17 +10,16 @@ import pytest
 from branchproofs import diophantine
 from branchproofs.diophantine import (
     DioApprox,
-    approximation_error,
     candidates,
     classify_rhs,
     dirichlet_approx,
     first,
 )
-from branchproofs.geometry import Halfspace, implies_R
+from branchproofs.geometry import implies_R
 from branchproofs.simplex import InequalitySystem
 from branchproofs.vectors import Vector
 
-from oracles import brute_force_dirichlet, linear_scan_dirichlet
+from oracles import approximation_error, brute_force_dirichlet, linear_scan_dirichlet
 
 
 def test_dirichlet_examples():
@@ -297,9 +296,9 @@ def test_dominating_case_soundness():
         n = len(a)
         ap, bp = approx.a_prime, cls.b_prime
         left = InequalitySystem([ap], [bp], n=n)
-        assert implies_R(left, Halfspace(a, b), R)
+        assert implies_R(left, a, b, R)
         right = InequalitySystem([-ap], [-bp - 1], n=n)
-        assert implies_R(right, Halfspace(-a, -b - 1), R)
+        assert implies_R(right, -a, -b - 1, R)
 
 
 def test_non_dominating_one_sided_error():
@@ -318,7 +317,7 @@ def test_non_dominating_one_sided_error():
         seen += 1
         premise = InequalitySystem([approx.a_prime], [cls.b_prime], n=len(a))
         bound = cls.alpha * (cls.b_prime + Fraction(R, N))
-        assert implies_R(premise, Halfspace(a, bound), R)
+        assert implies_R(premise, a, bound, R)
 
 
 def test_flip_symmetry():
@@ -332,7 +331,7 @@ def test_flip_symmetry():
         a, b, R, N = case
         approx = dirichlet_approx(a, N)
         cls = classify_rhs(a, Fraction(b), approx, R, N)
-        negated = DioApprox(-approx.a_prime, approx.multiplier, approx.precision)
+        negated = DioApprox(-approx.a_prime, approx.multiplier)
         flipped = classify_rhs(-a, Fraction(-b - 1), negated, R, N)
         assert flipped.dominating == cls.dominating
         if cls.dominating:

@@ -156,12 +156,11 @@ def test_tampered_carried_certificate_raises(monkeypatch):
     assert len(certified) == 1 and len(weights) == 2
     for row, _ in weights:  # sigma_i w_i / w_den on row i: halve one
         halved = [(i, w if i == row else 2 * w) for i, w in weights]
-        tampered = Optimal._unbuilt(opt.value, point, scale, halved, sigmas, 2 * w_den)
+        tampered = Optimal(opt.value, point, scale, halved, sigmas, 2 * w_den)
         assert sum(a != b for a, b in zip(tampered.dual, opt.dual)) == 1
         with pytest.raises(SolverError):
             lift_cg_sequence(K, c, [with_optimal(record, tampered)])
-    moved = Optimal._unbuilt(opt.value, [v + scale for v in point], scale, weights,
-                             sigmas, w_den)
+    moved = Optimal(opt.value, [v + scale for v in point], scale, weights, sigmas, w_den)
     assert not K.contains(moved.point)
     with pytest.raises(SolverError):
         lift_cg_sequence(K, c, [with_optimal(record, moved)])

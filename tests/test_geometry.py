@@ -10,7 +10,6 @@ import pytest
 from branchproofs.families import pn_polytope
 from branchproofs.geometry import (
     EmptySet,
-    Halfspace,
     UnboundedSet,
     _append_dominant,
     apply_cg,
@@ -196,18 +195,18 @@ def test_face_errors():
 
 def test_implies_R_examples():
     premise = InequalitySystem([[1]], [0])  # x <= 0
-    assert implies_R(premise, Halfspace(Vector([7]), 3), 2)
+    assert implies_R(premise, Vector([7]), 3, 2)
     premise2 = InequalitySystem([[1]], [1])  # x <= 1
-    assert not implies_R(premise2, Halfspace(Vector([7]), 3), 2)
+    assert not implies_R(premise2, Vector([7]), 3, 2)
     empty = InequalitySystem([[1], [-1]], [0, -1])
-    assert implies_R(empty, Halfspace(Vector([123]), -999), 1)
+    assert implies_R(empty, Vector([123]), -999, 1)
 
 
 def test_implies_R_strict():
     premise = InequalitySystem([[1]], [0])
-    assert implies_R(premise, Halfspace(Vector([1]), 0), 5)
-    assert not implies_R(premise, Halfspace(Vector([1]), 0), 5, strict=True)
-    assert implies_R(premise, Halfspace(Vector([1]), 1), 5, strict=True)
+    assert implies_R(premise, Vector([1]), 0, 5)
+    assert not implies_R(premise, Vector([1]), 0, 5, strict=True)
+    assert implies_R(premise, Vector([1]), 1, 5, strict=True)
 
 
 def test_implies_R_monotone_in_premise():
@@ -221,12 +220,10 @@ def test_implies_R_monotone_in_premise():
         premise = InequalitySystem(
             [a for a, _ in base_rows], [b for _, b in base_rows], n=n
         )
-        target = Halfspace(
-            Vector([rng.randint(-2, 2) for _ in range(n)]), rng.randint(-3, 3)
-        )
-        if implies_R(premise, target, 2):
+        c, d = Vector([rng.randint(-2, 2) for _ in range(n)]), rng.randint(-3, 3)
+        if implies_R(premise, c, d, 2):
             extra = (Vector([rng.randint(-2, 2) for _ in range(n)]), rng.randint(-3, 3))
-            assert implies_R(premise.with_rows([extra]), target, 2)
+            assert implies_R(premise.with_rows([extra]), c, d, 2)
 
 
 def test_l1_radius_bound_examples():

@@ -8,7 +8,13 @@ import pytest
 
 from branchproofs.families import thin_segment
 from branchproofs.geometry import apply_cg_list, l1_radius_bound
-from branchproofs.prooftree import BranchNode, format_branching, proof_stats, verify_branching_proof
+from branchproofs.prooftree import (
+    BranchNode,
+    format_branching,
+    proof_stats,
+    verify_branching_proof,
+    walk,
+)
 from branchproofs.recompile import (
     SubstitutionSequence,
     flip_sequence,
@@ -91,9 +97,7 @@ def test_verify_detects_tampered_rhs():
     a, b = Vector([10**6, 1]), 0
     seq = long_to_short(a, b, R=3)
     bump = seq.R * int(seq.a_prime.norm_linf())
-    tampered = SubstitutionSequence(
-        seq.a_prime, seq.b_prime + bump, seq.levels, seq.R, seq.N, seq.M
-    )
+    tampered = SubstitutionSequence(seq.a_prime, seq.b_prime + bump, seq.levels, seq.R)
     report = verify_substitution_sequence(tampered, a, b)
     assert not report.valid
     # the M-adic reconstruction breaks along with property 2 or 3
@@ -105,6 +109,13 @@ def test_verify_k1_vacuous_properties():
     assert seq.k == 1
     report = verify_substitution_sequence(seq, Vector([3, 1]), 2)
     assert report.valid  # properties 2 and 4 hold vacuously
+
+
+def test_verify_rejects_a_sequence_without_levels():
+    seq = SubstitutionSequence(Vector([1, 2]), 3, (), 1)
+    report = verify_substitution_sequence(seq, Vector([1, 2]), 3)
+    assert not report.valid
+    assert report.failures[0] == "property 1 at level -: k=0 outside [1, n+1]"
 
 
 def test_flip_is_involution():
@@ -237,7 +248,8 @@ def test_recompile_random_proofs():
         stats = proof_stats(rebuilt)
         n = K.n
         assert stats.max_coeff <= (10 * n * R) ** ((n + 2) ** 2)
-        bound = proof.node_count() + 4 * (n + 1) * proof.leaf_count()
+        leaves = sum(node.is_leaf for node, _, _ in walk(proof))
+        bound = proof.node_count() + 4 * (n + 1) * leaves
         assert stats.length <= bound
 
 
