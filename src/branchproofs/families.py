@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .geometry import EmptySet, support_value
 from .prooftree import BranchNode, EnumNode
-from .simplex import FarkasCertificate, InequalitySystem, is_empty
+from .simplex import FarkasCertificate, InequalitySystem, _box_rows, is_empty
 from .vectors import Vector, parse_integer
 
 _DEGREE_GUARD = 20
@@ -110,10 +110,8 @@ def tseitin_polytope(inst: TseitinInstance) -> InequalitySystem:
                 ones += bit
             matrix.append(Vector(coeffs))
             rhs.append(Fraction(ones - 1))
-    box = InequalitySystem.box(n, 0, 1)
-    matrix.extend(box.matrix)
-    rhs.extend(box.rhs)
-    return InequalitySystem(matrix, rhs, n=n)
+    box_matrix, box_rhs = _box_rows(n, 0, 1)
+    return InequalitySystem(matrix + box_matrix, rhs + box_rhs, n=n)
 
 
 def _edge_cut_vector(inst: TseitinInstance, part_a, part_b) -> Vector:
@@ -227,10 +225,8 @@ def pn_polytope(n: int) -> InequalitySystem:
         outside = sum(1 for i in range(n) if not mask >> i & 1)
         matrix.append(Vector(coeffs))
         rhs.append(Fraction(outside - 1))
-    box = InequalitySystem.box(n, 0, 1)
-    matrix.extend(box.matrix)
-    rhs.extend(box.rhs)
-    return InequalitySystem(matrix, rhs, n=n)
+    box_matrix, box_rhs = _box_rows(n, 0, 1)
+    return InequalitySystem(matrix + box_matrix, rhs + box_rhs, n=n)
 
 
 def qn_polytope(n: int) -> InequalitySystem:
@@ -251,10 +247,8 @@ def qn_polytope(n: int) -> InequalitySystem:
         rhs.append(Fraction(1, 2))
         matrix.append(-x_i - y_i)
         rhs.append(Fraction(-1, 2))
-    box = InequalitySystem.box(dim, 0, 1)
-    matrix.extend(box.matrix)
-    rhs.extend(box.rhs)
-    return InequalitySystem(matrix, rhs, n=dim)
+    box_matrix, box_rhs = _box_rows(dim, 0, 1)
+    return InequalitySystem(matrix + box_matrix, rhs + box_rhs, n=dim)
 
 
 @dataclass(frozen=True)

@@ -105,13 +105,12 @@ def _apply_certified(
     multiplier >= 0, ``lam A = a``, the point feasible and ``a point = lam b``,
     which is then ``h_K(a)``.  A failed check raises ``SolverError``.
     """
-    weights, w_den = _weights(K._scaled_rows(), nonzeros)
+    weights, w_den = _weights(K._rows, nonzeros)
     common = math.lcm(w_den, scale)
     weights = [(i, w * (common // w_den)) for i, w in weights]
     point = [v * (common // scale) for v in point]
     total = _check_optimal(K, a.as_ints(), point, weights, common)
-    optimal = Optimal(Fraction(total, common), point, common, weights,
-                      K._scaled_rows()[2], common)
+    optimal = Optimal(Fraction(total, common), point, common, weights, K._rows[2], common)
     return _cut(K, a, optimal)
 
 
@@ -134,9 +133,10 @@ def _append_dominant(
     ``with_rhs`` or, if its rhs is already <= b, kept as it is with K; or
     else the appended row ``K.m``.  The normal a is integral, so row i has
     normal a exactly when its scaled nonzeros are those of sigma_i a, a
-    comparison of integer tuples.
+    comparison of integer tuples, and its rhs is <= b when its scaled rhs
+    is <= sigma_i b.
     """
-    mat, _, sigmas = K._scaled_rows()
+    mat, rhs, sigmas = K._rows
     target = tuple((j, e.numerator) for j, e in enumerate(a) if e)
     scaled = {1: target}  # sigma -> the nonzeros of sigma a
     for i, (row, sigma) in enumerate(zip(mat, sigmas)):
@@ -144,7 +144,7 @@ def _append_dominant(
         if want is None:
             want = scaled[sigma] = tuple((j, sigma * v) for j, v in target)
         if row == want:
-            if K.rhs[i] <= b:
+            if rhs[i] <= sigma * b:
                 return K, i
             return K.with_rhs(i, b), i
     return K.with_rows([(a, b)]), K.m

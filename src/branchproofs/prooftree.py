@@ -252,7 +252,7 @@ def _branch_label(path) -> str:
 def _witness(system: InequalitySystem) -> str:
     """"; witness x = (...)": x = 0 or the memoized point of ``is_empty``'s c = 0 solve."""
     zero = Vector.zero(system.n)
-    point = lp_optimize(system, zero).point if any(b < 0 for b in system.rhs) else zero
+    point = lp_optimize(system, zero).point if any(b < 0 for b in system._rows[1]) else zero
     return _witness_text(point)
 
 
@@ -301,8 +301,8 @@ def verify_certified_proof(K: InequalitySystem, proof: BranchNode) -> Report:
     (``FarkasCertificate.failed_check``), so the verdict does not depend on
     the order of the leaves.
 
-    No relaxation is built.  The rows a leaf is checked on are K's scaled
-    rows, scaled once, followed by one stack of the path's edge rows, which
+    No relaxation is built.  The rows a leaf is checked on are a copy of K's
+    scaled rows followed by one stack of the path's edge rows, which
     the walk truncates and extends in place.  A disjunction is integral, so
     an edge row is its own scaled form with sigma 1: ``(a, b)`` on the left,
     ``(-a, -b - 1)`` on the right.  Memory is O(m + D) for a depth-D proof.
@@ -310,7 +310,7 @@ def verify_certified_proof(K: InequalitySystem, proof: BranchNode) -> Report:
     descending into its node's first child.
     """
     n, m = K.n, K.m
-    rows = tuple(list(part) for part in K._scaled_rows())
+    rows = tuple(list(part) for part in K._rows)
     mat, rhs, sigmas = rows
     for node, path, leaving in walk(proof):
         if leaving:

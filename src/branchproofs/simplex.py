@@ -14,8 +14,8 @@ Internally the solver runs Bland-rule primal simplex on the LP dual
 of variables), which keeps pivots cheap for the many-row systems produced by
 branching paths and accumulated cutting planes.  The simplex is revised and
 integral ("integer pivoting"): it stores only ``d`` times the basis inverse
-and the basic values, for the basis scale ``d``.  Each system scales its rows
-to integers once and keeps their nonzeros (a derived system extends its
+and the basic values, for the basis scale ``d``.  A system stores its rows
+only scaled to integers, as their nonzeros (a derived system extends its
 parent's), so a column or a reduced cost costs one product per nonzero; the
 simplex multipliers are updated by rank one per pivot; a pricing scan
 skips the basic columns, whose reduced costs are 0.  Every outcome is
@@ -42,39 +42,39 @@ file's, is checked as given and never reduced.
 Outcomes are memoized per system, keyed by the objective, whose hash is
 computed once per solve: asking the same system the same question again costs
 a dictionary lookup.  A derived system (``with_rows`` / ``with_equality``
-append rows, ``with_rhs`` changes one right-hand side, as a tightening CG cut
-does) starts with an empty memo, but a solve that ends at an optimum keeps its
-final basis for the objective, and every solve takes its start from one walk
-over the system's kept bases and its ancestors' (``_kept_start``).  The first
-basis kept for the objective whose scaled rows are a prefix of the system's is
-extended: added primal rows only add dual columns, and a changed b only
-changes costs, so the basis stays dual feasible and phase 1 is skipped.  Else
-the last basis of the nearest system that keeps any, the system itself or an
-ancestor, is restarted for the objective by dual simplex (Lemke, with Bland's
-rule) and extended; an ancestor's must first have rows that are a prefix of
-the system's, or the solve goes cold; if a changed b has made its basis
-suboptimal, the restart runs on the costs the basis was kept for, and phase 2
-prices every column for the system's own.  A kept basis is optimal for the
-costs -b whatever c is, and c only changes the basic values, so the dual
-simplex makes them feasible again; if it cannot, the primal is unbounded along
-c and the solve goes cold, which builds and checks the ray.  A start carries
-what its kept basis proves: the columns whose reduced costs are already <= 0
-(a kept basis's rows, unless a changed b changed their costs), which phase 2's
-first scan skips, and the multipliers, which are built once per basis.  A
-restart on all of the system's rows is then optimal and skips phase 2; a wrong
-one leaves a positive reduced cost on some row i, which is ``A_i p > b_i |d|``
-for the point p, and so fails the feasibility check of every optimum.  A pivot
-replaces the inverse's rows and never writes into them, so any number of
-derived systems and objectives can start from one kept basis.  A basis whose
-phase 1 dropped a redundant equality is never kept, because added rows can
-make that equality matter again.
+append scaled rows, ``with_rhs`` rescales the one row it changes, as a
+tightening CG cut does) starts with an empty memo, but a solve that ends at an
+optimum keeps its final basis for the objective, and every solve takes its
+start from one walk over the system's kept bases and its ancestors'
+(``_kept_start``).  The first basis kept for the objective whose scaled rows
+are a prefix of the system's is extended: added primal rows only add dual
+columns, and a changed b only changes costs, so the basis stays dual feasible
+and phase 1 is skipped.  Else the last basis of the nearest system that keeps
+any, the system itself or an ancestor, is restarted for the objective by dual
+simplex (Lemke, with Bland's rule) and extended; an ancestor's must first have
+rows that are a prefix of the system's, or the solve goes cold; if a changed b
+has made its basis suboptimal, the restart runs on the costs the basis was
+kept for, and phase 2 prices every column for the system's own.  A kept basis
+is optimal for the costs -b whatever c is, and c only changes the basic
+values, so the dual simplex makes them feasible again; if it cannot, the
+primal is unbounded along c and the solve goes cold, which builds and checks
+the ray.  A start carries what its kept basis proves: the columns whose
+reduced costs are already <= 0 (a kept basis's rows, unless a changed b
+changed their costs), which phase 2's first scan skips, and the multipliers,
+which are built once per basis.  A restart on all of the system's rows is then
+optimal and skips phase 2; a wrong one leaves a positive reduced cost on some
+row i, which is ``A_i p > b_i |d|`` for the point p, and so fails the
+feasibility check of every optimum.  A pivot replaces the inverse's rows and
+never writes into them, so any number of derived systems and objectives can
+start from one kept basis.  A basis whose phase 1 dropped a redundant equality
+is never kept, because added rows can make that equality matter again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional
 
@@ -93,20 +93,18 @@ class InequalitySystem:
     """A finite system of linear inequalities ``A x <= b`` over Q^n.
 
     Immutable; rows are addressable by index.  ``m == 0`` is allowed (the
-    whole space), ``n >= 1`` is required.
+    whole space), ``n >= 1`` is required.  Stored once, as the scaled rows
+    ``_rows = (mat, rhs, sigmas)`` of ``_scale_rows``, whose least scales make
+    them one-to-one with the rows; ``matrix``, ``rhs`` and ``rows()`` build
+    the Vector and Fraction form on each read, for I/O, and decide nothing.
     """
 
-    __slots__ = (
-        "matrix", "rhs", "n", "_scaled", "_empty", "_outcomes", "_tableaux", "_ancestry"
-    )
+    __slots__ = ("n", "_rows", "_empty", "_outcomes", "_tableaux", "_ancestry")
 
     def __init__(self, matrix: Iterable, rhs: Iterable[Scalar], n: int | None = None):
         rows = tuple(a if isinstance(a, Vector) else Vector(a) for a in matrix)
-        # an entry that is already a Fraction is kept, as in Vector
-        self.rhs: tuple[Fraction, ...] = tuple(
-            b if type(b) is Fraction else Fraction(b) for b in rhs
-        )
-        if len(rows) != len(self.rhs):
+        rhs = tuple(b if type(b) is Fraction else Fraction(b) for b in rhs)
+        if len(rows) != len(rhs):
             raise DimensionMismatch("matrix and rhs row counts differ")
         if rows:
             dims = {len(a) for a in rows}
@@ -118,9 +116,8 @@ class InequalitySystem:
             n = inferred
         if n is None or n < 1:
             raise ValueError("dimension n >= 1 required (pass n= for empty systems)")
-        self.matrix: tuple[Vector, ...] = rows
         self.n = n
-        self._scaled = None
+        self._rows = _scale_rows(zip(rows, rhs))
         self._empty: FarkasCertificate | bool | None = None
         self._outcomes: dict[tuple[Fraction, ...], LpOutcome] = {}
         # final tableaux of optimal solves, by objective, for derived systems
@@ -131,38 +128,51 @@ class InequalitySystem:
 
     @property
     def m(self) -> int:
-        return len(self.matrix)
+        return len(self._rows[1])
+
+    @property
+    def matrix(self) -> tuple[Vector, ...]:
+        out = []
+        for row, sigma in zip(self._rows[0], self._rows[2]):
+            entries = [_ZERO] * self.n
+            for j, v in row:
+                entries[j] = Fraction(v, sigma)
+            out.append(Vector(entries))
+        return tuple(out)
+
+    @property
+    def rhs(self) -> tuple[Fraction, ...]:
+        _, rhs, sigmas = self._rows
+        return tuple(Fraction(b, sigma) for b, sigma in zip(rhs, sigmas))
 
     def rows(self) -> Iterable[tuple[Vector, Fraction]]:
         return zip(self.matrix, self.rhs)
 
     def with_rows(self, extra: Iterable[tuple]) -> "InequalitySystem":
         """The system with the rows ``(a, b)`` appended; only they are checked."""
-        extra = list(extra)
-        matrix = tuple(a if isinstance(a, Vector) else Vector(a) for a, _ in extra)
-        rhs = tuple(b if type(b) is Fraction else Fraction(b) for _, b in extra)
-        if any(len(a) != self.n for a in matrix):
+        extra = [(a if isinstance(a, Vector) else Vector(a), Fraction(b)) for a, b in extra]
+        if any(len(a) != self.n for a, _ in extra):
             raise DimensionMismatch("appended row disagrees with the system's dimension")
-        parent, added = self._scaled_rows(), _scale_rows(zip(matrix, rhs))
-        scaled = tuple(old + new for old, new in zip(parent, added))
-        return self._derived(self.matrix + matrix, self.rhs + rhs, scaled)
+        return self._derived(tuple(old + new for old, new in zip(self._rows, _scale_rows(extra))))
 
     def with_rhs(self, index: int, b: Scalar) -> "InequalitySystem":
         """The system with the right-hand side of row ``index`` replaced by b."""
-        rhs = list(self.rhs)
-        rhs[index] = Fraction(b)
-        (row,), (scaled_b,), (sigma,) = _scale_rows([(self.matrix[index], rhs[index])])
-        scaled = tuple(list(part) for part in self._scaled_rows())
-        for part, value in zip(scaled, (row, scaled_b, sigma)):
-            part[index] = value
-        return self._derived(self.matrix, tuple(rhs), scaled)
+        b = Fraction(b)
+        mat, rhs, sigmas = rows = tuple(list(part) for part in self._rows)
+        row, sigma = mat[index], sigmas[index]
+        # the least scale of the normal alone is sigma over the gcd of sigma
+        # and the scaled normal's entries; b's denominator joins it
+        scale = lcm(sigma // gcd(sigma, *(v for _, v in row)), b.denominator)
+        mat[index] = tuple((j, v * scale // sigma) for j, v in row)
+        rhs[index] = b.numerator * (scale // b.denominator)
+        sigmas[index] = scale
+        return self._derived(rows)
 
-    def _derived(self, matrix, rhs, scaled) -> "InequalitySystem":
-        """A system on checked rows and their scaled form, sharing this one's
-        dimension and linked to its kept tableaux for warm starts."""
+    def _derived(self, rows) -> "InequalitySystem":
+        """A system on checked scaled rows, sharing this one's dimension and
+        linked to its kept tableaux for warm starts."""
         child = object.__new__(InequalitySystem)
-        child.matrix, child.rhs, child.n, child._scaled = matrix, rhs, self.n, scaled
-        child._empty = None
+        child.n, child._rows, child._empty = self.n, rows, None
         child._outcomes, child._tableaux = {}, {}
         child._ancestry = (self._tableaux, self._ancestry)
         return child
@@ -172,26 +182,21 @@ class InequalitySystem:
         return self.with_rows([(a, b), (-a, -Fraction(b))])
 
     def contains(self, x: Vector) -> bool:
-        return all(a.dot(x) <= b for a, b in self.rows())
+        """``A x <= b``, in integers on the scaled rows."""
+        if len(x) != self.n:
+            raise DimensionMismatch(f"point has dim {len(x)}, system has n={self.n}")
+        x_int, den = _over_common_denominator(x)
+        return all(sum([x_int[j] * v for j, v in row]) <= b * den
+                   for row, b in zip(*self._rows[:2]))
 
     @staticmethod
     def box(n: int, lo: Scalar, hi: Scalar) -> "InequalitySystem":
         """The box ``lo <= x_i <= hi`` in R^n."""
-        matrix, rhs = [], []
-        for i in range(n):
-            matrix.append(Vector.unit(n, i))
-            rhs.append(Fraction(hi))
-            matrix.append(-Vector.unit(n, i))
-            rhs.append(-Fraction(lo))
-        return InequalitySystem(matrix, rhs, n=n)
+        return InequalitySystem(*_box_rows(n, lo, hi), n=n)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, InequalitySystem)
-            and self.n == other.n
-            and self.matrix == other.matrix
-            and self.rhs == other.rhs
-        )
+        return (isinstance(other, InequalitySystem)
+                and (self.n, self._rows) == (other.n, other._rows))
 
     def __repr__(self) -> str:
         return f"InequalitySystem(n={self.n}, m={self.m})"
@@ -230,11 +235,12 @@ class InequalitySystem:
             rhs.append(values[n])
         return InequalitySystem(matrix, rhs, n=n)
 
-    def _scaled_rows(self):
-        """Per-row integer scaling of (A, b); cached, rows being immutable."""
-        if self._scaled is None:
-            self._scaled = _scale_rows(self.rows())
-        return self._scaled
+
+def _box_rows(n: int, lo: Scalar, hi: Scalar) -> tuple[list[Vector], list[Fraction]]:
+    """The normals and right-hand sides of the box ``lo <= x_i <= hi`` in
+    R^n: ``x_i <= hi``, then ``-x_i <= -lo``, for each i in turn."""
+    return ([Vector.unit(n, i) * s for i in range(n) for s in (1, -1)],
+            [Fraction(hi), -Fraction(lo)] * n)
 
 
 def _scale_rows(rows) -> tuple[list[tuple[tuple[int, int], ...]], list[int], list[int]]:
@@ -326,7 +332,7 @@ class FarkasCertificate:
     def failed_check(self, system: InequalitySystem) -> Optional[str]:
         """The first check the certificate fails on the system, or None: a
         wrong length, a negative multiplier, ``lam A != 0`` or ``lam b >= 0``."""
-        return self._failed_check(system._scaled_rows(), system.n)
+        return self._failed_check(system._rows, system.n)
 
     def _failed_check(self, rows, n: int) -> Optional[str]:
         """``failed_check`` on scaled rows ``(mat, rhs, sigmas)`` in n
@@ -437,7 +443,7 @@ def is_empty(system: InequalitySystem) -> Optional[FarkasCertificate]:
     """A verified Farkas certificate iff the system is empty, else None; with
     no LP once a solve on the system has decided it."""
     if system._empty is None:
-        if all(b >= 0 for b in system.rhs):
+        if all(b >= 0 for b in system._rows[1]):
             system._empty = False  # x = 0 is feasible
         else:
             _solve_max(system, Vector.zero(system.n))  # sets system._empty
@@ -714,7 +720,7 @@ def _kept_start(system: InequalitySystem, key: _Key, c_int: list[int], raw: list
     columns count as priced.  A restart reuses the kept multipliers wherever
     the costs are the kept ones.
     """
-    mat, rhs = system._scaled_rows()[:2]
+    mat, rhs = system._rows[:2]
     link, other = (system._tableaux, system._ancestry), None
     while link is not None:
         kept, link = link
@@ -744,7 +750,7 @@ def _kept_start(system: InequalitySystem, key: _Key, c_int: list[int], raw: list
 
 
 def _solve_verified(system: InequalitySystem, c: Vector, key: _Key) -> LpOutcome:
-    mat, rhs_b, sigmas = system._scaled_rows()
+    mat, rhs_b, sigmas = system._rows
     c_int, mu = _over_common_denominator(c)
     m, n = system.m, system.n
 
@@ -827,7 +833,7 @@ def _check_ray(system: InequalitySystem, c: Vector, ray: Vector) -> None:
     r_int, _ = _over_common_denominator(ray)
     if sum(map(mul, c_int, r_int)) <= 0:
         raise SolverError("extracted ray does not improve the objective")
-    if any(sum([r_int[j] * v for j, v in row]) > 0 for row in system._scaled_rows()[0]):
+    if any(sum([r_int[j] * v for j, v in row]) > 0 for row in system._rows[0]):
         raise SolverError("extracted ray leaves the recession cone")
 
 
@@ -843,14 +849,13 @@ def _check_optimal(system, c_int, point, weights, scale) -> int:
     """
     if any(w < 0 for _, w in weights):
         raise SolverError("negative dual multiplier")
-    rows = system._scaled_rows()
-    combo, total = _combine(rows, system.n, weights)
+    combo, total = _combine(system._rows, system.n, weights)
     if combo != [scale * v for v in c_int]:
         raise SolverError("duals do not reproduce the objective")
     if sum(map(mul, c_int, point)) != total:
         raise SolverError("strong duality violated: the optimal point does not attain"
                           " the duals' value")
-    mat, rhs, _ = rows
+    mat, rhs, _ = system._rows
     for row, b in zip(mat, rhs):
         lhs = 0
         for j, v in row:

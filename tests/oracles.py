@@ -159,9 +159,10 @@ def dual_cone_vertices(system):
     Only usable for small m; serves as the oracle for certificate reduction.
     """
     m, n = system.m, system.n
+    rows = [tuple(a) + (b,) for a, b in system.rows()]
     vertices = []
     for support in _subsets(range(m), n + 1):
-        vertex = _solve_support(system, support)
+        vertex = _solve_support(rows, support)
         if vertex is not None and vertex not in vertices:
             vertices.append(vertex)
     return vertices
@@ -173,13 +174,15 @@ def _subsets(universe, max_size):
         yield from itertools.combinations(universe, size)
 
 
-def _solve_support(system, support):
-    """The unique lam >= 0 supported on `support` with lam A = 0, lam b = -1."""
-    cols = [tuple(system.matrix[i]) + (system.rhs[i],) for i in support]
-    target = [Fraction(0)] * system.n + [Fraction(-1)]
+def _solve_support(rows, support):
+    """The unique lam >= 0 supported on `support` with lam A = 0, lam b = -1,
+    for the rows ``(a_1, ..., a_n, b)`` of ``A x <= b``."""
+    cols = [rows[i] for i in support]
+    n = len(rows[0]) - 1
+    target = [Fraction(0)] * n + [Fraction(-1)]
     width = len(cols)
     aug = [[Fraction(cols[j][i]) for j in range(width)] + [target[i]]
-           for i in range(system.n + 1)]
+           for i in range(n + 1)]
     # gaussian elimination
     rank = 0
     pivots = []
@@ -198,7 +201,7 @@ def _solve_support(system, support):
         rank += 1
     if any(row[-1] != 0 for row in aug[rank:]):
         return None  # inconsistent
-    lam = [Fraction(0)] * system.m
+    lam = [Fraction(0)] * len(rows)
     for col, r in zip(pivots, range(rank)):
         lam[support[col]] = aug[r][-1]
     if any(v < 0 for v in lam):

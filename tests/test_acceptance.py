@@ -251,11 +251,10 @@ def test_criterion_7_hard_instances():
         P = pn_polytope(n)
         for point in itertools.product((0, 1), repeat=n):
             assert not P.contains(Vector(point)), f"P_{n} contains {point}"
+        rows = list(P.rows())
         for mask in range(2**n):
-            keep = [i for i in range(P.m) if i != mask]
-            reduced = InequalitySystem(
-                [P.matrix[i] for i in keep], [P.rhs[i] for i in keep], n=n
-            )
+            kept = rows[:mask] + rows[mask + 1:]
+            reduced = InequalitySystem([a for a, _ in kept], [b for _, b in kept], n=n)
             complement = Vector([0 if mask >> i & 1 else 1 for i in range(n)])
             assert reduced.contains(complement), f"P_{n} not critical at {mask}"
     for n in (2, 3, 4, 5, 6):

@@ -2,6 +2,7 @@
 
 import importlib.util
 import inspect
+from fractions import Fraction
 from pathlib import Path
 
 import branchproofs
@@ -41,12 +42,22 @@ def test_bench_spans_install_and_uninstall():
         for name, original in solves.items():
             assert getattr(simplex, name).__wrapped__ is original
         assert simplex.FarkasCertificate.verify is not verify
-        simplex.is_empty(simplex.InequalitySystem([[1], [-1]], [0, -1]))
+        base = simplex.InequalitySystem([[1], [-1]], [0, -1])
+        # derived systems too: the key reads their matrix and rhs views
+        systems = [base, base.with_rows([(Vector([2]), 1)]), base.with_rhs(1, Fraction(1, 2))]
+        for system in systems:
+            simplex.is_empty(system)
         # by module name: the package's function ``recompile`` shadows the module
         recompile = importlib.import_module("branchproofs.recompile")
         recompile.long_to_short(Vector([10**6, 1]), 0, 3)
         info = {span[spans.NAME]: span[spans.INFO] for span in recorder.spans}
-        assert info["simplex.is_empty"][0] == 2  # rows of the system
+        empties = [span[spans.INFO] for span in recorder.spans
+                   if span[spans.NAME] == "simplex.is_empty"]
+        assert [m for m, _ in empties] == [2, 3, 2]  # rows of each system
+        assert [key[0] for _, key in empties] == [
+            hash((tuple(Vector(a) for a in matrix), tuple(Fraction(b) for b in rhs)))
+            for matrix, rhs in (([[1], [-1]], [0, -1]), ([[1], [-1], [2]], [0, -1, 1]),
+                                ([[1], [-1]], [0, Fraction(1, 2)]))]
         assert info["diophantine.dirichlet_approx"] >= 1  # the multiplier
         assert info["recompile.long_to_short"] == 2  # levels
     finally:

@@ -21,6 +21,7 @@ from branchproofs.prooftree import (
     format_enumerative,
     parse_branching,
     proof_stats,
+    verify_branching_proof,
     verify_certified_proof,
 )
 from branchproofs.simplex import InequalitySystem
@@ -371,6 +372,21 @@ def test_verify_certified_memory_is_linear_in_depth():
     finally:
         tracemalloc.stop()
     assert report.valid and peak < 2 * 2**20
+
+
+def test_verify_branching_memory_holds_one_row_form():
+    """A depth-1000 chain verifies in under 16 MB of traced memory: each
+    relaxation K_v holds its rows once, scaled to integers, where a second
+    Vector/Fraction copy of every row took 21 MB."""
+    K = InequalitySystem.from_text(SEGMENT)
+    proof = parse_branching(deep_chain(1000))
+    tracemalloc.start()
+    try:
+        report = verify_branching_proof(K, proof)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.valid and peak < 16 * 2**20
 
 
 def wide_enode(width):

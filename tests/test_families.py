@@ -149,11 +149,10 @@ def test_pn_examples():
 def test_pn_clause_removal_restores_feasibility():
     n = 3
     P = pn_polytope(n)
+    rows = list(P.rows())
     for mask in range(2**n):
-        keep = [i for i in range(P.m) if i != mask]
-        reduced = InequalitySystem(
-            [P.matrix[i] for i in keep], [P.rhs[i] for i in keep], n=n
-        )
+        kept = rows[:mask] + rows[mask + 1:]
+        reduced = InequalitySystem([a for a, _ in kept], [b for _, b in kept], n=n)
         complement = Vector([0 if mask >> i & 1 else 1 for i in range(n)])
         assert reduced.contains(complement)
 

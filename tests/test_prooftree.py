@@ -213,8 +213,9 @@ def test_certified_grid4x4_pinned():
 
 
 def test_verify_certified_is_lp_free_and_scales_k_once(monkeypatch):
-    """On grid3x3's certified proof: no LP, K's rows scaled once, and no
-    derived system; each edge row is the disjunction's own integers."""
+    """On grid3x3's certified proof: no LP, no row scaled (K's rows were
+    scaled when K was built) and no derived system; each edge row is the
+    disjunction's own integers."""
     inst = TseitinInstance.from_text((INSTANCES / "grid3x3.graph").read_text())
     proof = enumerative_to_branching(tseitin_sp_refutation(inst))
     certified = certify(tseitin_polytope(inst), proof)
@@ -234,8 +235,7 @@ def test_verify_certified_is_lp_free_and_scales_k_once(monkeypatch):
         monkeypatch.setattr(InequalitySystem, name,
                             lambda *args, name=name: derived.append(name))
     assert verify_certified_proof(K, certified).valid
-    assert solves == [] and derived == []
-    assert scaled == [K.m]
+    assert solves == [] and derived == [] and scaled == []
 
 
 def test_leaf_solves_warm_start_from_the_root(monkeypatch):

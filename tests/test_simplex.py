@@ -224,21 +224,26 @@ def test_outcomes_memoized_per_system(monkeypatch):
 
 
 def test_derived_systems_share_parent_rhs_entries():
+    """A derived system holds its parent's scaled rows and integer
+    right-hand sides, not copies; with_rhs replaces the one changed entry."""
     parent = InequalitySystem.box(2, Fraction(-1, 3), Fraction(5, 2))
     for child in (
         parent.with_rows([(Vector([1, 1]), 1)]),
         parent.with_equality(Vector([1, -1]), Fraction(1, 2)),
     ):
-        assert all(child.rhs[i] is parent.rhs[i] for i in range(parent.m))
+        for part, old in zip(child._rows, parent._rows):
+            assert all(part[i] is old[i] for i in range(parent.m))
+        assert child.rhs[:parent.m] == parent.rhs
     child = parent.with_rhs(1, 7)
-    assert child.rhs[1] == 7
-    assert all(child.rhs[i] is parent.rhs[i] for i in range(parent.m) if i != 1)
+    assert child.rhs == parent.rhs[:1] + (7,) + parent.rhs[2:]
+    for part, old in zip(child._rows, parent._rows):
+        assert all(part[i] is old[i] for i in range(parent.m) if i != 1)
 
 
 def test_with_rows_checks_only_the_appended_rows():
     parent = InequalitySystem([[1, 0], [0, 1]], [1, 1])
     child = parent.with_rows([(Vector([1, 1]), 1)])
-    assert all(child.matrix[i] is parent.matrix[i] for i in range(parent.m))
+    assert all(child._rows[0][i] is parent._rows[0][i] for i in range(parent.m))
     assert child == InequalitySystem(list(parent.matrix) + [Vector([1, 1])], [1, 1, 1])
     for bad in ([(Vector([1, 1, 1]), 1)], [(Vector([1, 1]), 0), (Vector([1]), 0)]):
         with pytest.raises(DimensionMismatch):
@@ -249,18 +254,16 @@ def test_with_rows_checks_only_the_appended_rows():
 
 def test_derived_systems_inherit_row_scaling():
     K = InequalitySystem([[Fraction(1, 2), Fraction(1, 3)], [-1, 0]], [Fraction(5, 6), 0])
-    K._scaled_rows()
     child = K.with_equality(Vector([Fraction(2, 3), 1]), Fraction(1, 4))
-    inherited = child._scaled
-    assert inherited is not None
-    assert inherited == InequalitySystem(child.matrix, child.rhs)._scaled_rows()
-    assert inherited[2] == [6, 1, 12, 12]
+    assert child._rows == InequalitySystem(child.matrix, child.rhs)._rows
+    assert child._rows[2] == [6, 1, 12, 12]
 
 
 def test_inherited_sparse_rows_equal_rows_scaled_from_scratch():
-    """Chains of with_rows, with_equality and with_rhs, each system's rows
-    scaled (so the next inherits them), agree with scaling the same rows
-    from scratch, as ``(index, value)`` nonzeros with no zero entry."""
+    """Chains of with_rows, with_equality and with_rhs keep rows that agree
+    with scaling the same rows from scratch, as ``(index, value)`` nonzeros
+    with no zero entry, and each system equals the one built from its
+    Fraction view."""
     rng = Random(3141)
 
     def fraction():
@@ -269,7 +272,6 @@ def test_inherited_sparse_rows_equal_rows_scaled_from_scratch():
     for _ in range(40):
         n = rng.randint(1, 4)
         system = InequalitySystem.box(n, fraction(), 3)
-        system._scaled_rows()
         for _ in range(rng.randint(1, 6)):
             step = rng.randrange(3)
             if step == 0:
@@ -281,10 +283,9 @@ def test_inherited_sparse_rows_equal_rows_scaled_from_scratch():
                                               fraction())
             else:
                 system = system.with_rhs(rng.randrange(system.m), fraction())
-            inherited = system._scaled
-            assert inherited is not None
-            assert inherited == simplex._scale_rows(system.rows())
-            for row, a in zip(inherited[0], system.matrix):
+            assert system._rows == simplex._scale_rows(system.rows())
+            assert system == InequalitySystem(system.matrix, system.rhs, n=system.n)
+            for row, a in zip(system._rows[0], system.matrix):
                 assert all(v != 0 for _, v in row)
                 assert [j for j, _ in row] == [j for j, e in enumerate(a) if e]
 
@@ -297,6 +298,33 @@ FRACTIONAL = InequalitySystem(
 )
 
 
+def test_text_round_trip_keeps_bytes():
+    """``to_text`` writes the Fraction view of the stored rows, and
+    ``from_text`` reads it back to an equal system with the same text, also
+    after a with_rhs that changes its row's scale (2/3 x1 <= 1/2 is 4 x1 <=
+    3; 2/3 x1 <= 1 is 2 x1 <= 3)."""
+    child = FRACTIONAL.with_rhs(3, 1)
+    assert (FRACTIONAL._rows[2][3], child._rows[2][3]) == (6, 3)
+    assert child._rows[0][3] == ((0, 2),) and child._rows[1][3] == 3
+    texts = ["2 4\n1/2 1/3 5/6\n-1 0 0\n0 -1 0\n2/3 0 1/2\n",
+             "2 4\n1/2 1/3 5/6\n-1 0 0\n0 -1 0\n2/3 0 1\n"]
+    for system, text in zip((FRACTIONAL, child), texts):
+        assert system.to_text() == text
+        read = InequalitySystem.from_text(text)
+        assert read == system and read.to_text() == text
+
+
+def test_contains_checks_the_scaled_rows_exactly():
+    """``contains`` decides ``A x <= b`` in integers on the stored rows: a
+    point on a boundary row is inside, one past it by 1/1000 is not."""
+    for point, inside in (([Fraction(3, 4), 0], True), ([Fraction(751, 1000), 0], False),
+                          ([Fraction(3, 4), Fraction(11, 8)], True),
+                          ([Fraction(3, 4), Fraction(1376, 1000)], False), ([0, 0], True)):
+        assert FRACTIONAL.contains(Vector(point)) is inside
+    with pytest.raises(DimensionMismatch):
+        FRACTIONAL.contains(Vector([0, 0, 0]))
+
+
 def check_fraction_outcome(system, c, point, dual) -> Fraction:
     """``_check_optimal`` on an optimum given in Fractions, turned into its
     integer form by ``_over_common_denominator`` and ``_weights``: the point
@@ -304,7 +332,7 @@ def check_fraction_outcome(system, c, point, dual) -> Fraction:
     value the check certifies."""
     c_int, mu = simplex._over_common_denominator(c)
     p_int, p_den = simplex._over_common_denominator(point)
-    weights, w_den = simplex._weights(system._scaled_rows(), [(i, y) for i, y in enumerate(dual) if y])
+    weights, w_den = simplex._weights(system._rows, [(i, y) for i, y in enumerate(dual) if y])
     scale = lcm(p_den, w_den)
     point = [v * (scale // p_den) for v in p_int]
     weights = [(i, w * mu * (scale // w_den)) for i, w in weights]
@@ -537,11 +565,11 @@ def test_lazy_point_and_dual_equal_the_fraction_formulas(monkeypatch):
         checked += 1
         assert res._point is None and res._dual is None
         tab = finals[-1]
-        raw = [-v for v in system._scaled_rows()[1]] + [0] * n
+        raw = [-v for v in system._rows[1]] + [0] * n
         d, tau, prices, dropped = tab.d, tab.tau, tab.prices(raw), set(tab.dropped)
         basic, objective = dict(zip(tab.basis, tab.beta)), tab.objective_value(raw)
         mu = simplex._over_common_denominator(c)[1]
-        sigmas = system._scaled_rows()[2]
+        sigmas = system._rows[2]
         point = Vector(0 if j in dropped else Fraction(-t * v, d)
                        for j, (t, v) in enumerate(zip(tau, prices)))
         dual = Vector(Fraction(sigmas[i] * basic[i], mu * d) if basic.get(i) else 0
@@ -640,7 +668,7 @@ def test_integer_farkas_check_agrees_with_fraction_reference(case):
         assert [i for i, _ in dense.nonzeros] == [i for i, v in enumerate(lam) if v]
         assert sparse.multipliers == lam and sparse.verify(system) == dense.verify(system)
         if len(lam) == system.m:
-            rows = system._scaled_rows()
+            rows = system._rows
             weights, w_den = simplex._weights(rows, [(i, v) for i, v in enumerate(lam) if v])
             combo, total = simplex._combine(rows, system.n, weights)
             exact = ([Fraction(v, w_den) for v in combo], Fraction(total, w_den))
@@ -812,7 +840,7 @@ def count_solves(monkeypatch) -> dict:
         init(self, *args)
 
     def counted_start(system, *args):
-        solving.append(system._scaled_rows()[0])
+        solving.append(system._rows[0])
         restarts = counts["restarted"] + counts["fallback"]
         tab, all_rows = kept_start(system, *args)
         solving.pop()
@@ -925,7 +953,7 @@ def test_rescaled_rhs_child_solves_as_its_cold_twin(monkeypatch):
     for c in objectives:
         lp_optimize(parent, c)
     child = parent.with_rhs(4, Fraction(1, 3))
-    assert child._scaled_rows()[0][4] != parent._scaled_rows()[0][4]
+    assert child._rows[0][4] != parent._rows[0][4]
     starts, outcomes = [], []
     for system in (child, cold_twin(child)):
         with monkeypatch.context() as patched:
@@ -950,7 +978,7 @@ def test_tightened_integral_row_reprices_every_column():
     for c in objectives:
         lp_optimize(parent, c)
     child = parent.with_rhs(4, -1)  # x1 + x2 <= -1
-    assert child._scaled_rows()[0] == parent._scaled_rows()[0]
+    assert child._rows[0] == parent._rows[0]
     for c in [Vector([0, 1])] + objectives + [Vector([1, 0])]:
         outcome = lp_optimize(child, c)
         assert same_outcome(outcome, lp_optimize(cold_twin(child), c))
@@ -974,14 +1002,15 @@ def test_suboptimal_ancestor_basis_restarts_on_its_own_costs(monkeypatch):
             continue
         kept = next(reversed(parent._tableaux.values()))  # the basis restarted
         point = Vector(Fraction(v, abs(kept.d)) for v in simplex._primal(kept))
-        row = next((i for i, a in enumerate(parent.matrix)
+        matrix, rhs = parent.matrix, parent.rhs
+        row = next((i for i, a in enumerate(matrix)
                     if i not in kept.basis and a.is_integral()), None)
         if row is None:
             continue
         # a nonbasic row, tightened past the basis's point by a whole number,
         # so its scaled row, and the prefix check, are unchanged
-        gap = parent.rhs[row] - parent.matrix[row].dot(point)
-        child = parent.with_rhs(row, parent.rhs[row] - floor(gap) - 1)
+        gap = rhs[row] - matrix[row].dot(point)
+        child = parent.with_rhs(row, rhs[row] - floor(gap) - 1)
         c = Vector([rng.randint(-3, 3) for _ in range(n)])
         with monkeypatch.context() as patched:
             runs, run = [], simplex._DualTableau.run
