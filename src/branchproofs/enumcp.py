@@ -29,7 +29,10 @@ ceil(i0))`` these multipliers plus ``i - i0`` times the dual of ``h_K(c)``
 certify ``h_K(a + i c) = h_F(a) + i h_K(c)``, attained at the face optimum,
 so only the schedule values below i* are solved; the first one at or above
 it is checked in integers (``geometry._apply_certified``) and cut with no
-LP, and its record carries that certificate up to the next level.  The
+LP, and its record carries that certificate up to the next level.  The plan
+stays in the solver's integers: i0 and the multipliers are numerators over
+the face dual's denominator, summed from its integer weights, and the dual
+of ``h_K(c)`` joins them over the product of the two denominators.  The
 multiplier is the one the search by solves alone finds.  Support values
 here must be finite, else :func:`support_value` raises ``EmptySet`` or
 ``UnboundedSet``; only a CG cut (a no-op) and the push-down loop (which
@@ -71,7 +74,9 @@ def lift_cg_sequence(
     along = _support_optimum(K, c)
     if along.value.denominator != 1:
         raise ValueError("face support value must be integral for lifting")
-    h_c, along_dual = int(along.value), along._sparse()[2]
+    _, _, weights, sigmas, along_den = along._parts
+    h_c = int(along.value)
+    along_dual = ([(k, sigmas[k] * w) for k, w in weights], along_den)
     # face row r -> (k, s): current's row k is face row r plus s (c, h_c),
     # with a rhs no larger; k is None for the face's rows (c, h_c) and
     # (-c, -h_c), which are -s (c, h_c) themselves
@@ -99,21 +104,25 @@ def lift_cg_sequence(
 
 
 def _face_dual_on_k(optimal, rows, along):
-    """``(i0, point, scale, multipliers, along)`` from a face optimum: the
+    """``(i0, den, point, scale, multipliers, along)`` from a face optimum, in
+    the solver's integers over the face dual's denominator ``den``: the
     dual's weight on face row r moves to r's K-side row and adds weight
     times r's shift to i0, so the ``{row: multiplier}`` combine current's
-    rows to at most ``(a + i0 c, value + i0 h_c)``; the point is the face
-    optimum as integers over ``scale``, and ``along`` the dual of h_K(c)."""
-    point, scale, dual = optimal._sparse()
-    i0, weights = 0, {}
-    for r, y in dual:
+    rows to at most ``(a + i0 c, value + i0 h_c)``, each of i0 and the
+    multipliers a numerator over ``den``; the point is the face optimum as
+    integers over ``scale``, and ``along`` the dual of h_K(c), as
+    ``(row, numerator)`` pairs and their denominator."""
+    point, scale, weights, sigmas, den = optimal._parts
+    i0, multipliers = 0, {}
+    for r, w in weights:
         if r >= len(rows):
             raise SolverError("carried dual has a row outside the face")
         k, shift = rows[r]
+        y = sigmas[r] * w  # the multiplier on face row r, over den
         i0 += shift * y
         if k is not None:
-            weights[k] = weights.get(k, 0) + y
-    return i0, point, scale, weights, along
+            multipliers[k] = multipliers.get(k, 0) + y
+    return i0, den, point, scale, multipliers, along
 
 
 def _search_multiplier(K, c, a, h_c: int, target: int, plan):
@@ -122,18 +131,21 @@ def _search_multiplier(K, c, a, h_c: int, target: int, plan):
 
     With a ``plan`` from :func:`_face_dual_on_k`, the first schedule value at
     or above i0 is not solved: its multipliers are the plan's plus ``i - i0``
-    times the dual of h_K(c), and :func:`_apply_certified` checks them with
-    the face optimum."""
+    times the dual of h_K(c), as numerators over the product of the two
+    denominators, and :func:`_apply_certified` checks them with the face
+    optimum."""
     i = 0
     while i <= _MULTIPLIER_CAP:
         normal = a + i * c
-        if plan is not None and i >= plan[0]:
-            i0, point, scale, weights, along = plan
-            weights = dict(weights)
-            for k, y in along:
-                weights[k] = weights.get(k, 0) + (i - i0) * y
-            nonzeros = sorted((k, y) for k, y in weights.items() if y)
-            system, record = _apply_certified(K, normal, point, scale, nonzeros)
+        if plan is not None and i * plan[1] >= plan[0]:
+            i0, den, point, scale, multipliers, (along, along_den) = plan
+            step = i * den - i0  # (i - i0) den
+            numerators = {k: v * along_den for k, v in multipliers.items()}
+            for k, v in along:
+                numerators[k] = numerators.get(k, 0) + step * v
+            nonzeros = [(k, v) for k, v in numerators.items() if v]
+            system, record = _apply_certified(
+                K, normal, point, scale, nonzeros, den * along_den)
             if record.rhs - i * h_c != target:
                 raise SolverError("certified lift fails the floor test")
             return system, record, i

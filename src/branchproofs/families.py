@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .geometry import EmptySet, support_value
 from .prooftree import BranchNode, EnumNode
-from .simplex import FarkasCertificate, InequalitySystem, _box_rows, is_empty
+from .simplex import FarkasCertificate, InequalitySystem, _box_rows, _scale_rows, is_empty
 from .vectors import Vector, parse_integer
 
 _DEGREE_GUARD = 20
@@ -91,8 +91,7 @@ def tseitin_polytope(inst: TseitinInstance) -> InequalitySystem:
     n = inst.num_edges
     if n == 0:
         raise ValueError("instance has no edges")
-    matrix: list[Vector] = []
-    rhs: list[Fraction] = []
+    mat, rhs = [], []
     for v in range(inst.num_vertices):
         incident = inst.incident(v)
         if len(incident) > _DEGREE_GUARD:
@@ -103,15 +102,16 @@ def tseitin_polytope(inst: TseitinInstance) -> InequalitySystem:
         for bits in itertools.product((0, 1), repeat=len(incident)):
             if sum(bits) % 2 == inst.parities[v]:
                 continue  # satisfying assignment, no clause
-            coeffs = [0] * n
-            ones = 0
-            for e, bit in zip(incident, bits):
-                coeffs[e] = 1 if bit else -1
-                ones += bit
-            matrix.append(Vector(coeffs))
-            rhs.append(Fraction(ones - 1))
-    box_matrix, box_rhs = _box_rows(n, 0, 1)
-    return InequalitySystem(matrix + box_matrix, rhs + box_rhs, n=n)
+            # incident is in increasing edge order, as scaled rows are
+            mat.append(tuple((e, 1 if bit else -1) for e, bit in zip(incident, bits)))
+            rhs.append(sum(bits) - 1)
+    return _in_unit_box(n, (mat, rhs, [1] * len(mat)))
+
+
+def _in_unit_box(n: int, rows) -> InequalitySystem:
+    """The system of the scaled rows ``(mat, rhs, sigmas)`` in n variables,
+    followed by the rows of the box [0, 1]^n."""
+    return InequalitySystem._scaled(n, tuple(a + b for a, b in zip(rows, _box_rows(n, 0, 1))))
 
 
 def _edge_cut_vector(inst: TseitinInstance, part_a, part_b) -> Vector:
@@ -217,16 +217,12 @@ def pn_polytope(n: int) -> InequalitySystem:
         raise ValueError("n >= 2 required")
     if n > _PN_GUARD:
         raise ValueError(f"n > {_PN_GUARD} would create 2^{n} clause rows")
-    matrix: list[Vector] = []
-    rhs: list[Fraction] = []
+    mat, rhs = [], []
     for mask in range(2**n):
         # clause: sum_{i in S} x_i + sum_{i not in S} (1 - x_i) >= 1
-        coeffs = [1 if not mask >> i & 1 else -1 for i in range(n)]
-        outside = sum(1 for i in range(n) if not mask >> i & 1)
-        matrix.append(Vector(coeffs))
-        rhs.append(Fraction(outside - 1))
-    box_matrix, box_rhs = _box_rows(n, 0, 1)
-    return InequalitySystem(matrix + box_matrix, rhs + box_rhs, n=n)
+        mat.append(tuple((i, -1 if mask >> i & 1 else 1) for i in range(n)))
+        rhs.append(sum(1 for i in range(n) if not mask >> i & 1) - 1)
+    return _in_unit_box(n, (mat, rhs, [1] * len(mat)))
 
 
 def qn_polytope(n: int) -> InequalitySystem:
@@ -238,17 +234,13 @@ def qn_polytope(n: int) -> InequalitySystem:
     if n > _PN_GUARD:
         raise ValueError(f"n > {_PN_GUARD} refused for symmetry with pn_polytope")
     dim = 2 * n
-    matrix: list[Vector] = [Vector([0] * n + [1] * n)]
-    rhs: list[Fraction] = [Fraction(n, 2) - 1]
+    rows = [([0] * n + [1] * n, Fraction(n, 2) - 1)]
     for i in range(n):
-        x_i = Vector.unit(dim, i)
-        y_i = Vector.unit(dim, n + i)
-        matrix.append(x_i - y_i)
-        rhs.append(Fraction(1, 2))
-        matrix.append(-x_i - y_i)
-        rhs.append(Fraction(-1, 2))
-    box_matrix, box_rhs = _box_rows(dim, 0, 1)
-    return InequalitySystem(matrix + box_matrix, rhs + box_rhs, n=dim)
+        for s in (1, -1):  # s x_i - y_i <= s/2
+            a = [0] * dim
+            a[i], a[n + i] = s, -1
+            rows.append((a, Fraction(s, 2)))
+    return _in_unit_box(dim, _scale_rows(rows))
 
 
 @dataclass(frozen=True)
@@ -308,9 +300,8 @@ def thin_segment(M: int) -> tuple[InequalitySystem, BranchNode]:
     """
     if M < 1:
         raise ValueError("M >= 1 required")
-    normal = Vector([M, 1])
-    matrix = [normal, -normal, Vector([0, 1]), Vector([0, -1])]
-    rhs = [Fraction(1, 2), Fraction(-1, 2), Fraction(2), Fraction(0)]
-    K = InequalitySystem(matrix, rhs, n=2)
-    proof = BranchNode(normal, 0, BranchNode(), BranchNode())
+    half = Fraction(1, 2)
+    rows = [([M, 1], half), ([-M, -1], -half), ([0, 1], 2), ([0, -1], 0)]
+    K = InequalitySystem._scaled(2, _scale_rows(rows))
+    proof = BranchNode(Vector([M, 1]), 0, BranchNode(), BranchNode())
     return K, proof

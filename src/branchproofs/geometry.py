@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .simplex import (
-    InequalitySystem, Infeasible, Optimal, _check_optimal, _weights, lp_optimize,
+    InequalitySystem, Infeasible, Optimal, _check_optimal, lp_optimize,
 )
 from .vectors import Scalar, Vector, parse_integer
 
@@ -95,35 +95,41 @@ def apply_cg(K: InequalitySystem, a: Vector) -> tuple[InequalitySystem, CgCut]:
 
 
 def _apply_certified(
-    K: InequalitySystem, a: Vector, point: list[int], scale: int, nonzeros
+    K: InequalitySystem, a: Vector, point: list[int], scale: int, nonzeros, den: int
 ) -> tuple[InequalitySystem, CgCut]:
     """:func:`apply_cg` of integer normal a from a given optimum, with no LP.
 
     The optimum is the point ``point / scale`` and the dual multipliers
-    ``nonzeros``, ``(row, Fraction)`` pairs on K's rows.  It is checked in
-    integers on K's scaled rows, as the solver checks its own optima: every
-    multiplier >= 0, ``lam A = a``, the point feasible and ``a point = lam b``,
-    which is then ``h_K(a)``.  A failed check raises ``SolverError``.
+    ``lam_k = v_k / den`` of the ``(k, v_k)`` nonzeros on K's rows.  Both are
+    put over one denominator as integer weights on K's scaled rows, reduced
+    by their gcd, and checked in integers as the solver checks its own
+    optima: every multiplier >= 0, ``lam A = a``, the point feasible and ``a
+    point = lam b``, which is then ``h_K(a)``.  A failed check raises
+    ``SolverError``.
     """
-    weights, w_den = _weights(K._rows, nonzeros)
-    common = math.lcm(w_den, scale)
-    weights = [(i, w * (common // w_den)) for i, w in weights]
+    sigmas = K._rows[2]
+    # lam_k = sigma_k w_k / common needs den sigma_k to divide common
+    common = math.lcm(scale, den * math.lcm(*(sigmas[k] for k, _ in nonzeros)))
     point = [v * (common // scale) for v in point]
+    weights = [(k, v * (common // (den * sigmas[k]))) for k, v in nonzeros]
+    g = math.gcd(common, *point, *(w for _, w in weights))
+    if g > 1:
+        common //= g
+        point = [v // g for v in point]
+        weights = [(k, w // g) for k, w in weights]
     total = _check_optimal(K, a.as_ints(), point, weights, common)
-    optimal = Optimal(Fraction(total, common), point, common, weights, K._rows[2], common)
+    optimal = Optimal(Fraction(total, common), point, common, weights, sigmas, common)
     return _cut(K, a, optimal)
 
 
 def _cut(K: InequalitySystem, a: Vector, optimal: Optimal
          ) -> tuple[InequalitySystem, CgCut]:
     rhs = math.floor(optimal.value)
-    system, row = _append_dominant(K, a, Fraction(rhs))
+    system, row = _append_dominant(K, a, rhs)
     return system, CgCut._carrying(a, rhs, optimal, row)
 
 
-def _append_dominant(
-    K: InequalitySystem, a: Vector, b: Fraction
-) -> tuple[InequalitySystem, int]:
+def _append_dominant(K: InequalitySystem, a: Vector, b: int) -> tuple[InequalitySystem, int]:
     """K n {a x <= b}, replacing an existing looser row with the same normal,
     and the index of the row that now carries ``a x <= b``.
 
@@ -131,10 +137,10 @@ def _append_dominant(
     normal is cut repeatedly (as the serialization of enumerative proofs does).
     The row is the first with normal a, tightened in place through
     ``with_rhs`` or, if its rhs is already <= b, kept as it is with K; or
-    else the appended row ``K.m``.  The normal a is integral, so row i has
-    normal a exactly when its scaled nonzeros are those of sigma_i a, a
-    comparison of integer tuples, and its rhs is <= b when its scaled rhs
-    is <= sigma_i b.
+    else the appended row ``K.m``.  The normal a and b are integral, so row i
+    has normal a exactly when its scaled nonzeros are those of sigma_i a, a
+    comparison of integer tuples, its rhs is <= b when its scaled rhs is <=
+    sigma_i b, and an appended row is its own scaled row, sigma = 1.
     """
     mat, rhs, sigmas = K._rows
     target = tuple((j, e.numerator) for j, e in enumerate(a) if e)
@@ -147,7 +153,7 @@ def _append_dominant(
             if rhs[i] <= sigma * b:
                 return K, i
             return K.with_rhs(i, b), i
-    return K.with_rows([(a, b)]), K.m
+    return K._appended([target], [b], [1]), K.m
 
 
 def apply_cg_list(

@@ -16,9 +16,12 @@ branching paths and accumulated cutting planes.  The simplex is revised and
 integral ("integer pivoting"): it stores only ``d`` times the basis inverse
 and the basic values, for the basis scale ``d``.  A system stores its rows
 only scaled to integers, as their nonzeros (a derived system extends its
-parent's), so a column or a reduced cost costs one product per nonzero; the
-simplex multipliers are updated by rank one per pivot; a pricing scan
-skips the basic columns, whose reduced costs are 0.  Every outcome is
+parent's); the ``.ineq`` reader and writer and the instance generators go
+straight between text or integers and these rows, so a row that is integral
+as given (sigma = 1) never becomes a Fraction.  A column or a reduced cost
+costs one product per nonzero; the simplex multipliers are updated by rank
+one per pivot; a pricing scan skips the basic columns, whose reduced costs
+are 0.  Every outcome is
 re-verified in integers on the scaled rows before it is returned; a failure
 raises ``SolverError``.  An optimum is checked in the solver's own integers,
 read from the final tableau: its point times ``|d|`` and its duals as integer
@@ -27,9 +30,10 @@ from these integers and builds its Fraction ``point`` and ``dual`` only when
 they are first read.  A ray is checked over a common denominator, and Farkas
 multipliers over their nonzeros.  Every row combination ``lam (A, b)`` -- a
 dual's, a given Farkas certificate's (``FarkasCertificate.verify``, which
-solves nothing) -- is this one integer path: ``_weights`` turns the nonzero rational multipliers
-into integer weights on the scaled rows (the solver's own duals already
-are) and ``_combine`` sums those rows.  Both read the scaled rows as given,
+solves nothing) -- is this one integer path: ``_weights`` turns the nonzero
+rational multipliers into integer weights on the scaled rows (the solver's
+own duals, and a certified lift's, already are) and ``_combine`` sums those
+rows.  Both read the scaled rows as given,
 so a certified proof's leaves are checked on rows that belong to no system.
 A ``FarkasCertificate`` keeps only its nonzero multipliers, from the solver's
 ray to the proof file and back, and builds the dense Vector when it is read.
@@ -95,8 +99,11 @@ class InequalitySystem:
     Immutable; rows are addressable by index.  ``m == 0`` is allowed (the
     whole space), ``n >= 1`` is required.  Stored once, as the scaled rows
     ``_rows = (mat, rhs, sigmas)`` of ``_scale_rows``, whose least scales make
-    them one-to-one with the rows; ``matrix``, ``rhs`` and ``rows()`` build
-    the Vector and Fraction form on each read, for I/O, and decide nothing.
+    them one-to-one with the rows.  ``from_text``, ``to_text`` and the
+    generators (through ``_scaled``) read and write these rows directly.
+    ``matrix``, ``rhs`` and ``rows()`` build the Vector and Fraction form on
+    each read and decide nothing; no I/O path reads them, but ``implies_R``,
+    ``recompile``'s leaf rows, ``bench/spans.py`` and the tests do.
     """
 
     __slots__ = ("n", "_rows", "_empty", "_outcomes", "_tableaux", "_ancestry")
@@ -116,15 +123,27 @@ class InequalitySystem:
             n = inferred
         if n is None or n < 1:
             raise ValueError("dimension n >= 1 required (pass n= for empty systems)")
-        self.n = n
-        self._rows = _scale_rows(zip(rows, rhs))
+        self._adopt(n, _scale_rows(zip(rows, rhs)), None)
+
+    def _adopt(self, n: int, rows, ancestry) -> None:
+        self.n, self._rows = n, rows
         self._empty: FarkasCertificate | bool | None = None
         self._outcomes: dict[tuple[Fraction, ...], LpOutcome] = {}
         # final tableaux of optimal solves, by objective, for derived systems
         # to warm-start from; a derived system links to its parent's as
         # ``(parent._tableaux, parent._ancestry)``
         self._tableaux: dict[tuple[Fraction, ...], _DualTableau] = {}
-        self._ancestry = None
+        self._ancestry = ancestry
+
+    @staticmethod
+    def _scaled(n: int, rows, ancestry=None) -> "InequalitySystem":
+        """The system in n variables on checked scaled rows ``(mat, rhs,
+        sigmas)``, each row scaled by its least sigma as ``_scale_rows``
+        scales it; ``ancestry`` links a derived system to its parent's kept
+        tableaux for warm starts."""
+        system = object.__new__(InequalitySystem)
+        system._adopt(n, rows, ancestry)
+        return system
 
     @property
     def m(self) -> int:
@@ -153,11 +172,15 @@ class InequalitySystem:
         extra = [(a if isinstance(a, Vector) else Vector(a), Fraction(b)) for a, b in extra]
         if any(len(a) != self.n for a, _ in extra):
             raise DimensionMismatch("appended row disagrees with the system's dimension")
-        return self._derived(tuple(old + new for old, new in zip(self._rows, _scale_rows(extra))))
+        return self._appended(*_scale_rows(extra))
+
+    def _appended(self, mat, rhs, sigmas) -> "InequalitySystem":
+        """The system with the checked scaled rows ``(mat, rhs, sigmas)``
+        appended."""
+        return self._derived(tuple(old + new for old, new in zip(self._rows, (mat, rhs, sigmas))))
 
     def with_rhs(self, index: int, b: Scalar) -> "InequalitySystem":
         """The system with the right-hand side of row ``index`` replaced by b."""
-        b = Fraction(b)
         mat, rhs, sigmas = rows = tuple(list(part) for part in self._rows)
         row, sigma = mat[index], sigmas[index]
         # the least scale of the normal alone is sigma over the gcd of sigma
@@ -171,15 +194,15 @@ class InequalitySystem:
     def _derived(self, rows) -> "InequalitySystem":
         """A system on checked scaled rows, sharing this one's dimension and
         linked to its kept tableaux for warm starts."""
-        child = object.__new__(InequalitySystem)
-        child.n, child._rows, child._empty = self.n, rows, None
-        child._outcomes, child._tableaux = {}, {}
-        child._ancestry = (self._tableaux, self._ancestry)
-        return child
+        return InequalitySystem._scaled(self.n, rows, (self._tableaux, self._ancestry))
 
     def with_equality(self, a: Vector, b: Scalar) -> "InequalitySystem":
-        """Append ``a x = b`` as the two opposing inequality rows."""
-        return self.with_rows([(a, b), (-a, -Fraction(b))])
+        """Append ``a x = b`` as the two opposing inequality rows, ``a x <= b``
+        scaled once and then negated."""
+        if len(a) != self.n:
+            raise DimensionMismatch("appended row disagrees with the system's dimension")
+        row, b, sigma = _scale_row(a, Fraction(b))
+        return self._appended([row, tuple((j, -v) for j, v in row)], [b, -b], [sigma, sigma])
 
     def contains(self, x: Vector) -> bool:
         """``A x <= b``, in integers on the scaled rows."""
@@ -192,7 +215,9 @@ class InequalitySystem:
     @staticmethod
     def box(n: int, lo: Scalar, hi: Scalar) -> "InequalitySystem":
         """The box ``lo <= x_i <= hi`` in R^n."""
-        return InequalitySystem(*_box_rows(n, lo, hi), n=n)
+        if n < 1:
+            raise ValueError("dimension n >= 1 required (pass n= for empty systems)")
+        return InequalitySystem._scaled(n, _box_rows(n, lo, hi))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, InequalitySystem)
@@ -201,20 +226,31 @@ class InequalitySystem:
     def __repr__(self) -> str:
         return f"InequalitySystem(n={self.n}, m={self.m})"
 
-    # text format: line 1 "n m" (n, m >= 1), then m lines "a_1 ... a_n b"
+    # text format: line 1 "n m" (n, m >= 1), then m lines "a_1 ... a_n b";
+    # both directions go between the text and the scaled rows, and a row
+    # with sigma = 1, as every row of an integer system, never meets a Fraction
 
     def to_text(self) -> str:
         lines = [f"{self.n} {self.m}"]
-        for a, b in self.rows():
-            lines.append(a.text() + " " + format_rational(b))
+        for row, b, sigma in zip(*self._rows):
+            entries = ["0"] * self.n
+            if sigma == 1:
+                for j, v in row:
+                    entries[j] = str(v)
+                entries.append(str(b))
+            else:
+                for j, v in row:
+                    entries[j] = format_rational(Fraction(v, sigma))
+                entries.append(format_rational(Fraction(b, sigma)))
+            lines.append(" ".join(entries))
         return "\n".join(lines) + "\n"
 
     @staticmethod
     def from_text(text: str) -> "InequalitySystem":
-        tokens_by_line = [ln.split() for ln in text.splitlines() if ln.strip()]
-        if not tokens_by_line:
+        lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines:
             raise ValueError("empty system description")
-        header = tokens_by_line[0]
+        header = lines[0].split()
         if len(header) != 2:
             raise ValueError("first line must be 'n m'")
         n, m = parse_integer(header[0]), parse_integer(header[1])
@@ -223,37 +259,59 @@ class InequalitySystem:
         # would not, and the work on it, a witness say, grows with n
         if n < 1 or m < 1:
             raise ValueError(f"header 'n m' needs n >= 1 and m >= 1, found {n} {m}")
-        body = tokens_by_line[1:]
+        body = lines[1:]
         if len(body) != m:
             raise ValueError(f"expected {m} rows, found {len(body)}")
-        matrix, rhs = [], []
-        for tokens in body:
+        mat, rhs, sigmas = [], [], []
+        for line in body:
+            tokens = line.split()
             if len(tokens) != n + 1:
                 raise ValueError(f"row needs {n + 1} rationals, found {len(tokens)}")
-            values = [parse_rational(t) for t in tokens]
-            matrix.append(Vector(values[:n]))
-            rhs.append(values[n])
-        return InequalitySystem(matrix, rhs, n=n)
+            if "/" in line:
+                values = [parse_rational(t) for t in tokens]
+                row, b, sigma = _scale_row(values[:n], values[n])
+            else:
+                values = [parse_integer(t) for t in tokens]
+                row, b, sigma = tuple((j, v) for j, v in enumerate(values[:n]) if v), values[n], 1
+            mat.append(row)
+            rhs.append(b)
+            sigmas.append(sigma)
+        return InequalitySystem._scaled(n, (mat, rhs, sigmas))
 
 
-def _box_rows(n: int, lo: Scalar, hi: Scalar) -> tuple[list[Vector], list[Fraction]]:
-    """The normals and right-hand sides of the box ``lo <= x_i <= hi`` in
-    R^n: ``x_i <= hi``, then ``-x_i <= -lo``, for each i in turn."""
-    return ([Vector.unit(n, i) * s for i in range(n) for s in (1, -1)],
-            [Fraction(hi), -Fraction(lo)] * n)
+def _box_rows(n: int, lo: Scalar, hi: Scalar):
+    """The scaled rows ``(mat, rhs, sigmas)`` of the box ``lo <= x_i <= hi``
+    in R^n: ``x_i <= hi``, then ``-x_i <= -lo``, for each i in turn."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    mat, rhs, sigmas = [], [], []
+    for i in range(n):
+        mat += [((i, hi.denominator),), ((i, -lo.denominator),)]
+        rhs += [hi.numerator, -lo.numerator]
+        sigmas += [hi.denominator, lo.denominator]
+    return mat, rhs, sigmas
+
+
+def _scale_row(a, b) -> tuple[tuple[tuple[int, int], ...], int, int]:
+    """The row ``a x <= b`` times sigma, the least positive integer making it
+    integral: its ``(index, value)`` nonzeros, its rhs and sigma.  The
+    entries and b are ints or Fractions; an integral row is sigma = 1."""
+    nonzeros = [(j, e) for j, e in enumerate(a) if e]
+    if b.denominator == 1 and all(e.denominator == 1 for _, e in nonzeros):
+        return tuple((j, e.numerator) for j, e in nonzeros), b.numerator, 1
+    sigma = lcm(b.denominator, *(e.denominator for _, e in nonzeros))
+    return (tuple((j, e.numerator * (sigma // e.denominator)) for j, e in nonzeros),
+            b.numerator * (sigma // b.denominator), sigma)
 
 
 def _scale_rows(rows) -> tuple[list[tuple[tuple[int, int], ...]], list[int], list[int]]:
-    """Each row ``a x <= b`` times sigma, the least positive integer making it
-    integral: the scaled rows as their ``(index, value)`` nonzeros, the scaled
-    right-hand sides and the sigmas."""
+    """``_scale_row`` of each row ``(a, b)``: the scaled rows as their
+    ``(index, value)`` nonzeros, the scaled right-hand sides and the sigmas."""
     mat, rhs, sigmas = [], [], []
     for a, b in rows:
-        scale = lcm(b.denominator, *(e.denominator for e in a))
-        mat.append(tuple((j, e.numerator * (scale // e.denominator))
-                         for j, e in enumerate(a) if e.numerator))
-        rhs.append(b.numerator * (scale // b.denominator))
-        sigmas.append(scale)
+        row, b, sigma = _scale_row(a, b)
+        mat.append(row)
+        rhs.append(b)
+        sigmas.append(sigma)
     return mat, rhs, sigmas
 
 
@@ -368,9 +426,10 @@ class Optimal:
 
     The solver checks an optimum in its own integers (``_check_optimal``)
     and stores them: the point as integers over one scale, the duals as
-    integer weights on the scaled rows over another.  ``point`` and ``dual``
-    are built from them as Vectors when first read, the dual from its
-    nonzeros, and then kept; ``value`` is a Fraction from the start.
+    integer weights on the scaled rows over another, in ``_parts``, which a
+    certified lift reads as they are.  ``point`` and ``dual`` are built from
+    them as Vectors when first read, the dual from its nonzeros, and then
+    kept; ``value`` is a Fraction from the start.
     Equal, hashed and shown as the triple ``(value, point, dual)``.
     """
 
@@ -398,12 +457,6 @@ class Optimal:
                 entries[i] = Fraction(sigmas[i] * w, w_den)
             self._dual = Vector(entries)
         return self._dual
-
-    def _sparse(self) -> tuple[list[int], int, list[tuple[int, Fraction]]]:
-        """The point as integers over one scale, and the dual's nonzero
-        ``(row, Fraction)`` pairs, without building the dense Vectors."""
-        point, scale, weights, sigmas, w_den = self._parts
-        return point, scale, [(i, Fraction(sigmas[i] * w, w_den)) for i, w in weights]
 
     def __eq__(self, other):
         if type(other) is not Optimal:

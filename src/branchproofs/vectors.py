@@ -27,6 +27,8 @@ def parse_integer(text: str) -> int:
     """Parse an integer literal: ASCII digits after an optional sign ``-``,
     ``+`` or the unicode minus.  ``int`` alone would also read ``_`` digit
     separators and non-ASCII digits."""
+    if text == "0":  # the commonest token by far
+        return 0
     cleaned = text.strip().replace("−", "-")
     if "_" in cleaned or not cleaned.isascii():
         raise ValueError(f"invalid integer literal {cleaned!r}")

@@ -11,7 +11,7 @@ import itertools
 from fractions import Fraction
 
 from branchproofs.prooftree import Report, _branch_label, _relaxations
-from branchproofs.vectors import Vector
+from branchproofs.vectors import Vector, format_rational
 
 
 def fraction_combination(system, lam) -> tuple[list[Fraction], Fraction]:
@@ -24,6 +24,16 @@ def fraction_combination(system, lam) -> tuple[list[Fraction], Fraction]:
             combo[j] += coeff * e
         total += coeff * b
     return combo, total
+
+
+def fraction_view_text(system) -> str:
+    """The ``.ineq`` text of a system formatted through its ``matrix`` and
+    ``rhs`` views, each row as its Vector's text and its rhs: the reference
+    for ``to_text``, which formats the scaled integer rows."""
+    lines = [f"{system.n} {system.m}"]
+    for a, b in zip(system.matrix, system.rhs):
+        lines.append(a.text() + " " + format_rational(b))
+    return "\n".join(lines) + "\n"
 
 
 def relaxation_certified_report(K, proof) -> Report:

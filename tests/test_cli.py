@@ -25,7 +25,7 @@ from branchproofs.prooftree import (
     verify_certified_proof,
 )
 from branchproofs.simplex import InequalitySystem
-from branchproofs.vectors import Vector, parse_rational
+from branchproofs.vectors import Vector, parse_integer, parse_rational
 
 
 TRIANGLE = "3 3\n0 1\n1 2\n0 2\n1 0 0\n"
@@ -342,6 +342,32 @@ def recursion_limit(limit):
         sys.setrecursionlimit(saved)
 
 
+# tokens the reader refuses, on a row read in integers (no "/") and on one
+# read in Fractions; "" leaves its row one number short
+BAD_TOKENS = ["1/0", "1e3", "1_0", "1/2/3", "١", "1/٢", "３", ""]
+# tokens it reads, each as parse_rational reads it
+GOOD_TOKENS = ["−3", "−3/4", "+3", "-0", "0/5", "0", "-7", "4/6"]
+
+
+def test_text_reader_tokens():
+    """Every bad token raises ValueError on either row path, and every good
+    one reads as ``parse_rational`` reads it, to the public constructor's
+    rows."""
+    for token in BAD_TOKENS:
+        for lead in ("1", "1/2"):
+            with pytest.raises(ValueError):
+                InequalitySystem.from_text(f"2 1\n{lead} {token} 0\n")
+        with pytest.raises(ValueError):
+            parse_rational(token)
+    for token in GOOD_TOKENS:
+        for lead in ("1", "1/2"):
+            read = InequalitySystem.from_text(f"2 1\n{lead} {token} 0\n")
+            built = InequalitySystem([[parse_rational(lead), parse_rational(token)]], [0])
+            assert read._rows == built._rows
+        if "/" not in token:
+            assert parse_integer(token) == parse_rational(token)
+
+
 def deep_chain(depth, certified=False):
     """A valid proof for SEGMENT: ``depth`` nodes x <= 0 | x >= 1 nested
     down the right edges, every left child and the last right child a leaf.
@@ -511,6 +537,13 @@ def contract_cases(depth):
         ("non-ASCII digits in a system header", {"k.ineq": "١ 2\n1 3/4\n-1 -1/4\n",
                                                  "p.proof": "(leaf)"},
          ["verify", "branching", "k.ineq", "p.proof"], 2),
+        # each token the .ineq reader refuses, on a row read in integers and
+        # on one read in Fractions
+        *((f"bad token {token!r} in a{kind} system row",
+           {"k.ineq": f"1 2\n{lead} {token}\n-1 -1/4\n", "p.proof": "(leaf)"},
+           ["verify", "branching", "k.ineq", "p.proof"], 2)
+          for token in BAD_TOKENS
+          for kind, lead in (("n integer", "1"), (" rational", "1/2"))),
         ("digit separator in a normal", {"k.ineq": SEGMENT, "p.proof": "(node (1_0 0) (leaf) (leaf))"},
          ["verify", "branching", "k.ineq", "p.proof"], 2),
         ("non-ASCII digits in a certificate",

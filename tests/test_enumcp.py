@@ -187,24 +187,68 @@ def test_lift_row_map_through_a_row_tightened_on_the_face(monkeypatch):
     assert_cold_values(certified)
 
 
+def rational_twin(rng, K):
+    """K's set on rows with sigma > 1: each row times a random positive
+    rational, then loose rows ``a x <= h_K(a) + 1/3`` of integral normals a,
+    which a cut of normal a tightens in place to sigma = 1."""
+    rows = []
+    for a, b in K.rows():
+        t = Fraction(rng.randint(1, 4), rng.randint(2, 5))
+        rows.append((a * t, b * t))
+    for _ in range(3):
+        a = Vector([rng.randint(-2, 2) for _ in range(K.n)])
+        if not a.is_zero():
+            rows.append((a, support_value(K, a) + Fraction(1, 3)))
+    return InequalitySystem([a for a, _ in rows], [b for _, b in rows], n=K.n)
+
+
 def test_certified_lifts_match_cold_solves(monkeypatch):
     """On seeded random polytopes and proofs, every certified lift's value
-    is the support value of a cold twin of its system."""
+    is the support value of a cold twin of its system; also on their
+    rational twins, where the lifts put multipliers on rows with sigma > 1
+    and cuts tighten such rows in place."""
     certified = count_certified(monkeypatch)
-    rng = Random(90)
-    for _ in range(25):
-        K = random_integer_free_polytope(rng, 2)
-        c = Vector([rng.randint(-2, 2), rng.randint(-2, 2)])
-        if c.is_zero() or support_value(K, c).denominator != 1:
-            continue
-        normals = [Vector([rng.randint(-2, 2), rng.randint(-2, 2)])
-                   for _ in range(rng.randint(1, 3))]
-        lift(K, c, normals)
-    rng = Random(47)
-    for _ in range(10):
-        K = random_integer_free_polytope(rng, rng.randint(2, 3))
-        enum_to_cp(K, random_enumerative_proof(rng, K))
-    assert len(certified) > 20
+    for twin in (False, True):
+        rng = Random(90)
+        for _ in range(25):
+            K = random_integer_free_polytope(rng, 2)
+            if twin:
+                K = rational_twin(rng, K)
+            c = Vector([rng.randint(-2, 2), rng.randint(-2, 2)])
+            if c.is_zero() or support_value(K, c).denominator != 1:
+                continue
+            normals = [Vector([rng.randint(-2, 2), rng.randint(-2, 2)])
+                       for _ in range(rng.randint(1, 3))]
+            lift(K, c, normals)
+        rng = Random(47)
+        for _ in range(10):
+            K = random_integer_free_polytope(rng, rng.randint(2, 3))
+            if twin:
+                K = rational_twin(rng, K)
+            enum_to_cp(K, random_enumerative_proof(rng, K))
+    assert len(certified) > 40
+    assert_cold_values(certified)
+    on_scaled_rows = [a for K, a, record in certified
+                      if any(K._rows[2][i] > 1 for i, y in enumerate(record._optimal.dual) if y)]
+    assert len(on_scaled_rows) > 20
+
+
+def test_lift_through_a_row_whose_scale_a_tightening_changed(monkeypatch):
+    """K's row 5, x1 + x2 <= 7/2 (sigma 2), is tightened in place by the
+    first lifted cut to x1 + x2 <= 2 (sigma 1), and the second lift is
+    certified with its multiplier on that row."""
+    K = InequalitySystem([[1, 0], [-1, 0], [0, 1], [2, 2], [0, -1], [1, 1]],
+                         [1, 0, Fraction(5, 2), 5, 0, Fraction(7, 2)])
+    c = Vector([1, 0])
+    records = face_records(K, c, [Vector([0, 1]), Vector([0, 1])])
+    assert [r._row for r in records] == [2, 2]
+    certified = count_certified(monkeypatch)
+    after, lifted = lift_cg_sequence(K, c, records)
+    assert [(r.normal, r.rhs, r._row) for r in lifted] == [(Vector([1, 1]), 2, 5)] * 2
+    assert (K._rows[2][5], after._rows[2][5]) == (2, 1) and after.m == K.m
+    assert len(certified) == 2
+    system, _, second = certified[1]
+    assert system._rows[2][5] == 1 and list(second._optimal.dual) == [0, 0, 0, 0, 0, 1]
     assert_cold_values(certified)
 
 

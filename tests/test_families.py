@@ -1,5 +1,6 @@
 """Instance generators: Tseitin systems and refutations, P_n, Q_n, segments."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -213,3 +214,37 @@ def test_thin_segment_examples():
     axis = BranchNode(Vector([1, 0]), 0, BranchNode(), BranchNode())
     report = verify_branching_proof(K6, axis)
     assert not report.valid  # witness: x = (0, 1/2) has x_1 = 0
+
+
+# sha256 of the .ineq text each generator writes (gen-pn, gen-qn and
+# thin-segment), recorded while the generators still built Fraction rows
+GENERATOR_PINS = {
+    ("pn", 3): "565d578d962cfd257ab63c427c153f6d023e86cdfa6c6f55f89de449e288b76d",
+    ("pn", 4): "6c16b2731256cc4d51c06b005bca7a0a53fddc55736c87d42964f15a0a0c7777",
+    ("pn", 5): "227ef7350a0f9a4322fc9f70d6563eaac0429d32d4255efa294d81cbcc3eb1e3",
+    ("pn", 6): "941ba2dd024395db355a57763f7909bf4a2e5f538a4eb632ec3239bbad817776",
+    ("qn", 3): "a8960b97aed8e39c93c676cb8138159611f52ab8e24f201c62407421c368cc07",
+    ("qn", 4): "c43decf39b1d767aaf304f3987f665cf3afd9cb65bb70a2fe26279be8d171aea",
+    ("qn", 5): "12143e7b3e948f4569901ab6f086bda550ac38a3dee44e9cfd4b95482cd4a161",
+    ("thin", 10**3): "3d004680e8e7a425645d7b80bfb4701524a179dbf4d299bc5582d8db51f06d82",
+    ("thin", 10**6): "84b870ffe6d8e362e887c8f8ea98e2bf0620a57ce42e27560842a790ccd63505",
+}
+GENERATORS = {"pn": pn_polytope, "qn": qn_polytope, "thin": lambda M: thin_segment(M)[0]}
+
+
+def test_generated_systems_are_pinned_and_scaled_as_constructed():
+    """Each generator's text hashes as pinned (odd n gives Q_n a rational
+    rhs, and the thin segment has rows with sigma = 2), and its scaled rows
+    are those the public constructor builds from its Fraction view; so are
+    those of the Tseitin systems and of boxes."""
+    for (name, arg), digest in GENERATOR_PINS.items():
+        system = GENERATORS[name](arg)
+        assert hashlib.sha256(system.to_text().encode()).hexdigest() == digest, (name, arg)
+        assert system._rows == InequalitySystem(system.matrix, system.rhs, n=system.n)._rows
+    assert max(qn_polytope(3)._rows[2]) == max(thin_segment(10)[0]._rows[2]) == 2
+    systems = [tseitin_polytope(triangle()),
+               tseitin_polytope(TseitinInstance(2, ((0, 1),), (1, 0))),
+               InequalitySystem.box(3, Fraction(-1, 2), Fraction(7, 3)),
+               InequalitySystem.box(1, 0, 0)]
+    for system in systems:
+        assert system._rows == InequalitySystem(system.matrix, system.rhs, n=system.n)._rows

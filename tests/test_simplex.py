@@ -22,7 +22,9 @@ from branchproofs.simplex import (
 )
 from branchproofs.vectors import Vector
 
-from oracles import dual_cone_vertices, fourier_motzkin_empty, fraction_combination
+from oracles import (
+    dual_cone_vertices, fourier_motzkin_empty, fraction_combination, fraction_view_text,
+)
 from randgen import random_boxed_polytope, random_system
 
 
@@ -312,6 +314,39 @@ def test_text_round_trip_keeps_bytes():
         assert system.to_text() == text
         read = InequalitySystem.from_text(text)
         assert read == system and read.to_text() == text
+
+
+def test_text_reader_and_writer_match_the_fraction_views():
+    """On seeded random systems ``to_text`` is, byte for byte, the text
+    formatted through the ``matrix`` / ``rhs`` views, and ``from_text`` reads
+    it to the scaled rows the public constructor builds: integral rows
+    (sigma = 1, read with no Fraction) and rational ones (sigma > 1, up to
+    10^30), with zero, negative and 10^30-size entries."""
+    rng = Random(2828)
+    big = 10**30
+
+    def entry(rational):
+        value = rng.choice([0, 0, 1, -1, rng.randint(-9, 9), rng.randint(-big, big)])
+        if rational and rng.random() < 0.5:
+            return Fraction(value, rng.choice([2, 3, 7, big + 1]))
+        return Fraction(value)
+
+    sigmas = set()
+    for _ in range(60):
+        n, m = rng.randint(1, 5), rng.randint(1, 6)
+        matrix, rhs = [], []
+        for _ in range(m):
+            rational = rng.random() < 0.5
+            matrix.append([entry(rational) for _ in range(n)])
+            rhs.append(entry(rational))
+        system = InequalitySystem(matrix, rhs, n=n)
+        text = system.to_text()
+        assert text == fraction_view_text(system)
+        read = InequalitySystem.from_text(text)
+        assert read.n == n and read._rows == system._rows
+        assert read.to_text() == text
+        sigmas.update(system._rows[2])
+    assert 1 in sigmas and max(sigmas) > big
 
 
 def test_contains_checks_the_scaled_rows_exactly():
