@@ -188,21 +188,18 @@ def implies_R(
     which keeps the check polynomial-size in the dimension.  An empty
     restricted premise makes the implication vacuously true.
     """
-    if R < 1:
+    if not isinstance(R, int) or R < 1:
         raise ValueError("radius must be a positive integer")
     n = premise.n
-    ext_rows: list[tuple[Vector, Scalar]] = []
-    for a, b in premise.rows():
-        ext_rows.append((Vector(tuple(a) + (0,) * n), b))
+    # premise's scaled rows lifted as they are (their indices below n are
+    # the x coordinates), then the ball's integer rows with sigma 1
+    mat, rhs, sigmas = (list(part) for part in premise._rows)
     for i in range(n):
-        x_i = Vector.unit(2 * n, i)
-        y_i = Vector.unit(2 * n, n + i)
-        ext_rows.append((x_i - y_i, 0))
-        ext_rows.append((-x_i - y_i, 0))
-    ext_rows.append((Vector((0,) * n + (1,) * n), R))
-    extended = InequalitySystem(
-        [a for a, _ in ext_rows], [b for _, b in ext_rows], n=2 * n
-    )
+        mat += [((i, 1), (n + i, -1)), ((i, -1), (n + i, -1))]
+    mat.append(tuple((n + i, 1) for i in range(n)))
+    rhs += [0] * (2 * n) + [R]
+    sigmas += [1] * (2 * n + 1)
+    extended = InequalitySystem._scaled(2 * n, (mat, rhs, sigmas))
     objective = Vector(tuple(c) + (0,) * n)
     try:
         value = support_value(extended, objective)

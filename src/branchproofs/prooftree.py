@@ -14,17 +14,18 @@ Two tree shapes are modeled:
   with no children claims the bounds contain no integer (``floor(hi) < lo``);
   an unlabeled leaf claims its relaxation is empty.
 
+Every pass over a proof path takes an edge's rows, integral and so their
+own scaled rows (sigma 1), from the node's ``_edge_rows`` by :func:`_path_rows`.
 Verification decides each node's emptiness once, by one exact LP or, at a
 labeled enumerative node, by the support LPs of its range.  A child's
 relaxation is its parent's plus the edge's rows (:func:`_relaxations`), so
 each solve warm-starts from the parent's optimal tableau.  A certified proof
 is checked with no LP and no relaxation: each leaf's certificate is checked
-in integers on K's scaled rows followed by a stack of the path's edge rows,
-which are their own scaled form.  Reports list
-failures in depth-first (path-sorted) order, so the result is deterministic.
-Every pass over a tree runs on an explicit stack -- :func:`walk` for
-verifying, certifying, counting and writing, the parsers' own for reading --
-so a proof may nest deeper than Python's recursion limit.
+in integers on K's scaled rows followed by a stack of the path's edge rows.
+Reports list failures in depth-first (path-sorted) order, so the result is
+deterministic.  Every pass over a tree runs on an explicit stack --
+:func:`walk` for verifying, certifying, counting and writing, the parsers'
+own for reading -- so a proof may nest deeper than Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -112,12 +113,12 @@ class BranchNode(_TreeNode):
             return ()
         return ((True, self.left), (False, self.right))
 
-    def edge_rows(self, went_left: bool) -> tuple[tuple[Vector, Fraction]]:
-        """The one inequality asserted by the left (``a x <= b``) or the right
-        (``-a x <= -b - 1``) edge below this node."""
-        if went_left:
-            return ((self.a, Fraction(self.b)),)
-        return ((-self.a, Fraction(-self.b - 1)),)
+    def _edge_rows(self, went_left: bool):
+        """The scaled row ``(mat, rhs, sigmas)`` of the left edge's ``a x <= b`` or
+        the right edge's ``-a x <= -b - 1``, with sigma 1: the normal is integral."""
+        sign, b = (1, self.b) if went_left else (-1, -self.b - 1)
+        row = tuple((j, sign * e.numerator) for j, e in enumerate(self.a) if e.numerator)
+        return (row,), (b,), (1,)
 
     def _fields(self) -> tuple:
         return (("a", self.a), ("b", self.b), ("cert", self.cert))
@@ -174,10 +175,12 @@ class EnumNode(_TreeNode):
         """(b, child) pairs by increasing b; empty for a leaf."""
         return self.children
 
-    def edge_rows(self, b: int) -> tuple[tuple[Vector, Fraction], ...]:
-        """The two inequalities of the equality ``a x = b`` asserted by the
-        edge to child b."""
-        return ((self.a, Fraction(b)), (-self.a, Fraction(-b)))
+    def _edge_rows(self, b: int):
+        """The scaled rows ``(mat, rhs, sigmas)`` of the equality ``a x = b``
+        asserted by the edge to child b: ``a x <= b``, then ``-a x <= -b``,
+        each with sigma 1."""
+        row = tuple((j, e.numerator) for j, e in enumerate(self.a) if e.numerator)
+        return (row, tuple((j, -v) for j, v in row)), (b, -b), (1, 1)
 
     def _fields(self) -> tuple:
         values = tuple(b for b, _ in self.children)
@@ -260,6 +263,21 @@ def _witness_text(point: Vector) -> str:
     return f"; witness x = ({', '.join(map(format_rational, point))})"
 
 
+def _path_rows(K: InequalitySystem, steps, rows):
+    """The scaled rows ``rows = (mat, rhs, sigmas)`` extended in place by the
+    ``_edge_rows`` of each ``(parent, edge)`` step of a path, in order; a
+    normal whose length is not ``K.n`` raises ``DimensionMismatch``."""
+    mat, rhs, sigmas = rows
+    for parent, edge in steps:
+        if len(parent.a) != K.n:
+            raise DimensionMismatch("appended row disagrees with the system's dimension")
+        new_mat, new_rhs, new_sigmas = parent._edge_rows(edge)
+        mat += new_mat
+        rhs += new_rhs
+        sigmas += new_sigmas
+    return rows
+
+
 def _relaxations(K: InequalitySystem, proof):
     """:func:`walk` with each node's relaxation K_v: K plus the inequalities
     along its path.
@@ -271,9 +289,8 @@ def _relaxations(K: InequalitySystem, proof):
     systems = [K]  # systems[d]: the relaxation at depth d of the current path
     for node, path, leaving in walk(proof):
         if path and not leaving:
-            parent, edge = path[-1]
             del systems[len(path):]
-            systems.append(systems[-1].with_rows(parent.edge_rows(edge)))
+            systems.append(systems[-1]._appended(*_path_rows(K, path[-1:], ([], [], []))))
         yield node, path, systems[len(path)], leaving
 
 
@@ -302,12 +319,10 @@ def verify_certified_proof(K: InequalitySystem, proof: BranchNode) -> Report:
     the order of the leaves.
 
     No relaxation is built.  The rows a leaf is checked on are a copy of K's
-    scaled rows followed by one stack of the path's edge rows, which
-    the walk truncates and extends in place.  A disjunction is integral, so
-    an edge row is its own scaled form with sigma 1: ``(a, b)`` on the left,
-    ``(-a, -b - 1)`` on the right.  Memory is O(m + D) for a depth-D proof.
-    A normal whose length is not ``K.n`` raises ``DimensionMismatch`` on
-    descending into its node's first child.
+    scaled rows followed by one stack of the path's edge rows, which the
+    walk truncates and extends in place, so memory is O(m + D) for a
+    depth-D proof.  A normal whose length is not ``K.n`` raises
+    ``DimensionMismatch`` on descending into its node's first child.
     """
     n, m = K.n, K.m
     rows = tuple(list(part) for part in K._rows)
@@ -316,16 +331,9 @@ def verify_certified_proof(K: InequalitySystem, proof: BranchNode) -> Report:
         if leaving:
             continue
         if path:
-            parent, went_left = path[-1]
-            if len(parent.a) != n:
-                raise DimensionMismatch("appended row disagrees with the system's dimension")
             top = m + len(path) - 1  # the parent's rows end here
             del mat[top:], rhs[top:], sigmas[top:]
-            sign = 1 if went_left else -1
-            mat.append(tuple((j, sign * e.numerator) for j, e in enumerate(parent.a)
-                             if e.numerator))
-            rhs.append(parent.b if went_left else -parent.b - 1)
-            sigmas.append(1)
+            _path_rows(K, path[-1:], rows)
         if node.is_leaf:
             cert = node.cert
             check = "no certificate" if cert is None else cert._failed_check(rows, n)

@@ -34,8 +34,8 @@ from .geometry import (
     l1_radius_bound,
     support_value,
 )
-from .prooftree import BranchNode, Report, verify_branching_proof, walk
-from .simplex import InequalitySystem, is_empty
+from .prooftree import BranchNode, Report, _path_rows, verify_branching_proof, walk
+from .simplex import DimensionMismatch, InequalitySystem, is_empty
 from .vectors import Vector, round_half_away
 
 
@@ -87,7 +87,7 @@ def long_to_short(a: Vector, b: int, R: int) -> SubstitutionSequence:
         raise ValueError("disjunction normal must be nonzero")
     if not a.is_integral() or not isinstance(b, int):
         raise ValueError("disjunction must be integral")
-    if R < 1:
+    if not isinstance(R, int) or R < 1:
         raise ValueError("radius must be a positive integer")
 
     n = len(a)
@@ -253,7 +253,9 @@ def generalized_certificate(K: InequalitySystem, P: InequalitySystem) -> Vector:
         lam_P (A_P x - b_P) = -lam_K A_K x - lam_P b_P
                            >= -lam_K b_K - lam_P b_P = 1.
     """
-    cert = is_empty(K.with_rows(P.rows()))
+    if P.n != K.n:
+        raise DimensionMismatch("appended row disagrees with the system's dimension")
+    cert = is_empty(K._appended(*P._rows))
     if cert is None:
         raise ValueError("K and P intersect; no certificate exists")
     return Vector(cert.multipliers[K.m :])
@@ -368,16 +370,9 @@ def recompile(K: InequalitySystem, proof: BranchNode) -> BranchNode:
             seq_pairs.append((seq, flip_sequence(seq)))
         else:
             seqs = [seq_pairs[d][0 if went_left else 1] for d, (_, went_left) in enumerate(path)]
-            orig_rows = [row for parent, went_left in path for row in parent.edge_rows(went_left)]
-            built.append(_repair_leaf(K, orig_rows, seqs))
+            P = InequalitySystem._scaled(K.n, _path_rows(K, path, ([], [], [])))
+            tree = BranchNode()
+            for a_c, b_c in reversed(gen_cg_cuts(K, P, seqs)):
+                tree = BranchNode(a_c, b_c, tree, BranchNode())
+            built.append(tree)
     return built[0]
-
-
-def _repair_leaf(K: InequalitySystem, orig_rows, seqs) -> BranchNode:
-    """The leaf itself, or a chain of the repair's +/- pairs whose right
-    children are empty leaves, when the replaced path leaves K nonempty."""
-    P = InequalitySystem([a for a, _ in orig_rows], [b for _, b in orig_rows], n=K.n)
-    tree = BranchNode()
-    for a_c, b_c in reversed(gen_cg_cuts(K, P, seqs)):
-        tree = BranchNode(a_c, b_c, tree, BranchNode())
-    return tree

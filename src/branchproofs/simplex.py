@@ -102,8 +102,8 @@ class InequalitySystem:
     them one-to-one with the rows.  ``from_text``, ``to_text`` and the
     generators (through ``_scaled``) read and write these rows directly.
     ``matrix``, ``rhs`` and ``rows()`` build the Vector and Fraction form on
-    each read and decide nothing; no I/O path reads them, but ``implies_R``,
-    ``recompile``'s leaf rows, ``bench/spans.py`` and the tests do.
+    each read and decide nothing; in this package only ``recompile._relaxed``
+    reads them, and ``bench/spans.py``, the tests and the demos do too.
     """
 
     __slots__ = ("n", "_rows", "_empty", "_outcomes", "_tableaux", "_ancestry")

@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from branchproofs.prooftree import Report, _branch_label, _relaxations
+from branchproofs.prooftree import BranchNode, Report, _branch_label, walk
+from branchproofs.simplex import InequalitySystem
 from branchproofs.vectors import Vector, format_rational
 
 
@@ -36,13 +37,52 @@ def fraction_view_text(system) -> str:
     return "\n".join(lines) + "\n"
 
 
+def fraction_edge_rows(parent, edge) -> list[tuple[Vector, Fraction]]:
+    """The rows ``(a, b)`` of ``a x <= b`` that an edge asserts, as Vectors
+    and Fractions: ``a x <= b`` on a branching node's left edge and
+    ``-a x <= -b - 1`` on its right edge; ``a x <= b`` then ``-a x <= -b``
+    on an enumerative node's edge to child b.  The reference for the
+    library's integer edge rows."""
+    a = parent.a
+    if isinstance(parent, BranchNode):
+        return [(a, Fraction(parent.b))] if edge else [(-a, Fraction(-parent.b - 1))]
+    return [(a, Fraction(edge)), (-a, Fraction(-edge))]
+
+
+def fraction_relaxations(K, proof):
+    """``walk`` with each node's relaxation, as ``(node, path, system,
+    leaving)``: a child's system is its parent's extended by the public
+    ``with_rows`` with :func:`fraction_edge_rows`, so a normal of the wrong
+    dimension raises from ``with_rows``."""
+    systems = [K]
+    for node, path, leaving in walk(proof):
+        if path and not leaving:
+            del systems[len(path):]
+            systems.append(systems[-1].with_rows(fraction_edge_rows(*path[-1])))
+        yield node, path, systems[len(path)], leaving
+
+
+def fraction_l1_lift(premise, R) -> InequalitySystem:
+    """The premise in variables (x, y) inside the l1 ball of radius R, by
+    the public constructor: each premise row padded with n zeros, then
+    ``x_i - y_i <= 0`` and ``-x_i - y_i <= 0`` for each i, then
+    ``sum y_i <= R``.  The reference for ``implies_R``'s lift."""
+    n = premise.n
+    rows = [(Vector(tuple(a) + (0,) * n), b) for a, b in premise.rows()]
+    for i in range(n):
+        x_i, y_i = Vector.unit(2 * n, i), Vector.unit(2 * n, n + i)
+        rows += [(x_i - y_i, 0), (-x_i - y_i, 0)]
+    rows.append((Vector((0,) * n + (1,) * n), R))
+    return InequalitySystem([a for a, _ in rows], [b for _, b in rows], n=2 * n)
+
+
 def relaxation_certified_report(K, proof) -> Report:
     """``verify certified`` on built relaxations: each leaf's certificate is
-    checked by ``FarkasCertificate.failed_check`` on its relaxation, K plus
-    its path rows derived by ``with_rows`` (``_relaxations``), so a normal of
-    the wrong dimension raises from ``with_rows``.  The reference for the
-    verifier, which checks on one stack of scaled rows."""
-    for node, path, system, _ in _relaxations(K, proof):
+    checked by ``FarkasCertificate.failed_check`` on its relaxation from
+    :func:`fraction_relaxations`, so a normal of the wrong dimension raises
+    from ``with_rows``.  The reference for the verifier, which checks on one
+    stack of scaled rows."""
+    for node, path, system, _ in fraction_relaxations(K, proof):
         if node.is_leaf and (node.cert is None or not node.cert.verify(system)):
             check = "no certificate" if node.cert is None else node.cert.failed_check(system)
             return Report(valid=False, failures=(f"{_branch_label(path)}: {check}",))

@@ -54,6 +54,14 @@ def random_integer_free_polytope(rng: Random, n: int) -> InequalitySystem:
     return InequalitySystem([a for a, _ in rows], [b for _, b in rows], n=n)
 
 
+def rational_rows(rng: Random, system: InequalitySystem) -> InequalitySystem:
+    """The system with each row divided by a random integer in 2..7: the
+    same set, on rows whose least scales are mostly above 1."""
+    scales = [Fraction(1, rng.randint(2, 7)) for _ in range(system.m)]
+    return InequalitySystem([s * a for s, a in zip(scales, system.matrix)],
+                            [s * b for s, b in zip(scales, system.rhs)], n=system.n)
+
+
 def _integer_points_in_bounding_box(system: InequalitySystem):
     """The integer points of a nonempty system in [-3, 3]^n, scanning only the
     integers of its exact LP bounding box (the same points, fewer tests)."""

@@ -317,6 +317,11 @@ STRIP = "2 2\n1 0 3/4\n-1 0 -1/4\n"  # 1/4 <= x1 <= 3/4, x2 free
 # normal's missing or extra coordinates are ignored
 SHORT_NORMAL = "(node (1 0) (leaf (cert 0 1 1)) (leaf (cert 1 0 1)))"
 LONG_NORMAL = "(node (1 0 0 0) (leaf (cert 0 1 1)) (leaf (cert 1 0 1)))"
+# enumerative proofs of POINT whose direction below the root is too short or
+# too long, on the nonempty slice x1 = 0
+SHORT_DIRECTION = "(enode (1 0) 0 0 (child 0 (enode (1) 1/2 1/2)))"
+LONG_DIRECTION = ("(enode (1 0) 0 0 (child 0 (enode (0 1 0) 0 1"
+                  " (child 0 (eleaf empty)) (child 1 (eleaf empty)))))")
 
 
 @pytest.mark.parametrize("proof", [SHORT_NORMAL, LONG_NORMAL])
@@ -475,6 +480,16 @@ def contract_cases(depth):
          ["certify", "k.ineq", "p.proof", "--out", "c.proof"], 2),
         ("too-long normal, certify", {"k.ineq": STRIP, "p.proof": LONG_NORMAL},
          ["certify", "k.ineq", "p.proof", "--out", "c.proof"], 2),
+        ("too-short normal, recompile", {"k.ineq": STRIP, "p.proof": SHORT_NORMAL},
+         ["recompile", "k.ineq", "p.proof", "--out", "r.proof"], 2),
+        ("too-long normal, recompile", {"k.ineq": STRIP, "p.proof": LONG_NORMAL},
+         ["recompile", "k.ineq", "p.proof", "--out", "r.proof"], 2),
+        *((f"too-{length} direction below the root, {command}",
+           {"k.ineq": POINT, "e.proof": proof}, argv, 2)
+          for length, proof in (("short", SHORT_DIRECTION), ("long", LONG_DIRECTION))
+          for command, argv in (
+              ("verify enumerative", ["verify", "enumerative", "k.ineq", "e.proof"]),
+              ("enum-to-cp", ["enum-to-cp", "k.ineq", "e.proof", "--out", "e.cuts"]))),
         ("zero disjunction normal",
          {"k.ineq": SEGMENT, "p.proof": "(node (0 0) (node (1 0) (leaf) (leaf)) (leaf))"},
          ["verify", "branching", "k.ineq", "p.proof"], 2),

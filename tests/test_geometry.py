@@ -24,7 +24,7 @@ from branchproofs.geometry import (
 from branchproofs.simplex import InequalitySystem, is_empty
 from branchproofs.vectors import Vector
 
-from oracles import integer_points_in_box
+from oracles import fraction_l1_lift, integer_points_in_box
 from randgen import random_boxed_polytope
 
 
@@ -224,6 +224,50 @@ def test_implies_R_monotone_in_premise():
         if implies_R(premise, c, d, 2):
             extra = (Vector([rng.randint(-2, 2) for _ in range(n)]), rng.randint(-3, 3))
             assert implies_R(premise.with_rows([extra]), c, d, 2)
+
+
+@pytest.mark.parametrize("R", [Fraction(3, 2), 1.5, 0, -1])
+def test_implies_R_needs_an_integer_radius(R):
+    with pytest.raises(ValueError, match="radius must be a positive integer"):
+        implies_R(InequalitySystem([[1]], [0]), Vector([1]), 0, R)
+
+
+def test_implies_R_lifts_as_the_fraction_path(monkeypatch):
+    """implies_R solves on the system that padding the premise's Fraction
+    rows and appending the ball's rows by the public constructor builds, and
+    answers as that system's support value says, strict and non-strict, on
+    premises with rational rows and on a row-less premise."""
+    from branchproofs import geometry
+
+    lifted = []
+    real = geometry.support_value
+    monkeypatch.setattr(geometry, "support_value",
+                        lambda system, c: lifted.append(system) or real(system, c))
+    rng = Random(2931)
+    premises = [InequalitySystem([], [], n=n) for n in (1, 2, 3)]
+    for _ in range(24):
+        n = rng.randint(1, 3)
+        rows = [(Vector([Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n)]),
+                 Fraction(rng.randint(-6, 6), rng.randint(1, 5)))
+                for _ in range(rng.randint(1, 4))]
+        premises.append(InequalitySystem([a for a, _ in rows], [b for _, b in rows], n=n))
+    assert any(sigma > 1 for premise in premises for sigma in premise._rows[2])
+    for premise in premises:
+        n, R = premise.n, rng.randint(1, 4)
+        reference = fraction_l1_lift(premise, R)
+        c = Vector([rng.randint(-3, 3) for _ in range(n)])
+        try:
+            value = real(reference, Vector(tuple(c) + (0,) * n))
+        except EmptySet:
+            value = None
+        bounds = [Fraction(rng.randint(-12, 12), rng.randint(1, 3))]
+        for d in bounds + ([] if value is None else [value]):
+            for strict in (False, True):
+                lifted.clear()
+                answer = implies_R(premise, c, d, R, strict=strict)
+                assert lifted == [reference] and lifted[0]._rows == reference._rows
+                expected = value is None or (value < d if strict else value <= d)
+                assert answer == expected
 
 
 def test_l1_radius_bound_examples():

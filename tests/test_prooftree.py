@@ -16,6 +16,7 @@ from branchproofs import simplex
 from branchproofs.prooftree import (
     BranchNode,
     EnumNode,
+    _relaxations,
     certify,
     detect_proof_kind,
     enumerative_to_branching,
@@ -33,11 +34,17 @@ from branchproofs.recompile import recompile
 from branchproofs.simplex import DimensionMismatch, FarkasCertificate, InequalitySystem
 from branchproofs.vectors import Vector, format_rational, parse_rational
 
-from oracles import dense_proof_bits, relaxation_certified_report
+from oracles import (
+    dense_proof_bits,
+    fraction_edge_rows,
+    fraction_relaxations,
+    relaxation_certified_report,
+)
 from randgen import (
     random_branching_proof,
     random_enumerative_proof,
     random_integer_free_polytope,
+    rational_rows,
 )
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -122,7 +129,7 @@ def test_witnesses_lie_in_their_leaf_relaxations(monkeypatch):
                     steps = label.split("/") if proof is truncated else label
                     for step in steps:
                         edge = int(step) if proof is truncated else step == "L"
-                        system = system.with_rows(node.edge_rows(edge))
+                        system = system.with_rows(fraction_edge_rows(node, edge))
                         node = dict(node.edges())[edge]
                 point = reported_witness(failure)
                 assert K.contains(point) and system.contains(point)
@@ -345,6 +352,26 @@ def test_certified_check_matches_relaxation_oracle():
                 seen.add(expected.valid)
     assert seen >= {True, False, "no certificate", "wrong length", "lam A != 0",
                     "appended row disagrees with the system's dimension"}
+
+
+def test_integer_edge_rows_build_the_fraction_path_systems():
+    """Every system ``_relaxations`` yields equals the one the public
+    ``with_rows`` builds from Fraction edge rows, on seeded enumerative
+    proofs and their branching encodings over polytopes with rational rows."""
+    rng = Random(2929)
+    nodes = 0
+    for trial in range(10):
+        K = rational_rows(rng, random_integer_free_polytope(rng, 2 + trial % 2))
+        assert any(sigma > 1 for sigma in K._rows[2])
+        enum_proof = random_enumerative_proof(rng, K)
+        for proof in (enum_proof, enumerative_to_branching(enum_proof)):
+            ours = list(_relaxations(K, proof))
+            expected = list(fraction_relaxations(K, proof))
+            assert len(ours) == len(expected)
+            for (_, _, system, _), (_, _, reference, _) in zip(ours, expected):
+                assert system == reference and system._rows == reference._rows
+                nodes += 1
+    assert nodes > 200
 
 
 def test_missing_certificate_fails_its_leaf():

@@ -1,6 +1,7 @@
 """Substitution sequences, generalized certificates, leaf repair, recompile."""
 
 import hashlib
+import importlib
 from fractions import Fraction
 from random import Random
 
@@ -24,11 +25,14 @@ from branchproofs.recompile import (
     recompile,
     verify_substitution_sequence,
 )
-from branchproofs.simplex import InequalitySystem, is_empty
+from branchproofs.simplex import DimensionMismatch, InequalitySystem, is_empty
 from branchproofs.vectors import Vector
 
-from oracles import check_repair_invariants
-from randgen import random_branching_proof, random_integer_free_polytope
+from oracles import check_repair_invariants, fraction_edge_rows
+from randgen import random_branching_proof, random_integer_free_polytope, rational_rows
+
+# the module itself: the package binds the name recompile to the function
+recompile_module = importlib.import_module("branchproofs.recompile")
 
 
 def test_long_to_short_passthrough():
@@ -69,6 +73,12 @@ def test_long_to_short_rejects_bad_input():
         long_to_short(Vector([0, 0]), 0, R=1)
     with pytest.raises(ValueError):
         long_to_short(Vector([5]), 0, R=0)
+
+
+@pytest.mark.parametrize("R", [Fraction(3, 2), 1.5, 0, -1])
+def test_long_to_short_needs_an_integer_radius(R):
+    with pytest.raises(ValueError, match="radius must be a positive integer"):
+        long_to_short(Vector([10**6, 1]), 0, R)
 
 
 def test_residual_zero_coordinates_increase():
@@ -235,6 +245,39 @@ def test_recompile_rejects_invalid_proof():
     bad = BranchNode(Vector([1, 0]), 0, BranchNode(), BranchNode())
     with pytest.raises(ValueError, match="invalid"):
         recompile(K, bad)
+
+
+def test_recompile_leaf_rows_match_the_fraction_path(monkeypatch):
+    """Each leaf's path rows P, as ``recompile`` hands them to
+    ``gen_cg_cuts``, equal the system the public constructor builds from the
+    leaf's Fraction edge rows, on the two-round case, a thin segment and
+    seeded proofs over polytopes with rational rows."""
+    seen = []
+    real = recompile_module.gen_cg_cuts
+    monkeypatch.setattr(recompile_module, "gen_cg_cuts",
+                        lambda K, P, seqs: seen.append(P) or real(K, P, seqs))
+    rng = Random(2930)
+    cases = [(TWO_ROUND_K, BranchNode(TWO_ROUND_NORMAL, 3, BranchNode(), BranchNode())),
+             thin_segment(10**6)]
+    for _ in range(4):
+        K = rational_rows(rng, random_integer_free_polytope(rng, 2))
+        cases.append((K, random_branching_proof(rng, K)))
+    for K, proof in cases:
+        seen.clear()
+        recompile(K, proof)
+        expected = []
+        for node, path, _ in walk(proof):
+            if node.is_leaf:
+                rows = [row for step in path for row in fraction_edge_rows(*step)]
+                expected.append(InequalitySystem([a for a, _ in rows], [b for _, b in rows], n=K.n))
+        assert seen == expected
+        assert [P._rows for P in seen] == [P._rows for P in expected]
+
+
+def test_generalized_certificate_checks_the_dimension():
+    box = InequalitySystem.box(1, 0, 1)
+    with pytest.raises(DimensionMismatch):
+        generalized_certificate(box, InequalitySystem([[1, 0]], [-1]))
 
 
 def test_recompile_random_proofs():
