@@ -47,8 +47,8 @@ import math
 from .geometry import (
     CgCut, EmptySet, _apply_certified, _support_optimum, apply_cg, face, support_value,
 )
-from .prooftree import EnumNode
-from .simplex import InequalitySystem, SolverError, is_empty
+from .prooftree import EnumNode, walk
+from .simplex import DimensionMismatch, InequalitySystem, SolverError, is_empty
 from .vectors import Vector
 
 _MULTIPLIER_CAP = 2**64
@@ -163,8 +163,14 @@ def enum_to_cp(K: InequalitySystem, proof: EnumNode) -> list[Vector]:
 
     The returned list has length at most 2|T| - 1 and satisfies
     ``apply_cg_list(K, cuts)`` empty; an input proof that fails to refute the
-    set raises ``ValueError``.  An empty K takes no cut.
+    set raises ``ValueError``.  An empty K takes no cut.  Every direction's
+    length is checked first, also on the nodes serialization never reaches,
+    so a direction that is not in K's dimension raises ``DimensionMismatch``
+    as ``verify_enumerative_proof`` does.
     """
+    for node, _, _ in walk(proof):
+        if node.a is not None and len(node.a) != K.n:
+            raise DimensionMismatch(f"objective has dim {len(node.a)}, system has n={K.n}")
     if is_empty(K) is not None:
         return []
     records, final = _serialize(K, proof)

@@ -14,8 +14,14 @@ Two tree shapes are modeled:
   with no children claims the bounds contain no integer (``floor(hi) < lo``);
   an unlabeled leaf claims its relaxation is empty.
 
-Every pass over a proof path takes an edge's rows, integral and so their
-own scaled rows (sigma 1), from the node's ``_edge_rows`` by :func:`_path_rows`.
+A ``BranchNode`` stores its normal once, as its integer row: the dimension
+and the ``(j, a_j)`` nonzeros, which is the left edge's own scaled row
+(sigma 1).  The reader parses a header as integers straight into that row,
+and the public Vector ``a`` is built only when it is first read.  An
+``EnumNode`` keeps its direction's row, made at construction, next to its
+Vector.  The writers, :func:`proof_stats` and the edges read the rows.
+Every pass over a proof path takes
+an edge's rows from the node's ``_edge_rows`` by :func:`_path_rows`.
 Verification decides each node's emptiness once, by one exact LP or, at a
 labeled enumerative node, by the support LPs of its range.  A child's
 relaxation is its parent's plus the edge's rows (:func:`_relaxations`), so
@@ -34,7 +40,8 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import compress, zip_longest
+from operator import attrgetter
 
 from .simplex import (
     DimensionMismatch,
@@ -44,7 +51,9 @@ from .simplex import (
     lp_optimize,
 )
 from .geometry import EmptySet, UnboundedSet, support_value
-from .vectors import Vector, bit_size, format_rational, parse_rational, sparse_bit_size
+from .vectors import (
+    _ZERO, Vector, bit_size, format_rational, parse_integer, parse_rational, sparse_bit_size,
+)
 
 
 class _TreeNode:
@@ -55,6 +64,8 @@ class _TreeNode:
     hash and the repr cover the node's own fields and its child count only,
     so any depth is fine.
     """
+
+    __slots__ = ()
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -77,48 +88,93 @@ class _TreeNode:
         return sum(1 for _, _, leaving in walk(self) if not leaving)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class BranchNode(_TreeNode):
-    """A node of a branching proof; a leaf when ``a`` is None."""
+    """A node of a branching proof; a leaf when ``a`` is None.
 
-    a: Vector | None = None
-    b: int | None = None
-    left: "BranchNode | None" = None
-    right: "BranchNode | None" = None
-    cert: FarkasCertificate | None = None
+    An internal node stores its normal once, as its integer row: the
+    dimension ``n`` and the ``(j, a_j)`` nonzeros in index order, which is
+    the left edge's scaled row (sigma 1) as :meth:`_edge_rows` returns it.
+    The public ``a``, a Vector of all n entries, is built from the row when
+    first read and then kept.  ``BranchNode(a, b, left, right, cert)``
+    checks its arguments; the parser, ``certify`` and
+    ``enumerative_to_branching`` build nodes from rows they already hold,
+    through :meth:`_from_row`.
+    """
 
-    def __post_init__(self):
-        if self.a is None:
-            if self.left is not None or self.right is not None or self.b is not None:
+    __slots__ = ("_b", "_left", "_right", "_cert", "_n", "_row", "_neg", "_a")
+
+    def __init__(self, a: Vector | None = None, b: int | None = None,
+                 left: "BranchNode | None" = None, right: "BranchNode | None" = None,
+                 cert: FarkasCertificate | None = None):
+        if a is None:
+            if left is not None or right is not None or b is not None:
                 raise ValueError("leaves carry no disjunction and no children")
-            if self.cert is not None and not isinstance(self.cert, FarkasCertificate):
+            if cert is not None and not isinstance(cert, FarkasCertificate):
                 raise TypeError("a leaf certificate must be a FarkasCertificate")
-        else:
-            if not self.a.is_integral() or self.a.is_zero():
-                raise ValueError("disjunction normals must be nonzero integral")
-            if not isinstance(self.b, int):
-                raise ValueError("disjunction right-hand sides must be integers")
-            if self.left is None or self.right is None:
-                raise ValueError("internal nodes need both children")
-            if self.cert is not None:
-                raise ValueError("only leaves carry certificates")
+            self._set(None, None, None, None, None, cert)
+            return
+        row = _integral_row(a)
+        if not row:
+            raise ValueError("disjunction normals must be nonzero integral")
+        if not isinstance(b, int):
+            raise ValueError("disjunction right-hand sides must be integers")
+        if left is None or right is None:
+            raise ValueError("internal nodes need both children")
+        if cert is not None:
+            raise ValueError("only leaves carry certificates")
+        self._set(len(a), row, b, left, right, None, a)
+
+    def _set(self, n, row, b, left, right, cert, a=None) -> None:
+        self._n, self._row, self._neg, self._a = n, row, None, a
+        self._b, self._left, self._right, self._cert = b, left, right, cert
+
+    # read-only: a node never changes, so its hash and its kept ``a`` and
+    # negated row stay valid
+    b = property(attrgetter("_b"), doc="The right-hand side b of ``a x <= b``; None at a leaf.")
+    left = property(attrgetter("_left"), doc="The child on ``a x <= b``; None at a leaf.")
+    right = property(attrgetter("_right"), doc="The child on ``a x >= b + 1``; None at a leaf.")
+    cert = property(attrgetter("_cert"), doc="A leaf's Farkas certificate, or None.")
+
+    @classmethod
+    def _from_row(cls, n: int, row: tuple, b: int, left: "BranchNode",
+                  right: "BranchNode") -> "BranchNode":
+        """The internal node on the integer row ``row`` in n variables: its
+        ``(j, a_j)`` pairs with int ``a_j != 0``, in index order, all j < n.
+        An empty row, the zero normal, raises as the public constructor does."""
+        if not row:
+            raise ValueError("disjunction normals must be nonzero integral")
+        node = object.__new__(cls)
+        node._set(n, row, b, left, right, None)
+        return node
+
+    @property
+    def a(self) -> Vector | None:
+        """The normal as a Vector, built from the row when first read; None
+        at a leaf."""
+        if self._a is None and self._row is not None:
+            self._a = _vector(self._n, self._row)
+        return self._a
 
     @property
     def is_leaf(self) -> bool:
-        return self.a is None
+        return self._row is None
 
     def edges(self) -> tuple:
         """(went_left, child) pairs, left first; empty for a leaf."""
-        if self.a is None:
+        if self._row is None:
             return ()
-        return ((True, self.left), (False, self.right))
+        return ((True, self._left), (False, self._right))
 
     def _edge_rows(self, went_left: bool):
         """The scaled row ``(mat, rhs, sigmas)`` of the left edge's ``a x <= b`` or
-        the right edge's ``-a x <= -b - 1``, with sigma 1: the normal is integral."""
-        sign, b = (1, self.b) if went_left else (-1, -self.b - 1)
-        row = tuple((j, sign * e.numerator) for j, e in enumerate(self.a) if e.numerator)
-        return (row,), (b,), (1,)
+        the right edge's ``-a x <= -b - 1``, with sigma 1: the stored row, or
+        its negation, built on the first descent to the right and then kept."""
+        if went_left:
+            return (self._row,), (self._b,), (1,)
+        neg = self._neg
+        if neg is None:
+            neg = self._neg = tuple((j, -v) for j, v in self._row)
+        return (neg,), (-self._b - 1,), (1,)
 
     def _fields(self) -> tuple:
         return (("a", self.a), ("b", self.b), ("cert", self.cert))
@@ -126,12 +182,13 @@ class BranchNode(_TreeNode):
     def _label_size(self) -> tuple[int, int]:
         """The bits of the disjunction or certificate, and the largest
         coefficient of the two edge rows."""
-        if self.a is None:
+        row = self._row
+        if row is None:
             cert = self.cert
             return (0 if cert is None else sparse_bit_size(cert.m, cert.nonzeros)), 0
         b = self.b
-        coeff = max(max([abs(e.numerator) for e in self.a]), abs(b), abs(b + 1))
-        return bit_size(self.a) + bit_size(b), coeff
+        coeff = max(max([abs(v) for _, v in row]), abs(b), abs(b + 1))
+        return sparse_bit_size(self._n, row) + bit_size(b), coeff
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -141,7 +198,10 @@ class EnumNode(_TreeNode):
     ``a is None`` marks an unlabeled leaf, ``EnumNode()``, which claims its
     relaxation is empty; otherwise the node carries direction/bounds and
     children keyed by the branched integer value.  A labeled childless node
-    is the integer-free-interval leaf.
+    is the integer-free-interval leaf.  A labeled node also keeps its
+    direction's integer row, the dimension ``_n`` and the ``(j, a_j)``
+    nonzeros ``_row`` with their negation ``_neg``, made once at
+    construction for its edges, its text and its bit size.
     """
 
     a: Vector | None = None
@@ -150,22 +210,41 @@ class EnumNode(_TreeNode):
     children: tuple[tuple[int, "EnumNode"], ...] = ()
 
     def __post_init__(self):
-        if self.a is None:
-            if self.children:
-                raise ValueError("unlabeled leaves cannot have children")
-        else:
-            if not self.a.is_integral() or self.a.is_zero():
-                raise ValueError("branching directions must be nonzero integral")
-            if self.lo is None or self.hi is None:
-                raise ValueError("labeled nodes need bounds")
-            object.__setattr__(self, "lo", Fraction(self.lo))
-            object.__setattr__(self, "hi", Fraction(self.hi))
-            object.__setattr__(
-                self, "children", tuple(sorted(self.children, key=lambda kv: kv[0]))
-            )
-            values = [b for b, _ in self.children]
-            if len(set(values)) != len(values):
-                raise ValueError("duplicate child values")
+        if self.a is not None:
+            self._label(len(self.a), _integral_row(self.a))
+        elif self.children:
+            raise ValueError("unlabeled leaves cannot have children")
+
+    @classmethod
+    def _from_row(cls, n: int, row: tuple, lo: Fraction, hi: Fraction,
+                  children: tuple) -> "EnumNode":
+        """The labeled node on the integer row ``row`` in n variables, with
+        the same checks as the public constructor; ``row`` is as for
+        ``BranchNode._from_row``."""
+        node = object.__new__(cls)
+        for name, value in (("a", _vector(n, row)), ("lo", lo), ("hi", hi), ("children", children)):
+            object.__setattr__(node, name, value)
+        node._label(n, row)
+        return node
+
+    def _label(self, n: int, row: tuple | None) -> None:
+        """Check a labeled node's fields and keep its direction's row, which
+        is None or empty unless the direction is nonzero integral."""
+        if not row:
+            raise ValueError("branching directions must be nonzero integral")
+        if self.lo is None or self.hi is None:
+            raise ValueError("labeled nodes need bounds")
+        object.__setattr__(self, "lo", Fraction(self.lo))
+        object.__setattr__(self, "hi", Fraction(self.hi))
+        object.__setattr__(
+            self, "children", tuple(sorted(self.children, key=lambda kv: kv[0]))
+        )
+        values = [b for b, _ in self.children]
+        if len(set(values)) != len(values):
+            raise ValueError("duplicate child values")
+        object.__setattr__(self, "_n", n)
+        object.__setattr__(self, "_row", row)
+        object.__setattr__(self, "_neg", tuple((j, -v) for j, v in row))
 
     @property
     def is_leaf(self) -> bool:
@@ -179,8 +258,7 @@ class EnumNode(_TreeNode):
         """The scaled rows ``(mat, rhs, sigmas)`` of the equality ``a x = b``
         asserted by the edge to child b: ``a x <= b``, then ``-a x <= -b``,
         each with sigma 1."""
-        row = tuple((j, e.numerator) for j, e in enumerate(self.a) if e.numerator)
-        return (row, tuple((j, -v) for j, v in row)), (b, -b), (1, 1)
+        return (self._row, self._neg), (b, -b), (1, 1)
 
     def _fields(self) -> tuple:
         values = tuple(b for b, _ in self.children)
@@ -192,9 +270,18 @@ class EnumNode(_TreeNode):
         if self.a is None:
             return 0, 0
         values = [b for b, _ in self.children]
-        bits = bit_size(self.a) + bit_size(self.lo) + bit_size(self.hi)
+        bits = sparse_bit_size(self._n, self._row) + bit_size(self.lo) + bit_size(self.hi)
         bits += sum(map(bit_size, values))
-        return bits, max([abs(e.numerator) for e in self.a] + [abs(v) for v in values])
+        return bits, max([abs(v) for _, v in self._row] + [abs(v) for v in values])
+
+
+def _integral_row(a: Vector) -> tuple | None:
+    """The ``(j, a_j)`` nonzeros of a Vector, as ints; None if an entry is
+    not an integer."""
+    nonzeros = [(j, e) for j, e in enumerate(a) if e]
+    if any(e.denominator != 1 for _, e in nonzeros):
+        return None
+    return tuple([(j, e.numerator) for j, e in nonzeros])
 
 
 @dataclass(frozen=True)
@@ -269,7 +356,7 @@ def _path_rows(K: InequalitySystem, steps, rows):
     normal whose length is not ``K.n`` raises ``DimensionMismatch``."""
     mat, rhs, sigmas = rows
     for parent, edge in steps:
-        if len(parent.a) != K.n:
+        if parent._n != K.n:
             raise DimensionMismatch("appended row disagrees with the system's dimension")
         new_mat, new_rhs, new_sigmas = parent._edge_rows(edge)
         mat += new_mat
@@ -355,7 +442,7 @@ def certify(K: InequalitySystem, proof: BranchNode) -> BranchNode:
     for node, path, system, leaving in _relaxations(K, proof):
         if leaving:
             right = built.pop()
-            built[-1] = BranchNode(node.a, node.b, built[-1], right)
+            built[-1] = BranchNode._from_row(node._n, node._row, node.b, built[-1], right)
             continue
         cert = is_empty(system)
         if node.is_leaf:
@@ -437,16 +524,19 @@ def enumerative_to_branching(proof: EnumNode) -> BranchNode:
     for node, _, leaving in walk(proof):
         if node.a is None:
             built.append(BranchNode())
-        elif not node.children:
-            built.append(BranchNode(node.a, math.floor(node.hi), BranchNode(), BranchNode()))
+            continue
+        n, row = node._n, node._row
+        if not node.children:
+            leaf = BranchNode._from_row(n, row, math.floor(node.hi), BranchNode(), BranchNode())
+            built.append(leaf)
         elif leaving:
             first = len(built) - len(node.children)
             subs = built[first:]
             del built[first:]
             chain = BranchNode()  # claims a x >= last value + 1 is empty
             for (b, _), sub in zip(reversed(node.children), reversed(subs)):
-                inner = BranchNode(node.a, b - 1, BranchNode(), sub)
-                chain = BranchNode(node.a, b, inner, chain)
+                inner = BranchNode._from_row(n, row, b - 1, BranchNode(), sub)
+                chain = BranchNode._from_row(n, row, b, inner, chain)
             built.append(chain)
     return built[0]
 
@@ -528,24 +618,65 @@ def _rational_atom(atom: str, numbers: dict[str, Fraction]) -> Fraction:
     return value
 
 
-def _integer_atom(atom: str, numbers: dict[str, Fraction]) -> Fraction:
-    """The integer an atom spells, as its shared Fraction."""
-    value = _rational_atom(atom, numbers)
-    if value.denominator != 1:
-        raise ValueError(f"expected an integer, found {atom}")
+def _integer_atom(atom: str, integers: dict[str, int]) -> int:
+    """The integer an atom spells.  ``integers`` holds the tokens read so
+    far; a token with a ``/`` is read as a rational, which must be an
+    integer (``4/2`` is 2)."""
+    value = integers.get(atom)
+    if value is None:
+        if "/" in atom:
+            fraction = parse_rational(atom)
+            if fraction.denominator != 1:
+                raise ValueError(f"expected an integer, found {atom}")
+            value = fraction.numerator
+        else:
+            value = parse_integer(atom)
+        integers[atom] = value
     return value
+
+
+def _integer_atoms(atoms: list[str], integers: dict[str, int]) -> list[int]:
+    """The integers the atoms spell, by :func:`_integer_atom`: one lookup
+    each when every atom has been read before."""
+    try:
+        return list(map(integers.__getitem__, atoms))
+    except KeyError:
+        return [_integer_atom(t, integers) for t in atoms]
+
+
+def _row(n: int, values) -> tuple:
+    """The ``(j, v)`` nonzeros of the first n integers of ``values``."""
+    head = values[:n]
+    return tuple(compress(enumerate(head), head))
+
+
+def _vector(n: int, row) -> Vector:
+    """The Vector of n entries whose nonzeros are the integer row's."""
+    entries = [_ZERO] * n
+    for j, v in row:
+        entries[j] = Fraction(v)
+    return Vector(entries)
+
+
+def _header(n: int, row) -> str:
+    """The n coefficients of an integer row, as the text of a node group."""
+    coeffs = ["0"] * n
+    for j, v in row:
+        coeffs[j] = str(v)
+    return " ".join(coeffs)
 
 
 def _certificate(group: list, numbers: dict[str, Fraction]) -> FarkasCertificate:
     """The certificate of a ``(cert ...)`` group, from its nonzero tokens:
     a token spelled "0" is skipped unparsed, and one that parses to 0
     (``-0``, ``00``, ``0/7``) is dropped."""
-    spelled = [(i, tok) for i, tok in enumerate(group) if tok != "0"]
+    spelled = compress(enumerate(group, -1), map("0".__ne__, group))
+    next(spelled)  # (-1, "cert"): the tag
     nonzeros = []
-    for i, tok in spelled[1:]:  # spelled[0] is the "cert" tag
+    for i, tok in spelled:
         value = _rational_atom(tok, numbers)
         if value:
-            nonzeros.append((i - 1, value))
+            nonzeros.append((i, value))
     return FarkasCertificate._from_nonzeros(len(group) - 1, nonzeros)
 
 
@@ -559,8 +690,7 @@ def format_branching(proof: BranchNode) -> str:
             parts.append("\n")  # a right child follows its left sibling
         pad = "  " * len(path)
         if not node.is_leaf:
-            header = " ".join(str(v) for v in node.a.as_ints()) + f" {node.b}"
-            parts.append(f"{pad}(node ({header})\n")
+            parts.append(f"{pad}(node ({_header(node._n, node._row)} {node.b})\n")
         elif node.cert is None:
             parts.append(f"{pad}(leaf)")
         else:
@@ -574,12 +704,14 @@ def format_branching(proof: BranchNode) -> str:
 def parse_branching(text: str) -> BranchNode:
     """Read a branching proof in one pass over its tokens.
 
-    One explicit stack holds ``(a, b, len(built))`` for each node whose
-    subtrees are still being read; a node is built as soon as its second
-    subtree closes.
+    A node's header is read in integers into its integer row.  One explicit
+    stack holds ``(n, row, b, len(built))`` for each node whose subtrees are
+    still being read; a node is built, and its normal checked nonzero, as
+    soon as its second subtree closes.
     """
     tokens = _tokenize(text)
     numbers: dict[str, Fraction] = {}
+    integers: dict[str, int] = {}
     built: list[BranchNode] = []  # finished subtrees, left to right
     open_nodes: list[tuple] = []
     pos = 0
@@ -587,10 +719,11 @@ def parse_branching(text: str) -> BranchNode:
         tag, pos = _open(tokens, pos, ("node", "leaf"))
         if tag == "node":
             header, pos = _atoms(tokens, pos)
-            values = [_integer_atom(t, numbers) for t in header]
+            values = _integer_atoms(header, integers)
             if len(values) < 2:
                 raise ValueError("disjunction needs at least one coefficient and a rhs")
-            open_nodes.append((Vector(values[:-1]), values[-1].numerator, len(built)))
+            n = len(values) - 1
+            open_nodes.append((n, _row(n, values), values[-1], len(built)))
             continue
         if tokens[pos:pos + 1] == ["("]:
             group, pos = _atoms(tokens, pos)
@@ -600,11 +733,11 @@ def parse_branching(text: str) -> BranchNode:
         else:
             built.append(BranchNode())
         pos = _close(tokens, pos)
-        while open_nodes and len(built) == open_nodes[-1][2] + 2:
-            a, b, _ = open_nodes.pop()
+        while open_nodes and len(built) == open_nodes[-1][3] + 2:
+            n, row, b, _ = open_nodes.pop()
             pos = _close(tokens, pos)
             right = built.pop()
-            built[-1] = BranchNode(a=a, b=b, left=built[-1], right=right)
+            built[-1] = BranchNode._from_row(n, row, b, built[-1], right)
         if not open_nodes:
             if pos != len(tokens):
                 raise ValueError("trailing tokens after proof")
@@ -624,9 +757,8 @@ def format_enumerative(proof: EnumNode) -> str:
             if node.a is None:
                 parts.append(f"{pad}(eleaf empty)")
             else:
-                coeffs = " ".join(str(v) for v in node.a.as_ints())
                 parts.append(
-                    f"{pad}(enode ({coeffs}) {format_rational(node.lo)}"
+                    f"{pad}(enode ({_header(node._n, node._row)}) {format_rational(node.lo)}"
                     f" {format_rational(node.hi)}" + ("" if node.children else ")")
                 )
             if node.children:
@@ -639,12 +771,13 @@ def format_enumerative(proof: EnumNode) -> str:
 def parse_enumerative(text: str) -> EnumNode:
     """Read an enumerative proof in one pass over its tokens.
 
-    One explicit stack holds ``(a, lo, hi, child values, len(built))`` for
+    One explicit stack holds ``(n, row, lo, hi, child values, len(built))`` for
     each node whose children are still being read; a ``(child b`` group
     pushes b, and a node is built as soon as its own ``)`` is read.
     """
     tokens = _tokenize(text)
     numbers: dict[str, Fraction] = {}
+    integers: dict[str, int] = {}
     built: list[EnumNode] = []  # finished subtrees, left to right
     open_nodes: list[tuple] = []
     pos = 0
@@ -652,12 +785,13 @@ def parse_enumerative(text: str) -> EnumNode:
         tag, pos = _open(tokens, pos, ("enode", "eleaf"))
         if tag == "enode":
             header, pos = _atoms(tokens, pos)
-            a = Vector([_integer_atom(t, numbers) for t in header])
+            values = _integer_atoms(header, integers)
+            n = len(values)
             bounds = tokens[pos:pos + 2]
             if len(bounds) < 2:
                 raise ValueError("an enumerative node needs bounds lo hi")
             lo, hi = (_rational_atom(t, numbers) for t in bounds)
-            open_nodes.append((a, lo, hi, [], len(built)))
+            open_nodes.append((n, _row(n, values), lo, hi, [], len(built)))
             pos += 2
         else:
             if tokens[pos:pos + 1] != ["empty"]:
@@ -673,13 +807,13 @@ def parse_enumerative(text: str) -> EnumNode:
                 value = tokens[pos + 2:pos + 3]
                 if not value:
                     raise ValueError("a child group needs a value b")
-                open_nodes[-1][3].append(_integer_atom(value[0], numbers).numerator)
+                open_nodes[-1][4].append(_integer_atom(value[0], integers))
                 pos += 3
                 break
-            a, lo, hi, values, first = open_nodes.pop()
+            n, row, lo, hi, values, first = open_nodes.pop()
             pos = _close(tokens, pos)
             children = tuple(zip(values, built[first:]))
-            built[first:] = [EnumNode(a=a, lo=lo, hi=hi, children=children)]
+            built[first:] = [EnumNode._from_row(n, row, lo, hi, children)]
             finished = True
         if not open_nodes:
             if pos != len(tokens):

@@ -10,9 +10,20 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from branchproofs.prooftree import BranchNode, Report, _branch_label, walk
-from branchproofs.simplex import InequalitySystem
-from branchproofs.vectors import Vector, format_rational
+from branchproofs.prooftree import (
+    BranchNode,
+    EnumNode,
+    ProofStats,
+    Report,
+    _atoms,
+    _branch_label,
+    _close,
+    _open,
+    _tokenize,
+    walk,
+)
+from branchproofs.simplex import FarkasCertificate, InequalitySystem
+from branchproofs.vectors import Vector, bit_size, format_rational, parse_rational
 
 
 def fraction_combination(system, lam) -> tuple[list[Fraction], Fraction]:
@@ -111,6 +122,140 @@ def dense_proof_bits(proof) -> int:
         elif node.cert is not None:
             bits += vector(list(node.cert.multipliers))
     return bits + 2 * nodes - 1
+
+
+def vector_proof_stats(proof) -> ProofStats:
+    """``proof_stats`` measured on the public Vector ``a`` of every node by
+    ``bit_size``: the reference for the library's count on integer rows."""
+    nodes = bits = coeff = 0
+    for node, _, leaving in walk(proof):
+        if leaving:
+            continue
+        nodes += 1
+        if isinstance(node, BranchNode):
+            if node.a is not None:
+                bits += bit_size(node.a) + bit_size(node.b)
+                coeff = max([coeff, abs(node.b), abs(node.b + 1)]
+                            + [abs(e.numerator) for e in node.a])
+            elif node.cert is not None:
+                bits += bit_size(node.cert.multipliers)
+        elif node.a is not None:
+            values = [b for b, _ in node.children]
+            bits += bit_size(node.a) + bit_size(node.lo) + bit_size(node.hi)
+            bits += sum(map(bit_size, values))
+            coeff = max([coeff] + [abs(e.numerator) for e in node.a] + [abs(v) for v in values])
+    return ProofStats(length=nodes, bit_size=bits + 2 * nodes - 1, max_coeff=coeff)
+
+
+class _FractionAtoms:
+    """Each token read once, as a Fraction; an integer token must have
+    denominator 1."""
+
+    def __init__(self):
+        self.numbers: dict[str, Fraction] = {}
+
+    def rational(self, atom: str) -> Fraction:
+        if atom not in self.numbers:
+            self.numbers[atom] = parse_rational(atom)
+        return self.numbers[atom]
+
+    def integer(self, atom: str) -> Fraction:
+        value = self.rational(atom)
+        if value.denominator != 1:
+            raise ValueError(f"expected an integer, found {atom}")
+        return value
+
+
+def fraction_parse_branching(text: str) -> BranchNode:
+    """The branching-proof reader that reads every number as a Fraction and
+    builds each node by the public constructor from its Vector normal: the
+    reference for ``parse_branching``, which reads headers in integers.  It
+    shares the library's token and group helpers, so the two agree on every
+    structural fault; numbers and nodes are its own."""
+    atoms = _FractionAtoms()
+    rational, integer = atoms.rational, atoms.integer
+    tokens = _tokenize(text)
+    built: list[BranchNode] = []
+    open_nodes: list[tuple] = []
+    pos = 0
+    while True:
+        tag, pos = _open(tokens, pos, ("node", "leaf"))
+        if tag == "node":
+            header, pos = _atoms(tokens, pos)
+            values = [integer(t) for t in header]
+            if len(values) < 2:
+                raise ValueError("disjunction needs at least one coefficient and a rhs")
+            open_nodes.append((Vector(values[:-1]), values[-1].numerator, len(built)))
+            continue
+        if tokens[pos:pos + 1] == ["("]:
+            group, pos = _atoms(tokens, pos)
+            if group[:1] != ["cert"]:
+                raise ValueError("a leaf holds nothing but a (cert ...) group")
+            spelled = [(i, rational(t)) for i, t in enumerate(group[1:]) if t != "0"]
+            nonzeros = [(i, v) for i, v in spelled if v]
+            cert = FarkasCertificate._from_nonzeros(len(group) - 1, nonzeros)
+            built.append(BranchNode(cert=cert))
+        else:
+            built.append(BranchNode())
+        pos = _close(tokens, pos)
+        while open_nodes and len(built) == open_nodes[-1][2] + 2:
+            a, b, _ = open_nodes.pop()
+            pos = _close(tokens, pos)
+            right = built.pop()
+            built[-1] = BranchNode(a=a, b=b, left=built[-1], right=right)
+        if not open_nodes:
+            if pos != len(tokens):
+                raise ValueError("trailing tokens after proof")
+            return built[0]
+
+
+def fraction_parse_enumerative(text: str) -> EnumNode:
+    """The enumerative-proof reader that reads every number as a Fraction
+    and builds each node by the public constructor from its Vector
+    direction: the reference for ``parse_enumerative``, as
+    :func:`fraction_parse_branching` is for ``parse_branching``."""
+    atoms = _FractionAtoms()
+    tokens = _tokenize(text)
+    built: list[EnumNode] = []
+    open_nodes: list[tuple] = []
+    pos = 0
+    while True:
+        tag, pos = _open(tokens, pos, ("enode", "eleaf"))
+        if tag == "enode":
+            header, pos = _atoms(tokens, pos)
+            a = Vector([atoms.integer(t) for t in header])
+            bounds = tokens[pos:pos + 2]
+            if len(bounds) < 2:
+                raise ValueError("an enumerative node needs bounds lo hi")
+            lo, hi = (atoms.rational(t) for t in bounds)
+            open_nodes.append((a, lo, hi, [], len(built)))
+            pos += 2
+        else:
+            if tokens[pos:pos + 1] != ["empty"]:
+                raise ValueError("an enumerative leaf is (eleaf empty); an integer-free"
+                                 " interval is a childless (enode (a_1 ... a_n) lo hi)")
+            built.append(EnumNode())
+            pos = _close(tokens, pos + 1)
+        finished = tag == "eleaf"
+        while open_nodes:
+            if finished:
+                pos = _close(tokens, pos)
+            if tokens[pos:pos + 2] == ["(", "child"]:
+                value = tokens[pos + 2:pos + 3]
+                if not value:
+                    raise ValueError("a child group needs a value b")
+                open_nodes[-1][3].append(atoms.integer(value[0]).numerator)
+                pos += 3
+                break
+            a, lo, hi, values, first = open_nodes.pop()
+            pos = _close(tokens, pos)
+            children = tuple(zip(values, built[first:]))
+            built[first:] = [EnumNode(a=a, lo=lo, hi=hi, children=children)]
+            finished = True
+        if not open_nodes:
+            if pos != len(tokens):
+                raise ValueError("trailing tokens after proof")
+            return built[0]
 
 
 def fourier_motzkin_empty(matrix, rhs) -> bool:

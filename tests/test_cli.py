@@ -322,6 +322,12 @@ LONG_NORMAL = "(node (1 0 0 0) (leaf (cert 0 1 1)) (leaf (cert 1 0 1)))"
 SHORT_DIRECTION = "(enode (1 0) 0 0 (child 0 (enode (1) 1/2 1/2)))"
 LONG_DIRECTION = ("(enode (1 0) 0 0 (child 0 (enode (0 1 0) 0 1"
                   " (child 0 (eleaf empty)) (child 1 (eleaf empty)))))")
+# a proof of SEGMENT_IN_A_BOX (1/4 <= x <= 3/4, x <= 2) whose root's cut
+# already empties the set, so serializing never reaches the node below it,
+# whose direction has two entries
+SEGMENT_IN_A_BOX = "1 3\n1 2\n1 3/4\n-1 -1/4\n"
+UNREACHED_DIRECTION = ("(enode (1) 0 1 (child 0 (enode (1 0) 0 0 (child 0 (eleaf empty))))"
+                       " (child 1 (eleaf empty)))")
 
 
 @pytest.mark.parametrize("proof", [SHORT_NORMAL, LONG_NORMAL])
@@ -490,6 +496,10 @@ def contract_cases(depth):
           for command, argv in (
               ("verify enumerative", ["verify", "enumerative", "k.ineq", "e.proof"]),
               ("enum-to-cp", ["enum-to-cp", "k.ineq", "e.proof", "--out", "e.cuts"]))),
+        *((f"too-long direction below a root that empties K, {argv[0]}",
+           {"k.ineq": SEGMENT_IN_A_BOX, "e.proof": UNREACHED_DIRECTION}, argv, 2)
+          for argv in (["verify", "enumerative", "k.ineq", "e.proof"],
+                       ["enum-to-cp", "k.ineq", "e.proof", "--out", "e.cuts"])),
         ("zero disjunction normal",
          {"k.ineq": SEGMENT, "p.proof": "(node (0 0) (node (1 0) (leaf) (leaf)) (leaf))"},
          ["verify", "branching", "k.ineq", "p.proof"], 2),

@@ -1,5 +1,6 @@
 """Proof objects: verification, certification, stats, serialization."""
 
+import functools
 import hashlib
 import math
 import sys
@@ -37,8 +38,11 @@ from branchproofs.vectors import Vector, format_rational, parse_rational
 from oracles import (
     dense_proof_bits,
     fraction_edge_rows,
+    fraction_parse_branching,
+    fraction_parse_enumerative,
     fraction_relaxations,
     relaxation_certified_report,
+    vector_proof_stats,
 )
 from randgen import (
     random_branching_proof,
@@ -191,17 +195,27 @@ CERTIFIED_PINS = {
 }
 
 
-def test_certified_outputs_pinned():
-    digests = {}
-    for graph in sorted(INSTANCES.glob("*.graph")):
+@functools.cache
+def pinned_proofs() -> dict:
+    """Each key of CERTIFIED_PINS, and "grid4x4", to ``(K, proof, certify(K,
+    proof))``: a graph's Tseitin refutation as a branching proof, or the
+    recompiled thin segment at M.  Built once for the tests that read them."""
+    pinned = {}
+    for graph in sorted(INSTANCES.glob("*.graph")) + [INSTANCES / "large" / "grid4x4.graph"]:
         inst = TseitinInstance.from_text(graph.read_text())
+        K = tseitin_polytope(inst)
         proof = enumerative_to_branching(tseitin_sp_refutation(inst))
-        certified = certify(tseitin_polytope(inst), proof)
-        digests[graph.stem] = hashlib.sha256(format_branching(certified).encode()).hexdigest()
+        pinned[graph.stem] = K, proof, certify(K, proof)
     for M in (10**3, 10**6, 10**9):
         K, proof = thin_segment(M)
-        certified = certify(K, recompile(K, proof))
-        digests[M] = hashlib.sha256(format_branching(certified).encode()).hexdigest()
+        proof = recompile(K, proof)
+        pinned[M] = K, proof, certify(K, proof)
+    return pinned
+
+
+def test_certified_outputs_pinned():
+    digests = {name: hashlib.sha256(format_branching(certified).encode()).hexdigest()
+               for name, (_, _, certified) in pinned_proofs().items() if name != "grid4x4"}
     assert digests == CERTIFIED_PINS
 
 
@@ -211,9 +225,7 @@ GRID4X4_CERTIFIED_PIN = "2a9d6ea6feafd789f7aac4b64339d3a99cd94e78d09fa8344f28047
 
 
 def test_certified_grid4x4_pinned():
-    inst = TseitinInstance.from_text((INSTANCES / "large" / "grid4x4.graph").read_text())
-    proof = enumerative_to_branching(tseitin_sp_refutation(inst))
-    certified = certify(tseitin_polytope(inst), proof)
+    certified = pinned_proofs()["grid4x4"][2]
     assert sum(node.is_leaf for node, _, _ in walk(certified)) == 411
     text = format_branching(certified) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == GRID4X4_CERTIFIED_PIN
@@ -645,6 +657,169 @@ def test_reader_errors_name_the_fault(parse, text, message):
     CLI's exit-code contract sees only exit 2 for all of them."""
     with pytest.raises(ValueError, match=message):
         parse(text)
+
+
+def branching_texts():
+    """Every bundled, pinned and generated branching proof as text: the
+    slab6 fixture, each pinned proof plain and certified, and seeded
+    random proofs plain, certified and with one node tampered."""
+    texts = [(INSTANCES / "large" / "slab6.proof").read_text()]
+    for _, proof, certified in pinned_proofs().values():
+        texts += [format_branching(proof), format_branching(certified)]
+    rng = Random(3030)
+    for trial in range(12):
+        K = random_integer_free_polytope(rng, 2 + trial % 3)
+        proof = random_branching_proof(rng, K)
+        certified = certify(K, proof)
+        texts += [format_branching(proof), format_branching(certified),
+                  format_branching(_tampered(rng, certified))]
+    return texts
+
+
+def test_integer_reader_matches_the_fraction_reader():
+    """``parse_branching``, which reads a node's header in integers into its
+    row, gives the tree the Fraction reader gives, with equal normals, the
+    same text when written back and the same stats as a count on the Vector
+    normals, on every bundled, pinned and generated branching proof."""
+    nodes = 0
+    for text in branching_texts():
+        ours, reference = parse_branching(text), fraction_parse_branching(text)
+        assert ours == reference
+        normals = [(node.a, node.b) for node, _, leaving in walk(ours) if not leaving]
+        assert normals == [(node.a, node.b) for node, _, leaving in walk(reference) if not leaving]
+        assert format_branching(ours) == format_branching(reference) == text.rstrip("\n")
+        assert proof_stats(ours) == proof_stats(reference) == vector_proof_stats(reference)
+        nodes += len(normals)
+    assert nodes > 2000
+
+
+def test_enumerative_rows_measure_and_write_as_their_directions():
+    """An enumerative node's integer row gives the stats of a count on its
+    Vector direction and the text that reads back, by the integer reader and
+    by the Fraction reader alike, to the same tree, on the pinned graphs'
+    Tseitin refutations and seeded random proofs."""
+    proofs = [tseitin_sp_refutation(TseitinInstance.from_text(graph.read_text()))
+              for graph in sorted(INSTANCES.glob("*.graph"))]
+    rng = Random(3031)
+    for trial in range(12):
+        K = random_integer_free_polytope(rng, 2 + trial % 3)
+        proofs.append(random_enumerative_proof(rng, K))
+    for proof in proofs:
+        assert proof_stats(proof) == vector_proof_stats(proof)
+        text = format_enumerative(proof)
+        assert parse_enumerative(text) == fraction_parse_enumerative(text) == proof
+        assert format_enumerative(parse_enumerative(text)) == text
+
+
+def test_parsed_normal_is_built_once_when_read():
+    """A parsed node holds its integer row; ``a`` is built on the first read
+    and then kept, both edges return the same rows on every descent, and no
+    public field can be set."""
+    node = parse_branching("(node (0 -3 4/2 0 5) (leaf) (leaf))")
+    assert node._a is None and node._row == ((1, -3), (2, 2))
+    a = node.a
+    assert a == Vector([0, -3, 2, 0]) and node.a is a
+    assert node.b == 5 and node._n == 4
+    assert node._edge_rows(True) == ((((1, -3), (2, 2)),), (5,), (1,))
+    right = node._edge_rows(False)
+    assert right == ((((1, 3), (2, -2)),), (-6,), (1,))
+    assert node._edge_rows(False)[0][0] is right[0][0]
+    for name in ("a", "b", "left", "right", "cert"):
+        with pytest.raises(AttributeError):
+            setattr(node, name, None)
+
+
+# each spelling a header or certificate token may take, valid or not
+READER_TOKENS = ["4/2", "-4/2", "1/2", "-0", "00", "+3", "−3", "1_0", "0/7", "1/0", "３", "x"]
+
+
+def reader_cases():
+    """Texts with each of READER_TOKENS in a normal, in a right-hand side
+    and in a certificate, then zero normals and trailing tokens."""
+    for token in READER_TOKENS:
+        yield f"(node ({token} 1 0) (leaf) (leaf))"
+        yield f"(node (1 0 {token}) (leaf) (leaf))"
+        yield f"(node (1 {token}) (leaf (cert 1 {token} 0)) (leaf (cert {token})))"
+        yield f"(leaf (cert 0 {token} 1 {token}))"
+    yield "(node (0 -0 00 0) (leaf) (leaf))"  # an all-zero normal
+    yield "(node (0/7 0 2) (leaf) (leaf))"
+    yield "(node (0 0) (leaf) (leaf x))"  # a later fault in a subtree comes first
+    yield "(node (0 0) (node (1 0) (leaf) (leaf)) (leaf))"
+    yield "(node (1/2 0) (node (0 0) (leaf) (leaf)) (leaf))"
+    yield "(node (1 0) (leaf) (leaf)) (leaf)"  # trailing tokens
+    yield "(leaf) 4/2"
+    yield "(node (1 0) (leaf) (leaf)) 0"
+
+
+def enumerative_reader_cases():
+    """Texts with each of READER_TOKENS in a direction, in a bound and in a
+    child value, then zero directions and trailing tokens."""
+    for token in READER_TOKENS:
+        yield f"(enode ({token} 1) 0 1 (child 0 (eleaf empty)) (child 1 (eleaf empty)))"
+        yield f"(enode (1 0) {token} 1/2 (child 0 (eleaf empty)))"
+        yield f"(enode (1) 0 1 (child {token} (eleaf empty)) (child 1 (eleaf empty)))"
+    yield "(enode (0 -0 0/7) 0 0 (child 0 (eleaf empty)))"
+    yield "(enode (0 0) 0 0 (child 0 (eleaf gap)))"  # a later fault in a child comes first
+    yield "(enode (1 0) 0 1 (child 0 (eleaf empty)) (child 0 (eleaf empty)))"  # duplicate value
+    yield "(enode (1) 0 0 (child 0 (eleaf empty))) 0"
+
+
+@pytest.mark.parametrize("parse, reference, text", [
+    *((parse_branching, fraction_parse_branching, text) for text in reader_cases()),
+    *((parse_enumerative, fraction_parse_enumerative, text) for text in enumerative_reader_cases()),
+])
+def test_reader_agrees_with_the_fraction_reader_on_every_token(parse, reference, text):
+    """Each text gives the same tree as the Fraction reader, or the same
+    exception type and message."""
+    def read(reader):
+        try:
+            return reader(text)
+        except Exception as exc:  # any type: the two readers must raise the same
+            return type(exc), str(exc)
+
+    ours, expected = read(parse), read(reference)
+    assert ours == expected
+    if isinstance(ours, BranchNode):
+        assert format_branching(ours) == format_branching(expected)
+    elif isinstance(ours, EnumNode):
+        assert format_enumerative(ours) == format_enumerative(expected)
+
+
+EDIT_PIECES = ["(", ")", " ", "node", "leaf", "cert", "enode", "eleaf", "child", "empty",
+               "0", "1", "-1", *READER_TOKENS]
+EDIT_BASES = [
+    (parse_branching, fraction_parse_branching,
+     "(node (1 0 -2) (leaf (cert 0 1 1/2 0)) (node (0 3 1) (leaf) (leaf (cert 2 0 0 0 1))))"),
+    (parse_enumerative, fraction_parse_enumerative,
+     "(enode (1 -1) -1/2 1 (child 0 (enode (0 2) 0 0)) (child 1 (eleaf empty)))"),
+]
+
+
+@st.composite
+def edited_proof(draw):
+    """(reader, reference reader, text): a small proof after a few
+    deletions, insertions of EDIT_PIECES and repeated spans."""
+    parse, reference, text = draw(st.sampled_from(EDIT_BASES))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 8)))
+        kind = draw(st.sampled_from(["delete", "insert", "repeat"]))
+        if kind == "delete":
+            text = text[:i] + text[j:]
+        elif kind == "insert":
+            text = text[:i] + draw(st.sampled_from(EDIT_PIECES)) + text[i:]
+        else:
+            text = text[:j] + text[i:j] + text[j:]
+    return parse, reference, text
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(case=edited_proof())
+def test_reader_agrees_with_the_fraction_reader_on_edited_text(case):
+    """Edited proof texts give the same tree, or the same exception type and
+    message, from the integer reader and from the Fraction reader."""
+    parse, reference, text = case
+    test_reader_agrees_with_the_fraction_reader_on_every_token(parse, reference, text)
 
 
 def test_detect_proof_kind():
