@@ -8,7 +8,7 @@ machine-parsable summary line
     RESULT valid|invalid|error|ok <details>
 
 and exits 0 on success/valid, 1 on an invalid proof, 2 on input or
-precondition errors.
+precondition errors and on a run that runs out of memory or recursion depth.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .families import (
     tseitin_polytope,
     tseitin_sp_refutation,
 )
-from .geometry import apply_cg_list, cuts_from_text, cuts_to_text
+from .geometry import _cut_rows, apply_cg_list, cuts_to_text
 from .prooftree import (
     _witness,
     certify,
@@ -139,7 +139,7 @@ def _cmd_verify(args) -> int:
     elif args.kind == "enumerative":
         report = verify_enumerative_proof(system, parse_enumerative(text))
     elif args.kind == "cp":
-        cuts = cuts_from_text(text, n=system.n)
+        cuts = _cut_rows(text, n=system.n)  # int tuples, as apply_cg reads them
         final = apply_cg_list(system, cuts)
         if is_empty(final) is not None:
             print(f"RESULT valid cp proof of {len(cuts)} cuts empties the system")
@@ -246,6 +246,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"RESULT error: {exc}")
+        return 2
+    except (MemoryError, RecursionError) as exc:
+        # the run could not finish: no verdict may rest on part of it
+        print(f"RESULT error: {type(exc).__name__} {exc}".rstrip())
         return 2
 
 

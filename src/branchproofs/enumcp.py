@@ -33,7 +33,11 @@ LP, and its record carries that certificate up to the next level.  The plan
 stays in the solver's integers: i0 and the multipliers are numerators over
 the face dual's denominator, summed from its integer weights, and the dual
 of ``h_K(c)`` joins them over the product of the two denominators.  The
-multiplier is the one the search by solves alone finds.  Support values
+multiplier is the one the search by solves alone finds.  Every direction
+and cut normal here is an int tuple: a node's from its integer row, a face
+cut's from its record, and ``a + i c`` summed in ints, so the solver keys,
+cuts and lifts them with no Fraction; a record builds its Vector normal
+only when :func:`enum_to_cp` returns it.  Support values
 here must be finite, else :func:`support_value` raises ``EmptySet`` or
 ``UnboundedSet``; only a CG cut (a no-op) and the push-down loop (which
 stops) take an empty set as an answer.  Only K itself is tested empty:
@@ -45,9 +49,10 @@ from __future__ import annotations
 import math
 
 from .geometry import (
-    CgCut, EmptySet, _apply_certified, _support_optimum, apply_cg, face, support_value,
+    CgCut, EmptySet, _apply_certified, _integral, _support_optimum, apply_cg, face,
+    support_value,
 )
-from .prooftree import EnumNode, walk
+from .prooftree import EnumNode, _dense, walk
 from .simplex import DimensionMismatch, InequalitySystem, SolverError, is_empty
 from .vectors import Vector
 
@@ -55,13 +60,14 @@ _MULTIPLIER_CAP = 2**64
 
 
 def lift_cg_sequence(
-    K: InequalitySystem, c: Vector, face_cuts: list[CgCut]
+    K: InequalitySystem, c: Vector | tuple[int, ...], face_cuts: list[CgCut]
 ) -> tuple[InequalitySystem, list[CgCut]]:
     """Lift the CG cuts of ``face(K, c)``, given as their records, to cuts of K.
 
     ``face_cuts`` are the records of cuts applied one after another to the
     face, as :func:`apply_cg` returned them.  Cut i is lifted against K after
-    the previously lifted cuts, so the set equality holds prefix-wise.
+    the previously lifted cuts, so the set equality holds prefix-wise.  The
+    face normal c is an integral Vector or a tuple of ints.
     Requires ``h_K(c)`` finite and integral; each multiplier is the smallest
     in the doubling schedule passing the floor test, and 0 for a no-op cut
     (the face was already empty).  A record that carries its face optimum
@@ -71,6 +77,7 @@ def lift_cg_sequence(
     Returns K after the lifted cuts and their records on K, like
     :func:`apply_cg`, each carrying its own optimum on K.
     """
+    c = _integral(c)
     along = _support_optimum(K, c)
     if along.value.denominator != 1:
         raise ValueError("face support value must be integral for lifting")
@@ -86,13 +93,13 @@ def lift_cg_sequence(
     for cut in face_cuts:
         multiplier = 0
         if cut.is_noop():
-            current, record = apply_cg(current, cut.normal)
+            current, record = apply_cg(current, cut._ints)
         else:
             plan = None
             if rows is not None and cut._optimal is not None:
                 plan = _face_dual_on_k(cut._optimal, rows, along_dual)
             current, record, multiplier = _search_multiplier(
-                current, c, cut.normal, h_c, cut.rhs, plan)
+                current, c, cut._ints, h_c, cut.rhs, plan)
         lifted.append(record)
         if rows is None or cut._row is None or cut._row > len(rows) or record._row is None:
             rows = None  # no map from here on: later records are solved
@@ -127,7 +134,8 @@ def _face_dual_on_k(optimal, rows, along):
 
 def _search_multiplier(K, c, a, h_c: int, target: int, plan):
     """``(system, record, i)`` for the least i in 0, 1, 2, 4, ... with
-    ``floor(h_K(a + i c)) - i h_c == target``, K cut by ``a + i c``.
+    ``floor(h_K(a + i c)) - i h_c == target``, K cut by ``a + i c``, for
+    int tuples a and c.
 
     With a ``plan`` from :func:`_face_dual_on_k`, the first schedule value at
     or above i0 is not solved: its multipliers are the plan's plus ``i - i0``
@@ -136,7 +144,7 @@ def _search_multiplier(K, c, a, h_c: int, target: int, plan):
     optimum."""
     i = 0
     while i <= _MULTIPLIER_CAP:
-        normal = a + i * c
+        normal = tuple([x + i * y for x, y in zip(a, c)])
         if plan is not None and i * plan[1] >= plan[0]:
             i0, den, point, scale, multipliers, (along, along_den) = plan
             step = i * den - i0  # (i - i0) den
@@ -205,7 +213,7 @@ def _serialize_node(K: InequalitySystem, node: EnumNode):
     # K is nonempty: enum_to_cp tested the root, and each face is nonempty
     if node.a is None:
         raise ValueError("empty leaf reached with a nonempty relaxation")
-    a_r = node.a
+    a_r = _dense(node._n, node._row)
     children = dict(node.children)
     current, record = apply_cg(K, a_r)
     records = [record]

@@ -114,14 +114,14 @@ def _in_unit_box(n: int, rows) -> InequalitySystem:
     return InequalitySystem._scaled(n, tuple(a + b for a, b in zip(rows, _box_rows(n, 0, 1))))
 
 
-def _edge_cut_vector(inst: TseitinInstance, part_a, part_b) -> Vector:
-    """0/1 indicator of the edges with one endpoint in each part."""
+def _edge_cut(inst: TseitinInstance, part_a, part_b) -> tuple[int, ...]:
+    """0/1 indicator of the edges with one endpoint in each part, as ints."""
     a_set, b_set = set(part_a), set(part_b)
     coeffs = [0] * inst.num_edges
     for i, (u, v) in enumerate(inst.edges):
         if (u in a_set and v in b_set) or (v in a_set and u in b_set):
             coeffs[i] = 1
-    return Vector(coeffs)
+    return tuple(coeffs)
 
 
 def tseitin_sp_refutation(inst: TseitinInstance) -> EnumNode:
@@ -145,15 +145,17 @@ def tseitin_sp_refutation(inst: TseitinInstance) -> EnumNode:
     return _expand_set(inst, K, vertices, 0)
 
 
-def _branch(system: InequalitySystem, functional: Vector, continuation) -> EnumNode:
-    """One enumerative node on `functional` with a child per integer in range."""
+def _branch(system: InequalitySystem, functional: tuple[int, ...], continuation) -> EnumNode:
+    """One enumerative node on the nonzero int tuple `functional` with a
+    child per integer in range; the solver and the equalities read the ints."""
     hi = support_value(system, functional)
-    lo = -support_value(system, -functional)
+    lo = -support_value(system, tuple([-v for v in functional]))
     children = tuple(
         (b, continuation(system.with_equality(functional, b), b))
         for b in range(math.ceil(lo), math.floor(hi) + 1)
     )
-    return EnumNode(a=functional, lo=lo, hi=hi, children=children)
+    row = tuple([(j, v) for j, v in enumerate(functional) if v])
+    return EnumNode._from_row(system.n, row, lo, hi, children)
 
 
 def _expand_set(inst, system, contradicting, boundary_value: int) -> EnumNode:
@@ -165,9 +167,9 @@ def _expand_set(inst, system, contradicting, boundary_value: int) -> EnumNode:
         return _enumerate_edges(system, pending)
     half = (len(contradicting) + 1) // 2
     first, second = contradicting[:half], contradicting[half:]
-    inner = _edge_cut_vector(inst, first, second)
+    inner = _edge_cut(inst, first, second)
     rest = [v for v in range(inst.num_vertices) if v not in contradicting]
-    outgoing = _edge_cut_vector(inst, first, second + tuple(rest))
+    outgoing = _edge_cut(inst, first, second + tuple(rest))
     first_parity = sum(inst.parities[v] for v in first) % 2
 
     def decide(sys2, b1: int, b2: int) -> EnumNode:
@@ -177,14 +179,14 @@ def _expand_set(inst, system, contradicting, boundary_value: int) -> EnumNode:
 
     if outgoing == inner:
         # nothing outside S: both functionals coincide (the root split)
-        if inner.is_zero():
+        if not any(inner):
             return decide(system, 0, 0)
         return _branch(system, inner, lambda sys1, b1: decide(sys1, b1, b1))
-    if inner.is_zero():
+    if not any(inner):
         return _branch(system, outgoing, lambda sys2, b2: decide(sys2, 0, b2))
 
     def after_inner(sys1, b1: int) -> EnumNode:
-        if outgoing.is_zero():
+        if not any(outgoing):
             return decide(sys1, b1, 0)
         return _branch(sys1, outgoing, lambda sys2, b2: decide(sys2, b1, b2))
 
@@ -197,10 +199,10 @@ def _enumerate_edges(system, pending: list[int]) -> EnumNode:
         raise RuntimeError(
             "all incident edges pinned but the relaxation stayed nonempty"
         )
-    n = system.n
-    head = Vector.unit(n, pending[0])
+    head = [0] * system.n
+    head[pending[0]] = 1
     return _branch(
-        system, head, lambda child, _b: _enumerate_edges(child, pending[1:])
+        system, tuple(head), lambda child, _b: _enumerate_edges(child, pending[1:])
     )
 
 

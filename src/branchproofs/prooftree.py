@@ -478,9 +478,11 @@ def verify_enumerative_proof(K: InequalitySystem, proof: EnumNode) -> Report:
             if is_empty(system) is None:
                 failures.append(f"{where}: leaf relaxation is nonempty{_witness(system)}")
             continue
+        # the direction and its negation as int tuples, from the node's row
+        up, down = _dense(node._n, node._row), _dense(node._n, node._neg)
         try:
-            hi_val = support_value(system, node.a)
-            lo_val = -support_value(system, -node.a)
+            hi_val = support_value(system, up)
+            lo_val = -support_value(system, down)
         except EmptySet:
             continue
         except UnboundedSet:
@@ -489,7 +491,7 @@ def verify_enumerative_proof(K: InequalitySystem, proof: EnumNode) -> Report:
             continue
         if lo_val < node.lo or hi_val > node.hi:
             # the point attaining an escaping end, from its memoized solve
-            end = node.a if hi_val > node.hi else -node.a
+            end = up if hi_val > node.hi else down
             failures.append(
                 f"{where}: range [{lo_val}, {hi_val}] escapes bounds"
                 f" [{node.lo}, {node.hi}]" + _witness_text(lp_optimize(system, end).point)
@@ -498,7 +500,7 @@ def verify_enumerative_proof(K: InequalitySystem, proof: EnumNode) -> Report:
             # the maximizer of a x, from its memoized solve
             failures.append(
                 f"{where}: nonempty leaf whose bounds contain an integer"
-                + _witness_text(lp_optimize(system, node.a).point)
+                + _witness_text(lp_optimize(system, up).point)
             )
         if node.children:
             b, top = math.ceil(node.lo), math.floor(node.hi)
@@ -656,6 +658,14 @@ def _vector(n: int, row) -> Vector:
     for j, v in row:
         entries[j] = Fraction(v)
     return Vector(entries)
+
+
+def _dense(n: int, row) -> tuple[int, ...]:
+    """The n entries of an integer row, as the int tuple the solver keys on."""
+    entries = [0] * n
+    for j, v in row:
+        entries[j] = v
+    return tuple(entries)
 
 
 def _header(n: int, row) -> str:

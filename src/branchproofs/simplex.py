@@ -43,11 +43,19 @@ scaled to ``lam b = -1``, the one vertex of the normalized dual cone on its
 independent support rows.  A certificate from elsewhere, such as a proof
 file's, is checked as given and never reduced.
 
-Outcomes are memoized per system, keyed by the objective, whose hash is
-computed once per solve: asking the same system the same question again costs
-a dictionary lookup.  A derived system (``with_rows`` / ``with_equality``
-append scaled rows, ``with_rhs`` rescales the one row it changes, as a
-tightening CG cut does) starts with an empty memo, but a solve that ends at an
+An objective is a Vector or a tuple of ints.  Outcomes are memoized per
+system, keyed by the objective's entries as a tuple, whose hash is computed
+once per solve: asking the same system the same question again costs a
+dictionary lookup.  An integer objective is its own key and its own integer
+costs (mu = 1); a Vector's key is its Fraction entries, which equal and hash
+as the ints of the same values, so both forms of one objective share one memo
+entry and one kept basis, and take the same pivots.  A Vector, or a tuple
+with a Fraction entry, is put over its common denominator mu.  The CG cut, lifting
+and proof-walking code pass their integral normals as int tuples, so the
+key, the costs and the checks of those solves are ints from the start.  A
+derived system (``with_rows`` / ``with_equality`` append scaled rows,
+``with_rhs`` rescales the one row it changes, as a tightening CG cut does)
+starts with an empty memo, but a solve that ends at an
 optimum keeps its final basis for the objective, and every solve takes its
 start from one walk over the system's kept bases and its ancestors'
 (``_kept_start``).  The first basis kept for the objective whose scaled rows
@@ -128,11 +136,12 @@ class InequalitySystem:
     def _adopt(self, n: int, rows, ancestry) -> None:
         self.n, self._rows = n, rows
         self._empty: FarkasCertificate | bool | None = None
-        self._outcomes: dict[tuple[Fraction, ...], LpOutcome] = {}
+        # keyed by the objective's entries, ints or Fractions (see _Key)
+        self._outcomes: dict[tuple, LpOutcome] = {}
         # final tableaux of optimal solves, by objective, for derived systems
         # to warm-start from; a derived system links to its parent's as
         # ``(parent._tableaux, parent._ancestry)``
-        self._tableaux: dict[tuple[Fraction, ...], _DualTableau] = {}
+        self._tableaux: dict[tuple, _DualTableau] = {}
         self._ancestry = ancestry
 
     @staticmethod
@@ -196,9 +205,9 @@ class InequalitySystem:
         linked to its kept tableaux for warm starts."""
         return InequalitySystem._scaled(self.n, rows, (self._tableaux, self._ancestry))
 
-    def with_equality(self, a: Vector, b: Scalar) -> "InequalitySystem":
+    def with_equality(self, a: Vector | tuple[int, ...], b: Scalar) -> "InequalitySystem":
         """Append ``a x = b`` as the two opposing inequality rows, ``a x <= b``
-        scaled once and then negated."""
+        scaled once and then negated; a is a Vector or a tuple of ints."""
         if len(a) != self.n:
             raise DimensionMismatch("appended row disagrees with the system's dimension")
         row, b, sigma = _scale_row(a, Fraction(b))
@@ -485,8 +494,9 @@ class Unbounded:
 LpOutcome = Optimal | Infeasible | Unbounded
 
 
-def lp_optimize(system: InequalitySystem, c: Vector) -> LpOutcome:
-    """Exact maximum of ``c x`` over ``A x <= b``, with certificate."""
+def lp_optimize(system: InequalitySystem, c: Vector | tuple[int, ...]) -> LpOutcome:
+    """Exact maximum of ``c x`` over ``A x <= b``, with certificate; ``c``
+    is a Vector or a tuple of ints."""
     if len(c) != system.n:
         raise DimensionMismatch(f"objective has dim {len(c)}, system has n={system.n}")
     return _solve_max(system, c)
@@ -499,7 +509,7 @@ def is_empty(system: InequalitySystem) -> Optional[FarkasCertificate]:
         if all(b >= 0 for b in system._rows[1]):
             system._empty = False  # x = 0 is feasible
         else:
-            _solve_max(system, Vector.zero(system.n))  # sets system._empty
+            _solve_max(system, (0,) * system.n)  # sets system._empty
     return system._empty or None
 
 
@@ -738,16 +748,20 @@ class _DualTableau:
 
 
 class _Key(tuple):
-    """An objective's entries, equal to and hashed as the tuple, by ``hash`` set once."""
+    """An objective's entries, equal to and hashed as the tuple, by ``hash``
+    set once: the ints of an integer objective, a Vector's Fractions.  A
+    Fraction equals and hashes as an int of its value, so the two forms of
+    one objective are one key."""
 
     def __hash__(self):
         return self.hash
 
 
-def _solve_max(system: InequalitySystem, c: Vector) -> LpOutcome:
+def _solve_max(system: InequalitySystem, c: Vector | tuple[int, ...]) -> LpOutcome:
     """The verified outcome of max ``c x`` over the system, memoized on it."""
-    key = _Key(c.entries)
-    key.hash = hash(c.entries)
+    entries = c if type(c) is tuple else c.entries
+    key = _Key(entries)
+    key.hash = hash(entries)
     outcome = system._outcomes.get(key)
     if outcome is None:
         outcome = system._outcomes[key] = _solve_verified(system, c, key)
@@ -802,9 +816,14 @@ def _kept_start(system: InequalitySystem, key: _Key, c_int: list[int], raw: list
     return (tab if own else tab.extended(mat)), start
 
 
-def _solve_verified(system: InequalitySystem, c: Vector, key: _Key) -> LpOutcome:
+def _solve_verified(system: InequalitySystem, c: Vector | tuple[int, ...], key: _Key
+                    ) -> LpOutcome:
     mat, rhs_b, sigmas = system._rows
-    c_int, mu = _over_common_denominator(c)
+    # c = c_int / mu: an integer objective is its own c_int
+    if type(c) is tuple and all(type(v) is int for v in c):
+        c_int, mu = list(c), 1
+    else:
+        c_int, mu = _over_common_denominator(c)
     m, n = system.m, system.n
 
     # phase 2 maximizes -(scaled b) y over a feasible dual basis
@@ -819,7 +838,7 @@ def _solve_verified(system: InequalitySystem, c: Vector, key: _Key) -> LpOutcome
         if tab.objective_value(phase1) != 0:
             # dual infeasible: the primal is unbounded or empty
             ray = Vector(Fraction(v, abs(tab.d)) for v in _primal(tab))
-            _check_ray(system, c, ray)
+            _check_ray(system, c_int, ray)
             witness = is_empty(system)  # c = 0 never reaches this branch
             if witness is not None:
                 return Infeasible(witness)
@@ -880,9 +899,9 @@ def _ray_direction(tab: _DualTableau, col: int) -> dict[int, int]:
     return direction
 
 
-def _check_ray(system: InequalitySystem, c: Vector, ray: Vector) -> None:
-    """Require ``c r > 0`` and ``A r <= 0``, in integers on the scaled rows."""
-    c_int, _ = _over_common_denominator(c)
+def _check_ray(system: InequalitySystem, c_int: list[int], ray: Vector) -> None:
+    """Require ``c r > 0`` and ``A r <= 0``, for ``c`` a positive multiple of
+    ``c_int``, in integers on the scaled rows."""
     r_int, _ = _over_common_denominator(ray)
     if sum(map(mul, c_int, r_int)) <= 0:
         raise SolverError("extracted ray does not improve the objective")

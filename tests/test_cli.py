@@ -2,7 +2,10 @@
 
 import hashlib
 import io
+import os
 import re
+import resource
+import subprocess
 import sys
 import tracemalloc
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
@@ -642,6 +645,46 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
             if len(lines) > 5:  # each row's report fits in a few lines
                 problems.append(f"{name}: {len(lines)} output lines")
     assert not problems, problems
+
+
+def test_exit_code_contract_when_memory_runs_out(tmp_path):
+    """``verify branching`` on the depth-4000 chain needs more than 200 MB:
+    under that cap on the child's own address space it runs out of memory
+    and must exit 2 with one RESULT line and no traceback, not 1, the code
+    of an invalid proof."""
+    (tmp_path / "k.ineq").write_text(SEGMENT)
+    (tmp_path / "p.proof").write_text(deep_chain(4000))
+    cap = 200 * 2**20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    child = subprocess.run(
+        [sys.executable, "-m", "branchproofs", "verify", "branching", "k.ineq", "p.proof"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, preexec_fn=limit,
+        capture_output=True, text=True, timeout=120)
+    lines = child.stdout.splitlines()
+    results = [line for line in lines if line.startswith("RESULT")]
+    assert child.returncode == 2, (child.returncode, child.stderr[-500:])
+    assert len(results) == 1 and lines[-1] == results[0]
+    assert results[0].startswith("RESULT error: MemoryError")
+    assert "Traceback" not in child.stderr
+
+
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_resource_errors_exit_2(tmp_path, capsys, monkeypatch, error):
+    """A run that runs out of memory or recursion depth gives no verdict."""
+
+    def exhausted(*args):
+        raise error()
+
+    monkeypatch.setattr("branchproofs.cli.verify_branching_proof", exhausted)
+    (tmp_path / "k.ineq").write_text(SEGMENT)
+    (tmp_path / "p.proof").write_text(deep_chain(2))
+    code, out = run(capsys, "verify", "branching", str(tmp_path / "k.ineq"),
+                    str(tmp_path / "p.proof"))
+    assert code == 2 and out.splitlines() == [f"RESULT error: {error.__name__}"]
 
 
 # The same contract on generated and mutated text in the four input formats.

@@ -125,10 +125,32 @@ def test_append_dominant_replaces_the_first_row_with_the_normal():
         else:
             expected, carrier = list(rows), first
             expected[first] = (a, b)
-        result, row = _append_dominant(K, a, b)
+        result, row = _append_dominant(K, a.as_ints(), int(b))
         assert list(result.rows()) == expected
         assert row == carrier and result.matrix[row] == a and result.rhs[row] <= b
         assert (result is K) == (first is not None and K.rhs[first] <= b)
+
+
+def test_integer_normals_as_tuples_and_rational_objectives():
+    """A CG cut normal is read as an int tuple in either form, a non-integral
+    one still raises, and rational objectives (implies_R's, a rational
+    direction) still solve."""
+    K = unit_box(2).with_rows([(Vector([1, 1]), Fraction(3, 2))])
+    by_vector, by_tuple = apply_cg(K, Vector([1, 1])), apply_cg(K, (1, 1))
+    assert by_vector[0] == by_tuple[0] and by_vector[1] == by_tuple[1]
+    assert by_tuple[1].normal == Vector([1, 1]) and by_tuple[1].rhs == 1
+    assert apply_cg_list(K, [(1, 1)]) == apply_cg_list(K, [Vector([1, 1])])
+    for bad in (Vector([Fraction(1, 2), 1]), (Fraction(1, 2), 1)):
+        with pytest.raises(ValueError, match="CG cut normals must be integral"):
+            apply_cg(K, bad)
+    box = InequalitySystem.box(2, Fraction(-1, 2), Fraction(3, 2))
+    assert support_value(box, Vector([Fraction(1, 2), Fraction(-1, 3)])) == Fraction(11, 12)
+    assert support_value(box, (1, -1)) == support_value(box, Vector([1, -1])) == 2
+    c = Vector([Fraction(1, 2), Fraction(1, 3)])
+    assert implies_R(box, c, Fraction(5, 4), 4)
+    assert not implies_R(box, c, Fraction(5, 4), 4, strict=True)
+    assert not implies_R(box, c, Fraction(6, 5), 4)
+    assert l1_radius_bound(box) == 3
 
 
 def test_apply_cg_result_is_subset():

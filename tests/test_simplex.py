@@ -1097,6 +1097,59 @@ def test_kept_columns_are_not_priced_again(monkeypatch):
         assert outcome == lp_optimize(cold_twin(child), objective)
 
 
+def test_objective_forms_share_outcome_and_memo(monkeypatch):
+    """An integer objective as a Vector and as an int tuple gives equal
+    outcomes on seeded random systems, some on rational rows, and the second
+    call, in the other form, is a memo hit with no solve; a derived system
+    warm-starts the tuple form from the basis kept for the Vector; and a
+    rational objective solves as a tuple as it does as a Vector."""
+    from randgen import rational_rows
+
+    rng = Random(3131)
+    solves = []
+    solve = simplex._solve_verified
+
+    def counted(*args):
+        solves.append(args[1])
+        return solve(*args)
+
+    monkeypatch.setattr(simplex, "_solve_verified", counted)
+    kinds = set()
+    for trial in range(80):
+        n = rng.randint(1, 4)
+        if trial % 3:
+            K = random_boxed_polytope(rng, n, rng.randint(0, 3))
+        else:
+            K = random_system(rng, n, rng.randint(1, 6))
+        if trial % 2:
+            K = rational_rows(rng, K)
+        c = tuple(rng.randint(-3, 3) for _ in range(n))
+        first, second = (Vector(c), c) if trial % 4 < 2 else (c, Vector(c))
+        outcome = lp_optimize(K, first)
+        del solves[:]
+        assert lp_optimize(K, second) is outcome and solves == []
+        assert lp_optimize(cold_twin(K), second) == outcome
+        assert lp_optimize(cold_twin(K), first) == outcome
+        kinds.add(type(outcome).__name__)
+    assert kinds == {"Optimal", "Infeasible", "Unbounded"}
+    monkeypatch.undo()
+
+    K = random_boxed_polytope(Random(5), 3, 2)
+    c = (1, -2, 1)
+    assert isinstance(lp_optimize(K, Vector(c)), Optimal)
+    child = K.with_rows([(Vector([1, 1, 0]), 1)])
+    counts = count_solves(monkeypatch)
+    assert lp_optimize(child, c) == lp_optimize(cold_twin(child), Vector(c))
+    assert counts["warm"] == 1 and counts["cold"] == 1  # the cold one is the twin's
+
+    # a tuple with a Fraction entry is put over its denominator like a Vector
+    box = InequalitySystem.box(2, Fraction(-1, 2), Fraction(3, 2))
+    rational = (Fraction(1, 2), Fraction(-1, 3))
+    outcome = lp_optimize(box, rational)
+    assert outcome == lp_optimize(cold_twin(box), Vector(rational))
+    assert outcome.value == Fraction(11, 12)
+
+
 def test_grid3x3_solve_starts_pinned(monkeypatch):
     """How grid3x3's enum_to_cp starts its real solves: after the root's
     cold solve, every solve warm-starts or restarts, 37 of the restarts from
@@ -1156,3 +1209,47 @@ def test_pivot_trace_pinned(monkeypatch):
         certify(K, recompile(K, proof))
     assert len(trace) == 610
     assert hashlib.sha256(repr(trace).encode()).hexdigest() == PIVOT_TRACE_PIN
+
+
+def test_tseitin_cp_chain_lp_work_pinned(monkeypatch, tmp_path, capsys):
+    """The LP work of the CLI chain gen-tseitin, verify enumerative,
+    enum-to-cp and verify cp on the five bundled graphs: real solves and
+    pivots per op kind, summed over the graphs.  The objective's form (a
+    Vector or an integer tuple) must not move them."""
+    from pathlib import Path
+
+    from branchproofs.cli import main
+
+    work = {"solves": 0, "pivots": 0}
+    solve, pivot = simplex._solve_verified, simplex._DualTableau.pivot
+
+    def counted_solve(*args):
+        work["solves"] += 1
+        return solve(*args)
+
+    def counted_pivot(self, *args):
+        work["pivots"] += 1
+        pivot(self, *args)
+
+    monkeypatch.setattr(simplex, "_solve_verified", counted_solve)
+    monkeypatch.setattr(simplex._DualTableau, "pivot", counted_pivot)
+    instances = Path(__file__).resolve().parent.parent / "instances"
+    steps = {
+        "gen-tseitin": ["gen-tseitin", "{graph}", "--system", "{ineq}", "--proof", "{proof}"],
+        "verify enumerative": ["verify", "enumerative", "{ineq}", "{proof}"],
+        "enum-to-cp": ["enum-to-cp", "{ineq}", "{proof}", "--out", "{cuts}"],
+        "verify cp": ["verify", "cp", "{ineq}", "{cuts}"],
+    }
+    totals = {kind: [0, 0] for kind in steps}
+    for graph in sorted(instances.glob("*.graph")):
+        files = {"graph": graph, **{ext: tmp_path / f"{graph.stem}.{ext}"
+                                    for ext in ("ineq", "proof", "cuts")}}
+        for kind, argv in steps.items():
+            before = dict(work)
+            assert main([arg.format(**files) for arg in argv]) == 0
+            totals[kind][0] += work["solves"] - before["solves"]
+            totals[kind][1] += work["pivots"] - before["pivots"]
+    capsys.readouterr()
+    # [real solves, pivots], recorded before objectives became integer tuples
+    assert totals == {"gen-tseitin": [139, 730], "verify enumerative": [135, 692],
+                      "enum-to-cp": [227, 1271], "verify cp": [90, 491]}
